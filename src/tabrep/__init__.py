@@ -7,6 +7,7 @@ from .errors import (
     CorruptCheckpoint,
     EmptyColumn,
     NoCandidates,
+    NonFiniteLoss,
     ShapeMismatch,
     TableTooSmall,
     TabrepError,
@@ -25,6 +26,7 @@ __all__ = [
     "CorruptCheckpoint",
     "EmptyColumn",
     "NoCandidates",
+    "NonFiniteLoss",
     "ShapeMismatch",
     "TableTooSmall",
     "TabrepError",

@@ -83,6 +83,19 @@ def encoder_config(cfg: Config, n_tokens: int, n_entities: int) -> EncoderConfig
     )
 
 
+def train_settings(cfg: Config) -> TrainSettings:
+    return TrainSettings(
+        mlm_ratio=cfg.mlm_ratio,
+        mer_ratio=cfg.mer_ratio,
+        lr0=cfg.lr0,
+        epochs=cfg.pretrain_epochs,
+        batch_size=cfg.batch_size,
+        candidate_cap=cfg.candidate_cap,
+        use_visibility=cfg.use_visibility,
+        seed=cfg.seed,
+    )
+
+
 def _load_vocabs(data_dir: str) -> tuple[Vocab, Vocab]:
     token_vocab = Vocab.load(os.path.join(data_dir, "token_vocab.tsv"), TOKEN_RESERVED)
     entity_vocab = Vocab.load(os.path.join(data_dir, "entity_vocab.tsv"), ENTITY_RESERVED)
@@ -164,6 +177,9 @@ def cmd_preprocess(args) -> int:
     _info(f"parsed {len(tables)} tables, skipped {len(skipped)}")
     splits = partition(tables, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
+    # An index left by an earlier run holds ids of the old vocabularies.
+    if os.path.exists(os.path.join(args.out, "index.pkl")):
+        os.remove(os.path.join(args.out, "index.pkl"))
     token_vocab, entity_vocab = build_vocabs(
         splits["train"], min_token_count=cfg.min_token_count, min_entity_count=cfg.min_entity_count
     )
@@ -224,16 +240,7 @@ def cmd_pretrain(args) -> int:
     index = _corpus_index(args.data, token_vocab, entity_vocab, args.rebuild_index)
     _info(f"pre-training on {len(train)} tables ({len(token_vocab)} tokens, {len(entity_vocab)} entities)")
 
-    settings = TrainSettings(
-        mlm_ratio=cfg.mlm_ratio,
-        mer_ratio=cfg.mer_ratio,
-        lr0=cfg.lr0,
-        epochs=cfg.pretrain_epochs,
-        batch_size=cfg.batch_size,
-        candidate_cap=cfg.candidate_cap,
-        use_visibility=cfg.use_visibility,
-        seed=cfg.seed,
-    )
+    settings = train_settings(cfg)
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     log = open(metrics_path, "w", encoding="utf-8")
@@ -511,16 +518,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for use_visibility in (True, False):
         for ratio in ratios:
-            settings = TrainSettings(
-                mlm_ratio=cfg.mlm_ratio,
-                mer_ratio=ratio,
-                lr0=cfg.lr0,
-                epochs=cfg.pretrain_epochs,
-                batch_size=cfg.batch_size,
-                candidate_cap=cfg.candidate_cap,
-                use_visibility=use_visibility,
-                seed=cfg.seed,
-            )
+            settings = dataclasses.replace(train_settings(cfg), mer_ratio=ratio, use_visibility=use_visibility)
             model, history = fit(train, ecfg, settings, index.cooccur)
             acc = masked_recovery_accuracy(
                 model,

@@ -43,3 +43,7 @@ class CorruptCheckpoint(TabrepError):
 
 class VersionMismatch(TabrepError):
     """Checkpoint was written by an incompatible format version."""
+
+
+class NonFiniteLoss(TabrepError):
+    """A training loss came out NaN or infinite; no optimizer step is taken on it."""

@@ -1,11 +1,8 @@
-"""Numeric hot kernels with two interchangeable backends.
+"""Numeric hot kernels: plain numpy, one function per kernel.
 
-The numpy backend is the reference implementation. When numba is importable
-(and TABREP_NO_NUMBA is unset) the same kernels are also compiled with @njit
-and become the default. Both backends are kept importable so tests can check
-them against each other and the benchmark can time them. Compiled kernels run
-with fastmath disabled: results follow plain IEEE evaluation order, which the
-determinism tests rely on.
+The autodiff ops in `numeric` call these for the work of attention, layer
+norm, GELU and Adam. Each kernel follows plain IEEE evaluation order in numpy,
+which the determinism tests rely on.
 
 Masking convention: `mask` is a (n, n) uint8 array; mask[i, j] == 0 means
 position i must ignore position j. Masked attention weights come out exactly
@@ -13,8 +10,6 @@ position i must ignore position j. Masked attention weights come out exactly
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -25,18 +20,23 @@ _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
+def check_mask(mask):
+    # Checked once per call; the kernels assume every row has a visible position.
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise ShapeMismatch(f"mask must be square, got {mask.shape}")
+    if not mask.any(axis=1).all():
+        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
+        raise AllMaskedRow(f"visibility row {bad} is entirely zero")
 
 
-def np_softmax_fwd(scores):
+def softmax_fwd(scores):
     # scores: (k, n, n). Row-wise stable softmax over the last axis.
     m = np.max(scores, axis=-1, keepdims=True)
     e = np.exp(scores - m)
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def np_masked_softmax_fwd(scores, mask):
+def masked_softmax_fwd(scores, mask):
     # Additive -inf masking before the softmax; masked weights are exactly 0.
     neg = np.array(-np.inf, dtype=scores.dtype)
     masked = np.where(mask.astype(bool), scores, neg)
@@ -45,12 +45,12 @@ def np_masked_softmax_fwd(scores, mask):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def np_softmax_bwd(probs, dout):
+def softmax_bwd(probs, dout):
     inner = np.sum(probs * dout, axis=-1, keepdims=True)
     return probs * (dout - inner)
 
 
-def np_layer_norm_fwd(x, gamma, beta, eps):
+def layer_norm_fwd(x, gamma, beta, eps):
     # x: (m, d); returns (y, mean, rstd) with per-row statistics.
     mean = np.mean(x, axis=-1, keepdims=True)
     var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
@@ -59,7 +59,7 @@ def np_layer_norm_fwd(x, gamma, beta, eps):
     return y, mean[:, 0], rstd[:, 0]
 
 
-def np_layer_norm_bwd(x, gamma, mean, rstd, dy):
+def layer_norm_bwd(x, gamma, mean, rstd, dy):
     d = x.shape[-1]
     xhat = (x - mean[:, None]) * rstd[:, None]
     dgamma = np.sum(dy * xhat, axis=0)
@@ -71,18 +71,18 @@ def np_layer_norm_bwd(x, gamma, mean, rstd, dy):
     return dx, dgamma, dbeta
 
 
-def np_gelu_fwd(x):
+def gelu_fwd(x):
     # Exact erf form, not the tanh approximation.
     return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
 
 
-def np_gelu_bwd(x, dy):
+def gelu_bwd(x, dy):
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
     pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
     return dy * (cdf + x * pdf)
 
 
-def np_adam_update(param, grad, m, v, step, lr, beta1, beta2, eps):
+def adam_update(param, grad, m, v, step, lr, beta1, beta2, eps):
     # In-place update of flat views. eps sits outside the sqrt.
     m *= beta1
     m += (1.0 - beta1) * grad
@@ -91,272 +91,3 @@ def np_adam_update(param, grad, m, v, step, lr, beta1, beta2, eps):
     mhat = m / (1.0 - beta1**step)
     vhat = v / (1.0 - beta2**step)
     param -= lr * mhat / (np.sqrt(vhat) + eps)
-
-
-_NUMPY = {
-    "name": "numpy",
-    "softmax_fwd": np_softmax_fwd,
-    "masked_softmax_fwd": np_masked_softmax_fwd,
-    "softmax_bwd": np_softmax_bwd,
-    "layer_norm_fwd": np_layer_norm_fwd,
-    "layer_norm_bwd": np_layer_norm_bwd,
-    "gelu_fwd": np_gelu_fwd,
-    "gelu_bwd": np_gelu_bwd,
-    "adam_update": np_adam_update,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-_FORCE_NUMPY = os.environ.get("TABREP_NO_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
-_NUMBA = None
-if not _FORCE_NUMPY:
-    try:
-        import math
-
-        from numba import njit
-
-        @njit(cache=True)
-        def nb_softmax_fwd(scores):
-            k, n, _ = scores.shape
-            out = np.empty_like(scores)
-            for h in range(k):
-                for i in range(n):
-                    m = scores[h, i, 0]
-                    for j in range(1, n):
-                        if scores[h, i, j] > m:
-                            m = scores[h, i, j]
-                    s = 0.0
-                    for j in range(n):
-                        e = np.exp(scores[h, i, j] - m)
-                        out[h, i, j] = e
-                        s += e
-                    for j in range(n):
-                        out[h, i, j] = out[h, i, j] / s
-            return out
-
-        @njit(cache=True)
-        def nb_masked_softmax_fwd(scores, mask):
-            # The row max seeds from the first visible score, not -inf: that
-            # keeps every intermediate in the input dtype, so a fully visible
-            # row reproduces the plain kernel bit for bit.
-            k, n, _ = scores.shape
-            out = np.zeros_like(scores)
-            for h in range(k):
-                for i in range(n):
-                    first = -1
-                    for j in range(n):
-                        if mask[i, j] != 0:
-                            first = j
-                            break
-                    if first < 0:
-                        continue
-                    m = scores[h, i, first]
-                    for j in range(first + 1, n):
-                        if mask[i, j] != 0 and scores[h, i, j] > m:
-                            m = scores[h, i, j]
-                    s = 0.0
-                    for j in range(n):
-                        if mask[i, j] != 0:
-                            e = np.exp(scores[h, i, j] - m)
-                            out[h, i, j] = e
-                            s += e
-                    for j in range(n):
-                        if mask[i, j] != 0:
-                            out[h, i, j] = out[h, i, j] / s
-            return out
-
-        @njit(cache=True)
-        def nb_softmax_bwd(probs, dout):
-            k, n, _ = probs.shape
-            ds = np.empty_like(probs)
-            for h in range(k):
-                for i in range(n):
-                    inner = 0.0
-                    for j in range(n):
-                        inner += probs[h, i, j] * dout[h, i, j]
-                    for j in range(n):
-                        ds[h, i, j] = probs[h, i, j] * (dout[h, i, j] - inner)
-            return ds
-
-        @njit(cache=True)
-        def nb_layer_norm_fwd(x, gamma, beta, eps):
-            m_rows, d = x.shape
-            y = np.empty_like(x)
-            mean = np.empty(m_rows, dtype=x.dtype)
-            rstd = np.empty(m_rows, dtype=x.dtype)
-            for i in range(m_rows):
-                s = 0.0
-                for j in range(d):
-                    s += x[i, j]
-                mu = s / d
-                q = 0.0
-                for j in range(d):
-                    diff = x[i, j] - mu
-                    q += diff * diff
-                r = 1.0 / np.sqrt(q / d + eps)
-                mean[i] = mu
-                rstd[i] = r
-                for j in range(d):
-                    y[i, j] = (x[i, j] - mu) * r * gamma[j] + beta[j]
-            return y, mean, rstd
-
-        @njit(cache=True)
-        def nb_layer_norm_bwd(x, gamma, mean, rstd, dy):
-            m_rows, d = x.shape
-            dx = np.empty_like(x)
-            dgamma = np.zeros(d, dtype=x.dtype)
-            dbeta = np.zeros(d, dtype=x.dtype)
-            for i in range(m_rows):
-                t1 = 0.0
-                t2 = 0.0
-                for j in range(d):
-                    xhat = (x[i, j] - mean[i]) * rstd[i]
-                    dxh = dy[i, j] * gamma[j]
-                    dgamma[j] += dy[i, j] * xhat
-                    dbeta[j] += dy[i, j]
-                    t1 += dxh
-                    t2 += dxh * xhat
-                t1 /= d
-                t2 /= d
-                for j in range(d):
-                    xhat = (x[i, j] - mean[i]) * rstd[i]
-                    dxh = dy[i, j] * gamma[j]
-                    dx[i, j] = (dxh - t1 - xhat * t2) * rstd[i]
-            return dx, dgamma, dbeta
-
-        @njit(cache=True)
-        def nb_gelu_fwd(x):
-            out = np.empty_like(x)
-            flat_in = x.ravel()
-            flat_out = out.ravel()
-            for i in range(flat_in.size):
-                v = flat_in[i]
-                flat_out[i] = 0.5 * v * (1.0 + math.erf(v * _INV_SQRT2))
-            return out
-
-        @njit(cache=True)
-        def nb_gelu_bwd(x, dy):
-            out = np.empty_like(x)
-            flat_x = x.ravel()
-            flat_dy = dy.ravel()
-            flat_out = out.ravel()
-            for i in range(flat_x.size):
-                v = flat_x[i]
-                cdf = 0.5 * (1.0 + math.erf(v * _INV_SQRT2))
-                pdf = _INV_SQRT2PI * np.exp(-0.5 * v * v)
-                flat_out[i] = flat_dy[i] * (cdf + v * pdf)
-            return out
-
-        @njit(cache=True)
-        def nb_adam_update(param, grad, m, v, step, lr, beta1, beta2, eps):
-            bc1 = 1.0 - beta1**step
-            bc2 = 1.0 - beta2**step
-            for i in range(param.size):
-                g = grad[i]
-                m[i] = beta1 * m[i] + (1.0 - beta1) * g
-                v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-                mhat = m[i] / bc1
-                vhat = v[i] / bc2
-                param[i] -= lr * mhat / (np.sqrt(vhat) + eps)
-
-        _NUMBA = {
-            "name": "numba",
-            "softmax_fwd": nb_softmax_fwd,
-            "masked_softmax_fwd": nb_masked_softmax_fwd,
-            "softmax_bwd": nb_softmax_bwd,
-            "layer_norm_fwd": nb_layer_norm_fwd,
-            "layer_norm_bwd": nb_layer_norm_bwd,
-            "gelu_fwd": nb_gelu_fwd,
-            "gelu_bwd": nb_gelu_bwd,
-            "adam_update": nb_adam_update,
-        }
-    except ImportError:  # pragma: no cover - exercised only without numba
-        _NUMBA = None
-
-_ACTIVE = _NUMBA if _NUMBA is not None else _NUMPY
-
-
-def available_backends():
-    names = ["numpy"]
-    if _NUMBA is not None:
-        names.append("numba")
-    return names
-
-
-def active_backend():
-    return _ACTIVE["name"]
-
-
-def set_backend(name):
-    """Select 'numpy' or 'numba' globally. Returns the previous name."""
-    global _ACTIVE
-    prev = _ACTIVE["name"]
-    if name == "numpy":
-        _ACTIVE = _NUMPY
-    elif name == "numba":
-        if _NUMBA is None:
-            raise ValueError("numba backend is not available")
-        _ACTIVE = _NUMBA
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    return prev
-
-
-def backend_table(name):
-    """Raw kernel table for a backend, used by equivalence tests and benchmarks."""
-    if name == "numpy":
-        return _NUMPY
-    if name == "numba" and _NUMBA is not None:
-        return _NUMBA
-    raise ValueError(f"unknown or unavailable backend {name!r}")
-
-
-# Dispatchers used by the autodiff ops. `mask` validity is checked here once
-# per call; downstream kernels assume every row has a visible position.
-
-
-def check_mask(mask):
-    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-        raise ShapeMismatch(f"mask must be square, got {mask.shape}")
-    if not mask.any(axis=1).all():
-        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-        raise AllMaskedRow(f"visibility row {bad} is entirely zero")
-
-
-def softmax_fwd(scores):
-    return _ACTIVE["softmax_fwd"](scores)
-
-
-def masked_softmax_fwd(scores, mask):
-    return _ACTIVE["masked_softmax_fwd"](scores, mask)
-
-
-def softmax_bwd(probs, dout):
-    return _ACTIVE["softmax_bwd"](probs, dout)
-
-
-def layer_norm_fwd(x, gamma, beta, eps):
-    return _ACTIVE["layer_norm_fwd"](x, gamma, beta, eps)
-
-
-def layer_norm_bwd(x, gamma, mean, rstd, dy):
-    return _ACTIVE["layer_norm_bwd"](x, gamma, mean, rstd, dy)
-
-
-def gelu_fwd(x):
-    return _ACTIVE["gelu_fwd"](x)
-
-
-def gelu_bwd(x, dy):
-    return _ACTIVE["gelu_bwd"](x, dy)
-
-
-def adam_update(param, grad, m, v, step, lr, beta1, beta2, eps):
-    _ACTIVE["adam_update"](param, grad, m, v, step, lr, beta1, beta2, eps)

@@ -336,7 +336,7 @@ class Adam:
     """Adam with bias correction and a linear decay schedule.
 
     The epsilon term is added outside the square root. Moments live in the
-    parameter dtype; all updates run through the active kernel backend.
+    parameter dtype; each update runs through `kernels.adam_update`.
     """
 
     def __init__(self, params, lr0, total_steps, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -26,6 +26,7 @@ from . import numeric as nm
 from .corpus import MASK_ID, IndexedTable
 from .encoder import EncoderConfig, Model, encode, init_entity_embeddings, init_model
 from .encoding import CELL, Sequence, linearize, mask_cell
+from .errors import NonFiniteLoss
 
 # cell masking actions
 KEEP = 0
@@ -276,7 +277,7 @@ def fit(
     epoch_callback=None,
     dtype=np.float32,
 ) -> tuple[Model, History]:
-    """Pre-train a model. Deterministic for a fixed seed, backend, and inputs.
+    """Pre-train a model. Deterministic for a fixed seed and inputs.
 
     The run lasts settings.epochs epochs, unless max_steps is given: then it
     takes exactly max_steps optimizer steps, cycling through as many epochs as
@@ -285,7 +286,8 @@ def fit(
     ends, with fewer steps, after an epoch in which no table had anything
     masked and so no step was taken; a corpus with nothing to predict would
     otherwise loop forever. An epoch_callback that returns True ends the run
-    after that epoch.
+    after that epoch. A step whose loss is not finite raises NonFiniteLoss
+    before the optimizer moves any parameter.
     """
     rng = np.random.default_rng(settings.seed)
     if model is None:
@@ -332,10 +334,12 @@ def fit(
                 ep_stats.cell_correct += stats.cell_correct
             if total is None:
                 continue
+            step_loss = float(total.data)
+            if not np.isfinite(step_loss):
+                raise NonFiniteLoss(f"loss is {step_loss} at step {step} (epoch {epoch})")
             total.backward()
             opt.step()
             step += 1
-            step_loss = float(total.data)
             ep_loss += step_loss
             history.step_losses.append(step_loss)
         n_pred = ep_stats.n_tokens + ep_stats.n_cells

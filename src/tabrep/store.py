@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -196,13 +197,36 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int, dict]:
         header = json.loads(payload[header_start : header_start + header_len])
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"{path}: unreadable header") from exc
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("tensors"), list)
+        and isinstance(header.get("config"), str)
+        and _is_int(header.get("step", 0))
+        and isinstance(header.get("extra", {}), dict)
+    ):
+        raise CorruptCheckpoint(f"{path}: malformed header")
     body = payload[header_start + header_len :]
     arrays: dict[str, np.ndarray] = {}
-    for t in header["tensors"]:
-        dt = np.dtype(t["dtype"]).newbyteorder("<")
-        start, nbytes = t["offset"], t["nbytes"]
+    for i, t in enumerate(header["tensors"]):
+        try:
+            name, dtype, shape, start, nbytes = (t[k] for k in ("name", "dtype", "shape", "offset", "nbytes"))
+            dt = np.dtype(dtype if isinstance(dtype, str) else object).newbyteorder("<")
+        except (KeyError, TypeError) as exc:
+            raise CorruptCheckpoint(f"{path}: malformed manifest entry {i}") from exc
+        if not (
+            isinstance(name, str)
+            and dt.kind in "biufc"
+            and isinstance(shape, list)
+            and all(_is_int(v) and v >= 0 for v in (start, nbytes, *shape))
+            and nbytes == math.prod(shape) * dt.itemsize
+        ):
+            raise CorruptCheckpoint(f"{path}: malformed manifest entry {i}")
         if start + nbytes > len(body):
-            raise CorruptCheckpoint(f"{path}: tensor {t['name']!r} overruns file")
-        arr = np.frombuffer(body[start : start + nbytes], dtype=dt).reshape(t["shape"])
-        arrays[t["name"]] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-    return arrays, header["config"], int(header.get("step", 0)), header.get("extra", {})
+            raise CorruptCheckpoint(f"{path}: tensor {name!r} overruns file")
+        arr = np.frombuffer(body[start : start + nbytes], dtype=dt).reshape(shape)
+        arrays[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
+    return arrays, header["config"], header.get("step", 0), header.get("extra", {})
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)

@@ -37,7 +37,7 @@ from .corpus import (
 )
 from .encoder import Model, encode, trunc_normal
 from .encoding import CELL, HEADER, Sequence, linearize
-from .errors import EmptyColumn, TableTooSmall
+from .errors import EmptyColumn, NonFiniteLoss, TableTooSmall
 from .metrics import (
     candidate_recall,
     linking_prf,
@@ -547,7 +547,10 @@ class FinetuneSettings:
 
 
 def finetune(instances, loss_fn, params, settings: FinetuneSettings) -> list[float]:
-    """Generic loop: shuffle, batch, sum losses, step. Returns epoch losses."""
+    """Generic loop: shuffle, batch, sum losses, step. Returns epoch losses.
+
+    A batch whose loss is not finite raises NonFiniteLoss before the step.
+    """
     rng = np.random.default_rng(settings.seed)
     n_batches = max(1, (len(instances) + settings.batch_size - 1) // settings.batch_size)
     opt = nm.Adam(params, lr0=settings.lr0, total_steps=settings.epochs * n_batches)
@@ -567,9 +570,12 @@ def finetune(instances, loss_fn, params, settings: FinetuneSettings) -> list[flo
                 count += 1
             if batch_loss is None:
                 continue
+            loss = float(batch_loss.data)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"loss is {loss} at step {opt.steps_done}")
             batch_loss.backward()
             opt.step()
-            total += float(batch_loss.data)
+            total += loss
         epoch_losses.append(total / max(1, count))
     return epoch_losses
 

@@ -1,16 +1,6 @@
 import numpy as np
-import pytest
 
-from tabrep import kernels
 from tabrep.corpus import IndexedCell, IndexedTable
-
-
-@pytest.fixture(params=kernels.available_backends())
-def backend(request):
-    """Run the test once per kernel backend, restoring the previous one."""
-    prev = kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(prev)
 
 
 def make_indexed_table(

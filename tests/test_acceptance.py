@@ -244,20 +244,14 @@ def test_c02_visibility_matrix_matches_oracle_and_masks_exactly():
         seqs.append((seq, vis))
 
     zero_checked = 0
-    previous = kernels.active_backend()
-    try:
-        for backend in kernels.available_backends():
-            kernels.set_backend(backend)
-            for seq, vis in seqs[:50]:
-                n = len(seq.elements)
-                scores = rng.normal(size=(2, n, n)).astype(np.float32)
-                probs = kernels.masked_softmax_fwd(scores, vis)
-                assert np.all(probs[:, vis == 0] == 0.0), f"{backend}: hidden weight not exactly zero"
-                sums = probs.sum(axis=-1)
-                assert np.allclose(sums[:, vis.any(axis=1)], 1.0, atol=1e-5)
-                zero_checked += 1
-    finally:
-        kernels.set_backend(previous)
+    for seq, vis in seqs[:50]:
+        n = len(seq.elements)
+        scores = rng.normal(size=(2, n, n)).astype(np.float32)
+        probs = kernels.masked_softmax_fwd(scores, vis)
+        assert np.all(probs[:, vis == 0] == 0.0), "hidden weight not exactly zero"
+        sums = probs.sum(axis=-1)
+        assert np.allclose(sums[:, vis.any(axis=1)], 1.0, atol=1e-5)
+        zero_checked += 1
     report("C02", True,
            f"1000 visibility matrices equal the oracle; {zero_checked} masked softmaxes have exact zeros")
 
@@ -270,22 +264,16 @@ def test_c03_disabled_visibility_is_bitwise_plain_attention():
     )
     model = init_model(cfg, rng)
     checked = 0
-    previous = kernels.active_backend()
-    try:
-        for backend in kernels.available_backends():
-            kernels.set_backend(backend)
-            for _ in range(100):
-                t = make_indexed_table(
-                    rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)),
-                    n_tokens=30, n_entities=20, with_topic=bool(rng.integers(2)),
-                )
-                seq = linearize(t, cfg.max_len)
-                off = encode(seq, model, use_visibility=False)
-                ref = encode(seq, model, reference=True)
-                assert off.h.data.tobytes() == ref.h.data.tobytes(), f"{backend}: masked(all-ones) != plain"
-                checked += 1
-    finally:
-        kernels.set_backend(previous)
+    for _ in range(100):
+        t = make_indexed_table(
+            rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)),
+            n_tokens=30, n_entities=20, with_topic=bool(rng.integers(2)),
+        )
+        seq = linearize(t, cfg.max_len)
+        off = encode(seq, model, use_visibility=False)
+        ref = encode(seq, model, reference=True)
+        assert off.h.data.tobytes() == ref.h.data.tobytes(), "masked(all-ones) != plain"
+        checked += 1
     report("C03", True, f"{checked} encodings bitwise-identical between all-ones mask and plain softmax")
 
 

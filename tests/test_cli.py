@@ -77,6 +77,16 @@ def test_preprocess_visibility_dump(pipeline, tmp_path):
     assert dump["table_id"] == some_id
 
 
+def test_preprocess_removes_stale_index(pipeline, tmp_path):
+    # an index from an earlier run holds ids of the old vocabularies
+    out = tmp_path / "data3"
+    out.mkdir()
+    (out / "index.pkl").write_bytes(b"stale")
+    assert run(["preprocess", "--corpus", str(pipeline["corpus"] / "raw.jsonl"), "--out", str(out),
+                "--config", str(pipeline["cfg"])]) == 0
+    assert not (out / "index.pkl").exists()
+
+
 def test_pretrain_outputs(pipeline):
     runs = pipeline["runs"]
     assert (runs / "checkpoint.bin").exists()

@@ -139,7 +139,7 @@ def test_encode_shapes_and_finiteness(model):
     assert len(out.token_indices) + len(out.entity_indices) == len(seq)
 
 
-def test_visibility_off_equals_reference_bitwise(model, backend):
+def test_visibility_off_equals_reference_bitwise(model):
     # all-ones mask through the masked path reproduces the unmasked path exactly
     rng = np.random.default_rng(4)
     for k in range(5):

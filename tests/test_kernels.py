@@ -1,4 +1,4 @@
-"""Kernel backends against slow, obviously-correct references."""
+"""Numeric kernels against slow, obviously-correct references."""
 
 import math
 
@@ -49,7 +49,7 @@ def gelu_oracle(x):
 # -- forward kernels ----------------------------------------------------------
 
 
-def test_softmax_matches_oracle(backend):
+def test_softmax_matches_oracle():
     rng = np.random.default_rng(0)
     scores = rng.normal(size=(3, 7, 7)).astype(np.float64)
     got = kernels.softmax_fwd(scores)
@@ -57,7 +57,7 @@ def test_softmax_matches_oracle(backend):
     np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
 
-def test_masked_softmax_matches_oracle_and_zeros(backend):
+def test_masked_softmax_matches_oracle_and_zeros():
     rng = np.random.default_rng(1)
     scores = rng.normal(size=(2, 9, 9)).astype(np.float64)
     mask = (rng.random((9, 9)) < 0.6).astype(np.uint8)
@@ -68,7 +68,7 @@ def test_masked_softmax_matches_oracle_and_zeros(backend):
     assert not got[:, mask == 0].any()
 
 
-def test_masked_softmax_all_visible_is_bitwise_plain(backend):
+def test_masked_softmax_all_visible_is_bitwise_plain():
     # The masked kernel with a full mask must share the arithmetic of the
     # plain kernel exactly; downstream determinism checks lean on this.
     rng = np.random.default_rng(2)
@@ -81,12 +81,12 @@ def test_masked_softmax_all_visible_is_bitwise_plain(backend):
         assert a.tobytes() == b.tobytes()
 
 
-def test_gelu_matches_erf_form(backend):
+def test_gelu_matches_erf_form():
     x = np.linspace(-6, 6, 301)
     np.testing.assert_allclose(kernels.gelu_fwd(x), gelu_oracle(x), atol=1e-12)
 
 
-def test_gelu_gradient_matches_finite_difference(backend):
+def test_gelu_gradient_matches_finite_difference():
     x = np.linspace(-4, 4, 101)
     h = 1e-6
     num = (kernels.gelu_fwd(x + h) - kernels.gelu_fwd(x - h)) / (2 * h)
@@ -94,7 +94,7 @@ def test_gelu_gradient_matches_finite_difference(backend):
     np.testing.assert_allclose(got, num, atol=1e-8)
 
 
-def test_layer_norm_statistics(backend):
+def test_layer_norm_statistics():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 16))
     gamma = np.ones(16)
@@ -106,7 +106,7 @@ def test_layer_norm_statistics(backend):
     np.testing.assert_allclose(rstd, 1.0 / np.sqrt(x.var(axis=1) + 1e-12), atol=1e-12)
 
 
-def test_layer_norm_affine_params(backend):
+def test_layer_norm_affine_params():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(4, 8))
     gamma = rng.normal(size=8)
@@ -116,7 +116,7 @@ def test_layer_norm_affine_params(backend):
     np.testing.assert_allclose(y, xhat * gamma + beta, atol=1e-12)
 
 
-def test_softmax_bwd_matches_jacobian(backend):
+def test_softmax_bwd_matches_jacobian():
     rng = np.random.default_rng(5)
     scores = rng.normal(size=(1, 4, 4))
     dout = rng.normal(size=(1, 4, 4))
@@ -129,7 +129,7 @@ def test_softmax_bwd_matches_jacobian(backend):
         np.testing.assert_allclose(got[0, i], jac @ dout[0, i], atol=1e-12)
 
 
-def test_adam_update_single_step(backend):
+def test_adam_update_single_step():
     # one hand-computed step: m=0.1g, v=0.001g^2, bias-corrected exactly
     param = np.array([1.0, -2.0])
     grad = np.array([0.5, -1.5])
@@ -142,20 +142,6 @@ def test_adam_update_single_step(backend):
     expect = np.array([1.0, -2.0]) - lr * mhat / (np.sqrt(vhat) + eps)
     np.testing.assert_allclose(param, expect, atol=1e-12)
     np.testing.assert_allclose(m, (1 - b1) * grad, atol=1e-15)
-
-
-def test_backends_agree_bitwise_is_not_required_but_close():
-    # cross-backend drift must stay at rounding level
-    if "numba" not in kernels.available_backends():
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(6)
-    scores = rng.normal(size=(4, 11, 11)).astype(np.float32)
-    mask = (rng.random((11, 11)) < 0.5).astype(np.uint8)
-    np.fill_diagonal(mask, 1)
-    a = kernels.backend_table("numpy")["masked_softmax_fwd"](scores, mask)
-    b = kernels.backend_table("numba")["masked_softmax_fwd"](scores, mask)
-    np.testing.assert_allclose(a, b, atol=1e-6)
-    assert not a[:, mask == 0].any() and not b[:, mask == 0].any()
 
 
 # -- mask validation ----------------------------------------------------------
@@ -173,17 +159,6 @@ def test_check_mask_rejects_fully_masked_row():
         kernels.check_mask(mask)
 
 
-def test_set_backend_round_trip():
-    prev = kernels.active_backend()
-    other = "numpy"
-    old = kernels.set_backend(other)
-    assert old == prev
-    assert kernels.active_backend() == "numpy"
-    kernels.set_backend(prev)
-    with pytest.raises(ValueError):
-        kernels.set_backend("gpu")
-
-
 # -- properties ---------------------------------------------------------------
 
 
@@ -192,8 +167,8 @@ def test_set_backend_round_trip():
 def test_softmax_shift_invariance(row):
     x = np.array(row, dtype=np.float64)[None, None, :]
     shifted = x + 123.0
-    a = kernels.np_softmax_fwd(x)
-    b = kernels.np_softmax_fwd(shifted)
+    a = kernels.softmax_fwd(x)
+    b = kernels.softmax_fwd(shifted)
     np.testing.assert_allclose(a, b, atol=1e-12)
     assert abs(a.sum() - 1.0) < 1e-12
 
@@ -205,6 +180,6 @@ def test_masked_rows_renormalize(n, seed):
     scores = rng.normal(size=(1, n, n))
     mask = (rng.random((n, n)) < 0.5).astype(np.uint8)
     np.fill_diagonal(mask, 1)
-    probs = kernels.np_masked_softmax_fwd(scores, mask)
+    probs = kernels.masked_softmax_fwd(scores, mask)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
     assert (probs >= 0).all()

@@ -5,8 +5,9 @@ import pytest
 
 import tabrep.numeric as nm
 from tabrep.corpus import MASK_ID
-from tabrep.encoder import EncoderConfig
+from tabrep.encoder import EncoderConfig, init_model
 from tabrep.encoding import CELL, TOPIC, linearize
+from tabrep.errors import NonFiniteLoss
 from tabrep.pretrain import (
     KEEP,
     MASK_BOTH,
@@ -204,15 +205,17 @@ def test_canonical_mentions_majority_then_lexical():
 # -- training loop --------------------------------------------------------------------
 
 
-def small_fit(seed=13, epochs=2, max_steps=None, use_visibility=True, mlm_ratio=0.3, mer_ratio=0.6):
+SMALL_CFG = EncoderConfig(n_blocks=1, d_model=8, n_heads=2, d_intermediate=16, max_len=64, n_tokens=30, n_entities=20)
+
+
+def small_fit(seed=13, epochs=2, max_steps=None, use_visibility=True, mlm_ratio=0.3, mer_ratio=0.6, model=None):
     rng = np.random.default_rng(100)
     tables = [make_indexed_table(rng, 3, 2, n_tokens=30, n_entities=20, table_id=f"t{i}") for i in range(6)]
-    cfg = EncoderConfig(n_blocks=1, d_model=8, n_heads=2, d_intermediate=16, max_len=64, n_tokens=30, n_entities=20)
     settings = TrainSettings(
         mlm_ratio=mlm_ratio, mer_ratio=mer_ratio, lr0=1e-3, epochs=epochs, batch_size=3, candidate_cap=16,
         use_visibility=use_visibility, seed=seed,
     )
-    return fit(tables, cfg, settings, cooccur={}, max_steps=max_steps)
+    return fit(tables, SMALL_CFG, settings, cooccur={}, max_steps=max_steps, model=model)
 
 
 def test_fit_runs_and_logs():
@@ -265,3 +268,12 @@ def test_fit_max_steps_ends_when_an_epoch_takes_no_step():
     _, history = small_fit(epochs=2, max_steps=5, mlm_ratio=0.0, mer_ratio=0.0)
     assert history.step_losses == []
     assert len(history.epochs) == 1
+
+
+def test_fit_stops_on_a_non_finite_loss():
+    model = init_model(SMALL_CFG, np.random.default_rng(0))
+    model["block0.Wq"].data[0, 0] = np.nan
+    before = {name: arr.copy() for name, arr in model.named_arrays().items()}
+    with pytest.raises(NonFiniteLoss, match=r"step 0 \(epoch 0\)"):
+        small_fit(model=model)
+    assert all(arr.tobytes() == before[name].tobytes() for name, arr in model.named_arrays().items())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -146,6 +147,36 @@ def test_future_version_detected(tmp_path):
     struct.pack_into("<I", payload, len(MAGIC), 2)
     path.write_bytes(bytes(payload) + hashlib.sha256(bytes(payload)).digest())
     with pytest.raises(VersionMismatch):
+        load_checkpoint(path)
+
+
+def _with_first(header, **fields):
+    header["tensors"][0].update(fields)
+    return header
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: {k: v for k, v in h.items() if k != "tensors"},
+        lambda h: _with_first(h, dtype="object"),
+        lambda h: _with_first(h, shape=[7, 6]),
+        lambda h: _with_first(h, offset=-8),
+        lambda h: [h],
+    ],
+    ids=["no-tensors", "object-dtype", "shape-vs-nbytes", "negative-offset", "list-header"],
+)
+def test_malformed_header_with_valid_digest_detected(tmp_path, edit):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, sample_arrays(), "")
+    payload = path.read_bytes()[:-32]
+    (header_len,) = struct.unpack_from("<Q", payload, len(MAGIC) + 4)
+    start = len(MAGIC) + 12
+    raw = json.dumps(edit(json.loads(payload[start : start + header_len]))).encode("utf-8")
+    # re-sign, so only the header checks can fail
+    payload = payload[: start - 8] + struct.pack("<Q", len(raw)) + raw + payload[start + header_len :]
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
 
 

@@ -16,7 +16,7 @@ from tabrep.corpus import (
 )
 from tabrep.encoder import EncoderConfig, encode, init_model
 from tabrep.encoding import CELL, HEADER, linearize
-from tabrep.errors import EmptyColumn
+from tabrep.errors import EmptyColumn, NonFiniteLoss
 from tabrep.pretrain import entity_logits
 from tabrep.tasks import (
     ColumnTypeHead,
@@ -444,3 +444,17 @@ def test_column_type_training_learns_toy(corpus, tiny_model):
     assert set(report) == {"metrics", "n_instances"}
     assert report["n_instances"] == 8
     assert report["metrics"]["f1"] > 0.8
+
+
+def test_finetune_stops_on_a_non_finite_loss(corpus, tiny_model):
+    packs, _, ev = corpus
+    inst, types = build_column_type_data(packs, ev, toy_side())
+    model = init_model(tiny_model.cfg, np.random.default_rng(3))
+    head = ColumnTypeHead(8, len(types), np.random.default_rng(5))
+    model["block0.Wq"].data[0, 0] = np.nan
+    params = model.params() + head.params()
+    before = [p.data.copy() for p in params]
+    settings = FinetuneSettings(lr0=1e-2, epochs=2, batch_size=4, seed=1)
+    with pytest.raises(NonFiniteLoss, match="step 0"):
+        train_column_types(model, head, packs, inst, settings, len(types))
+    assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before))
