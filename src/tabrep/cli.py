@@ -124,9 +124,12 @@ def restore_model(path: str) -> tuple[Model, Config, dict, dict]:
     """Rebuild a Model from a checkpoint. Returns (model, config, arrays, extra)."""
     arrays, config_text, _, extra = load_checkpoint(path)
     cfg = parse_config(config_text)
-    if "n_tokens" not in extra or "n_entities" not in extra:
-        raise ConfigError(f"{path}: checkpoint lacks vocabulary sizes")
-    ecfg = encoder_config(cfg, int(extra["n_tokens"]), int(extra["n_entities"]))
+    sizes = (extra.get("n_tokens"), extra.get("n_entities"))
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
+        raise ConfigError(f"{path}: checkpoint lacks integer vocabulary sizes")
+    if "word_emb" not in arrays:
+        raise ConfigError(f"{path}: checkpoint is missing tensor 'word_emb'")
+    ecfg = encoder_config(cfg, *sizes)
     model = init_model(ecfg, np.random.default_rng(0), dtype=arrays["word_emb"].dtype)
     model.load_arrays({k: v for k, v in arrays.items() if not k.startswith("head.")})
     return model, cfg, arrays, extra
@@ -214,8 +217,10 @@ def cmd_preprocess(args) -> int:
         dump = {
             "table_id": wanted,
             "elements": [
-                {"kind": el.kind, "row": el.row, "col": el.col, "is_entity": el.is_entity}
-                for el in seq.elements
+                {"kind": kind, "row": row, "col": col, "is_entity": is_entity}
+                for kind, row, col, is_entity in zip(
+                    seq.kinds.tolist(), seq.rows.tolist(), seq.cols.tolist(), seq.is_entity.tolist()
+                )
             ],
             "matrix": vis.astype(int).tolist(),
         }

@@ -200,7 +200,12 @@ class Vocab:
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise ConfigError(f"{path}: bad vocab line {line_no}")
-                idx, s, count = int(parts[0]), parts[1], int(parts[2])
+                try:
+                    idx, s, count = int(parts[0]), parts[1], int(parts[2])
+                except ValueError:
+                    raise ConfigError(f"{path}: non-integer id or count at line {line_no}") from None
+                if idx < 0:
+                    raise ConfigError(f"{path}: negative id {idx} at line {line_no}")
                 if idx < vocab.n_reserved:
                     if s != vocab.strings[idx]:
                         raise ConfigError(f"{path}: reserved row {idx} is {s!r}")
@@ -525,13 +530,18 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path) -> list[dict]:
+def read_jsonl(path) -> list:
+    """One JSON value per non-blank line; a line that is not JSON raises ConfigError."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(json.loads(line))
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(f"{path}: line {line_no} is not JSON: {exc}") from None
     return out
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numeric as nm
+from .corpus import UNK_ID
 from .encoding import Sequence, build_visibility
 from .errors import ConfigError, UnknownId
 
@@ -156,6 +157,9 @@ def affine(x: nm.Tensor, w: nm.Tensor, b: nm.Tensor) -> nm.Tensor:
     return nm.add(nm.matmul(x, w), b)
 
 
+_UNK_MENTION = np.array([UNK_ID], dtype=np.int64)
+
+
 def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= bound):
         raise UnknownId(f"{what} id out of range [0, {bound})")
@@ -167,30 +171,10 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
     n = len(seq)
     dtype = model.dtype
 
-    tok_idx, ent_idx = [], []
-    tok_ids, tok_types, tok_pos = [], [], []
-    ent_ids, ent_types = [], []
-    mention_ids, mention_slices = [], []
-    for i, el in enumerate(seq.elements):
-        if el.is_entity:
-            ent_idx.append(i)
-            ent_ids.append(el.entity_id)
-            ent_types.append(el.type_id)
-            start = len(mention_ids)
-            ment = el.mention_ids if el.mention_ids is not None and len(el.mention_ids) else np.array([2])
-            mention_ids.extend(int(t) for t in ment)
-            mention_slices.append((start, len(mention_ids)))
-        else:
-            tok_idx.append(i)
-            tok_ids.append(el.token_id)
-            tok_types.append(el.type_id)
-            tok_pos.append(el.position)
-
+    tok_idx, ent_idx = seq.token_indices, seq.entity_indices
     parts = []
-    if tok_idx:
-        ids = np.array(tok_ids, dtype=np.int64)
-        pos = np.array(tok_pos, dtype=np.int64)
-        types = np.array(tok_types, dtype=np.int64)
+    if len(tok_idx):
+        ids, types, pos = seq.ids[tok_idx], seq.type_ids[tok_idx], seq.positions[tok_idx]
         _check_ids(ids, cfg.n_tokens, "token")
         _check_ids(pos, cfg.max_len, "position")
         _check_ids(types, cfg.n_token_types, "token type")
@@ -198,18 +182,19 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
             nm.add(nm.gather_rows(model["word_emb"], ids), nm.gather_rows(model["tok_type_emb"], types)),
             nm.gather_rows(model["pos_emb"], pos),
         )
-        parts.append(nm.put_rows(x, np.array(tok_idx), n))
-    if ent_idx:
-        ids = np.array(ent_ids, dtype=np.int64)
-        types = np.array(ent_types, dtype=np.int64)
-        flat = np.array(mention_ids, dtype=np.int64)
+        parts.append(nm.put_rows(x, tok_idx, n))
+    if len(ent_idx):
+        ids, types = seq.ids[ent_idx], seq.type_ids[ent_idx]
+        # an entity with an empty mention averages the unknown token
+        ments = [seq.mentions[i] if len(seq.mentions[i]) else _UNK_MENTION for i in ent_idx]
+        lens = np.array([len(m) for m in ments])
+        flat = np.concatenate(ments)
         _check_ids(ids, cfg.n_entities, "entity")
         _check_ids(types, cfg.n_entity_types, "entity type")
         _check_ids(flat, cfg.n_tokens, "mention token")
         # constant row-averaging matrix: one row per entity, 1/len over its span
         avg = np.zeros((len(ent_idx), len(flat)), dtype=dtype)
-        for r, (a, b) in enumerate(mention_slices):
-            avg[r, a:b] = 1.0 / (b - a)
+        avg[np.repeat(np.arange(len(ent_idx)), lens), np.arange(len(flat))] = np.repeat(1.0 / lens, lens)
         mention_mean = nm.matmul(nm.Tensor(avg), nm.gather_rows(model["word_emb"], flat))
         fused = affine(
             nm.concat([nm.gather_rows(model["ent_emb"], ids), mention_mean], axis=1),
@@ -217,7 +202,7 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
             model["fuse_b"],
         )
         x = nm.add(fused, nm.gather_rows(model["ent_type_emb"], types))
-        parts.append(nm.put_rows(x, np.array(ent_idx), n))
+        parts.append(nm.put_rows(x, ent_idx, n))
     if not parts:
         raise UnknownId("sequence has no elements to embed")
     return parts[0] if len(parts) == 1 else nm.add(parts[0], parts[1])
@@ -278,5 +263,4 @@ def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: 
         mask = np.ones((len(seq), len(seq)), dtype=np.uint8)
     for i in range(model.cfg.n_blocks):
         h = transformer_block(h, mask, model, i)
-    is_ent = np.array([e.is_entity for e in seq.elements])
-    return EncodeResult(h=h, seq=seq, token_indices=np.flatnonzero(~is_ent), entity_indices=np.flatnonzero(is_ent))
+    return EncodeResult(h=h, seq=seq, token_indices=seq.token_indices, entity_indices=seq.entity_indices)

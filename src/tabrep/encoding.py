@@ -5,6 +5,11 @@ header tokens column by column, then cell entities row by row. Token positions
 restart at zero for the caption stream and for each header; entities always
 sit at position zero and are distinguished structurally by (row, column).
 
+A Sequence stores the elements as a struct of arrays: one int64 array per
+field (kind, id, segment id, position, row, column) with one slot per
+element, plus one mention token-id array per element. Tokens and entities
+share the `ids` array; `kinds` tells them apart.
+
 Visibility pins which elements may attend to each other:
   - caption tokens and the topic entity see everything and are seen by all;
   - header tokens all see each other;
@@ -17,6 +22,7 @@ Everything else is invisible. The matrix is symmetric by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,126 +45,101 @@ ENT_TYPE_OBJECT = 1
 ENT_TYPE_TOPIC = 2
 
 
-@dataclass
-class Element:
-    kind: int
-    is_entity: bool
-    token_id: int = -1
-    entity_id: int = -1
-    mention_ids: np.ndarray | None = None
-    position: int = 0
-    row: int = -1
-    col: int = -1
-    type_id: int = 0
+_NO_MENTION = np.zeros(0, dtype=np.int64)
+_NO_MENTION.flags.writeable = False
 
 
 @dataclass
 class Sequence:
-    """Linearized table. Arrays are parallel, one slot per element."""
+    """Linearized table as a struct of arrays, one slot per element.
+
+    kinds      CAPTION, HEADER, TOPIC or CELL
+    ids        token id of a token, entity id of an entity
+    type_ids   TOKEN_TYPE_* of a token, ENT_TYPE_* of an entity
+    positions  position of a token within its caption or header; 0 for entities
+    rows       row of a cell; -1 elsewhere
+    cols       column of a header token or a cell; -1 elsewhere
+    mentions   one mention token-id array per element, empty for tokens
+
+    All arrays are int64. Entities are the TOPIC and CELL elements.
+    """
 
     table_id: str
-    elements: list[Element]
     kinds: np.ndarray
+    ids: np.ndarray
+    type_ids: np.ndarray
+    positions: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    mentions: list[np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.kinds)
+
+    @property
+    def is_entity(self) -> np.ndarray:
+        return (self.kinds == TOPIC) | (self.kinds == CELL)
 
     @property
     def token_indices(self) -> np.ndarray:
-        return np.flatnonzero(~np.array([e.is_entity for e in self.elements]))
+        return np.flatnonzero(~self.is_entity)
 
     @property
     def entity_indices(self) -> np.ndarray:
-        return np.flatnonzero(np.array([e.is_entity for e in self.elements]))
+        return np.flatnonzero(self.is_entity)
 
     def cell_indices(self) -> np.ndarray:
         return np.flatnonzero(self.kinds == CELL)
 
     def clone(self) -> "Sequence":
-        els = [
-            Element(
-                kind=e.kind,
-                is_entity=e.is_entity,
-                token_id=e.token_id,
-                entity_id=e.entity_id,
-                mention_ids=None if e.mention_ids is None else e.mention_ids.copy(),
-                position=e.position,
-                row=e.row,
-                col=e.col,
-                type_id=e.type_id,
-            )
-            for e in self.elements
-        ]
+        """Copy every array. The mention arrays are shared: mask_cell replaces
+        a mention and never writes into one."""
         return Sequence(
             table_id=self.table_id,
-            elements=els,
             kinds=self.kinds.copy(),
+            ids=self.ids.copy(),
+            type_ids=self.type_ids.copy(),
+            positions=self.positions.copy(),
             rows=self.rows.copy(),
             cols=self.cols.copy(),
+            mentions=list(self.mentions),
         )
 
 
 def linearize(table: IndexedTable, max_len: int = 256) -> Sequence:
     """Flatten a table; trailing whole rows are dropped to honor max_len."""
-    meta: list[Element] = []
-    for pos, tid in enumerate(table.caption_ids):
-        meta.append(Element(kind=CAPTION, is_entity=False, token_id=int(tid), position=pos, type_id=TOKEN_TYPE_CAPTION))
-    if table.topic is not None:
-        eid, mention = table.topic
-        meta.append(
-            Element(
-                kind=TOPIC,
-                is_entity=True,
-                entity_id=int(eid),
-                mention_ids=np.asarray(mention, dtype=np.int64),
-                type_id=ENT_TYPE_TOPIC,
-            )
-        )
-    for col, header in enumerate(table.header_ids):
-        for pos, tid in enumerate(header):
-            meta.append(
-                Element(
-                    kind=HEADER,
-                    is_entity=False,
-                    token_id=int(tid),
-                    position=pos,
-                    col=col,
-                    type_id=TOKEN_TYPE_HEADER,
-                )
-            )
-    if len(meta) > max_len:
-        meta = meta[:max_len]
+    # metadata segments: the caption, the topic, then one per header; every
+    # field but the id is constant over a segment, and positions restart
+    topic = [] if table.topic is None else [table.topic]
+    seg_len = [len(table.caption_ids), len(topic)] + [len(h) for h in table.header_ids]
+    seg_start = list(accumulate(seg_len, initial=0))
+    seg_fields = [(CAPTION, TOKEN_TYPE_CAPTION, -1, 0), (TOPIC, ENT_TYPE_TOPIC, -1, seg_start[1])]
+    seg_fields += [(HEADER, TOKEN_TYPE_HEADER, col, seg_start[2 + col]) for col in range(len(table.header_ids))]
+    n_meta = min(seg_start[-1], max_len)
 
-    elements = list(meta)
-    by_row: dict[int, list] = {}
-    for c in table.cells:
-        by_row.setdefault(c.row, []).append(c)
-    for row in sorted(by_row):
-        cells = sorted(by_row[row], key=lambda c: c.col)
-        if len(elements) + len(cells) > max_len:
-            break
-        for c in cells:
-            etype = ENT_TYPE_SUBJECT if c.col == table.subject_col else ENT_TYPE_OBJECT
-            elements.append(
-                Element(
-                    kind=CELL,
-                    is_entity=True,
-                    entity_id=int(c.entity_id),
-                    mention_ids=np.asarray(c.mention_ids, dtype=np.int64),
-                    row=c.row,
-                    col=c.col,
-                    type_id=etype,
-                )
-            )
-
-    if not elements:
+    # cells row-major (rce: row, col, entity id); keep the whole rows that fit
+    rce = np.array([(c.row, c.col, c.entity_id) for c in table.cells], dtype=np.int64).reshape(-1, 3)
+    order = np.lexsort((rce[:, 1], rce[:, 0]))
+    if len(order) > max_len - n_meta:
+        sorted_rows = rce[order, 0]
+        order = order[: np.searchsorted(sorted_rows, sorted_rows[max_len - n_meta])]
+    if n_meta + len(order) == 0:
         raise TableTooSmall(f"{table.table_id}: nothing to encode")
-    kinds = np.array([e.kind for e in elements], dtype=np.int64)
-    rows = np.array([e.row for e in elements], dtype=np.int64)
-    cols = np.array([e.col for e in elements], dtype=np.int64)
-    return Sequence(table_id=table.table_id, elements=elements, kinds=kinds, rows=rows, cols=cols)
+
+    kinds, ids, type_ids, positions, rows, cols = fields = np.empty((6, n_meta + len(order)), dtype=np.int64)
+    meta, cell = slice(0, n_meta), slice(n_meta, None)
+    kinds[meta], type_ids[meta], cols[meta], starts = np.array(seg_fields).repeat(seg_len, axis=0)[meta].T
+    positions[meta] = np.arange(n_meta) - starts
+    ids[meta] = np.concatenate([table.caption_ids, [e for e, _ in topic], *table.header_ids])[meta]
+    rows[meta] = -1
+    kinds[cell], positions[cell], type_ids[cell] = CELL, 0, ENT_TYPE_OBJECT
+    rows[cell], cols[cell], ids[cell] = rce[order].T
+    type_ids[cell][cols[cell] == table.subject_col] = ENT_TYPE_SUBJECT
+
+    topic_mention = [np.asarray(m, dtype=np.int64) for _, m in topic]
+    mentions = ([_NO_MENTION] * seg_len[0] + topic_mention + [_NO_MENTION] * (seg_start[-1] - seg_start[2]))[meta]
+    mentions += [np.asarray(table.cells[k].mention_ids, dtype=np.int64) for k in order]
+    return Sequence(table.table_id, *fields, mentions)
 
 
 def build_visibility(seq: Sequence) -> np.ndarray:
@@ -183,10 +164,9 @@ def build_visibility(seq: Sequence) -> np.ndarray:
 
 def mask_cell(seq: Sequence, index: int, mask_entity: bool, mask_mention: bool, replace_entity: int | None = None) -> None:
     """Apply one masking action in place to element `index` of a cloned sequence."""
-    el = seq.elements[index]
     if replace_entity is not None:
-        el.entity_id = int(replace_entity)
+        seq.ids[index] = replace_entity
     elif mask_entity:
-        el.entity_id = MASK_ID
+        seq.ids[index] = MASK_ID
     if mask_mention:
-        el.mention_ids = np.array([MASK_ID], dtype=np.int64)
+        seq.mentions[index] = np.array([MASK_ID], dtype=np.int64)

@@ -25,7 +25,7 @@ import numpy as np
 from . import numeric as nm
 from .corpus import MASK_ID, IndexedTable
 from .encoder import EncoderConfig, Model, encode, init_entity_embeddings, init_model
-from .encoding import CELL, Sequence, linearize, mask_cell
+from .encoding import Sequence, linearize, mask_cell
 from .errors import NonFiniteLoss
 
 # cell masking actions
@@ -53,11 +53,9 @@ class CellMaskPlan:
 
 
 def sample_token_mask(rng: np.random.Generator, seq: Sequence, ratio: float, n_tokens: int) -> TokenMaskPlan:
-    indices, targets, repl = [], [], []
+    indices, repl = [], []
     can_randomize = n_tokens > N_RESERVED_TOKENS
-    for i, el in enumerate(seq.elements):
-        if el.is_entity:
-            continue
+    for i in seq.token_indices.tolist():
         if rng.random() >= ratio:
             continue
         branch = rng.random()
@@ -66,23 +64,17 @@ def sample_token_mask(rng: np.random.Generator, seq: Sequence, ratio: float, n_t
         elif branch < 0.9:
             new_id = int(rng.integers(N_RESERVED_TOKENS, n_tokens))
         else:
-            new_id = el.token_id
+            new_id = int(seq.ids[i])
         indices.append(i)
-        targets.append(el.token_id)
         repl.append(new_id)
-    return TokenMaskPlan(
-        indices=np.array(indices, dtype=np.int64),
-        targets=np.array(targets, dtype=np.int64),
-        replacements=np.array(repl, dtype=np.int64),
-    )
+    indices = np.array(indices, dtype=np.int64)
+    return TokenMaskPlan(indices=indices, targets=seq.ids[indices], replacements=np.array(repl, dtype=np.int64))
 
 
 def sample_cell_mask(rng: np.random.Generator, seq: Sequence, ratio: float, n_entities: int) -> CellMaskPlan:
-    indices, targets, actions = [], [], []
+    indices, actions = [], []
     can_randomize = n_entities > N_RESERVED_ENTITIES
-    for i, el in enumerate(seq.elements):
-        if el.kind != CELL:
-            continue
+    for i in seq.cell_indices().tolist():
         if rng.random() >= ratio:
             continue
         branch = rng.random()
@@ -94,13 +86,9 @@ def sample_cell_mask(rng: np.random.Generator, seq: Sequence, ratio: float, n_en
             sub = rng.random()
             action = RANDOM_EMB if sub < 0.10 and can_randomize else MASK_EMB
         indices.append(i)
-        targets.append(el.entity_id)
         actions.append(action)
-    return CellMaskPlan(
-        indices=np.array(indices, dtype=np.int64),
-        targets=np.array(targets, dtype=np.int64),
-        actions=np.array(actions, dtype=np.int64),
-    )
+    indices = np.array(indices, dtype=np.int64)
+    return CellMaskPlan(indices=indices, targets=seq.ids[indices], actions=np.array(actions, dtype=np.int64))
 
 
 def apply_masks(
@@ -113,20 +101,14 @@ def apply_masks(
     """Produce the corrupted clone the encoder actually sees."""
     out = seq.clone()
     if token_plan is not None:
-        for i, rep in zip(token_plan.indices, token_plan.replacements):
-            out.elements[int(i)].token_id = int(rep)
+        out.ids[token_plan.indices] = token_plan.replacements
     if cell_plan is not None:
-        for i, action in zip(cell_plan.indices, cell_plan.actions):
-            i = int(i)
-            if action == KEEP:
-                continue
-            if action == MASK_BOTH:
-                mask_cell(out, i, mask_entity=True, mask_mention=True)
-            elif action == MASK_EMB:
-                mask_cell(out, i, mask_entity=True, mask_mention=False)
-            else:  # RANDOM_EMB
+        for i, action in zip(cell_plan.indices.tolist(), cell_plan.actions.tolist()):
+            if action == RANDOM_EMB:
                 rand_id = int(rng.integers(N_RESERVED_ENTITIES, n_entities))
                 mask_cell(out, i, mask_entity=False, mask_mention=False, replace_entity=rand_id)
+            elif action != KEEP:
+                mask_cell(out, i, mask_entity=True, mask_mention=action == MASK_BOTH)
     return out
 
 
@@ -393,16 +375,14 @@ def masked_recovery_accuracy(
     total = 0
     for t in tables:
         seq = linearize(t, model.cfg.max_len)
-        cell_positions = [
-            i
-            for i, el in enumerate(seq.elements)
-            if el.kind == CELL and not (only_objects and el.col == t.subject_col)
-        ]
-        if not cell_positions:
+        cell_positions = seq.cell_indices()
+        if only_objects:
+            cell_positions = cell_positions[seq.cols[cell_positions] != t.subject_col]
+        if not len(cell_positions):
             continue
-        golds = np.array([seq.elements[i].entity_id for i in cell_positions], dtype=np.int64)
+        golds = seq.ids[cell_positions]
         cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
-        for pos, gold in zip(cell_positions, golds):
+        for pos, gold in zip(cell_positions.tolist(), golds):
             masked = seq.clone()
             mask_cell(masked, pos, mask_entity=True, mask_mention=True)
             enc = encode(masked, model, use_visibility=use_visibility)

@@ -68,8 +68,8 @@ class Config:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.lr0 <= 0 or self.finetune_lr0 <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not (0 < self.lr0 < math.inf and 0 < self.finetune_lr0 < math.inf):
+            raise ConfigError("learning rates must be positive and finite")
         for name in (
             "n_blocks",
             "d_model",

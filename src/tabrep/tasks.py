@@ -19,7 +19,6 @@ fine-tuning one head never touches another.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -34,9 +33,10 @@ from .corpus import (
     ProcessedTable,
     Vocab,
     index_table,
+    read_jsonl,
 )
 from .encoder import Model, encode, trunc_normal
-from .encoding import CELL, HEADER, Sequence, linearize
+from .encoding import CELL, HEADER, Sequence, linearize, mask_cell
 from .errors import EmptyColumn, NonFiniteLoss, TableTooSmall
 from .metrics import (
     candidate_recall,
@@ -72,13 +72,7 @@ def load_side_data(directory) -> SideData:
 
     def rows(name):
         path = os.path.join(directory, name)
-        if not os.path.exists(path):
-            return
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+        return read_jsonl(path) if os.path.exists(path) else []
 
     for rec in rows("types.jsonl"):
         side.types[rec["entity"]] = list(rec["types"])
@@ -122,22 +116,20 @@ def pack_tables(
 
 
 def cell_position(seq: Sequence, row: int, col: int) -> int | None:
-    for i, el in enumerate(seq.elements):
-        if el.kind == CELL and el.row == row and el.col == col:
-            return i
-    return None
+    hits = np.flatnonzero((seq.kinds == CELL) & (seq.rows == row) & (seq.cols == col))
+    return int(hits[0]) if len(hits) else None
 
 
-def _mean_rows(h: nm.Tensor, positions: list[int], dtype) -> nm.Tensor:
+def _mean_rows(h: nm.Tensor, positions: np.ndarray, dtype) -> nm.Tensor:
     avg = np.full((1, len(positions)), 1.0 / len(positions), dtype=dtype)
-    return nm.matmul(nm.Tensor(avg), nm.gather_rows(h, np.array(positions, dtype=np.int64)))
+    return nm.matmul(nm.Tensor(avg), nm.gather_rows(h, positions))
 
 
 def column_repr(enc_h: nm.Tensor, seq: Sequence, col: int, dtype) -> nm.Tensor:
     """(1, 2d) column summary: mean header-token state, mean entity state."""
-    header_pos = [i for i, el in enumerate(seq.elements) if el.kind == HEADER and el.col == col]
-    cell_pos = [i for i, el in enumerate(seq.elements) if el.kind == CELL and el.col == col]
-    if not header_pos or not cell_pos:
+    header_pos = np.flatnonzero((seq.kinds == HEADER) & (seq.cols == col))
+    cell_pos = np.flatnonzero((seq.kinds == CELL) & (seq.cols == col))
+    if not len(header_pos) or not len(cell_pos):
         raise EmptyColumn(f"column {col} of {seq.table_id} has no usable header or entities")
     return nm.concat([_mean_rows(enc_h, header_pos, dtype), _mean_rows(enc_h, cell_pos, dtype)], axis=1)
 
@@ -476,9 +468,7 @@ def build_schema_data(packs: list[TablePack], header_list: list[str], n_seeds: i
 def linking_sequence(pack: TablePack) -> Sequence:
     """The table with every cell's entity identity hidden; mentions stay."""
     seq = pack.seq.clone()
-    for el in seq.elements:
-        if el.kind == CELL:
-            el.entity_id = MASK_ID
+    seq.ids[seq.kinds == CELL] = MASK_ID
     return seq
 
 
@@ -503,9 +493,7 @@ def row_population_sequence(pack: TablePack, seeds: list[tuple[int, np.ndarray]]
         subject_col=0,
     )
     seq = linearize(probe, max_len)
-    mask_pos = next(
-        i for i, el in enumerate(seq.elements) if el.kind == CELL and el.entity_id == MASK_ID
-    )
+    mask_pos = int(np.flatnonzero((seq.kinds == CELL) & (seq.ids == MASK_ID))[0])
     return seq, mask_pos
 
 
@@ -525,11 +513,7 @@ def schema_sequence(pack: TablePack, seeds: list[str], header_list_ids: dict[str
         subject_col=None,
     )
     seq = linearize(probe, max_len)
-    mask_pos = next(
-        i
-        for i, el in enumerate(seq.elements)
-        if el.kind == HEADER and el.col == len(header_ids) - 1
-    )
+    mask_pos = int(np.flatnonzero((seq.kinds == HEADER) & (seq.cols == len(header_ids) - 1))[0])
     return seq, mask_pos
 
 
@@ -806,8 +790,6 @@ def eval_row_population(model, packs, instances, max_len: int, use_visibility=Tr
 
 def eval_cell_filling(model, packs, instances, use_visibility=True):
     """No fine-tuning: the pre-trained masked-cell scorer ranks candidates."""
-    from .encoding import mask_cell
-
     rankings, golds = [], []
     for inst in instances:
         seq = packs[inst.pack].seq.clone()

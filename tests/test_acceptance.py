@@ -209,19 +209,19 @@ def test_c01_encoder_gradients_match_finite_differences():
 
 
 def visibility_oracle(seq):
-    n = len(seq.elements)
+    n = len(seq)
     m = np.zeros((n, n), dtype=np.uint8)
     for i in range(n):
         for j in range(n):
-            a, b = seq.elements[i], seq.elements[j]
-            if i == j or a.kind in (CAPTION, TOPIC) or b.kind in (CAPTION, TOPIC):
+            ka, kb = seq.kinds[i], seq.kinds[j]
+            if i == j or ka in (CAPTION, TOPIC) or kb in (CAPTION, TOPIC):
                 m[i, j] = 1
-            elif a.kind == HEADER and b.kind == HEADER:
+            elif ka == HEADER and kb == HEADER:
                 m[i, j] = 1
-            elif {a.kind, b.kind} == {HEADER, CELL}:
-                m[i, j] = a.col == b.col
-            elif a.kind == CELL and b.kind == CELL:
-                m[i, j] = a.row == b.row or a.col == b.col
+            elif {ka, kb} == {HEADER, CELL}:
+                m[i, j] = seq.cols[i] == seq.cols[j]
+            elif ka == CELL and kb == CELL:
+                m[i, j] = seq.rows[i] == seq.rows[j] or seq.cols[i] == seq.cols[j]
     return m
 
 
@@ -245,7 +245,7 @@ def test_c02_visibility_matrix_matches_oracle_and_masks_exactly():
 
     zero_checked = 0
     for seq, vis in seqs[:50]:
-        n = len(seq.elements)
+        n = len(seq)
         scores = rng.normal(size=(2, n, n)).astype(np.float32)
         probs = kernels.masked_softmax_fwd(scores, vis)
         assert np.all(probs[:, vis == 0] == 0.0), "hidden weight not exactly zero"

@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from tabrep.cli import resolve_seed, run
+from tabrep.cli import resolve_seed, restore_model, run
 from tabrep.errors import ConfigError
-from tabrep.store import Config, load_checkpoint
+from tabrep.store import Config, load_checkpoint, save_checkpoint
 from tabrep.synth import write_corpus
 
 TINY_CFG = """
@@ -97,6 +97,20 @@ def test_pretrain_outputs(pipeline):
     history = read_jsonl(runs / "metrics.jsonl")
     assert len(history) == 2
     assert set(history[0]) >= {"epoch", "loss", "mlm_acc", "mer_acc", "oep_acc"}
+
+
+@pytest.mark.parametrize("damage", ["missing_word_emb", "non_integer_n_tokens"])
+def test_restore_model_rejects_wrong_contents(pipeline, tmp_path, damage):
+    # a well-formed, correctly signed checkpoint whose contents do not fit
+    arrays, cfg_text, step, extra = load_checkpoint(pipeline["runs"] / "checkpoint.bin")
+    if damage == "missing_word_emb":
+        del arrays["word_emb"]
+    else:
+        extra["n_tokens"] = "ten"
+    path = tmp_path / "damaged.bin"
+    save_checkpoint(path, arrays, cfg_text, step=step, extra=extra)
+    with pytest.raises(ConfigError):
+        restore_model(str(path))
 
 
 def test_finetune_and_evaluate_column_types(pipeline, tmp_path):

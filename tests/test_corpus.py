@@ -1,12 +1,15 @@
 """Corpus pipeline: tokenization, cleaning, filters, splits, vocabularies."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabrep import corpus as C
-from tabrep.errors import BadTableError, ConfigError
+from tabrep.errors import BadTableError, ConfigError, TabrepError
 
 
 def raw(table_id="t1", headers=("Name", "Year"), rows=(), **kw):
@@ -210,6 +213,20 @@ def test_vocab_load_rejects_bad_lines(tmp_path):
     path.write_text("0\t<pad>\t0\nnot a vocab line\n")
     with pytest.raises(ConfigError):
         C.Vocab.load(path, C.TOKEN_RESERVED)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(max_size=80) | st.text(alphabet="0123456789-x<>\t\n {}[]\":,", max_size=80))
+def test_text_loaders_give_a_value_or_a_typed_error(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for load in (lambda: C.Vocab.load(path, C.TOKEN_RESERVED), lambda: C.read_jsonl(path)):
+            try:
+                load()
+            except TabrepError:
+                pass
 
 
 def test_entity_vocab_min_count_two():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tabrep import numeric as nm
-from tabrep.corpus import IndexedCell, IndexedTable, MASK_ID
+from tabrep.corpus import UNK_ID, IndexedCell, IndexedTable, MASK_ID
 from tabrep.encoder import (
     EncoderConfig,
     embed_sequence,
@@ -109,14 +109,33 @@ def test_masked_entity_uses_reserved_row(model):
     np.testing.assert_allclose(h[-1], expect, atol=1e-5)
 
 
+def test_empty_mention_embeds_as_unknown_token(model):
+    # an entity whose mention has no tokens averages the unknown token alone
+    t = IndexedTable(
+        table_id="e",
+        caption_ids=np.array([4]),
+        header_ids=[np.array([5])],
+        headers_norm=["h"],
+        n_rows=1,
+        n_cols=1,
+        cells=[IndexedCell(row=0, col=0, entity_id=9, mention_ids=np.array([], dtype=np.int64))],
+        subject_col=0,
+    )
+    h = embed_sequence(linearize(t), model).data
+    w = model["word_emb"].data
+    fused = np.concatenate([model["ent_emb"].data[9], w[UNK_ID]])
+    expect = fused @ model["fuse_W"].data + model["fuse_b"].data + model["ent_type_emb"].data[0]
+    np.testing.assert_allclose(h[-1], expect, atol=1e-5)
+
+
 def test_out_of_range_ids_rejected(model):
     rng = np.random.default_rng(2)
     seq = seq_of(rng, model)
-    seq.elements[0].token_id = model.cfg.n_tokens + 5
+    seq.ids[0] = model.cfg.n_tokens + 5
     with pytest.raises(UnknownId):
         embed_sequence(seq, model)
     seq2 = seq_of(rng, model)
-    seq2.elements[int(seq2.cell_indices()[0])].entity_id = model.cfg.n_entities
+    seq2.ids[int(seq2.cell_indices()[0])] = model.cfg.n_entities
     with pytest.raises(UnknownId):
         embed_sequence(seq2, model)
 
@@ -183,8 +202,8 @@ def test_hidden_cell_does_not_leak_through_visibility(model):
 
     base = encode(seq, one_block).h.data[i_cell0].copy()
     changed = seq.clone()
-    changed.elements[i_cell1].entity_id = 9
-    changed.elements[i_cell1].mention_ids = np.array([12])
+    changed.ids[i_cell1] = 9
+    changed.mentions[i_cell1] = np.array([12])
     after = encode(changed, one_block).h.data[i_cell0]
     np.testing.assert_array_equal(base, after)
 
@@ -220,8 +239,8 @@ def test_row_swap_permutes_cell_states(model):
     h2 = encode(seq2, model).h.data
     cells1 = seq.cell_indices()
     cells2 = seq2.cell_indices()
-    key1 = {(seq.elements[i].row, seq.elements[i].col): i for i in cells1}
-    key2 = {(seq2.elements[i].row, seq2.elements[i].col): i for i in cells2}
+    key1 = {(seq.rows[i], seq.cols[i]): i for i in cells1}
+    key2 = {(seq2.rows[i], seq2.cols[i]): i for i in cells2}
     for (r, c), i in key1.items():
         j = key2[(1 - r, c)]
         np.testing.assert_allclose(h1[i], h2[j], atol=1e-5)

@@ -31,22 +31,24 @@ from conftest import make_indexed_table
 def visibility_oracle(seq: Sequence) -> np.ndarray:
     """Pairwise restatement of the attention rules."""
 
+    kinds, rows, cols = seq.kinds, seq.rows, seq.cols
+
     def pair(a, b) -> bool:
-        if a.kind in (CAPTION, TOPIC) or b.kind in (CAPTION, TOPIC):
+        if kinds[a] in (CAPTION, TOPIC) or kinds[b] in (CAPTION, TOPIC):
             return True
-        if a.kind == HEADER and b.kind == HEADER:
+        if kinds[a] == HEADER and kinds[b] == HEADER:
             return True
-        if {a.kind, b.kind} == {HEADER, CELL}:
-            return a.col == b.col
-        if a.kind == CELL and b.kind == CELL:
-            return a.row == b.row or a.col == b.col
+        if {kinds[a], kinds[b]} == {HEADER, CELL}:
+            return cols[a] == cols[b]
+        if kinds[a] == CELL and kinds[b] == CELL:
+            return rows[a] == rows[b] or cols[a] == cols[b]
         return False
 
     n = len(seq)
     vis = np.zeros((n, n), dtype=np.uint8)
-    for i, a in enumerate(seq.elements):
-        for j, b in enumerate(seq.elements):
-            vis[i, j] = 1 if (i == j or pair(a, b)) else 0
+    for i in range(n):
+        for j in range(n):
+            vis[i, j] = 1 if (i == j or pair(i, j)) else 0
     return vis
 
 
@@ -75,36 +77,36 @@ def small_table(with_topic=True) -> IndexedTable:
 
 def test_element_order_and_positions():
     seq = linearize(small_table())
-    kinds = [e.kind for e in seq.elements]
+    kinds = seq.kinds.tolist()
     # caption, topic, headers by column, then cells row-major
     assert kinds == [CAPTION] * 3 + [TOPIC] + [HEADER] * 3 + [CELL] * 4
 
-    caption = seq.elements[:3]
-    assert [e.position for e in caption] == [0, 1, 2]
-    assert all(e.type_id == TOKEN_TYPE_CAPTION for e in caption)
+    caption = slice(0, 3)
+    assert seq.positions[caption].tolist() == [0, 1, 2]
+    assert all(seq.type_ids[caption] == TOKEN_TYPE_CAPTION)
 
-    headers = seq.elements[4:7]
+    headers = slice(4, 7)
     # positions restart at zero for every header
-    assert [e.position for e in headers] == [0, 1, 0]
-    assert [e.col for e in headers] == [0, 0, 1]
-    assert all(e.type_id == TOKEN_TYPE_HEADER for e in headers)
+    assert seq.positions[headers].tolist() == [0, 1, 0]
+    assert seq.cols[headers].tolist() == [0, 0, 1]
+    assert all(seq.type_ids[headers] == TOKEN_TYPE_HEADER)
 
-    cells = seq.elements[7:]
-    assert [(e.row, e.col) for e in cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(e.position == 0 for e in cells)
-    assert [e.type_id for e in cells] == [
+    cells = slice(7, None)
+    assert list(zip(seq.rows[cells].tolist(), seq.cols[cells].tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(seq.positions[cells] == 0)
+    assert seq.type_ids[cells].tolist() == [
         ENT_TYPE_SUBJECT,
         ENT_TYPE_OBJECT,
         ENT_TYPE_SUBJECT,
         ENT_TYPE_OBJECT,
     ]
-    assert seq.elements[3].type_id == ENT_TYPE_TOPIC
+    assert seq.type_ids[3] == ENT_TYPE_TOPIC
 
 
 def test_truncation_drops_whole_rows():
     seq = linearize(small_table(), max_len=9)  # room for meta + one row only
-    cells = [e for e in seq.elements if e.kind == CELL]
-    assert [(e.row, e.col) for e in cells] == [(0, 0), (0, 1)]
+    cells = seq.kinds == CELL
+    assert list(zip(seq.rows[cells].tolist(), seq.cols[cells].tolist())) == [(0, 0), (0, 1)]
 
 
 def test_empty_table_raises():
@@ -126,25 +128,25 @@ def test_clone_is_deep_for_mutated_fields():
     dup = seq.clone()
     pos = int(dup.cell_indices()[0])
     mask_cell(dup, pos, mask_entity=True, mask_mention=True)
-    assert seq.elements[pos].entity_id != MASK_ID
-    assert dup.elements[pos].entity_id == MASK_ID
-    assert list(dup.elements[pos].mention_ids) == [MASK_ID]
+    assert seq.ids[pos] != MASK_ID
+    assert dup.ids[pos] == MASK_ID
+    assert list(dup.mentions[pos]) == [MASK_ID]
 
 
 def test_mask_cell_actions():
     seq = linearize(small_table())
     pos = int(seq.cell_indices()[1])
-    orig_mention = seq.elements[pos].mention_ids.copy()
+    orig_mention = seq.mentions[pos].copy()
 
     keep_mention = seq.clone()
     mask_cell(keep_mention, pos, mask_entity=True, mask_mention=False)
-    assert keep_mention.elements[pos].entity_id == MASK_ID
-    np.testing.assert_array_equal(keep_mention.elements[pos].mention_ids, orig_mention)
+    assert keep_mention.ids[pos] == MASK_ID
+    np.testing.assert_array_equal(keep_mention.mentions[pos], orig_mention)
 
     swapped = seq.clone()
     mask_cell(swapped, pos, mask_entity=False, mask_mention=False, replace_entity=9)
-    assert swapped.elements[pos].entity_id == 9
-    np.testing.assert_array_equal(swapped.elements[pos].mention_ids, orig_mention)
+    assert swapped.ids[pos] == 9
+    np.testing.assert_array_equal(swapped.mentions[pos], orig_mention)
 
 
 # -- visibility -------------------------------------------------------------------

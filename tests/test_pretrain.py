@@ -88,7 +88,7 @@ def test_cell_plan_skips_topic_entity():
     rng = np.random.default_rng(3)
     t = make_indexed_table(rng, 2, 2, with_topic=True)
     seq = linearize(t)
-    topic_pos = {i for i, el in enumerate(seq.elements) if el.kind == TOPIC}
+    topic_pos = {i for i in range(len(seq)) if seq.kinds[i] == TOPIC}
     for _ in range(50):
         plan = sample_cell_mask(rng, seq, ratio=1.0, n_entities=30)
         assert topic_pos.isdisjoint(int(i) for i in plan.indices)
@@ -102,30 +102,30 @@ def test_apply_masks_actions():
     cells = [int(i) for i in seq.cell_indices()]
     plan = CellMaskPlan(
         indices=np.array(cells[:4], dtype=np.int64),
-        targets=np.array([seq.elements[i].entity_id for i in cells[:4]], dtype=np.int64),
+        targets=np.array([seq.ids[i] for i in cells[:4]], dtype=np.int64),
         actions=np.array([KEEP, MASK_BOTH, MASK_EMB, RANDOM_EMB], dtype=np.int64),
     )
     out = apply_masks(seq, None, plan, rng=np.random.default_rng(5), n_entities=30)
 
-    kept = out.elements[cells[0]]
-    assert kept.entity_id == seq.elements[cells[0]].entity_id
-    np.testing.assert_array_equal(kept.mention_ids, seq.elements[cells[0]].mention_ids)
+    kept = cells[0]
+    assert out.ids[kept] == seq.ids[kept]
+    np.testing.assert_array_equal(out.mentions[kept], seq.mentions[kept])
 
-    both = out.elements[cells[1]]
-    assert both.entity_id == MASK_ID and list(both.mention_ids) == [MASK_ID]
+    both = cells[1]
+    assert out.ids[both] == MASK_ID and list(out.mentions[both]) == [MASK_ID]
 
-    emb_only = out.elements[cells[2]]
-    assert emb_only.entity_id == MASK_ID
-    np.testing.assert_array_equal(emb_only.mention_ids, seq.elements[cells[2]].mention_ids)
+    emb_only = cells[2]
+    assert out.ids[emb_only] == MASK_ID
+    np.testing.assert_array_equal(out.mentions[emb_only], seq.mentions[emb_only])
 
-    rand = out.elements[cells[3]]
+    rand = cells[3]
     # the only rng draw in the plan is the one replacement id
-    assert rand.entity_id == int(np.random.default_rng(5).integers(N_RESERVED_ENTITIES, 30))
-    assert N_RESERVED_ENTITIES <= rand.entity_id < 30
-    np.testing.assert_array_equal(rand.mention_ids, seq.elements[cells[3]].mention_ids)
+    assert out.ids[rand] == int(np.random.default_rng(5).integers(N_RESERVED_ENTITIES, 30))
+    assert N_RESERVED_ENTITIES <= out.ids[rand] < 30
+    np.testing.assert_array_equal(out.mentions[rand], seq.mentions[rand])
 
     # the source sequence is never mutated
-    assert seq.elements[cells[1]].entity_id != MASK_ID
+    assert seq.ids[cells[1]] != MASK_ID
 
 
 def test_token_masks_leave_entities_alone():

@@ -44,6 +44,8 @@ def test_parse_config_base_overlay():
         "mer_ratio = 1.5\n",
         "d_model = 10\nn_heads = 3\n",
         "lr0 = 0\n",
+        "lr0 = nan\n",
+        "finetune_lr0 = inf\n",
         "use_visibility = maybe\n",
     ],
 )

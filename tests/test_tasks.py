@@ -138,8 +138,8 @@ def test_cell_position(corpus):
     packs, _, _ = corpus
     seq = packs[0].seq
     pos = cell_position(seq, 0, 1)
-    assert seq.elements[pos].kind == CELL
-    assert seq.elements[pos].row == 0 and seq.elements[pos].col == 1
+    assert seq.kinds[pos] == CELL
+    assert seq.rows[pos] == 0 and seq.cols[pos] == 1
     assert cell_position(seq, 9, 9) is None
 
 
@@ -149,8 +149,8 @@ def test_column_repr_is_mean_of_states(corpus, tiny_model):
     enc = encode(seq, tiny_model)
     col = column_repr(enc.h, seq, 1, tiny_model.dtype)
     assert col.data.shape == (1, 16)
-    head_pos = [i for i, el in enumerate(seq.elements) if el.kind == HEADER and el.col == 1]
-    cell_pos = [i for i, el in enumerate(seq.elements) if el.kind == CELL and el.col == 1]
+    head_pos = [i for i in range(len(seq)) if seq.kinds[i] == HEADER and seq.cols[i] == 1]
+    cell_pos = [i for i in range(len(seq)) if seq.kinds[i] == CELL and seq.cols[i] == 1]
     np.testing.assert_allclose(col.data[0, :8], enc.h.data[head_pos].mean(axis=0), rtol=1e-5)
     np.testing.assert_allclose(col.data[0, 8:], enc.h.data[cell_pos].mean(axis=0), rtol=1e-5)
 
@@ -353,33 +353,34 @@ def test_schema_instances(corpus):
 def test_linking_sequence_hides_entities(corpus):
     packs, _, _ = corpus
     seq = linking_sequence(packs[0])
-    for el in seq.elements:
-        if el.kind == CELL:
-            assert el.entity_id == MASK_ID
-            assert len(el.mention_ids) > 0 and not np.all(el.mention_ids == MASK_ID)
+    for i in range(len(seq)):
+        if seq.kinds[i] == CELL:
+            assert seq.ids[i] == MASK_ID
+            assert len(seq.mentions[i]) > 0 and not np.all(seq.mentions[i] == MASK_ID)
     # the pack's own sequence is untouched
-    assert any(el.kind == CELL and el.entity_id != MASK_ID for el in packs[0].seq.elements)
+    orig = packs[0].seq
+    assert any(orig.kinds[i] == CELL and orig.ids[i] != MASK_ID for i in range(len(orig)))
 
 
 def test_row_population_sequence(corpus):
     packs, _, ev = corpus
     seeds = [(ev.get("P1"), np.array([5, 6], dtype=np.int64))]
     seq, pos = row_population_sequence(packs[0], seeds, max_len=64)
-    cells = [el for el in seq.elements if el.kind == CELL]
+    cells = [i for i in range(len(seq)) if seq.kinds[i] == CELL]
     assert len(cells) == 2
-    assert seq.elements[pos].kind == CELL
-    assert seq.elements[pos].entity_id == MASK_ID
-    assert not any(el.kind == HEADER for el in seq.elements)
+    assert seq.kinds[pos] == CELL
+    assert seq.ids[pos] == MASK_ID
+    assert not any(kind == HEADER for kind in seq.kinds)
 
 
 def test_schema_sequence(corpus):
     packs, _, _ = corpus
     ids = {"player": np.array([5], dtype=np.int64), "town": np.array([6], dtype=np.int64)}
     seq, pos = schema_sequence(packs[0], ["player"], ids, max_len=64)
-    assert seq.elements[pos].kind == HEADER
-    assert seq.elements[pos].token_id == MASK_ID
-    assert seq.elements[pos].col == 1
-    assert not any(el.kind == CELL for el in seq.elements)
+    assert seq.kinds[pos] == HEADER
+    assert seq.ids[pos] == MASK_ID
+    assert seq.cols[pos] == 1
+    assert not any(kind == CELL for kind in seq.kinds)
 
 
 # -- ranking and reweighting -------------------------------------------------------
