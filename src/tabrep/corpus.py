@@ -192,27 +192,25 @@ class Vocab:
     @classmethod
     def load(cls, path, reserved: tuple[str, ...]) -> "Vocab":
         vocab = cls(reserved)
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ConfigError(f"{path}: bad vocab line {line_no}")
-                try:
-                    idx, s, count = int(parts[0]), parts[1], int(parts[2])
-                except ValueError:
-                    raise ConfigError(f"{path}: non-integer id or count at line {line_no}") from None
-                if idx < 0:
-                    raise ConfigError(f"{path}: negative id {idx} at line {line_no}")
-                if idx < vocab.n_reserved:
-                    if s != vocab.strings[idx]:
-                        raise ConfigError(f"{path}: reserved row {idx} is {s!r}")
-                    continue
-                got = vocab.add(s, count)
-                if got != idx:
-                    raise ConfigError(f"{path}: non-dense id {idx} at line {line_no}")
+        for line_no, line in enumerate(read_text(path).split("\n")):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ConfigError(f"{path}: bad vocab line {line_no}")
+            try:
+                idx, s, count = int(parts[0]), parts[1], int(parts[2])
+            except ValueError:
+                raise ConfigError(f"{path}: non-integer id or count at line {line_no}") from None
+            if idx < 0:
+                raise ConfigError(f"{path}: negative id {idx} at line {line_no}")
+            if idx < vocab.n_reserved:
+                if s != vocab.strings[idx]:
+                    raise ConfigError(f"{path}: reserved row {idx} is {s!r}")
+                continue
+            got = vocab.add(s, count)
+            if got != idx:
+                raise ConfigError(f"{path}: non-dense id {idx} at line {line_no}")
         return vocab
 
 
@@ -530,18 +528,26 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+def read_text(path) -> str:
+    """A file's contents as UTF-8 text; bytes that do not decode raise ConfigError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_jsonl(path) -> list:
     """One JSON value per non-blank line; a line that is not JSON raises ConfigError."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except (ValueError, RecursionError) as exc:
-                raise ConfigError(f"{path}: line {line_no} is not JSON: {exc}") from None
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(json.loads(line))
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{path}: line {line_no} is not JSON: {exc}") from None
     return out
 
 

@@ -7,6 +7,15 @@ term. Blocks are post-norm residual transformer layers whose attention weights
 are hard-masked by the table visibility matrix: invisible pairs get exactly
 zero weight.
 
+A batch of tables is encoded as one graph (`encode_batch`). The sequences are
+packed end to end into (N, d) rows, with no padding: the embeddings, the
+Q/K/V/O projections, the FFN and both layer norms each run once over all
+rows. Attention is one op, `numeric.table_attention`, that loops over the
+tables' row slices, so a row attends only within its own table, under that
+table's visibility matrix. A table's rows therefore come out as if it were
+encoded alone; the tests check that they are bitwise equal. `encode` is a
+batch of one.
+
 Initialization follows BERT: every embedding table and weight matrix draws
 from a normal truncated at two standard deviations with std 0.02; biases and
 layer-norm shifts start at zero, layer-norm gains at one. The value 0.02 was
@@ -17,7 +26,6 @@ cell's state depends only weakly on its row and column context.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +43,7 @@ __all__ = [
     "trunc_normal",
     "embed_sequence",
     "transformer_block",
+    "encode_batch",
     "encode",
     "EncodeResult",
 ]
@@ -208,31 +217,14 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
     return parts[0] if len(parts) == 1 else nm.add(parts[0], parts[1])
 
 
-def _attention(h: nm.Tensor, mask: np.ndarray | None, model: Model, block: int) -> nm.Tensor:
-    cfg = model.cfg
-    n = h.data.shape[0]
-    k, dh = cfg.n_heads, cfg.d_head
-    pre = f"block{block}."
-    q = affine(h, model[pre + "Wq"], model[pre + "bq"])
-    kk = affine(h, model[pre + "Wk"], model[pre + "bk"])
-    v = affine(h, model[pre + "Wv"], model[pre + "bv"])
-    q3 = nm.transpose(nm.reshape(q, (n, k, dh)), (1, 0, 2))
-    k3t = nm.transpose(nm.reshape(kk, (n, k, dh)), (1, 2, 0))
-    v3 = nm.transpose(nm.reshape(v, (n, k, dh)), (1, 0, 2))
-    scores = nm.scale(nm.matmul(q3, k3t), 1.0 / math.sqrt(dh))
-    if mask is None:
-        probs = nm.softmax(scores)
-    else:
-        probs = nm.masked_softmax(scores, mask)
-    ctx = nm.reshape(nm.transpose(nm.matmul(probs, v3), (1, 0, 2)), (n, cfg.d_model))
-    return affine(ctx, model[pre + "Wo"], model[pre + "bo"])
-
-
-def transformer_block(h: nm.Tensor, mask: np.ndarray | None, model: Model, block: int) -> nm.Tensor:
-    """One post-norm block. mask=None runs the plain unmasked reference path."""
+def transformer_block(h: nm.Tensor, masks: list[np.ndarray] | None, starts: np.ndarray, model: Model, block: int) -> nm.Tensor:
+    """One post-norm block over packed rows; each table attends only within
+    itself. masks=None runs the plain unmasked reference path."""
     cfg = model.cfg
     pre = f"block{block}."
-    a = _attention(h, mask, model, block)
+    q, k, v = (affine(h, model[pre + f"W{side}"], model[pre + f"b{side}"]) for side in "qkv")
+    ctx = nm.table_attention(q, k, v, masks, starts, cfg.n_heads)
+    a = affine(ctx, model[pre + "Wo"], model[pre + "bo"])
     h1 = nm.layer_norm(nm.add(h, a), model[pre + "ln1_g"], model[pre + "ln1_b"], cfg.ln_eps)
     f = affine(nm.gelu(affine(h1, model[pre + "ffn_W1"], model[pre + "ffn_b1"])), model[pre + "ffn_W2"], model[pre + "ffn_b2"])
     return nm.layer_norm(nm.add(h1, f), model[pre + "ln2_g"], model[pre + "ln2_b"], cfg.ln_eps)
@@ -246,21 +238,37 @@ class EncodeResult:
     entity_indices: np.ndarray
 
 
-def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:
-    """Run the full encoder over one table.
+def _pack(seqs: list[Sequence]) -> Sequence:
+    """Stack sequences end to end into one sequence of all their elements."""
+    fields = [np.concatenate([getattr(s, f) for s in seqs]) for f in ("kinds", "ids", "type_ids", "positions", "rows", "cols")]
+    return Sequence("+".join(s.table_id for s in seqs), *fields, [m for s in seqs for m in s.mentions])
 
-    use_visibility=False substitutes an all-ones matrix (structure ablation)
-    but keeps the masked attention code path. reference=True instead runs the
-    plain softmax path with no mask argument at all; it exists so tests can
-    compare the two implementations.
+
+def encode_batch(seqs: list[Sequence], model: Model, use_visibility: bool = True, reference: bool = False) -> nm.Tensor:
+    """Run the full encoder over a batch of tables as one packed graph.
+
+    Returns the (sum of lengths, d_model) states of all tables stacked end to
+    end: table i owns the len(seqs[i]) rows after those of tables 0..i-1.
+    use_visibility=False substitutes an all-ones matrix per table (structure
+    ablation) but keeps the masked attention code path. reference=True instead
+    runs the plain softmax path with no mask argument at all; it exists so
+    tests can compare the two implementations.
     """
-    h = embed_sequence(seq, model)
+    lens = [len(s) for s in seqs]
+    starts = np.cumsum([0] + lens[:-1])
+    h = embed_sequence(_pack(seqs), model)
     if reference:
-        mask = None
+        masks = None
     elif use_visibility:
-        mask = build_visibility(seq)
+        masks = [build_visibility(s) for s in seqs]
     else:
-        mask = np.ones((len(seq), len(seq)), dtype=np.uint8)
+        masks = [np.ones((n, n), dtype=np.uint8) for n in lens]
     for i in range(model.cfg.n_blocks):
-        h = transformer_block(h, mask, model, i)
+        h = transformer_block(h, masks, starts, model, i)
+    return h
+
+
+def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:
+    """Run the full encoder over one table (a batch of one)."""
+    h = encode_batch([seq], model, use_visibility=use_visibility, reference=reference)
     return EncodeResult(h=h, seq=seq, token_indices=seq.token_indices, entity_indices=seq.entity_indices)

@@ -8,6 +8,8 @@ arrays, never a global switch.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
@@ -16,15 +18,13 @@ from .errors import ShapeMismatch
 __all__ = [
     "Tensor",
     "add",
-    "scale",
     "matmul",
     "transpose",
     "reshape",
     "concat",
     "gather_rows",
     "put_rows",
-    "softmax",
-    "masked_softmax",
+    "table_attention",
     "layer_norm",
     "gelu",
     "cross_entropy_sum",
@@ -60,6 +60,8 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Fill .grad of every leaf that needs one. An op output's gradient
+        is freed as soon as it has been passed on to the op's inputs."""
         if self.data.size != 1:
             raise ShapeMismatch(f"backward needs a scalar, got shape {self.shape}")
         order = _topo_order(self)
@@ -67,6 +69,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, name={self.name!r})"
@@ -138,16 +141,6 @@ def add(a, b):
         _accum(b, _unbroadcast(dout, b.data.shape))
 
     return _make(data, (a, b), backward)
-
-
-def scale(a, c):
-    """Multiply by a python scalar."""
-    data = a.data * c
-
-    def backward(dout):
-        _accum(a, dout * c)
-
-    return _make(data, (a,), backward)
 
 
 def matmul(a, b):
@@ -235,32 +228,58 @@ def put_rows(x, idx, n):
     return _make(data, (x,), backward)
 
 
-def softmax(scores):
-    """Row-wise softmax over the last axis of a (k, n, n) array."""
-    probs = kernels.softmax_fwd(scores.data)
+def table_attention(q, k, v, masks, starts, n_heads):
+    """Multi-head attention within each table of a packed batch.
 
-    def backward(dout):
-        _accum(scores, kernels.softmax_bwd(probs, dout))
-
-    return _make(probs, (scores,), backward)
-
-
-def masked_softmax(scores, mask):
-    """Softmax with hard visibility: weights at mask==0 are exactly zero.
-
-    `mask` is a constant (n, n) uint8 array shared across the k score heads.
+    q, k and v are (N, d) rows of B tables stacked end to end; table i owns
+    rows starts[i] up to starts[i + 1] (or N). A row attends only to rows of
+    its own table, scaled by 1/sqrt(d / n_heads). `masks` holds one constant
+    (n_i, n_i) uint8 visibility matrix per table, shared across the heads, and
+    weights at mask==0 are exactly zero; masks=None runs the plain softmax.
+    Returns the (N, d) context rows. One tape node for the whole batch.
     """
-    kernels.check_mask(mask)
-    if scores.data.shape[-2:] != mask.shape:
-        raise ShapeMismatch(f"scores {scores.data.shape} vs mask {mask.shape}")
-    probs = kernels.masked_softmax_fwd(scores.data, mask)
+    _same_dtype(q, k, v)
+    n_rows, d = q.data.shape
+    if k.data.shape != (n_rows, d) or v.data.shape != (n_rows, d) or d % n_heads:
+        raise ShapeMismatch(f"bad attention operands {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
+    bounds = list(zip(starts, list(starts[1:]) + [n_rows]))
+    if masks is not None:
+        if len(masks) != len(bounds):
+            raise ShapeMismatch(f"{len(masks)} masks for {len(bounds)} tables")
+        for mask, (s, e) in zip(masks, bounds):
+            kernels.check_mask(mask)
+            if mask.shape != (e - s, e - s):
+                raise ShapeMismatch(f"mask {mask.shape} for a table of {e - s} rows")
+
+    def heads(x, s, e, axes):
+        # (n, d) rows of one table -> per-head view, without a copy
+        return x[s:e].reshape(e - s, n_heads, dh).transpose(axes)
+
+    out = np.empty_like(q.data)
+    saved = []
+    for i, (s, e) in enumerate(bounds):
+        q3, k3t, v3 = heads(q.data, s, e, (1, 0, 2)), heads(k.data, s, e, (1, 2, 0)), heads(v.data, s, e, (1, 0, 2))
+        scores = (q3 @ k3t) * c
+        probs = kernels.softmax_fwd(scores) if masks is None else kernels.masked_softmax_fwd(scores, masks[i])
+        out[s:e] = (probs @ v3).transpose(1, 0, 2).reshape(e - s, d)
+        saved.append((s, e, q3, k3t, v3, probs))
 
     def backward(dout):
-        # Masked positions hold prob 0, so the kernel already routes zero
-        # gradient there; no extra masking needed.
-        _accum(scores, kernels.softmax_bwd(probs, dout))
+        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for s, e, q3, k3t, v3, probs in saved:
+            dctx = heads(dout, s, e, (1, 0, 2))
+            # masked positions hold prob 0, so softmax_bwd routes zero gradient there
+            dscores = kernels.softmax_bwd(probs, dctx @ v3.transpose(0, 2, 1)) * c
+            dq[s:e] = (dscores @ k3t.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(e - s, d)
+            dk[s:e] = (q3.transpose(0, 2, 1) @ dscores).transpose(2, 0, 1).reshape(e - s, d)
+            dv[s:e] = (probs.transpose(0, 2, 1) @ dctx).transpose(1, 0, 2).reshape(e - s, d)
+        _accum(q, dq)
+        _accum(k, dk)
+        _accum(v, dv)
 
-    return _make(probs, (scores,), backward)
+    return _make(out, (q, k, v), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-12):

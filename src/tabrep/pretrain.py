@@ -24,7 +24,7 @@ import numpy as np
 
 from . import numeric as nm
 from .corpus import MASK_ID, IndexedTable
-from .encoder import EncoderConfig, Model, encode, init_entity_embeddings, init_model
+from .encoder import EncoderConfig, Model, encode, encode_batch, init_entity_embeddings, init_model
 from .encoding import Sequence, linearize, mask_cell
 from .errors import NonFiniteLoss
 
@@ -180,32 +180,47 @@ class TableLossStats:
     cell_correct: int = 0
 
 
-def table_loss(
-    model: Model,
-    seq: Sequence,
-    token_plan: TokenMaskPlan,
-    cell_plan: CellMaskPlan,
-    candidates: np.ndarray,
-    use_visibility: bool,
-) -> tuple[nm.Tensor | None, TableLossStats]:
-    """Summed recovery loss for one corrupted table."""
+@dataclass
+class MaskedTable:
+    """One corrupted table and what its masked positions must recover."""
+
+    seq: Sequence            # the corrupted clone the encoder sees
+    tokens: TokenMaskPlan
+    cells: CellMaskPlan
+    candidates: np.ndarray   # sorted candidate entity ids for the masked cells
+
+
+def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> tuple[nm.Tensor | None, TableLossStats]:
+    """Summed recovery loss over a batch of corrupted tables.
+
+    The batch is encoded as one packed graph and the token head runs once
+    over every masked token; each table scores its masked cells against its
+    own candidate set.
+    """
     stats = TableLossStats()
-    enc = encode(seq, model, use_visibility=use_visibility)
+    h = encode_batch([m.seq for m in batch], model, use_visibility=use_visibility)
+    starts = np.cumsum([0] + [len(m.seq) for m in batch[:-1]])
     terms = []
-    if len(token_plan.indices):
-        logits = token_logits(model, enc.h, token_plan.indices)
-        terms.append(nm.cross_entropy_sum(logits, token_plan.targets))
-        stats.n_tokens = len(token_plan.indices)
-        stats.token_correct = int((logits.data.argmax(axis=1) == token_plan.targets).sum())
-    if len(cell_plan.indices):
-        gold_pos = np.searchsorted(candidates, cell_plan.targets)
-        logits = entity_logits(model, enc.h, cell_plan.indices, candidates)
-        terms.append(nm.cross_entropy_sum(logits, gold_pos))
-        stats.n_cells = len(cell_plan.indices)
-        stats.cell_correct = int((logits.data.argmax(axis=1) == gold_pos).sum())
+    tok_pos = np.concatenate([m.tokens.indices + s for m, s in zip(batch, starts)])
+    if len(tok_pos):
+        targets = np.concatenate([m.tokens.targets for m in batch])
+        logits = token_logits(model, h, tok_pos)
+        terms.append(nm.cross_entropy_sum(logits, targets))
+        stats.n_tokens = len(tok_pos)
+        stats.token_correct = int((logits.data.argmax(axis=1) == targets).sum())
+    for m, s in zip(batch, starts):
+        if len(m.cells.indices):
+            gold_pos = np.searchsorted(m.candidates, m.cells.targets)
+            logits = entity_logits(model, h, m.cells.indices + s, m.candidates)
+            terms.append(nm.cross_entropy_sum(logits, gold_pos))
+            stats.n_cells += len(m.cells.indices)
+            stats.cell_correct += int((logits.data.argmax(axis=1) == gold_pos).sum())
     if not terms:
         return None, stats
-    return terms[0] if len(terms) == 1 else nm.add(terms[0], terms[1]), stats
+    total = terms[0]
+    for term in terms[1:]:
+        total = nm.add(total, term)
+    return total, stats
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +283,11 @@ def fit(
     ends, with fewer steps, after an epoch in which no table had anything
     masked and so no step was taken; a corpus with nothing to predict would
     otherwise loop forever. An epoch_callback that returns True ends the run
-    after that epoch. A step whose loss is not finite raises NonFiniteLoss
-    before the optimizer moves any parameter.
+    after that epoch. A step whose loss is not finite raises NonFiniteLoss,
+    naming the batch's tables, before the optimizer moves any parameter.
+
+    Each step draws the masks of its batch table by table, in batch order,
+    then takes one `table_loss` over the whole batch: one packed graph.
     """
     rng = np.random.default_rng(settings.seed)
     if model is None:
@@ -293,10 +311,8 @@ def fit(
         for b in range(0, len(order), settings.batch_size):
             if max_steps is not None and step >= max_steps:
                 break
-            batch = order[b : b + settings.batch_size]
-            opt.zero_grad()
-            total = None
-            for idx in batch:
+            batch = []
+            for idx in order[b : b + settings.batch_size]:
                 seq0 = seqs[idx]
                 tok_plan = sample_token_mask(rng, seq0, settings.mlm_ratio, encoder_cfg.n_tokens)
                 cell_plan = sample_cell_mask(rng, seq0, settings.mer_ratio, encoder_cfg.n_entities)
@@ -306,19 +322,19 @@ def fit(
                 cands = build_candidates(
                     ent_sets[idx], cell_plan.targets, cooccur, encoder_cfg.n_entities, settings.candidate_cap, rng
                 )
-                loss, stats = table_loss(model, corrupted, tok_plan, cell_plan, cands, settings.use_visibility)
-                if loss is None:
-                    continue
-                total = loss if total is None else nm.add(total, loss)
-                ep_stats.n_tokens += stats.n_tokens
-                ep_stats.n_cells += stats.n_cells
-                ep_stats.token_correct += stats.token_correct
-                ep_stats.cell_correct += stats.cell_correct
-            if total is None:
+                batch.append(MaskedTable(corrupted, tok_plan, cell_plan, cands))
+            if not batch:
                 continue
+            opt.zero_grad()
+            total, stats = table_loss(model, batch, settings.use_visibility)
+            ep_stats.n_tokens += stats.n_tokens
+            ep_stats.n_cells += stats.n_cells
+            ep_stats.token_correct += stats.token_correct
+            ep_stats.cell_correct += stats.cell_correct
             step_loss = float(total.data)
             if not np.isfinite(step_loss):
-                raise NonFiniteLoss(f"loss is {step_loss} at step {step} (epoch {epoch})")
+                tables = ", ".join(m.seq.table_id for m in batch)
+                raise NonFiniteLoss(f"loss is {step_loss} at step {step} (epoch {epoch}), tables {tables}")
             total.backward()
             opt.step()
             step += 1

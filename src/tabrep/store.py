@@ -17,11 +17,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import read_text
 from .errors import ConfigError, CorruptCheckpoint, VersionMismatch
 
 MAGIC = b"TBRP"
@@ -142,8 +144,7 @@ def parse_config(text: str, base: Config | None = None) -> Config:
 
 
 def load_config(path, base: Config | None = None) -> Config:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), base)
+    return parse_config(read_text(path), base)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def load_config(path, base: Config | None = None) -> Config:
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str, step: int = 0, extra: dict | None = None) -> None:
-    """Write named arrays plus a config snapshot. Arrays keep dtype and shape."""
+    """Write named arrays plus a config snapshot, atomically. Arrays keep dtype and shape."""
     manifest = []
     blobs = []
     offset = 0
@@ -173,9 +174,17 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str, step:
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes + b"".join(blobs)
     digest = hashlib.sha256(payload).digest()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(digest)
+    # write a temp file beside the target, then rename it over the target, so
+    # a write that fails midway leaves the previous checkpoint whole
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(digest)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int, dict]:

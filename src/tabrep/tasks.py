@@ -37,7 +37,7 @@ from .corpus import (
 )
 from .encoder import Model, encode, trunc_normal
 from .encoding import CELL, HEADER, Sequence, linearize, mask_cell
-from .errors import EmptyColumn, NonFiniteLoss, TableTooSmall
+from .errors import ConfigError, EmptyColumn, NonFiniteLoss, TableTooSmall
 from .metrics import (
     candidate_recall,
     linking_prf,
@@ -66,13 +66,43 @@ class SideData:
     candidates: dict[str, list[str]] = field(default_factory=dict)
 
 
+# Fields of the records of each side file, required then optional, with their
+# JSON types; list fields hold strings.
+_SIDE_FIELDS = {
+    "types.jsonl": ({"entity": str, "types": list}, {}),
+    "relations.jsonl": ({"subject": str, "object": str, "relations": list}, {}),
+    "kb.jsonl": ({"entity": str}, {"name": str, "description": str, "types": list}),
+    "candidates.jsonl": ({"mention": str, "candidates": list}, {}),
+}
+
+
+def _side_field_ok(value, kind) -> bool:
+    return isinstance(value, kind) and (kind is str or all(isinstance(x, str) for x in value))
+
+
 def load_side_data(directory) -> SideData:
-    """Read the optional side files; missing files leave their slot empty."""
+    """Read the optional side files; missing files leave their slot empty.
+
+    A record that is not an object with the fields its file needs, of the
+    right JSON types, raises ConfigError naming the file and the record.
+    """
     side = SideData()
 
     def rows(name):
         path = os.path.join(directory, name)
-        return read_jsonl(path) if os.path.exists(path) else []
+        if not os.path.exists(path):
+            return []
+        required, optional = _SIDE_FIELDS[name]
+        records = read_jsonl(path)
+        for rec in records:
+            if not (
+                isinstance(rec, dict)
+                and all(f in rec and _side_field_ok(rec[f], kind) for f, kind in required.items())
+                and all(_side_field_ok(rec[f], kind) for f, kind in optional.items() if f in rec)
+            ):
+                need = ", ".join(f"{f} ({'string' if k is str else 'list of strings'})" for f, k in required.items())
+                raise ConfigError(f"{path}: bad record {rec!r:.80}; each record is an object with {need}")
+        return records
 
     for rec in rows("types.jsonl"):
         side.types[rec["entity"]] = list(rec["types"])

@@ -17,6 +17,7 @@ from tabrep.encoder import EncoderConfig, Model, encode, init_entity_embeddings,
 from tabrep.encoding import CAPTION, CELL, HEADER, TOPIC, build_visibility, linearize, mask_cell
 from tabrep.metrics import average_precision, linking_prf, mean_average_precision
 from tabrep.pretrain import (
+    MaskedTable,
     TrainSettings,
     apply_masks,
     build_candidates,
@@ -185,7 +186,7 @@ def test_c01_encoder_gradients_match_finite_differences():
     )
     model = init_model(cfg, rng, dtype=np.float64)
     tables = [make_indexed_table(rng, 2, 2, n_tokens=12, n_entities=8, caption_len=2) for _ in range(2)]
-    cases = []
+    batch = []
     for t in tables:
         seq = linearize(t, cfg.max_len)
         tok = sample_token_mask(rng, seq, 0.5, cfg.n_tokens)
@@ -193,13 +194,10 @@ def test_c01_encoder_gradients_match_finite_differences():
         assert len(tok.indices) and len(cell.indices)
         corrupted = apply_masks(seq, tok, cell, rng, cfg.n_entities)
         cands = build_candidates(t.entity_ids(), cell.targets, {}, cfg.n_entities, 8, rng)
-        cases.append((corrupted, tok, cell, cands))
+        batch.append(MaskedTable(corrupted, tok, cell, cands))
 
     def loss_fn():
-        total = None
-        for corrupted, tok, cell, cands in cases:
-            term, _ = table_loss(model, corrupted, tok, cell, cands, use_visibility=True)
-            total = term if total is None else nm.add(total, term)
+        total, _ = table_loss(model, batch, use_visibility=True)
         return total
 
     err = nm.grad_check(loss_fn, model.params(), eps=1e-5)

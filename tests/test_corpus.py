@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tabrep import corpus as C
 from tabrep.errors import BadTableError, ConfigError, TabrepError
+from tabrep.store import load_config
 
 
 def raw(table_id="t1", headers=("Name", "Year"), rows=(), **kw):
@@ -215,14 +216,27 @@ def test_vocab_load_rejects_bad_lines(tmp_path):
         C.Vocab.load(path, C.TOKEN_RESERVED)
 
 
+def test_non_utf8_input_names_the_file(tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe{}\n")
+    for load in (lambda: C.Vocab.load(path, C.TOKEN_RESERVED), lambda: C.read_jsonl(path), lambda: load_config(path)):
+        with pytest.raises(ConfigError, match="input: not UTF-8"):
+            load()
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.text(max_size=80) | st.text(alphabet="0123456789-x<>\t\n {}[]\":,", max_size=80))
-def test_text_loaders_give_a_value_or_a_typed_error(text):
+@given(
+    st.binary(max_size=80)
+    | st.text(max_size=80).map(str.encode)
+    | st.text(alphabet="0123456789-x<>\t\n {}[]\":,", max_size=80).map(str.encode)
+)
+def test_text_loaders_give_a_value_or_a_typed_error(data):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "input")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        for load in (lambda: C.Vocab.load(path, C.TOKEN_RESERVED), lambda: C.read_jsonl(path)):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        loaders = (lambda: C.Vocab.load(path, C.TOKEN_RESERVED), lambda: C.read_jsonl(path), lambda: load_config(path))
+        for load in loaders:
             try:
                 load()
             except TabrepError:

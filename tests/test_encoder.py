@@ -9,6 +9,7 @@ from tabrep.encoder import (
     EncoderConfig,
     embed_sequence,
     encode,
+    encode_batch,
     init_entity_embeddings,
     init_model,
 )
@@ -166,6 +167,23 @@ def test_visibility_off_equals_reference_bitwise(model):
         a = encode(seq, model, use_visibility=False).h.data
         b = encode(seq, model, reference=True).h.data
         assert a.tobytes() == b.tobytes()
+
+
+def test_encode_batch_rows_equal_per_table_encode_bitwise(model):
+    # tables of different lengths packed into one graph: each table's rows
+    # equal its own encode bit for bit, so no padding and no other table of
+    # the batch can reach them
+    rng = np.random.default_rng(8)
+    shapes = [(1, 1), (4, 3), (2, 2), (5, 1), (3, 4)]
+    seqs = [seq_of(rng, model, n_rows=r, n_cols=c, with_topic=bool(r % 2)) for r, c in shapes]
+    assert len({len(s) for s in seqs}) == len(seqs)
+    for kw in (dict(), dict(use_visibility=False), dict(reference=True)):
+        h = encode_batch(seqs, model, **kw).data
+        assert h.shape == (sum(len(s) for s in seqs), model.cfg.d_model)
+        start = 0
+        for seq in seqs:
+            assert h[start : start + len(seq)].tobytes() == encode(seq, model, **kw).h.data.tobytes()
+            start += len(seq)
 
 
 def test_visibility_changes_the_output(model):

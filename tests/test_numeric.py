@@ -67,19 +67,28 @@ def test_layer_norm_and_gelu_grads():
     assert nm.grad_check(loss, [x, g, b]) < 1e-6
 
 
-def test_masked_softmax_grads():
+def test_table_attention_grads():
+    # three packed tables of 4, 1 and 5 rows, two heads; each table has its own
+    # visibility mask, and masks=None is the plain softmax path
     rng = np.random.default_rng(3)
-    scores = t(rng.normal(size=(2, 5, 5)))
-    mask = (rng.random((5, 5)) < 0.7).astype(np.uint8)
-    np.fill_diagonal(mask, 1)
-    w = t(rng.normal(size=(5, 1)))
+    lens = [4, 1, 5]
+    starts = np.cumsum([0] + lens[:-1])
+    q, k, v = (t(rng.normal(size=(10, 6))) for _ in range(3))
+    w = t(rng.normal(size=(6, 3)))
+    masks = []
+    for n in lens:
+        mask = (rng.random((n, n)) < 0.6).astype(np.uint8)
+        np.fill_diagonal(mask, 1)
+        masks.append(mask)
 
-    def loss():
-        p = nm.masked_softmax(scores, mask)
-        flat = nm.reshape(p, (10, 5))
-        return nm.bce_with_logits_sum(nm.matmul(flat, w), np.zeros((10, 1)))
+    def loss_with(ms):
+        ctx = nm.table_attention(q, k, v, ms, starts, n_heads=2)
+        return nm.cross_entropy_sum(nm.matmul(ctx, w), np.arange(10) % 3)
 
-    assert nm.grad_check(loss, [scores, w]) < 1e-6
+    assert nm.grad_check(lambda: loss_with(masks), [q, k, v, w]) < 1e-6
+    assert nm.grad_check(lambda: loss_with(None), [q, k, v, w]) < 1e-6
+    with pytest.raises(ShapeMismatch):
+        nm.table_attention(q, k, v, masks[::-1], starts, n_heads=2)
 
 
 def test_concat_and_transpose_grads():
@@ -160,6 +169,8 @@ def test_diamond_graph_accumulates_once_per_path():
     z = nm.matmul(y, nm.Tensor(np.array([[3.0]])))
     z.backward()
     np.testing.assert_allclose(x.grad, [[6.0]])
+    # an op output's gradient is freed once passed on; the leaf keeps its own
+    assert y.grad is None and z.grad is None
 
 
 def test_backward_requires_scalar():

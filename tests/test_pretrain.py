@@ -274,6 +274,9 @@ def test_fit_stops_on_a_non_finite_loss():
     model = init_model(SMALL_CFG, np.random.default_rng(0))
     model["block0.Wq"].data[0, 0] = np.nan
     before = {name: arr.copy() for name, arr in model.named_arrays().items()}
-    with pytest.raises(NonFiniteLoss, match=r"step 0 \(epoch 0\)"):
+    with pytest.raises(NonFiniteLoss, match=r"step 0 \(epoch 0\)") as err:
         small_fit(model=model)
+    # the message names the tables of the failing batch: three of the six
+    named = str(err.value).split("tables ")[-1].split(", ")
+    assert len(set(named)) == 3 and set(named) <= {f"t{i}" for i in range(6)}
     assert all(arr.tobytes() == before[name].tobytes() for name, arr in model.named_arrays().items())

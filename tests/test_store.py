@@ -1,13 +1,17 @@
 """Config files and the binary checkpoint format."""
 
 import dataclasses
+import errno
 import hashlib
+import io
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from tabrep import store
 from tabrep.errors import ConfigError, CorruptCheckpoint, VersionMismatch
 from tabrep.store import MAGIC, Config, load_checkpoint, load_config, parse_config, save_checkpoint
 
@@ -188,3 +192,22 @@ def test_empty_checkpoint_round_trips(tmp_path):
     out, cfg_text, step, extra = load_checkpoint(path)
     assert out == {} and step == 0 and extra == {}
     assert cfg_text == "seed = 2\n"
+
+
+def test_failed_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    old = {"w": np.arange(6, dtype=np.float32)}
+    save_checkpoint(path, old, "cfg", step=1)
+
+    class FullDisk(io.FileIO):
+        # writes a few bytes, then fails as a full disk does
+        def write(self, b):
+            super().write(bytes(b)[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(store, "open", lambda p, mode: FullDisk(p, mode.replace("b", "")), raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, {"w": np.ones(6, dtype=np.float32)}, "cfg", step=2)
+    arrays, _, step, _ = load_checkpoint(path)
+    assert step == 1 and arrays["w"].tobytes() == old["w"].tobytes()
+    assert os.listdir(tmp_path) == ["model.ckpt"]

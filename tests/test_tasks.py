@@ -16,7 +16,7 @@ from tabrep.corpus import (
 )
 from tabrep.encoder import EncoderConfig, encode, init_model
 from tabrep.encoding import CELL, HEADER, linearize
-from tabrep.errors import EmptyColumn, NonFiniteLoss
+from tabrep.errors import ConfigError, EmptyColumn, NonFiniteLoss
 from tabrep.pretrain import entity_logits
 from tabrep.tasks import (
     ColumnTypeHead,
@@ -41,6 +41,7 @@ from tabrep.tasks import (
     eval_relations_votes,
     header_vocabulary,
     linking_sequence,
+    load_side_data,
     pack_tables,
     row_population_sequence,
     schema_sequence,
@@ -126,6 +127,30 @@ def tiny_model(corpus):
 
 
 # -- packs and column summaries ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("types.jsonl", '{"entity": "x"}'),
+        ("types.jsonl", '["x", ["person"]]'),
+        ("types.jsonl", '{"entity": ["x"], "types": ["person"]}'),
+        ("relations.jsonl", '{"subject": "a", "object": "b", "relations": [["r"]]}'),
+        ("kb.jsonl", '{"entity": "x", "types": "person"}'),
+        ("candidates.jsonl", '{"mention": "x", "candidates": 3}'),
+    ],
+)
+def test_load_side_data_rejects_records_of_the_wrong_shape(tmp_path, name, line):
+    (tmp_path / name).write_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"{name}: bad record"):
+        load_side_data(tmp_path)
+
+
+def test_load_side_data_reads_well_formed_records(tmp_path):
+    (tmp_path / "types.jsonl").write_text('{"entity": "e", "types": ["t"]}\n')
+    (tmp_path / "kb.jsonl").write_text('{"entity": "e"}\n')
+    side = load_side_data(tmp_path)
+    assert side.types == {"e": ["t"]} and side.kb["e"] == KbEntry(name="", description="", types=[])
 
 
 def test_pack_tables_skips_unlinearizable(corpus):
