@@ -1,7 +1,7 @@
 """Non-neural baselines and the corpus statistics they share.
 
-Everything here is computed from the training split alone and persisted as a
-versioned index so evaluation runs do not pay the build cost twice:
+Everything here is computed from the training split alone, in memory, by
+each command that needs it:
 
   - table-level entity co-occurrence (also feeds candidate sets upstream);
   - row adjacency: which entities sit in the same row as a given entity, and
@@ -20,16 +20,13 @@ lexicographically smaller header, so results are reproducible.
 from __future__ import annotations
 
 import math
-import pickle
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import IndexedTable
-from .errors import ConfigError, VersionMismatch
-
-INDEX_VERSION = 2
+from .errors import ConfigError
 
 
 @dataclass
@@ -75,7 +72,6 @@ class CorpusIndex:
     """Training-corpus statistics backing the baselines and candidate sets."""
 
     def __init__(self) -> None:
-        self.version = INDEX_VERSION
         self.table_ids: list[str] = []
         self.schemas: list[list[str]] = []
         self.subject_entities: list[list[int]] = []
@@ -169,24 +165,6 @@ class CorpusIndex:
             vec = {term: tf * idx.idf[term] for term, tf in Counter(cap).items()}
             idx.caption_vectors.append(vec)
             idx.caption_norms.append(math.sqrt(sum(v * v for v in vec.values())))
-        return idx
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            pickle.dump({"version": self.version, "index": self.__dict__}, fh)
-
-    @classmethod
-    def load(cls, path) -> "CorpusIndex":
-        with open(path, "rb") as fh:
-            blob = pickle.load(fh)
-        if not isinstance(blob, dict) or "version" not in blob:
-            raise ConfigError(f"{path}: not a corpus index file")
-        if blob["version"] != INDEX_VERSION:
-            raise VersionMismatch(f"{path}: index version {blob['version']}, expected {INDEX_VERSION}")
-        idx = cls.__new__(cls)
-        idx.__dict__.update(blob["index"])
         return idx
 
     # -- header pair statistics ---------------------------------------------

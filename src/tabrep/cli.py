@@ -96,6 +96,17 @@ def train_settings(cfg: Config) -> TrainSettings:
     )
 
 
+def finetune_settings(cfg: Config, task: str) -> T.FinetuneSettings:
+    """Schema augmentation trains for sa_epochs, every other task for finetune_epochs."""
+    return T.FinetuneSettings(
+        lr0=cfg.finetune_lr0,
+        epochs=cfg.sa_epochs if task == "schema" else cfg.finetune_epochs,
+        batch_size=cfg.batch_size,
+        seed=cfg.seed,
+        use_visibility=cfg.use_visibility,
+    )
+
+
 def _load_vocabs(data_dir: str) -> tuple[Vocab, Vocab]:
     token_vocab = Vocab.load(os.path.join(data_dir, "token_vocab.tsv"), TOKEN_RESERVED)
     entity_vocab = Vocab.load(os.path.join(data_dir, "entity_vocab.tsv"), ENTITY_RESERVED)
@@ -109,15 +120,10 @@ def _load_split(data_dir: str, name: str):
     return load_processed(path)
 
 
-def _corpus_index(data_dir: str, token_vocab: Vocab, entity_vocab: Vocab, rebuild: bool) -> CorpusIndex:
-    """Build the train-split co-occurrence index, or reuse the cached pickle."""
-    path = os.path.join(data_dir, "index.pkl")
-    if os.path.exists(path) and not rebuild:
-        return CorpusIndex.load(path)
+def _corpus_index(data_dir: str, token_vocab: Vocab, entity_vocab: Vocab) -> CorpusIndex:
+    """Build the train-split co-occurrence index in memory."""
     train = [index_table(t, token_vocab, entity_vocab) for t in _load_split(data_dir, "train")]
-    index = CorpusIndex.build(train, token_vocab.strings)
-    index.save(path)
-    return index
+    return CorpusIndex.build(train, token_vocab.strings)
 
 
 def restore_model(path: str) -> tuple[Model, Config, dict, dict]:
@@ -180,9 +186,6 @@ def cmd_preprocess(args) -> int:
     _info(f"parsed {len(tables)} tables, skipped {len(skipped)}")
     splits = partition(tables, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
-    # An index left by an earlier run holds ids of the old vocabularies.
-    if os.path.exists(os.path.join(args.out, "index.pkl")):
-        os.remove(os.path.join(args.out, "index.pkl"))
     token_vocab, entity_vocab = build_vocabs(
         splits["train"], min_token_count=cfg.min_token_count, min_entity_count=cfg.min_entity_count
     )
@@ -242,7 +245,7 @@ def cmd_pretrain(args) -> int:
     token_vocab, entity_vocab = _load_vocabs(args.data)
     train = [index_table(t, token_vocab, entity_vocab) for t in _load_split(args.data, "train")]
     valid = [index_table(t, token_vocab, entity_vocab) for t in _load_split(args.data, "valid")]
-    index = _corpus_index(args.data, token_vocab, entity_vocab, args.rebuild_index)
+    index = CorpusIndex.build(train, token_vocab.strings)
     _info(f"pre-training on {len(train)} tables ({len(token_vocab)} tokens, {len(entity_vocab)} entities)")
 
     settings = train_settings(cfg)
@@ -307,17 +310,11 @@ def cmd_finetune(args) -> int:
     token_vocab, entity_vocab = _load_vocabs(args.data)
     side = T.load_side_data(_side_dir(args, args.data))
     train_packs = _packs_for(_load_split(args.data, "train"), token_vocab, entity_vocab, cfg.max_len)
-    settings = T.FinetuneSettings(
-        lr0=cfg.finetune_lr0,
-        epochs=cfg.finetune_epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        use_visibility=cfg.use_visibility,
-    )
+    task = args.task
+    settings = finetune_settings(cfg, task)
     rng = np.random.default_rng(cfg.seed)
     tokenizer = WordTokenizer()
     d = model.cfg.d_model
-    task = args.task
 
     if task == "fill":
         raise ConfigError("cell filling reuses the pre-trained checkpoint; nothing to fine-tune")
@@ -341,7 +338,7 @@ def cmd_finetune(args) -> int:
         _info(f"{len(instances)} cell instances, {len(labels)} entry types")
         losses = T.train_linking(model, head, train_packs, instances, side, token_vocab, tokenizer, settings)
     elif task == "rowpop":
-        index = _corpus_index(args.data, token_vocab, entity_vocab, rebuild=False)
+        index = _corpus_index(args.data, token_vocab, entity_vocab)
         instances = T.build_row_population_data(
             train_packs, index, token_vocab, cfg.seed_cells, cfg.rp_retrieval_k
         )
@@ -353,7 +350,6 @@ def cmd_finetune(args) -> int:
             raise ConfigError("no headers clear sa_min_header_tables; lower the threshold")
         instances = T.build_schema_data(train_packs, labels, cfg.seed_cells)
         head = T.SchemaHead(d, len(labels), rng, dtype=model.dtype)
-        settings.epochs = cfg.sa_epochs
         _info(f"{len(instances)} schema instances, {len(labels)} headers")
         losses = T.train_schema(model, head, train_packs, instances, labels, token_vocab, settings, cfg.max_len)
     else:
@@ -437,7 +433,7 @@ def cmd_evaluate(args) -> int:
     side = T.load_side_data(_side_dir(args, args.data))
     packs = _packs_for(_load_split(args.data, args.split), token_vocab, entity_vocab, cfg.max_len)
     need_index = task in ("rowpop", "fill", "schema")
-    index = _corpus_index(args.data, token_vocab, entity_vocab, rebuild=False) if need_index else None
+    index = _corpus_index(args.data, token_vocab, entity_vocab) if need_index else None
     tokenizer = WordTokenizer()
     d = cfg.d_model
     rng = np.random.default_rng(0)
@@ -514,7 +510,7 @@ def cmd_ablate(args) -> int:
     token_vocab, entity_vocab = _load_vocabs(args.data)
     train = [index_table(t, token_vocab, entity_vocab) for t in _load_split(args.data, "train")]
     valid = [index_table(t, token_vocab, entity_vocab) for t in _load_split(args.data, "valid")]
-    index = _corpus_index(args.data, token_vocab, entity_vocab, rebuild=False)
+    index = CorpusIndex.build(train, token_vocab.strings)
     ecfg = encoder_config(cfg, len(token_vocab), len(entity_vocab))
     ratios = [float(x) for x in args.mer_grid.split(",") if x.strip()]
     if not ratios:
@@ -573,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="preprocess output directory")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--epochs", type=int, help="override pretrain_epochs")
-    p.add_argument("--rebuild-index", action="store_true", help="ignore any cached corpus index")
     p.add_argument("--track-recovery", action="store_true", help="score masked recovery on valid each epoch")
     p.set_defaults(func=cmd_pretrain)
 

@@ -496,29 +496,63 @@ def processed_to_json(pt: ProcessedTable) -> dict:
     }
 
 
-def processed_from_json(obj: dict) -> ProcessedTable:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_strs(x) -> bool:
+    return isinstance(x, list) and all(isinstance(t, str) for t in x)
+
+
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def processed_from_json(obj) -> ProcessedTable:
+    """Inverse of processed_to_json. A record of the wrong shape (a missing
+    field, a wrong JSON type, a cell outside the grid) raises BadTableError
+    naming the field."""
+
+    def get(rec, name, ok, *default):
+        if name not in rec and default:
+            return default[0]
+        if name not in rec or not ok(rec[name]):
+            raise BadTableError(f"field {name!r} is missing, of the wrong type or out of range")
+        return rec[name]
+
+    if not isinstance(obj, dict):
+        raise BadTableError(f"record is not a JSON object: {obj!r:.40}")
+    headers = get(obj, "headers", _is_strs)
+
+    def in_cols(x) -> bool:
+        return _is_int(x) and 0 <= x < len(headers)
+
+    header_tokens = get(
+        obj, "header_tokens", lambda x: isinstance(x, list) and len(x) == len(headers) and all(map(_is_strs, x))
+    )
+    n_rows = get(obj, "n_rows", lambda x: _is_int(x) and x >= 0)
     cells = [
         ProcCell(
-            row=c["row"],
-            col=c["col"],
-            text=c.get("text", ""),
-            entity=c.get("entity"),
-            mention_tokens=list(c.get("mention_tokens", [])),
+            row=get(c, "row", lambda x: _is_int(x) and 0 <= x < n_rows),
+            col=get(c, "col", in_cols),
+            text=get(c, "text", _is_str, ""),
+            entity=get(c, "entity", lambda x: x is None or _is_str(x), None),
+            mention_tokens=list(get(c, "mention_tokens", _is_strs, [])),
         )
-        for c in obj["cells"]
+        for c in get(obj, "cells", lambda x: isinstance(x, list) and all(isinstance(c, dict) for c in x))
     ]
-    topic = None
-    if obj.get("topic") is not None:
-        topic = (obj["topic"]["entity"], list(obj["topic"]["mention_tokens"]))
+    topic = get(obj, "topic", lambda x: x is None or isinstance(x, dict), None)
+    if topic is not None:
+        topic = (get(topic, "entity", _is_str), list(get(topic, "mention_tokens", _is_strs)))
     return ProcessedTable(
-        table_id=obj["table_id"],
-        caption_tokens=list(obj["caption_tokens"]),
-        headers=list(obj["headers"]),
-        header_tokens=[list(t) for t in obj["header_tokens"]],
-        n_rows=obj["n_rows"],
+        table_id=get(obj, "table_id", _is_str),
+        caption_tokens=list(get(obj, "caption_tokens", _is_strs)),
+        headers=list(headers),
+        header_tokens=[list(t) for t in header_tokens],
+        n_rows=n_rows,
         cells=cells,
         topic=topic,
-        subject_col=obj.get("subject_col"),
+        subject_col=get(obj, "subject_col", lambda x: x is None or in_cols(x), None),
     )
 
 
@@ -537,18 +571,23 @@ def read_text(path) -> str:
             raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def read_jsonl(path) -> list:
-    """One JSON value per non-blank line; a line that is not JSON raises ConfigError."""
-    out = []
+def _jsonl_lines(path):
+    """(line number, JSON value) of each non-blank line; a line that is not
+    JSON raises ConfigError."""
     for line_no, line in enumerate(read_text(path).split("\n"), 1):
         line = line.strip()
         if not line:
             continue
         try:
-            out.append(json.loads(line))
+            value = json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: line {line_no} is not JSON: {exc}") from None
-    return out
+        yield line_no, value
+
+
+def read_jsonl(path) -> list:
+    """One JSON value per non-blank line; a line that is not JSON raises ConfigError."""
+    return [value for _, value in _jsonl_lines(path)]
 
 
 def load_raw_tables(path, tokenizer: Tokenizer = _DEFAULT_TOKENIZER):
@@ -569,7 +608,14 @@ def load_raw_tables(path, tokenizer: Tokenizer = _DEFAULT_TOKENIZER):
 
 
 def load_processed(path) -> list[ProcessedTable]:
-    return [processed_from_json(obj) for obj in read_jsonl(path)]
+    """Read a split file; a malformed record raises ConfigError naming the file and line."""
+    out = []
+    for line_no, obj in _jsonl_lines(path):
+        try:
+            out.append(processed_from_json(obj))
+        except BadTableError as exc:
+            raise ConfigError(f"{path}: line {line_no}: {exc}") from None
+    return out
 
 
 def save_processed(path, tables: Iterable[ProcessedTable]) -> None:

@@ -20,7 +20,6 @@ __all__ = [
     "add",
     "matmul",
     "transpose",
-    "reshape",
     "concat",
     "gather_rows",
     "put_rows",
@@ -92,8 +91,12 @@ def _topo_order(root):
     return order
 
 
+def _wants_grad(t):
+    return t.requires_grad or bool(t._parents)
+
+
 def _needs_grad(parents):
-    return any(p.requires_grad or p._parents for p in parents)
+    return any(_wants_grad(p) for p in parents)
 
 
 def _make(data, parents, backward):
@@ -105,7 +108,7 @@ def _make(data, parents, backward):
 
 
 def _accum(t, g):
-    if not (t.requires_grad or t._parents):
+    if not _wants_grad(t):
         return
     if t.grad is None:
         t.grad = np.array(g, copy=True)
@@ -144,22 +147,18 @@ def add(a, b):
 
 
 def matmul(a, b):
-    """2D (m,k)@(k,n) or batched 3D (B,m,k)@(B,k,n); no batch broadcasting."""
+    """(m,k) @ (k,n). Backward computes an operand's product only when that
+    operand needs a gradient."""
     _same_dtype(a, b)
     ad, bd = a.data, b.data
-    if ad.ndim == 3 or bd.ndim == 3:
-        if ad.ndim != 3 or bd.ndim != 3 or ad.shape[0] != bd.shape[0]:
-            raise ShapeMismatch(f"bad batched matmul {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeMismatch(f"inner dims differ: {ad.shape} @ {bd.shape}")
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeMismatch(f"bad matmul {ad.shape} @ {bd.shape}")
     data = ad @ bd
 
     def backward(dout):
-        if ad.ndim == 3:
-            _accum(a, dout @ bd.transpose(0, 2, 1))
-            _accum(b, ad.transpose(0, 2, 1) @ dout)
-        else:
+        if _wants_grad(a):
             _accum(a, dout @ bd.T)
+        if _wants_grad(b):
             _accum(b, ad.T @ dout)
 
     return _make(data, (a, b), backward)
@@ -172,16 +171,6 @@ def transpose(a, axes):
 
     def backward(dout):
         _accum(a, dout.transpose(inv))
-
-    return _make(data, (a,), backward)
-
-
-def reshape(a, shape):
-    src = a.data.shape
-    data = a.data.reshape(shape)
-
-    def backward(dout):
-        _accum(a, dout.reshape(src))
 
     return _make(data, (a,), backward)
 
@@ -206,7 +195,7 @@ def gather_rows(a, idx):
     data = a.data[idx]
 
     def backward(dout):
-        if a.requires_grad or a._parents:
+        if _wants_grad(a):
             g = np.zeros_like(a.data)
             np.add.at(g, idx, dout)
             _accum(a, g)

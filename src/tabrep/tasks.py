@@ -15,12 +15,27 @@ Six tasks share the encoder:
 Dataset builders derive labels from side files (types.jsonl, relations.jsonl,
 kb.jsonl, candidates.jsonl). Each task head is an independent parameter set;
 fine-tuning one head never touches another.
+
+Every task runs through one engine. A `TaskSpec` says which sequence an
+instance reads, as a (key, Sequence) pair, how to get the instance's logits
+from the packed encoder states at that sequence's first row, and its loss.
+Column types, relations and linking key on the table pack, so instances of
+one table share its encoding; row population, schema and cell filling key on
+the instance, which reads its own probe sequence. `finetune` shuffles and
+batches the instances, encodes the distinct keys of each batch as one packed
+graph (`encoder.encode_batch`), adds the instances' losses and takes one
+step. `forward` encodes each distinct key once, FORWARD_PACK sequences to a
+graph, and returns every instance's logits; the `eval_*` functions score
+from them.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +50,8 @@ from .corpus import (
     index_table,
     read_jsonl,
 )
-from .encoder import Model, encode, trunc_normal
+# `encode` is not called here; the benchmark's tracer tests reach it as tasks.encode
+from .encoder import Model, encode, encode_batch, trunc_normal  # noqa: F401
 from .encoding import CELL, HEADER, Sequence, linearize, mask_cell
 from .errors import ConfigError, EmptyColumn, NonFiniteLoss, TableTooSmall
 from .metrics import (
@@ -155,13 +171,14 @@ def _mean_rows(h: nm.Tensor, positions: np.ndarray, dtype) -> nm.Tensor:
     return nm.matmul(nm.Tensor(avg), nm.gather_rows(h, positions))
 
 
-def column_repr(enc_h: nm.Tensor, seq: Sequence, col: int, dtype) -> nm.Tensor:
-    """(1, 2d) column summary: mean header-token state, mean entity state."""
+def column_repr(enc_h: nm.Tensor, seq: Sequence, col: int, dtype, at: int = 0) -> nm.Tensor:
+    """(1, 2d) column summary: mean header-token state, mean entity state.
+    The sequence's states are the rows of enc_h from row `at` on."""
     header_pos = np.flatnonzero((seq.kinds == HEADER) & (seq.cols == col))
     cell_pos = np.flatnonzero((seq.kinds == CELL) & (seq.cols == col))
     if not len(header_pos) or not len(cell_pos):
         raise EmptyColumn(f"column {col} of {seq.table_id} has no usable header or entities")
-    return nm.concat([_mean_rows(enc_h, header_pos, dtype), _mean_rows(enc_h, cell_pos, dtype)], axis=1)
+    return nm.concat([_mean_rows(enc_h, at + header_pos, dtype), _mean_rows(enc_h, at + cell_pos, dtype)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,40 +238,26 @@ class LinkingHead:
 
     def entry_matrix(self, model: Model, entries, use_description: bool = True) -> nm.Tensor:
         """(C, 3d) matrix for tokenized entries [(name_ids, desc_ids, type_ids)]."""
-        dtype = model.dtype
-        d = model.cfg.d_model
         blocks = []
-        for take in range(3):
-            flat: list[int] = []
-            spans = []
-            for entry in entries:
-                ids = entry[take]
-                if take == 1 and not use_description:
-                    ids = np.array([], dtype=np.int64)
-                start = len(flat)
-                flat.extend(int(x) for x in ids)
-                spans.append((start, len(flat)))
-            avg = np.zeros((len(entries), max(1, len(flat))), dtype=dtype)
-            for r, (a, b) in enumerate(spans):
-                if b > a:
-                    avg[r, a:b] = 1.0 / (b - a)
-            table = model["word_emb"] if take < 2 else self.type_emb
-            if flat:
-                rows = nm.gather_rows(table, np.array(flat, dtype=np.int64))
-            else:
-                rows = nm.Tensor(np.zeros((1, d), dtype=dtype))
+        for take, table in enumerate((model["word_emb"], model["word_emb"], self.type_emb)):
+            ids = [e[take] if take != 1 or use_description else e[take][:0] for e in entries]
+            lens = np.array([len(x) for x in ids], dtype=np.int64)
+            flat = np.concatenate(ids).astype(np.int64)
+            # constant row-averaging matrix; an entry without ids gets a zero row
+            avg = np.zeros((len(entries), max(1, len(flat))), dtype=model.dtype)
+            owner = np.repeat(np.arange(len(entries)), lens)
+            avg[owner, np.arange(len(flat))] = 1.0 / lens[owner]
+            zero = nm.Tensor(np.zeros((1, table.shape[1]), dtype=model.dtype))
+            rows = nm.gather_rows(table, flat) if len(flat) else zero
             blocks.append(nm.matmul(nm.Tensor(avg), rows))
         return nm.concat(blocks, axis=1)
 
     def tokenize_entry(self, entry: KbEntry, token_vocab: Vocab, tokenizer) -> tuple:
-        name_ids = np.array([token_vocab.id_or_unk(t) for t in tokenizer.tokenize(entry.name)], dtype=np.int64)
-        desc_ids = np.array(
-            [token_vocab.id_or_unk(t) for t in tokenizer.tokenize(entry.description)], dtype=np.int64
-        )
-        type_ids = np.array(
-            [self.type_index[t] for t in entry.types if t in self.type_index], dtype=np.int64
-        )
-        return (name_ids, desc_ids, type_ids)
+        def words(text):
+            return np.array([token_vocab.id_or_unk(t) for t in tokenizer.tokenize(text)], dtype=np.int64)
+
+        types = np.array([self.type_index[t] for t in entry.types if t in self.type_index], dtype=np.int64)
+        return (words(entry.name), words(entry.description), types)
 
 
 class SchemaHead:
@@ -298,7 +301,7 @@ class LinkInstance:
     candidate_refs: list[str]  # lookup order, best first
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: the instance keys its own probe
 class RowPopInstance:
     pack: int
     seeds: list[tuple[int, np.ndarray]]  # (entity id, mention ids)
@@ -306,7 +309,7 @@ class RowPopInstance:
     candidates: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: the instance keys its own probe
 class FillInstance:
     pack: int
     row: int
@@ -315,7 +318,7 @@ class FillInstance:
     candidates: list[int]
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: the instance keys its own probe
 class SchemaInstance:
     pack: int
     seeds: list[str]
@@ -343,8 +346,7 @@ def build_column_type_data(
             if golds:
                 raw.append((pi, col, golds))
     if type_list is None:
-        universe = sorted({t for _, _, g in raw for t in g})
-        type_list = universe
+        type_list = sorted({t for _, _, g in raw for t in g})
     index = {t: i for i, t in enumerate(type_list)}
     instances = []
     for pi, col, golds in raw:
@@ -366,10 +368,7 @@ def build_relation_data(
         subj_by_row = {c.row: c.entity_id for c in it.cells if c.col == it.subject_col}
         obj_cols = sorted({c.col for c in it.cells if c.col != it.subject_col})
         for col in obj_cols:
-            pairs = []
-            for c in it.cells:
-                if c.col == col and c.row in subj_by_row:
-                    pairs.append((subj_by_row[c.row], c.entity_id))
+            pairs = [(subj_by_row[c.row], c.entity_id) for c in it.cells if c.col == col and c.row in subj_by_row]
             if not pairs:
                 continue
             golds: set[str] | None = None
@@ -400,11 +399,8 @@ def build_linking_data(
     instances = []
     for pi, pack in enumerate(packs):
         for cell in pack.processed.linked_cells():
-            mention = " ".join(cell.mention_tokens)
-            cands = side.candidates.get(mention, [])
-            if not cands:
-                continue
-            if require_gold and cell.entity not in cands:
+            cands = side.candidates.get(" ".join(cell.mention_tokens), [])
+            if not cands or (require_gold and cell.entity not in cands):
                 continue
             if cell_position(pack.seq, cell.row, cell.col) is None:
                 continue
@@ -458,9 +454,7 @@ def build_fill_data(packs: list[TablePack], index: CorpusIndex) -> list[FillInst
                 continue
             header = it.headers_norm[c.col]
             cands = index.fill_candidates(subj_by_row[c.row], header)
-            if not cands:
-                continue
-            if cell_position(pack.seq, c.row, c.col) is None:
+            if not cands or cell_position(pack.seq, c.row, c.col) is None:
                 continue
             instances.append(
                 FillInstance(pack=pi, row=c.row, col=c.col, gold=c.entity_id, candidates=[e for e, _ in cands])
@@ -470,10 +464,7 @@ def build_fill_data(packs: list[TablePack], index: CorpusIndex) -> list[FillInst
 
 def header_vocabulary(packs: list[TablePack], min_tables: int) -> list[str]:
     """Normalized headers appearing in at least min_tables distinct tables."""
-    support: dict[str, int] = {}
-    for pack in packs:
-        for h in set(pack.indexed.headers_norm):
-            support[h] = support.get(h, 0) + 1
+    support = Counter(h for pack in packs for h in set(pack.indexed.headers_norm))
     return sorted(h for h, n in support.items() if n >= min_tables)
 
 
@@ -512,15 +503,8 @@ def row_population_sequence(pack: TablePack, seeds: list[tuple[int, np.ndarray]]
         IndexedCell(row=len(seeds), col=0, entity_id=MASK_ID, mention_ids=np.array([MASK_ID], dtype=np.int64))
     )
     probe = IndexedTable(
-        table_id=pack.indexed.table_id + "#rowpop",
-        caption_ids=pack.indexed.caption_ids,
-        header_ids=[],
-        headers_norm=[],
-        n_rows=len(cells),
-        n_cols=1,
-        cells=cells,
-        topic=pack.indexed.topic,
-        subject_col=0,
+        table_id=pack.indexed.table_id + "#rowpop", caption_ids=pack.indexed.caption_ids, header_ids=[],
+        headers_norm=[], n_rows=len(cells), n_cols=1, cells=cells, topic=pack.indexed.topic, subject_col=0,
     )
     seq = linearize(probe, max_len)
     mask_pos = int(np.flatnonzero((seq.kinds == CELL) & (seq.ids == MASK_ID))[0])
@@ -532,14 +516,8 @@ def schema_sequence(pack: TablePack, seeds: list[str], header_list_ids: dict[str
     header_ids = [header_list_ids[s] for s in seeds]
     header_ids.append(np.array([MASK_ID], dtype=np.int64))
     probe = IndexedTable(
-        table_id=pack.indexed.table_id + "#schema",
-        caption_ids=pack.indexed.caption_ids,
-        header_ids=header_ids,
-        headers_norm=seeds + ["<mask>"],
-        n_rows=0,
-        n_cols=len(header_ids),
-        cells=[],
-        topic=pack.indexed.topic,
+        table_id=pack.indexed.table_id + "#schema", caption_ids=pack.indexed.caption_ids, header_ids=header_ids,
+        headers_norm=seeds + ["<mask>"], n_rows=0, n_cols=len(header_ids), cells=[], topic=pack.indexed.topic,
         subject_col=None,
     )
     seq = linearize(probe, max_len)
@@ -548,7 +526,7 @@ def schema_sequence(pack: TablePack, seeds: list[str], header_list_ids: dict[str
 
 
 # ---------------------------------------------------------------------------
-# fine-tuning driver
+# the task engine
 
 
 @dataclass
@@ -560,8 +538,38 @@ class FinetuneSettings:
     use_visibility: bool = True
 
 
-def finetune(instances, loss_fn, params, settings: FinetuneSettings) -> list[float]:
-    """Generic loop: shuffle, batch, sum losses, step. Returns epoch losses.
+@dataclass
+class TaskSpec:
+    """How one task reads the encoder.
+
+    read(inst) -> (key, Sequence): the sequence the instance reads; instances
+        with equal keys share one encoding of it.
+    logits(inst, h, at) -> (1, n) logits from packed states h, in which that
+        sequence's rows start at row `at`.
+    loss(inst, logits) -> the instance's scalar loss (training only).
+    """
+
+    model: Model
+    read: Callable
+    logits: Callable
+    loss: Callable | None = None
+
+
+FORWARD_PACK = 8  # sequences per packed graph in `forward`
+
+
+def _encode_distinct(spec: TaskSpec, batch: list, use_visibility: bool) -> tuple[nm.Tensor, list[int]]:
+    """Encode each distinct sequence a batch of instances reads, once, as one
+    packed graph. Returns the states and each instance's first row."""
+    seqs = dict(spec.read(inst) for inst in batch)  # key -> sequence, in first-read order
+    starts = dict(zip(seqs, np.cumsum([0] + [len(seq) for seq in seqs.values()]).tolist()))
+    h = encode_batch(list(seqs.values()), spec.model, use_visibility=use_visibility)
+    return h, [starts[spec.read(inst)[0]] for inst in batch]
+
+
+def finetune(instances, spec: TaskSpec, params, settings: FinetuneSettings) -> list[float]:
+    """Shuffle, batch, encode each batch as one graph, sum the instances'
+    losses, step. Returns epoch losses: summed loss over the number of instances.
 
     A batch whose loss is not finite raises NonFiniteLoss before the step.
     """
@@ -572,87 +580,103 @@ def finetune(instances, loss_fn, params, settings: FinetuneSettings) -> list[flo
     for _ in range(settings.epochs):
         order = rng.permutation(len(instances))
         total = 0.0
-        count = 0
         for b in range(0, len(order), settings.batch_size):
+            batch = [instances[int(i)] for i in order[b : b + settings.batch_size]]
             opt.zero_grad()
-            batch_loss = None
-            for idx in order[b : b + settings.batch_size]:
-                term = loss_fn(instances[int(idx)])
-                if term is None:
-                    continue
-                batch_loss = term if batch_loss is None else nm.add(batch_loss, term)
-                count += 1
-            if batch_loss is None:
-                continue
+            h, starts = _encode_distinct(spec, batch, settings.use_visibility)
+            batch_loss = reduce(nm.add, [spec.loss(inst, spec.logits(inst, h, at)) for inst, at in zip(batch, starts)])
             loss = float(batch_loss.data)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss is {loss} at step {opt.steps_done}")
             batch_loss.backward()
             opt.step()
             total += loss
-        epoch_losses.append(total / max(1, count))
+        epoch_losses.append(total / max(1, len(instances)))
     return epoch_losses
+
+
+def forward(instances, spec: TaskSpec, use_visibility: bool = True) -> list[np.ndarray]:
+    """Each instance's logits row. Every distinct sequence is encoded once,
+    FORWARD_PACK sequences to a packed graph."""
+    groups: dict = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault(spec.read(inst)[0], []).append(i)
+    keys = list(groups)
+    out: list = [None] * len(instances)
+    for b in range(0, len(keys), FORWARD_PACK):
+        idx = [i for key in keys[b : b + FORWARD_PACK] for i in groups[key]]
+        h, starts = _encode_distinct(spec, [instances[i] for i in idx], use_visibility)
+        for i, at in zip(idx, starts):
+            out[i] = spec.logits(instances[i], h, at).data[0]
+    return out
+
+
+def _report(metrics: dict, instances) -> dict:
+    return {"metrics": metrics, "n_instances": len(instances)}
+
+
+def _multi_hot(golds, logits: nm.Tensor) -> np.ndarray:
+    y = np.zeros_like(logits.data)
+    y[0, sorted(golds)] = 1.0
+    return y
+
+
+def _bce(inst, logits: nm.Tensor) -> nm.Tensor:
+    return nm.bce_with_logits_sum(logits, _multi_hot(inst.golds, logits))
+
+
+def _table_read(packs):
+    return lambda inst: (inst.pack, packs[inst.pack].seq)
+
+
+def _probe_read(probes):
+    return lambda inst: (inst, probes[inst][0])
+
+
+def _eval_label_sets(instances, spec: TaskSpec, use_visibility: bool) -> dict:
+    """Micro P/R/F1 of the labels whose sigmoid clears 0.5."""
+    preds = [{int(i) for i in np.flatnonzero(z > 0.0)} for z in forward(instances, spec, use_visibility)]
+    return _report(micro_prf(preds, [inst.golds for inst in instances]).as_dict(), instances)
 
 
 # -- column types -------------------------------------------------------------
 
 
-def _multi_hot(golds: set[int], n: int, dtype) -> np.ndarray:
-    y = np.zeros((1, n), dtype=dtype)
-    for g in golds:
-        y[0, g] = 1.0
-    return y
+def _column_type_spec(model, head, packs) -> TaskSpec:
+    def logits(inst, h, at):
+        return head.logits(column_repr(h, packs[inst.pack].seq, inst.col, model.dtype, at))
+
+    return TaskSpec(model, _table_read(packs), logits, _bce)
 
 
 def train_column_types(model, head, packs, instances, settings: FinetuneSettings, n_types: int):
-    def loss_fn(inst: ColumnTypeInstance):
-        enc = encode(packs[inst.pack].seq, model, use_visibility=settings.use_visibility)
-        col = column_repr(enc.h, packs[inst.pack].seq, inst.col, model.dtype)
-        logits = head.logits(col)
-        return nm.bce_with_logits_sum(logits, _multi_hot(inst.golds, n_types, model.dtype))
-
-    return finetune(instances, loss_fn, model.params() + head.params(), settings)
+    """n_types is the head's width, which the labels take from the logits."""
+    return finetune(instances, _column_type_spec(model, head, packs), model.params() + head.params(), settings)
 
 
 def eval_column_types(model, head, packs, instances, use_visibility=True):
-    preds, golds = [], []
-    for inst in instances:
-        enc = encode(packs[inst.pack].seq, model, use_visibility=use_visibility)
-        col = column_repr(enc.h, packs[inst.pack].seq, inst.col, model.dtype)
-        scores = head.logits(col).data[0]
-        preds.append({int(i) for i in np.flatnonzero(scores > 0.0)})  # sigmoid > 0.5
-        golds.append(inst.golds)
-    result = micro_prf(preds, golds)
-    return {"metrics": result.as_dict(), "n_instances": len(instances)}
+    return _eval_label_sets(instances, _column_type_spec(model, head, packs), use_visibility)
 
 
 # -- relations ---------------------------------------------------------------
 
 
-def train_relations(model, head, packs, instances, settings: FinetuneSettings, n_relations: int):
-    def loss_fn(inst: RelationInstance):
-        pack = packs[inst.pack]
-        enc = encode(pack.seq, model, use_visibility=settings.use_visibility)
-        subj = column_repr(enc.h, pack.seq, inst.subj_col, model.dtype)
-        obj = column_repr(enc.h, pack.seq, inst.obj_col, model.dtype)
-        logits = head.logits(subj, obj)
-        return nm.bce_with_logits_sum(logits, _multi_hot(inst.golds, n_relations, model.dtype))
+def _relation_spec(model, head, packs) -> TaskSpec:
+    def logits(inst, h, at):
+        seq = packs[inst.pack].seq
+        subj = column_repr(h, seq, inst.subj_col, model.dtype, at)
+        return head.logits(subj, column_repr(h, seq, inst.obj_col, model.dtype, at))
 
-    return finetune(instances, loss_fn, model.params() + head.params(), settings)
+    return TaskSpec(model, _table_read(packs), logits, _bce)
+
+
+def train_relations(model, head, packs, instances, settings: FinetuneSettings, n_relations: int):
+    """n_relations is the head's width, which the labels take from the logits."""
+    return finetune(instances, _relation_spec(model, head, packs), model.params() + head.params(), settings)
 
 
 def eval_relations(model, head, packs, instances, use_visibility=True):
-    preds, golds = [], []
-    for inst in instances:
-        pack = packs[inst.pack]
-        enc = encode(pack.seq, model, use_visibility=use_visibility)
-        subj = column_repr(enc.h, pack.seq, inst.subj_col, model.dtype)
-        obj = column_repr(enc.h, pack.seq, inst.obj_col, model.dtype)
-        scores = head.logits(subj, obj).data[0]
-        preds.append({int(i) for i in np.flatnonzero(scores > 0.0)})
-        golds.append(inst.golds)
-    result = micro_prf(preds, golds)
-    return {"metrics": result.as_dict(), "n_instances": len(instances)}
+    return _eval_label_sets(instances, _relation_spec(model, head, packs), use_visibility)
 
 
 def eval_relations_votes(instances, entity_vocab, side: SideData, relation_list, threshold: float):
@@ -665,13 +689,8 @@ def eval_relations_votes(instances, entity_vocab, side: SideData, relation_list,
         if s is not None and o is not None:
             rel_map[(s, o)] = set(rels)
     index = {r: i for i, r in enumerate(relation_list)}
-    preds, golds = [], []
-    for inst in instances:
-        rels = vote_relations(inst.pairs, rel_map, threshold)
-        preds.append({index[r] for r in rels if r in index})
-        golds.append(inst.golds)
-    result = micro_prf(preds, golds)
-    return {"metrics": result.as_dict(), "n_instances": len(instances)}
+    preds = [{index[r] for r in vote_relations(inst.pairs, rel_map, threshold) if r in index} for inst in instances]
+    return _report(micro_prf(preds, [i.golds for i in instances]).as_dict(), instances)
 
 
 # -- linking -------------------------------------------------------------------
@@ -681,81 +700,73 @@ def _link_entries(head: LinkingHead, side: SideData, refs, token_vocab, tokenize
     return [head.tokenize_entry(side.kb.get(ref, KbEntry()), token_vocab, tokenizer) for ref in refs]
 
 
+def _linking_spec(model, head, packs, instances, entries) -> TaskSpec:
+    """entries(candidate_refs) gives the (C, 3d) entry matrix of a candidate list."""
+    seqs = {p: linking_sequence(packs[p]) for p in {inst.pack for inst in instances}}
+
+    def logits(inst, h, at):
+        pos = at + cell_position(seqs[inst.pack], inst.row, inst.col)
+        proj = head.project(nm.gather_rows(h, np.array([pos])))
+        return nm.matmul(proj, nm.transpose(entries(inst.candidate_refs), (1, 0)))
+
+    def loss(inst, logits):
+        return nm.cross_entropy_sum(logits, np.array([inst.candidate_refs.index(inst.gold_ref)]))
+
+    return TaskSpec(model, lambda inst: (inst.pack, seqs[inst.pack]), logits, loss)
+
+
 def train_linking(model, head, packs, instances, side, token_vocab, tokenizer, settings: FinetuneSettings):
-    link_seqs = {}
+    def entries(refs):
+        return head.entry_matrix(model, _link_entries(head, side, refs, token_vocab, tokenizer))
 
-    def loss_fn(inst: LinkInstance):
-        if inst.pack not in link_seqs:
-            link_seqs[inst.pack] = linking_sequence(packs[inst.pack])
-        seq = link_seqs[inst.pack]
-        pos = cell_position(seq, inst.row, inst.col)
-        gold_idx = inst.candidate_refs.index(inst.gold_ref)
-        enc = encode(seq, model, use_visibility=settings.use_visibility)
-        proj = head.project(nm.gather_rows(enc.h, np.array([pos])))
-        entries = _link_entries(head, side, inst.candidate_refs, token_vocab, tokenizer)
-        logits = nm.matmul(proj, nm.transpose(head.entry_matrix(model, entries), (1, 0)))
-        return nm.cross_entropy_sum(logits, np.array([gold_idx]))
-
-    return finetune(instances, loss_fn, model.params() + head.params(), settings)
+    spec = _linking_spec(model, head, packs, instances, entries)
+    return finetune(instances, spec, model.params() + head.params(), settings)
 
 
 def eval_linking(
-    model,
-    head,
-    packs,
-    instances,
-    side,
-    token_vocab,
-    tokenizer,
-    use_visibility=True,
-    reweight=False,
-    alpha=0.8,
-    use_description=True,
+    model, head, packs, instances, side, token_vocab, tokenizer,
+    use_visibility=True, reweight=False, alpha=0.8, use_description=True,
 ):
     """Pick one candidate per mention; None when the lookup gives nothing.
 
     With reweight=True the model's top choice must beat the lookup's first
     candidate by the margin alpha: alpha * p_model > p_lookup, else the lookup
-    candidate wins.
+    candidate wins. Each distinct candidate list gets one entry matrix.
     """
-    link_seqs = {}
-    preds, golds = [], []
-    for inst in instances:
-        golds.append(inst.gold_ref)
-        if not inst.candidate_refs:
-            preds.append(None)
-            continue
-        if inst.pack not in link_seqs:
-            link_seqs[inst.pack] = linking_sequence(packs[inst.pack])
-        seq = link_seqs[inst.pack]
-        pos = cell_position(seq, inst.row, inst.col)
-        enc = encode(seq, model, use_visibility=use_visibility)
-        proj = head.project(nm.gather_rows(enc.h, np.array([pos])))
-        entries = _link_entries(head, side, inst.candidate_refs, token_vocab, tokenizer)
-        logits = nm.matmul(
-            proj, nm.transpose(head.entry_matrix(model, entries, use_description=use_description), (1, 0))
-        ).data[0]
+    scored = [inst for inst in instances if inst.candidate_refs]
+    mats = {
+        refs: head.entry_matrix(model, _link_entries(head, side, refs, token_vocab, tokenizer), use_description)
+        for refs in {tuple(inst.candidate_refs) for inst in scored}
+    }
+    spec = _linking_spec(model, head, packs, scored, lambda refs: mats[tuple(refs)])
+    choices = {}
+    for inst, logits in zip(scored, forward(scored, spec, use_visibility)):
         z = logits - logits.max()
         probs = np.exp(z) / np.exp(z).sum()
-        model_top = int(np.argmax(probs))
-        choice = model_top
-        if reweight and len(inst.candidate_refs) > 1:
-            if not (alpha * probs[model_top] > probs[0]):
-                choice = 0
-        preds.append(inst.candidate_refs[choice])
-    result = linking_prf(preds, golds)
-    return {"metrics": result.as_dict(), "n_instances": len(instances)}
+        choice = int(np.argmax(probs))
+        if reweight and len(inst.candidate_refs) > 1 and not (alpha * probs[choice] > probs[0]):
+            choice = 0
+        choices[id(inst)] = inst.candidate_refs[choice]
+    preds = [choices.get(id(inst)) for inst in instances]
+    return _report(linking_prf(preds, [i.gold_ref for i in instances]).as_dict(), instances)
 
 
 def eval_linking_lookup(instances):
     """Rank-one lookup baseline: always take the first candidate."""
     preds = [inst.candidate_refs[0] if inst.candidate_refs else None for inst in instances]
-    golds = [inst.gold_ref for inst in instances]
-    result = linking_prf(preds, golds)
-    return {"metrics": result.as_dict(), "n_instances": len(instances)}
+    return _report(linking_prf(preds, [inst.gold_ref for inst in instances]).as_dict(), instances)
 
 
 # -- row population -------------------------------------------------------------
+
+
+def _row_population_spec(model, packs, instances, max_len: int) -> TaskSpec:
+    probes = {inst: row_population_sequence(packs[inst.pack], inst.seeds, max_len) for inst in instances}
+
+    def logits(inst, h, at):
+        return entity_logits(model, h, np.array([at + probes[inst][1]]), inst.candidates)
+
+    return TaskSpec(model, _probe_read(probes), logits)
 
 
 def train_row_population(model, packs, instances, settings: FinetuneSettings, max_len: int):
@@ -771,11 +782,7 @@ def train_row_population(model, packs, instances, settings: FinetuneSettings, ma
     instance. The offset is the same for every candidate, so it never changes
     a ranking and evaluation does without it.
     """
-
-    def logits(inst: RowPopInstance) -> nm.Tensor:
-        seq, pos = row_population_sequence(packs[inst.pack], inst.seeds, max_len)
-        enc = encode(seq, model, use_visibility=settings.use_visibility)
-        return entity_logits(model, enc.h, np.array([pos]), inst.candidates)
+    spec = _row_population_spec(model, packs, instances, max_len)
 
     def labels(inst: RowPopInstance) -> np.ndarray:
         return np.isin(inst.candidates, sorted(inst.golds)).astype(model.dtype)[None, :]
@@ -783,13 +790,10 @@ def train_row_population(model, packs, instances, settings: FinetuneSettings, ma
     start = 0.0
     if instances:
         rate = np.clip(np.concatenate([labels(inst).ravel() for inst in instances]).mean(), 1e-6, 1.0 - 1e-6)
-        start = np.log(rate / (1.0 - rate)) - np.concatenate([logits(inst).data.ravel() for inst in instances]).mean()
+        start = np.log(rate / (1.0 - rate)) - np.concatenate(forward(instances, spec, settings.use_visibility)).mean()
     offset = nm.Tensor(np.array([start], dtype=model.dtype), requires_grad=True, name="rowpop_offset")
-
-    def loss_fn(inst: RowPopInstance):
-        return nm.bce_with_logits_sum(nm.add(logits(inst), offset), labels(inst))
-
-    return finetune(instances, loss_fn, model.params() + [offset], settings)
+    spec.loss = lambda inst, logits: nm.bce_with_logits_sum(nm.add(logits, offset), labels(inst))
+    return finetune(instances, spec, model.params() + [offset], settings)
 
 
 def _ranked(candidates: np.ndarray, scores: np.ndarray) -> list[int]:
@@ -798,46 +802,42 @@ def _ranked(candidates: np.ndarray, scores: np.ndarray) -> list[int]:
 
 
 def eval_row_population(model, packs, instances, max_len: int, use_visibility=True):
-    rankings, golds, cand_sets = [], [], []
-    for inst in instances:
-        seq, pos = row_population_sequence(packs[inst.pack], inst.seeds, max_len)
-        enc = encode(seq, model, use_visibility=use_visibility)
-        scores = entity_logits(model, enc.h, np.array([pos]), inst.candidates).data[0]
-        rankings.append(_ranked(inst.candidates, scores))
-        golds.append(inst.golds)
-        cand_sets.append(set(int(c) for c in inst.candidates))
-    return {
-        "metrics": {
-            "map": mean_average_precision(rankings, golds),
-            "candidate_recall": candidate_recall(cand_sets, golds),
-        },
-        "n_instances": len(instances),
-    }
+    scores = forward(instances, _row_population_spec(model, packs, instances, max_len), use_visibility)
+    golds = [inst.golds for inst in instances]
+    rankings = [_ranked(inst.candidates, s) for inst, s in zip(instances, scores)]
+    cand_sets = [set(int(c) for c in inst.candidates) for inst in instances]
+    return _report(
+        {"map": mean_average_precision(rankings, golds), "candidate_recall": candidate_recall(cand_sets, golds)},
+        instances,
+    )
 
 
 # -- cell filling ----------------------------------------------------------------
 
 
+def _fill_probe(pack: TablePack, inst: FillInstance) -> tuple[Sequence, int]:
+    seq = pack.seq.clone()
+    pos = cell_position(seq, inst.row, inst.col)
+    mask_cell(seq, pos, mask_entity=True, mask_mention=True)
+    return seq, pos
+
+
+def _p_at_1_and_map(rankings, golds) -> dict:
+    p1 = sum(precision_at_k(r, g, 1) for r, g in zip(rankings, golds)) / max(1, len(rankings))
+    return {"p_at_1": p1, "map": mean_average_precision(rankings, golds)}
+
+
 def eval_cell_filling(model, packs, instances, use_visibility=True):
     """No fine-tuning: the pre-trained masked-cell scorer ranks candidates."""
-    rankings, golds = [], []
-    for inst in instances:
-        seq = packs[inst.pack].seq.clone()
-        pos = cell_position(seq, inst.row, inst.col)
-        mask_cell(seq, pos, mask_entity=True, mask_mention=True)
-        cands = np.array(sorted(set(inst.candidates)), dtype=np.int64)
-        enc = encode(seq, model, use_visibility=use_visibility)
-        scores = entity_logits(model, enc.h, np.array([pos]), cands).data[0]
-        rankings.append(_ranked(cands, scores))
-        golds.append({inst.gold})
-    p1 = sum(precision_at_k(r, g, 1) for r, g in zip(rankings, golds)) / max(1, len(rankings))
-    return {
-        "metrics": {
-            "p_at_1": p1,
-            "map": mean_average_precision(rankings, golds),
-        },
-        "n_instances": len(instances),
-    }
+    probes = {inst: _fill_probe(packs[inst.pack], inst) for inst in instances}
+    cands = {inst: np.array(sorted(set(inst.candidates)), dtype=np.int64) for inst in instances}
+
+    def logits(inst, h, at):
+        return entity_logits(model, h, np.array([at + probes[inst][1]]), cands[inst])
+
+    scores = forward(instances, TaskSpec(model, _probe_read(probes), logits), use_visibility)
+    rankings = [_ranked(cands[inst], s) for inst, s in zip(instances, scores)]
+    return _report(_p_at_1_and_map(rankings, [{inst.gold} for inst in instances]), instances)
 
 
 def eval_cell_filling_baseline(index: CorpusIndex, packs, instances, mode: str):
@@ -850,59 +850,48 @@ def eval_cell_filling_baseline(index: CorpusIndex, packs, instances, mode: str):
         ranked = index.rank_fill(cands, header, mode)
         rankings.append([e for e, _ in ranked])
         golds.append({inst.gold})
-    p1 = sum(precision_at_k(r, g, 1) for r, g in zip(rankings, golds)) / max(1, len(rankings))
-    return {
-        "metrics": {"p_at_1": p1, "map": mean_average_precision(rankings, golds)},
-        "n_instances": len(instances),
-    }
+    return _report(_p_at_1_and_map(rankings, golds), instances)
 
 
 # -- schema augmentation ---------------------------------------------------------
-
-
-def train_schema(model, head, packs, instances, header_list, token_vocab, settings: FinetuneSettings, max_len: int):
-    header_ids = {h: _header_token_ids(h, token_vocab) for h in header_list}
-    index = {h: i for i, h in enumerate(header_list)}
-
-    def loss_fn(inst: SchemaInstance):
-        seq, pos = schema_sequence(packs[inst.pack], inst.seeds, header_ids, max_len)
-        enc = encode(seq, model, use_visibility=settings.use_visibility)
-        logits = head.logits(nm.gather_rows(enc.h, np.array([pos])))
-        return nm.bce_with_logits_sum(logits, _multi_hot({index[g] for g in inst.golds}, len(header_list), model.dtype))
-
-    return finetune(instances, loss_fn, model.params() + head.params(), settings)
 
 
 def _header_token_ids(header: str, token_vocab: Vocab) -> np.ndarray:
     return np.array([token_vocab.id_or_unk(t) for t in header.split()], dtype=np.int64)
 
 
-def eval_schema(model, head, packs, instances, header_list, token_vocab, max_len: int, use_visibility=True):
+def _schema_spec(model, head, packs, instances, header_list, token_vocab, max_len: int) -> TaskSpec:
     header_ids = {h: _header_token_ids(h, token_vocab) for h in header_list}
-    rankings, golds = [], []
-    for inst in instances:
-        seq, pos = schema_sequence(packs[inst.pack], inst.seeds, header_ids, max_len)
-        enc = encode(seq, model, use_visibility=use_visibility)
-        scores = head.logits(nm.gather_rows(enc.h, np.array([pos]))).data[0]
+    index = {h: i for i, h in enumerate(header_list)}
+    probes = {inst: schema_sequence(packs[inst.pack], inst.seeds, header_ids, max_len) for inst in instances}
+
+    def logits(inst, h, at):
+        return head.logits(nm.gather_rows(h, np.array([at + probes[inst][1]])))
+
+    def loss(inst, logits):
+        return nm.bce_with_logits_sum(logits, _multi_hot({index[g] for g in inst.golds}, logits))
+
+    return TaskSpec(model, _probe_read(probes), logits, loss)
+
+
+def train_schema(model, head, packs, instances, header_list, token_vocab, settings: FinetuneSettings, max_len: int):
+    spec = _schema_spec(model, head, packs, instances, header_list, token_vocab, max_len)
+    return finetune(instances, spec, model.params() + head.params(), settings)
+
+
+def eval_schema(model, head, packs, instances, header_list, token_vocab, max_len: int, use_visibility=True):
+    spec = _schema_spec(model, head, packs, instances, header_list, token_vocab, max_len)
+    rankings = []
+    for inst, scores in zip(instances, forward(instances, spec, use_visibility)):
         keep = [i for i, h in enumerate(header_list) if h not in inst.seeds]
         order = sorted(keep, key=lambda i: (-scores[i], header_list[i]))
         rankings.append([header_list[i] for i in order])
-        golds.append(inst.golds)
-    return {
-        "metrics": {"map": mean_average_precision(rankings, golds)},
-        "n_instances": len(instances),
-    }
+    return _report({"map": mean_average_precision(rankings, [i.golds for i in instances])}, instances)
 
 
 def eval_schema_baseline(index: CorpusIndex, packs, instances, token_vocab, k: int = 10):
-    rankings, golds = [], []
+    rankings = []
     for inst in instances:
-        pack = packs[inst.pack]
-        query = [token_vocab.strings[int(i)] for i in pack.indexed.caption_ids]
-        ranked = index.suggest_headers(query, inst.seeds, k=k)
-        rankings.append([h for h, _ in ranked])
-        golds.append(inst.golds)
-    return {
-        "metrics": {"map": mean_average_precision(rankings, golds)},
-        "n_instances": len(instances),
-    }
+        query = [token_vocab.strings[int(i)] for i in packs[inst.pack].indexed.caption_ids]
+        rankings.append([h for h, _ in index.suggest_headers(query, inst.seeds, k=k)])
+    return _report({"map": mean_average_precision(rankings, [i.golds for i in instances])}, instances)

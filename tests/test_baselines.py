@@ -2,15 +2,14 @@
 force oracles on hand-built toy tables."""
 
 import math
-import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from tabrep.baselines import INDEX_VERSION, Bm25Index, CorpusIndex, vote_relations
+from tabrep.baselines import Bm25Index, CorpusIndex, vote_relations
 from tabrep.corpus import IndexedCell, IndexedTable
-from tabrep.errors import ConfigError, VersionMismatch
+from tabrep.errors import ConfigError
 
 # -- oracles, written before the assertions that use them -------------------------
 
@@ -212,38 +211,6 @@ def test_suggest_headers_zero_seed_overlap(toy_index):
 def test_suggest_headers_empty_query(toy_index):
     idx, _ = toy_index
     assert idx.suggest_headers([], seeds=[], k=3) == []
-
-
-# -- persistence ------------------------------------------------------------------
-
-
-def test_index_pickle_round_trip(tmp_path, toy_index):
-    idx, _ = toy_index
-    p = tmp_path / "index.pkl"
-    idx.save(p)
-    again = CorpusIndex.load(p)
-    assert again.pair_counts == idx.pair_counts
-    assert again.cooccur == idx.cooccur
-    assert again.table_ids == idx.table_ids
-    assert again.retrieve_tables(["alpha"], 3) == idx.retrieve_tables(["alpha"], 3)
-
-
-def test_index_version_gate(tmp_path, toy_index):
-    idx, _ = toy_index
-    p = tmp_path / "index.pkl"
-    idx.save(p)
-    blob = pickle.loads(p.read_bytes())
-    blob["version"] = INDEX_VERSION + 1
-    p.write_bytes(pickle.dumps(blob))
-    with pytest.raises(VersionMismatch):
-        CorpusIndex.load(p)
-
-
-def test_index_rejects_foreign_pickle(tmp_path):
-    p = tmp_path / "junk.pkl"
-    p.write_bytes(pickle.dumps([1, 2, 3]))
-    with pytest.raises(ConfigError):
-        CorpusIndex.load(p)
 
 
 # -- relation votes -----------------------------------------------------------------

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from tabrep.cli import resolve_seed, restore_model, run
+from tabrep.cli import finetune_settings, resolve_seed, restore_model, run
 from tabrep.errors import ConfigError
 from tabrep.store import Config, load_checkpoint, save_checkpoint
 from tabrep.synth import write_corpus
@@ -75,16 +75,6 @@ def test_preprocess_visibility_dump(pipeline, tmp_path):
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 1)
     assert dump["table_id"] == some_id
-
-
-def test_preprocess_removes_stale_index(pipeline, tmp_path):
-    # an index from an earlier run holds ids of the old vocabularies
-    out = tmp_path / "data3"
-    out.mkdir()
-    (out / "index.pkl").write_bytes(b"stale")
-    assert run(["preprocess", "--corpus", str(pipeline["corpus"] / "raw.jsonl"), "--out", str(out),
-                "--config", str(pipeline["cfg"])]) == 0
-    assert not (out / "index.pkl").exists()
 
 
 def test_pretrain_outputs(pipeline):
@@ -187,6 +177,13 @@ def test_usage_errors_exit_two():
 def test_missing_data_dir_raises_cleanly(tmp_path):
     with pytest.raises((OSError, ConfigError)):
         run(["pretrain", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "o")])
+
+
+def test_finetune_settings_come_from_the_config():
+    cfg = Config(seed=4, finetune_lr0=2e-3, finetune_epochs=3, sa_epochs=7, batch_size=5, use_visibility=False)
+    s = finetune_settings(cfg, "coltype")
+    assert (s.lr0, s.epochs, s.batch_size, s.seed, s.use_visibility) == (2e-3, 3, 5, 4, False)
+    assert finetune_settings(cfg, "schema").epochs == 7  # schema augmentation has its own epoch count
 
 
 def test_seed_precedence(monkeypatch):

@@ -1,5 +1,6 @@
 """Corpus pipeline: tokenization, cleaning, filters, splits, vocabularies."""
 
+import json
 import os
 import tempfile
 
@@ -277,9 +278,48 @@ def test_processed_json_round_trip():
     assert back.cells[0].mention_tokens == pt.cells[0].mention_tokens
 
 
-def test_load_raw_tables_skips_bad_records(tmp_path):
-    import json
+_KEYS = st.sampled_from(["cells", "row", "col", "entity", "topic", "headers"]) | st.text(max_size=2)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=True) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=12,
+)
 
+
+def _with_one_field_replaced(data, value):
+    """A valid processed record with one field, of the table, a cell or the
+    topic, replaced by an arbitrary JSON value."""
+    rec = C.processed_to_json(_table_with_links(3, 2))
+    rec["topic"] = {"entity": "t", "mention_tokens": ["t"]}
+    owner = data.draw(st.sampled_from([rec, rec["cells"][0], rec["topic"]]))
+    owner[data.draw(st.sampled_from(sorted(owner)))] = value
+    return rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _JSON, st.booleans())
+def test_processed_from_json_gives_a_table_or_a_typed_error(data, value, inside_a_record):
+    obj = _with_one_field_replaced(data, value) if inside_a_record else value
+    try:
+        pt = C.processed_from_json(obj)
+    except TabrepError:
+        return
+    assert isinstance(pt, C.ProcessedTable)
+    assert all(0 <= c.row < pt.n_rows and 0 <= c.col < pt.n_cols for c in pt.cells)
+
+
+def test_load_processed_names_the_file_and_line(tmp_path):
+    path = tmp_path / "train.jsonl"
+    good = json.dumps(C.processed_to_json(_table_with_links(3, 1)))
+    for bad in ("{}", "[]", "3"):
+        path.write_text(good + "\n\n" + bad + "\n")
+        with pytest.raises(ConfigError, match="train.jsonl: line 3"):
+            C.load_processed(path)
+    path.write_text(good + "\n")
+    assert [t.table_id for t in C.load_processed(path)] == ["gen3x1"]
+
+
+def test_load_raw_tables_skips_bad_records(tmp_path):
     path = tmp_path / "raw.jsonl"
     good = {
         "table_id": "ok",

@@ -15,8 +15,9 @@ from tabrep.corpus import (
     process_table,
 )
 from tabrep.encoder import EncoderConfig, encode, init_model
-from tabrep.encoding import CELL, HEADER, linearize
+from tabrep.encoding import CELL, HEADER, linearize, mask_cell
 from tabrep.errors import ConfigError, EmptyColumn, NonFiniteLoss
+from tabrep.metrics import candidate_recall, linking_prf, mean_average_precision, micro_prf, precision_at_k
 from tabrep.pretrain import entity_logits
 from tabrep.tasks import (
     ColumnTypeHead,
@@ -35,10 +36,14 @@ from tabrep.tasks import (
     build_schema_data,
     cell_position,
     column_repr,
+    eval_cell_filling,
     eval_column_types,
     eval_linking,
     eval_linking_lookup,
+    eval_relations,
     eval_relations_votes,
+    eval_row_population,
+    eval_schema,
     header_vocabulary,
     linking_sequence,
     load_side_data,
@@ -47,7 +52,9 @@ from tabrep.tasks import (
     schema_sequence,
     train_column_types,
     train_linking,
+    train_relations,
     train_row_population,
+    train_schema,
 )
 
 from conftest import make_indexed_table
@@ -484,3 +491,200 @@ def test_finetune_stops_on_a_non_finite_loss(corpus, tiny_model):
     with pytest.raises(NonFiniteLoss, match="step 0"):
         train_column_types(model, head, packs, inst, settings, len(types))
     assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before))
+
+
+# -- the task engine against per-instance reference loops ------------------------
+#
+# The references encode each instance's sequence on its own with `encode`, as
+# the task loops did before they shared one packed engine.
+
+
+@pytest.fixture(scope="module")
+def synth_tasks():
+    """A 16-table synthetic corpus with side data and every task's instances."""
+    from tabrep import synth
+    from tabrep.corpus import parse_raw, pretrain_ok
+
+    raws, world = synth.make_corpus(5, 16, "tasks")
+    processed = [p for p in (process_table(parse_raw(r)) for r in raws) if pretrain_ok(p)]
+    tv, ev = build_vocabs(processed, min_token_count=1, min_entity_count=1)
+    packs = pack_tables(processed, tv, ev, max_len=96)
+    index = CorpusIndex.build([p.indexed for p in packs], tv.strings)
+    side = SideData(types=world.entity_types())
+    for rec in world.relations():
+        side.relations.setdefault((rec["subject"], rec["object"]), set()).update(rec["relations"])
+    for rec in world.kb_entries():
+        side.kb[rec["entity"]] = KbEntry(name=rec["name"], description=rec["description"], types=rec["types"])
+    for rec in world.candidate_lookup(np.random.default_rng(7)):
+        side.candidates[rec["mention"]] = rec["candidates"]
+    cfg = EncoderConfig(n_blocks=2, d_model=8, n_heads=2, d_intermediate=16, max_len=96,
+                        n_tokens=len(tv), n_entities=len(ev))
+    model = init_model(cfg, np.random.default_rng(9))
+    for p in model.params():  # larger weights, so that scores are not all near zero
+        p.data *= 10.0
+    ct, types = build_column_type_data(packs, ev, side)
+    re_, rels = build_relation_data(packs, ev, side)
+    headers = header_vocabulary(packs, min_tables=2)
+    data = {
+        "coltype": ct, "relations": re_,
+        "linking": build_linking_data(packs, side, require_gold=True),
+        "linking_eval": build_linking_data(packs, side, require_gold=False),
+        "rowpop": build_row_population_data(packs, index, tv, n_seeds=1, retrieval_k=8),
+        "schema": build_schema_data(packs, headers, n_seeds=1),
+        "fill": build_fill_data(packs, index),
+    }
+    assert all(len(v) > 8 for v in data.values())
+    heads = {
+        "coltype": ColumnTypeHead(8, len(types), np.random.default_rng(11)),
+        "relations": RelationHead(8, len(rels), np.random.default_rng(12)),
+        "linking": LinkingHead(8, sorted({t for e in side.kb.values() for t in e.types}), np.random.default_rng(14)),
+        "schema": SchemaHead(8, len(headers), np.random.default_rng(13)),
+    }
+    for h in heads.values():
+        for p in h.params():
+            p.data *= 10.0
+    return dict(packs=packs, tv=tv, side=side, model=model, heads=heads, headers=headers,
+                n_types=len(types), n_rels=len(rels), **data)
+
+
+def _hot(golds, n):
+    y = np.zeros((1, n), dtype=np.float32)
+    y[0, sorted(golds)] = 1.0
+    return y
+
+
+def _reference_logits(task, inst, s, model=None, use_description=True):
+    """One instance's logits from its own `encode` call."""
+    model = model or s["model"]
+    pack, head, dt = s["packs"][inst.pack], s["heads"].get(task), model.dtype
+    if task in ("coltype", "relations"):
+        h = encode(pack.seq, model).h
+        cols = [inst.col] if task == "coltype" else [inst.subj_col, inst.obj_col]
+        return head.logits(*[column_repr(h, pack.seq, c, dt) for c in cols])
+    if task == "linking":
+        seq = linking_sequence(pack)
+        proj = head.project(nm.gather_rows(encode(seq, model).h, np.array([cell_position(seq, inst.row, inst.col)])))
+        entries = [head.tokenize_entry(s["side"].kb.get(r, KbEntry()), s["tv"], TOKENIZER) for r in inst.candidate_refs]
+        return nm.matmul(proj, nm.transpose(head.entry_matrix(model, entries, use_description), (1, 0)))
+    if task == "rowpop":
+        seq, pos = row_population_sequence(pack, inst.seeds, 96)
+        return entity_logits(model, encode(seq, model).h, np.array([pos]), inst.candidates)
+    if task == "schema":
+        ids = {h: np.array([s["tv"].id_or_unk(t) for t in h.split()], dtype=np.int64) for h in s["headers"]}
+        seq, pos = schema_sequence(pack, inst.seeds, ids, 96)
+        return head.logits(nm.gather_rows(encode(seq, model).h, np.array([pos])))
+    seq = pack.seq.clone()  # fill
+    pos = cell_position(seq, inst.row, inst.col)
+    mask_cell(seq, pos, mask_entity=True, mask_mention=True)
+    cands = np.array(sorted(set(inst.candidates)), dtype=np.int64)
+    return entity_logits(model, encode(seq, model).h, np.array([pos]), cands)
+
+
+def test_train_epoch_losses_equal_a_per_instance_reference(synth_tasks):
+    s = synth_tasks
+    settings = FinetuneSettings(lr0=0.0, epochs=2, batch_size=5, seed=2)  # lr0=0: no step moves a weight
+    hs = s["heads"]
+
+    def bce(task, n):
+        return [float(nm.bce_with_logits_sum(_reference_logits(task, i, s), _hot(i.golds, n)).data) for i in s[task]]
+
+    index = {h: k for k, h in enumerate(s["headers"])}
+    expect = {
+        "coltype": bce("coltype", s["n_types"]),
+        "relations": bce("relations", s["n_rels"]),
+        "linking": [
+            float(nm.cross_entropy_sum(_reference_logits("linking", i, s), [i.candidate_refs.index(i.gold_ref)]).data)
+            for i in s["linking"]
+        ],
+        "schema": [
+            float(nm.bce_with_logits_sum(
+                _reference_logits("schema", i, s), _hot({index[g] for g in i.golds}, len(index))).data)
+            for i in s["schema"]
+        ],
+    }
+    logits = [_reference_logits("rowpop", i, s).data for i in s["rowpop"]]
+    labels = [np.isin(i.candidates, sorted(i.golds)).astype(np.float32)[None, :] for i in s["rowpop"]]
+    rate = np.concatenate([y.ravel() for y in labels]).mean()
+    offset = np.float32(np.log(rate / (1 - rate)) - np.concatenate([z.ravel() for z in logits]).mean())
+    expect["rowpop"] = [float(nm.bce_with_logits_sum(nm.Tensor(z + offset), y).data) for z, y in zip(logits, labels)]
+
+    m, p = s["model"], s["packs"]
+    got = {
+        "coltype": train_column_types(m, hs["coltype"], p, s["coltype"], settings, s["n_types"]),
+        "relations": train_relations(m, hs["relations"], p, s["relations"], settings, s["n_rels"]),
+        "linking": train_linking(m, hs["linking"], p, s["linking"], s["side"], s["tv"], TOKENIZER, settings),
+        "rowpop": train_row_population(m, p, s["rowpop"], settings, 96),
+        "schema": train_schema(m, hs["schema"], p, s["schema"], s["headers"], s["tv"], settings, 96),
+    }
+    for task, losses in got.items():
+        assert len(losses) == 2
+        np.testing.assert_allclose(losses, np.mean(expect[task]), rtol=1e-6, err_msg=task)
+
+
+def _reference_metrics(task, s, reweight=False):
+    insts = s[task if task != "linking" else "linking_eval"]
+    scores = [_reference_logits(task, i, s).data[0] for i in insts]
+    if task in ("coltype", "relations"):
+        preds = [{int(k) for k in np.flatnonzero(z > 0.0)} for z in scores]
+        return micro_prf(preds, [i.golds for i in insts]).as_dict()
+    if task == "linking":
+        preds = []
+        for i, z in zip(insts, scores):
+            probs = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+            choice = int(np.argmax(probs))
+            if reweight and len(i.candidate_refs) > 1 and not (0.8 * probs[choice] > probs[0]):
+                choice = 0
+            preds.append(i.candidate_refs[choice])
+        return linking_prf(preds, [i.gold_ref for i in insts]).as_dict()
+    if task == "schema":
+        rankings = [sorted((h for h in s["headers"] if h not in i.seeds), key=lambda h: (-z[s["headers"].index(h)], h))
+                    for i, z in zip(insts, scores)]
+        return {"map": mean_average_precision(rankings, [i.golds for i in insts])}
+    if task == "rowpop":
+        golds = [i.golds for i in insts]
+        return {"map": mean_average_precision([_ranked(i.candidates, z) for i, z in zip(insts, scores)], golds),
+                "candidate_recall": candidate_recall([set(int(c) for c in i.candidates) for i in insts], golds)}
+    rankings = [_ranked(np.array(sorted(set(i.candidates))), z) for i, z in zip(insts, scores)]
+    golds = [{i.gold} for i in insts]
+    return {"p_at_1": sum(precision_at_k(r, g, 1) for r, g in zip(rankings, golds)) / len(rankings),
+            "map": mean_average_precision(rankings, golds)}
+
+
+def test_eval_metrics_equal_a_per_instance_reference_bitwise(synth_tasks):
+    s = synth_tasks
+    m, p, hs = s["model"], s["packs"], s["heads"]
+    link = dict(side=s["side"], token_vocab=s["tv"], tokenizer=TOKENIZER)
+    got = {
+        "coltype": eval_column_types(m, hs["coltype"], p, s["coltype"]),
+        "relations": eval_relations(m, hs["relations"], p, s["relations"]),
+        "linking": eval_linking(m, hs["linking"], p, s["linking_eval"], **link),
+        "rowpop": eval_row_population(m, p, s["rowpop"], 96),
+        "fill": eval_cell_filling(m, p, s["fill"]),
+        "schema": eval_schema(m, hs["schema"], p, s["schema"], s["headers"], s["tv"], 96),
+    }
+    for task, report in got.items():
+        assert report["metrics"] == _reference_metrics(task, s), task
+        assert report["n_instances"] == len(s[task if task != "linking" else "linking_eval"])
+    reweighted = eval_linking(m, hs["linking"], p, s["linking_eval"], reweight=True, **link)
+    assert reweighted["metrics"] == _reference_metrics("linking", s, reweight=True)
+    assert reweighted["metrics"] != got["linking"]["metrics"]  # the margin changed some choices
+
+
+def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
+    import tabrep.tasks as T
+
+    s = synth_tasks
+    encoded = []
+    real = T.encode_batch
+
+    def counting(seqs, *args, **kwargs):
+        encoded.extend(seq.table_id for seq in seqs)
+        assert len(seqs) <= T.FORWARD_PACK
+        return real(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(T, "encode_batch", counting)
+    link = dict(side=s["side"], token_vocab=s["tv"], tokenizer=TOKENIZER)
+    eval_linking(s["model"], s["heads"]["linking"], s["packs"], s["linking_eval"], **link)
+    tables = {i.pack for i in s["linking_eval"]}
+    assert len(s["linking_eval"]) > 2 * len(tables)
+    assert sorted(encoded) == sorted(s["packs"][k].seq.table_id for k in tables)
