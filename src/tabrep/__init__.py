@@ -6,7 +6,6 @@ from .errors import (
     ConfigError,
     CorruptCheckpoint,
     EmptyColumn,
-    NoCandidates,
     NonFiniteLoss,
     ShapeMismatch,
     TableTooSmall,
@@ -25,7 +24,6 @@ __all__ = [
     "ConfigError",
     "CorruptCheckpoint",
     "EmptyColumn",
-    "NoCandidates",
     "NonFiniteLoss",
     "ShapeMismatch",
     "TableTooSmall",

@@ -72,7 +72,6 @@ class CorpusIndex:
     """Training-corpus statistics backing the baselines and candidate sets."""
 
     def __init__(self) -> None:
-        self.table_ids: list[str] = []
         self.schemas: list[list[str]] = []
         self.subject_entities: list[list[int]] = []
         self.cooccur: dict[int, set[int]] = {}
@@ -90,7 +89,6 @@ class CorpusIndex:
     def build(cls, tables: list[IndexedTable], token_strings: list[str]) -> "CorpusIndex":
         """token_strings maps token ids back to text for the lexical indexes."""
         idx = cls()
-        idx.table_ids = [t.table_id for t in tables]
         idx.schemas = [list(t.headers_norm) for t in tables]
 
         def words(ids: np.ndarray) -> list[str]:

@@ -9,8 +9,8 @@ Subcommands:
     ablate      grid over visibility and cell-mask ratio -> recovery log
 
 Exit codes: 0 success, 1 runtime failure (bad files, bad config), 2 usage.
-The run seed resolves as --seed, then the TABREP_SEED environment variable,
-then the config file.
+A run's config is the checkpoint's (finetune, evaluate) or the defaults, then
+--config, the seed (--seed, then TABREP_SEED), --epochs and --seeds.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .baselines import CorpusIndex
 from .corpus import (
     ENTITY_RESERVED,
     TOKEN_RESERVED,
+    IndexedTable,
     Vocab,
     WordTokenizer,
     build_vocabs,
@@ -36,7 +37,7 @@ from .corpus import (
     partition,
     save_processed,
 )
-from .encoder import EncoderConfig, Model, encode, init_model
+from .encoder import EncoderConfig, Model, init_model
 from .encoding import build_visibility, linearize
 from .errors import ConfigError, TabrepError
 from .pretrain import TrainSettings, fit, masked_recovery_accuracy
@@ -62,12 +63,26 @@ def resolve_seed(cli_seed, cfg: Config) -> int:
     return cfg.seed
 
 
-def _config_from_args(args) -> Config:
-    cfg = Config()
+# config keys that shape a checkpoint's tensors; a restored run may not change them
+ENCODER_SHAPE = ("n_blocks", "d_model", "n_heads", "d_intermediate", "max_len")
+
+
+def _config_from_args(args, base: Config | None = None) -> Config:
+    """The run's config: base (a checkpoint's config) or the defaults, then
+    --config, the seed, --epochs and --seeds, validated once."""
+    cfg = dataclasses.replace(base) if base is not None else Config()
     if getattr(args, "config", None):
         cfg = load_config(args.config, cfg)
     cfg.seed = resolve_seed(getattr(args, "seed", None), cfg)
+    if getattr(args, "epochs", None) is not None:
+        cfg.pretrain_epochs = args.epochs
+    if getattr(args, "seeds", None) is not None:
+        cfg.seed_cells = args.seeds
     cfg.validate()
+    if base is not None:
+        changed = [k for k in ENCODER_SHAPE if getattr(cfg, k) != getattr(base, k)]
+        if changed:
+            raise ConfigError(f"--config changes the checkpoint's encoder shape ({', '.join(changed)})")
     return cfg
 
 
@@ -120,10 +135,16 @@ def _load_split(data_dir: str, name: str):
     return load_processed(path)
 
 
-def _corpus_index(data_dir: str, token_vocab: Vocab, entity_vocab: Vocab) -> CorpusIndex:
-    """Build the train-split co-occurrence index in memory."""
-    train = [index_table(t, token_vocab, entity_vocab) for t in _load_split(data_dir, "train")]
-    return CorpusIndex.build(train, token_vocab.strings)
+def _indexed_split(data_dir: str, name: str, token_vocab: Vocab, entity_vocab: Vocab) -> list[IndexedTable]:
+    return [index_table(t, token_vocab, entity_vocab) for t in _load_split(data_dir, name)]
+
+
+def _pretrain_inputs(data_dir: str, cfg: Config):
+    """(train tables, valid tables, train-split index, encoder config) for pre-training."""
+    token_vocab, entity_vocab = _load_vocabs(data_dir)
+    train, valid = (_indexed_split(data_dir, name, token_vocab, entity_vocab) for name in ("train", "valid"))
+    index = CorpusIndex.build(train, token_vocab.strings)
+    return train, valid, index, encoder_config(cfg, len(token_vocab), len(entity_vocab))
 
 
 def restore_model(path: str) -> tuple[Model, Config, dict, dict]:
@@ -184,7 +205,7 @@ def cmd_preprocess(args) -> int:
     cfg = _config_from_args(args)
     tables, skipped = load_raw_tables(args.corpus)
     _info(f"parsed {len(tables)} tables, skipped {len(skipped)}")
-    splits = partition(tables, cfg.seed)
+    splits = partition(tables, cfg.seed, cfg.max_cols)
     os.makedirs(args.out, exist_ok=True)
     token_vocab, entity_vocab = build_vocabs(
         splits["train"], min_token_count=cfg.min_token_count, min_entity_count=cfg.min_entity_count
@@ -240,13 +261,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _config_from_args(args)
-    if args.epochs is not None:
-        cfg.pretrain_epochs = args.epochs
-    token_vocab, entity_vocab = _load_vocabs(args.data)
-    train = [index_table(t, token_vocab, entity_vocab) for t in _load_split(args.data, "train")]
-    valid = [index_table(t, token_vocab, entity_vocab) for t in _load_split(args.data, "valid")]
-    index = CorpusIndex.build(train, token_vocab.strings)
-    _info(f"pre-training on {len(train)} tables ({len(token_vocab)} tokens, {len(entity_vocab)} entities)")
+    train, valid, index, ecfg = _pretrain_inputs(args.data, cfg)
+    _info(f"pre-training on {len(train)} tables ({ecfg.n_tokens} tokens, {ecfg.n_entities} entities)")
 
     settings = train_settings(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -263,7 +279,6 @@ def cmd_pretrain(args) -> int:
             )
         return False
 
-    ecfg = encoder_config(cfg, len(token_vocab), len(entity_vocab))
     try:
         model, history = fit(
             train,
@@ -282,7 +297,7 @@ def cmd_pretrain(args) -> int:
         model.named_arrays(),
         cfg.as_text(),
         step=len(history.step_losses),
-        extra={"n_tokens": len(token_vocab), "n_entities": len(entity_vocab)},
+        extra={"n_tokens": ecfg.n_tokens, "n_entities": ecfg.n_entities},
     )
     with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(cfg.as_text())
@@ -291,69 +306,76 @@ def cmd_pretrain(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# finetune
+# finetune and evaluate
+
+BASELINES = {"linking": ("lookup",), "relations": ("votes",), "fill": ("exact", "pair"), "schema": ("caption",)}
+HEADS = {"coltype": T.ColumnTypeHead, "relations": T.RelationHead, "schema": T.SchemaHead}
 
 
-def _packs_for(split_tables, token_vocab, entity_vocab, max_len):
-    return T.pack_tables(split_tables, token_vocab, entity_vocab, max_len)
+def _task_data(args, cfg: Config, split: str, need_index: bool):
+    """(token vocab, entity vocab, side data, packs of the split, train-split index or None)."""
+    token_vocab, entity_vocab = _load_vocabs(args.data)
+    side = T.load_side_data(_side_dir(args, args.data))
+    packs = T.pack_tables(_load_split(args.data, split), token_vocab, entity_vocab, cfg.max_len)
+    index = None
+    if need_index:
+        index = CorpusIndex.build(_indexed_split(args.data, "train", token_vocab, entity_vocab), token_vocab.strings)
+    return token_vocab, entity_vocab, side, packs, index
+
+
+def _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, labels=None, training=False):
+    """(instances, labels) of a task over packs. labels=None derives the labels
+    from the packs, as fine-tuning does; evaluation passes the checkpoint's.
+    Row population and cell filling have no labels. Linking keeps only cells
+    whose gold entry is a candidate when training."""
+    if task == "coltype":
+        return T.build_column_type_data(packs, entity_vocab, side, type_list=labels)
+    if task == "relations":
+        return T.build_relation_data(packs, entity_vocab, side, relation_list=labels)
+    if task == "linking":
+        if labels is None:
+            labels = sorted({t for e in side.kb.values() for t in e.types})
+        return T.build_linking_data(packs, side, require_gold=training), labels
+    if task == "rowpop":
+        return T.build_row_population_data(packs, index, token_vocab, cfg.seed_cells, cfg.rp_retrieval_k), []
+    if task == "fill":
+        return T.build_fill_data(packs, index), []
+    if labels is None:
+        labels = T.header_vocabulary(packs, cfg.sa_min_header_tables)
+        if not labels:
+            raise ConfigError("no headers clear sa_min_header_tables; lower the threshold")
+    return T.build_schema_data(packs, labels, cfg.seed_cells), labels
+
+
+def _task_head(task: str, model: Model, labels: list[str], seed: int):
+    """The task's head over labels, sized from the model; None for a task without one."""
+    rng = np.random.default_rng(seed)
+    if task == "linking":
+        return T.LinkingHead(model.cfg.d_model, labels, rng, dtype=model.dtype)
+    if task in HEADS:
+        return HEADS[task](model.cfg.d_model, len(labels), rng, dtype=model.dtype)
+    return None
 
 
 def cmd_finetune(args) -> int:
-    model, cfg, _, extra = restore_model(args.checkpoint)
-    if args.config:
-        cfg = load_config(args.config, cfg)
-    cfg.seed = resolve_seed(args.seed, cfg)
-    if args.seeds is not None:
-        cfg.seed_cells = args.seeds
-    cfg.validate()
-
-    token_vocab, entity_vocab = _load_vocabs(args.data)
-    side = T.load_side_data(_side_dir(args, args.data))
-    train_packs = _packs_for(_load_split(args.data, "train"), token_vocab, entity_vocab, cfg.max_len)
+    model, base, _, extra = restore_model(args.checkpoint)
+    cfg = _config_from_args(args, base)
     task = args.task
+    token_vocab, entity_vocab, side, packs, index = _task_data(args, cfg, "train", task == "rowpop")
+    instances, labels = _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, training=True)
+    _info(f"{len(instances)} {task} instances, {len(labels)} labels")
+    head = _task_head(task, model, labels, cfg.seed)
     settings = finetune_settings(cfg, task)
-    rng = np.random.default_rng(cfg.seed)
-    tokenizer = WordTokenizer()
-    d = model.cfg.d_model
-
-    if task == "fill":
-        raise ConfigError("cell filling reuses the pre-trained checkpoint; nothing to fine-tune")
-
-    labels: list[str] = []
-    head = None
     if task == "coltype":
-        instances, labels = T.build_column_type_data(train_packs, entity_vocab, side)
-        head = T.ColumnTypeHead(d, len(labels), rng, dtype=model.dtype)
-        _info(f"{len(instances)} column instances, {len(labels)} types")
-        losses = T.train_column_types(model, head, train_packs, instances, settings, len(labels))
+        losses = T.train_column_types(model, head, packs, instances, settings, len(labels))
     elif task == "relations":
-        instances, labels = T.build_relation_data(train_packs, entity_vocab, side)
-        head = T.RelationHead(d, len(labels), rng, dtype=model.dtype)
-        _info(f"{len(instances)} column-pair instances, {len(labels)} relations")
-        losses = T.train_relations(model, head, train_packs, instances, settings, len(labels))
+        losses = T.train_relations(model, head, packs, instances, settings, len(labels))
     elif task == "linking":
-        labels = sorted({t for e in side.kb.values() for t in e.types})
-        instances = T.build_linking_data(train_packs, side, require_gold=True)
-        head = T.LinkingHead(d, labels, rng, dtype=model.dtype)
-        _info(f"{len(instances)} cell instances, {len(labels)} entry types")
-        losses = T.train_linking(model, head, train_packs, instances, side, token_vocab, tokenizer, settings)
+        losses = T.train_linking(model, head, packs, instances, side, token_vocab, WordTokenizer(), settings)
     elif task == "rowpop":
-        index = _corpus_index(args.data, token_vocab, entity_vocab)
-        instances = T.build_row_population_data(
-            train_packs, index, token_vocab, cfg.seed_cells, cfg.rp_retrieval_k
-        )
-        _info(f"{len(instances)} row-population instances")
-        losses = T.train_row_population(model, train_packs, instances, settings, cfg.max_len)
-    elif task == "schema":
-        labels = T.header_vocabulary(train_packs, cfg.sa_min_header_tables)
-        if not labels:
-            raise ConfigError("no headers clear sa_min_header_tables; lower the threshold")
-        instances = T.build_schema_data(train_packs, labels, cfg.seed_cells)
-        head = T.SchemaHead(d, len(labels), rng, dtype=model.dtype)
-        _info(f"{len(instances)} schema instances, {len(labels)} headers")
-        losses = T.train_schema(model, head, train_packs, instances, labels, token_vocab, settings, cfg.max_len)
+        losses = T.train_row_population(model, packs, instances, settings, cfg.max_len)
     else:
-        raise ConfigError(f"unknown task {task!r}")
+        losses = T.train_schema(model, head, packs, instances, labels, token_vocab, settings, cfg.max_len)
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.jsonl"), "w", encoding="utf-8") as fh:
@@ -379,113 +401,69 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# evaluate
-
-
-def _baseline_report(args, cfg, task, packs, token_vocab, entity_vocab, side, index) -> dict:
-    mode = args.baseline
+def _baseline_report(mode, task, cfg, packs, token_vocab, entity_vocab, side, index) -> dict:
+    if task not in BASELINES:
+        raise ConfigError(f"no baseline defined for task {task!r}")
+    if mode not in BASELINES[task]:
+        raise ConfigError(f"{task} baseline must be {' or '.join(map(repr, BASELINES[task]))}, got {mode!r}")
+    # the caption baseline ranks every header of the split, however rare
+    labels = T.header_vocabulary(packs, min_tables=1) if task == "schema" else None
+    instances, labels = _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, labels)
     if task == "linking":
-        if mode != "lookup":
-            raise ConfigError(f"linking baseline must be 'lookup', got {mode!r}")
-        instances = T.build_linking_data(packs, side, require_gold=False)
         return T.eval_linking_lookup(instances)
     if task == "relations":
-        if mode != "votes":
-            raise ConfigError(f"relations baseline must be 'votes', got {mode!r}")
-        instances, labels = T.build_relation_data(packs, entity_vocab, side)
         return T.eval_relations_votes(instances, entity_vocab, side, labels, cfg.re_vote_threshold)
     if task == "fill":
-        if mode not in ("exact", "pair"):
-            raise ConfigError(f"fill baseline must be 'exact' or 'pair', got {mode!r}")
-        instances = T.build_fill_data(packs, index)
         return T.eval_cell_filling_baseline(index, packs, instances, mode)
-    if task == "schema":
-        if mode != "caption":
-            raise ConfigError(f"schema baseline must be 'caption', got {mode!r}")
-        labels = T.header_vocabulary(packs, min_tables=1)
-        instances = T.build_schema_data(packs, labels, cfg.seed_cells)
-        return T.eval_schema_baseline(index, packs, instances, token_vocab)
-    raise ConfigError(f"no baseline defined for task {task!r}")
+    return T.eval_schema_baseline(index, packs, instances, token_vocab)
 
 
 def cmd_evaluate(args) -> int:
     task = args.task
-    needs_model = args.baseline is None
-    if needs_model and not args.checkpoint:
-        raise ConfigError("evaluate needs --checkpoint unless --baseline is given")
-
-    if needs_model:
-        model, cfg, arrays, extra = restore_model(args.checkpoint)
+    model, base, arrays, extra = None, None, {}, {}
+    if args.baseline is None:
+        if not args.checkpoint:
+            raise ConfigError("evaluate needs --checkpoint unless --baseline is given")
+        model, base, arrays, extra = restore_model(args.checkpoint)
         if task != "fill" and extra.get("task") not in (None, task):
             raise ConfigError(f"checkpoint was fine-tuned for {extra.get('task')!r}, not {task!r}")
-    else:
-        model, arrays, extra = None, {}, {}
-        cfg = Config()
-        if args.config:
-            cfg = load_config(args.config, cfg)
-    cfg.seed = resolve_seed(args.seed, cfg)
-    if args.seeds is not None:
-        cfg.seed_cells = args.seeds
-    cfg.validate()
-
-    token_vocab, entity_vocab = _load_vocabs(args.data)
-    side = T.load_side_data(_side_dir(args, args.data))
-    packs = _packs_for(_load_split(args.data, args.split), token_vocab, entity_vocab, cfg.max_len)
+    cfg = _config_from_args(args, base)
     need_index = task in ("rowpop", "fill", "schema")
-    index = _corpus_index(args.data, token_vocab, entity_vocab) if need_index else None
-    tokenizer = WordTokenizer()
-    d = cfg.d_model
-    rng = np.random.default_rng(0)
+    token_vocab, entity_vocab, side, packs, index = _task_data(args, cfg, args.split, need_index)
 
     if args.baseline is not None:
-        body = _baseline_report(args, cfg, task, packs, token_vocab, entity_vocab, side, index)
-    elif task == "coltype":
-        labels = list(extra.get("labels", []))
-        instances, _ = T.build_column_type_data(packs, entity_vocab, side, type_list=labels)
-        head = T.ColumnTypeHead(d, len(labels), rng, dtype=model.dtype)
-        _load_head(head, arrays)
-        body = T.eval_column_types(model, head, packs, instances, use_visibility=cfg.use_visibility)
-    elif task == "relations":
-        labels = list(extra.get("labels", []))
-        instances, _ = T.build_relation_data(packs, entity_vocab, side, relation_list=labels)
-        head = T.RelationHead(d, len(labels), rng, dtype=model.dtype)
-        _load_head(head, arrays)
-        body = T.eval_relations(model, head, packs, instances, use_visibility=cfg.use_visibility)
-    elif task == "linking":
-        labels = list(extra.get("labels", []))
-        instances = T.build_linking_data(packs, side, require_gold=False)
-        head = T.LinkingHead(d, labels, rng, dtype=model.dtype)
-        _load_head(head, arrays)
-        body = T.eval_linking(
-            model,
-            head,
-            packs,
-            instances,
-            side,
-            token_vocab,
-            tokenizer,
-            use_visibility=cfg.use_visibility,
-            reweight=args.reweight,
-            alpha=cfg.el_reweight_alpha,
-            use_description=not args.no_description,
-        )
-    elif task == "rowpop":
-        instances = T.build_row_population_data(packs, index, token_vocab, cfg.seed_cells, cfg.rp_retrieval_k)
-        body = T.eval_row_population(model, packs, instances, cfg.max_len, use_visibility=cfg.use_visibility)
-    elif task == "fill":
-        instances = T.build_fill_data(packs, index)
-        body = T.eval_cell_filling(model, packs, instances, use_visibility=cfg.use_visibility)
-    elif task == "schema":
-        labels = list(extra.get("labels", []))
-        instances = T.build_schema_data(packs, labels, cfg.seed_cells)
-        head = T.SchemaHead(d, len(labels), rng, dtype=model.dtype)
-        _load_head(head, arrays)
-        body = T.eval_schema(
-            model, head, packs, instances, labels, token_vocab, cfg.max_len, use_visibility=cfg.use_visibility
-        )
+        body = _baseline_report(args.baseline, task, cfg, packs, token_vocab, entity_vocab, side, index)
     else:
-        raise ConfigError(f"unknown task {task!r}")
+        labels = list(extra.get("labels", []))
+        instances, _ = _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, labels)
+        head = _task_head(task, model, labels, cfg.seed)
+        if head is not None:
+            _load_head(head, arrays)
+        vis = cfg.use_visibility
+        if task == "coltype":
+            body = T.eval_column_types(model, head, packs, instances, use_visibility=vis)
+        elif task == "relations":
+            body = T.eval_relations(model, head, packs, instances, use_visibility=vis)
+        elif task == "linking":
+            body = T.eval_linking(
+                model,
+                head,
+                packs,
+                instances,
+                side,
+                token_vocab,
+                WordTokenizer(),
+                use_visibility=vis,
+                reweight=args.reweight,
+                alpha=cfg.el_reweight_alpha,
+                use_description=not args.no_description,
+            )
+        elif task == "rowpop":
+            body = T.eval_row_population(model, packs, instances, cfg.max_len, use_visibility=vis)
+        elif task == "fill":
+            body = T.eval_cell_filling(model, packs, instances, use_visibility=vis)
+        else:
+            body = T.eval_schema(model, head, packs, instances, labels, token_vocab, cfg.max_len, use_visibility=vis)
 
     report = {
         "task": task,
@@ -505,13 +483,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
-    if args.epochs is not None:
-        cfg.pretrain_epochs = args.epochs
-    token_vocab, entity_vocab = _load_vocabs(args.data)
-    train = [index_table(t, token_vocab, entity_vocab) for t in _load_split(args.data, "train")]
-    valid = [index_table(t, token_vocab, entity_vocab) for t in _load_split(args.data, "valid")]
-    index = CorpusIndex.build(train, token_vocab.strings)
-    ecfg = encoder_config(cfg, len(token_vocab), len(entity_vocab))
+    train, valid, index, ecfg = _pretrain_inputs(args.data, cfg)
     ratios = [float(x) for x in args.mer_grid.split(",") if x.strip()]
     if not ratios:
         raise ConfigError("empty --mer-grid")

@@ -239,6 +239,16 @@ def _parse_cell(obj) -> RawCell:
     raise BadTableError(f"cell must be string or object, got {type(obj).__name__}")
 
 
+def _meta_text(obj: dict, key: str, table_id: str) -> str:
+    """A metadata string; null or absent reads as "", any other value is a BadTableError."""
+    value = obj.get(key)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise BadTableError(f"{table_id}: {key} must be a string")
+    return value
+
+
 def parse_raw(obj: dict) -> RawTable:
     """Validate one JSON record into a RawTable."""
     if not isinstance(obj, dict):
@@ -262,12 +272,12 @@ def parse_raw(obj: dict) -> RawTable:
     if pe is not None:
         if not isinstance(pe, dict) or not isinstance(pe.get("entity"), str):
             raise BadTableError(f"{table_id}: bad page_entity")
-        page_entity = (pe["entity"], pe.get("text", ""))
+        page_entity = (pe["entity"], _meta_text(pe, "text", table_id))
     return RawTable(
         table_id=table_id,
-        page_title=str(obj.get("page_title", "")),
-        section_title=str(obj.get("section_title", "")),
-        caption=str(obj.get("caption", "")),
+        page_title=_meta_text(obj, "page_title", table_id),
+        section_title=_meta_text(obj, "section_title", table_id),
+        caption=_meta_text(obj, "caption", table_id),
         headers=headers,
         rows=parsed_rows,
         page_entity=page_entity,
@@ -381,15 +391,15 @@ def eval_ok(pt: ProcessedTable) -> bool:
     return total_linked * 2 > total_cells
 
 
-def partition(tables: list[ProcessedTable], seed: int) -> dict[str, list[ProcessedTable]]:
+def partition(tables: list[ProcessedTable], seed: int, max_cols: int = 20) -> dict[str, list[ProcessedTable]]:
     """Split into train/valid/test.
 
     Evaluation-eligible tables are shuffled (seeded) and divided about 1:1
     into valid and test; they never enter train. Everything else that passes
-    the pre-training filter goes to train.
+    the pre-training filter (at most max_cols columns) goes to train.
     """
     eligible = [t for t in tables if eval_ok(t)]
-    rest = [t for t in tables if not eval_ok(t) and pretrain_ok(t)]
+    rest = [t for t in tables if not eval_ok(t) and pretrain_ok(t, max_cols)]
     order = np.random.default_rng(seed).permutation(len(eligible))
     shuffled = [eligible[i] for i in order]
     half = len(shuffled) // 2

@@ -29,10 +29,6 @@ class EmptyColumn(TabrepError):
     """A column representation was requested for a column with no usable content."""
 
 
-class NoCandidates(TabrepError):
-    """A ranking was requested over an empty candidate set."""
-
-
 class ConfigError(TabrepError):
     """Configuration file is malformed or violates a validation rule."""
 

@@ -371,20 +371,6 @@ class Adam:
             kernels.adam_update(flat, grad, m, v, t, lr, self.beta1, self.beta2, self.eps)
         self.steps_done = t
 
-    def state_arrays(self):
-        """Moment arrays keyed for checkpointing."""
-        out = {}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"adam.m.{i}"] = m
-            out[f"adam.v.{i}"] = v
-        return out
-
-    def load_state_arrays(self, arrays, steps_done):
-        for i in range(len(self.params)):
-            self.m[i][:] = arrays[f"adam.m.{i}"]
-            self.v[i][:] = arrays[f"adam.v.{i}"]
-        self.steps_done = int(steps_done)
-
 
 # ---------------------------------------------------------------------------
 # finite differences

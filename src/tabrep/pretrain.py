@@ -272,7 +272,6 @@ def fit(
     max_steps: int | None = None,
     model: Model | None = None,
     epoch_callback=None,
-    dtype=np.float32,
 ) -> tuple[Model, History]:
     """Pre-train a model. Deterministic for a fixed seed and inputs.
 
@@ -291,7 +290,7 @@ def fit(
     """
     rng = np.random.default_rng(settings.seed)
     if model is None:
-        model = init_model(encoder_cfg, rng, dtype=dtype)
+        model = init_model(encoder_cfg, rng)
         init_entity_embeddings(model, canonical_mentions(tables))
     seqs = [linearize(t, encoder_cfg.max_len) for t in tables]
     ent_sets = [t.entity_ids() for t in tables]

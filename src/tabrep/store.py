@@ -204,7 +204,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int, dict]:
     header_start = len(MAGIC) + 12
     try:
         header = json.loads(payload[header_start : header_start + header_len])
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptCheckpoint(f"{path}: unreadable header") from exc
     if not (
         isinstance(header, dict)
@@ -232,7 +232,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int, dict]:
             raise CorruptCheckpoint(f"{path}: malformed manifest entry {i}")
         if start + nbytes > len(body):
             raise CorruptCheckpoint(f"{path}: tensor {name!r} overruns file")
-        arr = np.frombuffer(body[start : start + nbytes], dtype=dt).reshape(shape)
+        try:
+            arr = np.frombuffer(body[start : start + nbytes], dtype=dt).reshape(shape)
+        except ValueError as exc:  # a shape numpy cannot hold, such as [0, 2**70]
+            raise CorruptCheckpoint(f"{path}: tensor {name!r} has an impossible shape") from exc
         arrays[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
     return arrays, header["config"], header.get("step", 0), header.get("extra", {})
 

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import numeric as nm
-from .baselines import CorpusIndex
+from .baselines import CorpusIndex, vote_relations
 from .corpus import (
     MASK_ID,
     IndexedCell,
@@ -681,8 +681,6 @@ def eval_relations(model, head, packs, instances, use_visibility=True):
 
 def eval_relations_votes(instances, entity_vocab, side: SideData, relation_list, threshold: float):
     """Vote baseline over the same instances; shares the metric path."""
-    from .baselines import vote_relations
-
     rel_map: dict[tuple[int, int], set[str]] = {}
     for (s_ref, o_ref), rels in side.relations.items():
         s, o = entity_vocab.get(s_ref), entity_vocab.get(o_ref)

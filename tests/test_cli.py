@@ -77,6 +77,18 @@ def test_preprocess_visibility_dump(pipeline, tmp_path):
     assert dump["table_id"] == some_id
 
 
+def test_preprocess_keeps_tables_wider_than_max_cols_out_of_train(pipeline, tmp_path):
+    narrow_cfg = tmp_path / "narrow.cfg"
+    narrow_cfg.write_text(TINY_CFG + "max_cols = 4\n")
+    out = tmp_path / "data"
+    assert run(["preprocess", "--corpus", str(pipeline["corpus"] / "raw.jsonl"), "--out", str(out),
+                "--config", str(narrow_cfg)]) == 0
+    train = read_jsonl(pipeline["data"] / "train.jsonl")
+    narrow = read_jsonl(out / "train.jsonl")
+    assert narrow == [t for t in train if len(t["headers"]) <= 4]
+    assert len(narrow) < len(train)
+
+
 def test_pretrain_outputs(pipeline):
     runs = pipeline["runs"]
     assert (runs / "checkpoint.bin").exists()
@@ -122,6 +134,61 @@ def test_finetune_and_evaluate_column_types(pipeline, tmp_path):
     assert 0.0 <= report["metrics"]["f1"] <= 1.0
     assert report["n_instances"] > 0
     assert report["config_hash"]
+
+
+@pytest.mark.parametrize(
+    "task,flags,metric",
+    [
+        ("relations", [], "f1"),
+        ("linking", [], "f1"),
+        ("linking", ["--reweight"], "f1"),
+        ("linking", ["--no-description"], "f1"),
+        ("rowpop", [], "map"),
+        ("schema", [], "map"),
+    ],
+)
+def test_finetune_and_evaluate_each_task(pipeline, tmp_path, task, flags, metric):
+    data, runs, cfg = pipeline["data"], pipeline["runs"], str(pipeline["cfg"])
+    ft = tmp_path / "ft"
+    assert run(["finetune", "--task", task, "--checkpoint", str(runs / "checkpoint.bin"),
+                "--data", str(data), "--out", str(ft), "--config", cfg]) == 0
+    ckpt = ft / f"{task}_checkpoint.bin"
+    _, _, step, extra = load_checkpoint(ckpt)
+    assert extra["task"] == task and step == 1
+    assert bool(extra["labels"]) == (task != "rowpop")
+
+    report_path = tmp_path / "report.json"
+    assert run(["evaluate", "--task", task, "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(report_path), "--config", cfg, *flags]) == 0
+    report = json.loads(report_path.read_text())
+    assert (report["task"], report["split"], report["baseline"]) == (task, "test", None)
+    assert 0.0 <= report["metrics"][metric] <= 1.0
+    assert report["n_instances"] > 0
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+def test_zero_epochs_is_a_config_error(pipeline, tmp_path, command):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="pretrain_epochs"):
+        run([command, "--data", str(pipeline["data"]), "--out", str(out), "--epochs", "0",
+             "--config", str(pipeline["cfg"])])
+    assert not out.exists()
+
+
+def test_config_may_not_reshape_the_checkpoint_encoder(pipeline, tmp_path):
+    data, ckpt = str(pipeline["data"]), str(pipeline["runs"] / "checkpoint.bin")
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(TINY_CFG.replace("d_model = 16", "d_model = 32"))
+    ft = tmp_path / "ft"
+    with pytest.raises(ConfigError, match="d_model"):
+        run(["finetune", "--task", "coltype", "--checkpoint", ckpt, "--data", data, "--out", str(ft),
+             "--config", str(wide)])
+    assert not ft.exists()
+    report = tmp_path / "fill.json"
+    with pytest.raises(ConfigError, match="d_model"):
+        run(["evaluate", "--task", "fill", "--checkpoint", ckpt, "--data", data, "--out", str(report),
+             "--config", str(wide)])
+    assert not report.exists()
 
 
 def test_evaluate_baselines_need_no_checkpoint(pipeline, tmp_path):

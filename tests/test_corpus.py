@@ -115,6 +115,14 @@ def test_parse_rejects_malformed_records():
         C.parse_raw({"table_id": "x", "headers": [], "rows": []})
     with pytest.raises(BadTableError):
         C.parse_raw({"table_id": "x", "headers": ["A"], "rows": [[3]]})
+    for meta in ({"caption": ["a"]}, {"page_title": 3}, {"page_entity": {"entity": "q", "text": 5}}):
+        with pytest.raises(BadTableError):
+            C.parse_raw({"table_id": "x", "headers": ["A"], "rows": [], **meta})
+
+
+def test_null_metadata_reads_as_empty():
+    rt = C.parse_raw({"table_id": "x", "headers": ["A"], "rows": [], "caption": None, "page_title": None})
+    assert (rt.page_title, rt.section_title, rt.caption) == ("", "", "")
 
 
 # -- subject detection ---------------------------------------------------------------
@@ -306,6 +314,29 @@ def test_processed_from_json_gives_a_table_or_a_typed_error(data, value, inside_
         return
     assert isinstance(pt, C.ProcessedTable)
     assert all(0 <= c.row < pt.n_rows and 0 <= c.col < pt.n_cols for c in pt.cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _JSON, st.booleans())
+def test_raw_record_gives_a_table_or_a_typed_error(data, value, inside_a_record):
+    obj = value
+    if inside_a_record:
+        obj = {
+            "table_id": "t",
+            "page_title": "p",
+            "section_title": "s",
+            "caption": "c",
+            "headers": ["Name", "Team"],
+            "rows": [[linked("ann", "e1"), "x"]],
+            "page_entity": {"entity": "q", "text": "t"},
+        }
+        owner = data.draw(st.sampled_from([obj, obj["page_entity"], obj["rows"][0][0]]))
+        owner[data.draw(st.sampled_from(sorted(owner)))] = value
+    try:
+        pt = C.process_table(C.parse_raw(obj))
+    except BadTableError:
+        return
+    assert isinstance(pt, C.ProcessedTable)
 
 
 def test_load_processed_names_the_file_and_line(tmp_path):

@@ -209,20 +209,6 @@ def test_adam_converges_on_quadratic():
     assert np.abs(wtensor.data).max() < 1e-2
 
 
-def test_adam_state_round_trip():
-    w1 = nm.Tensor(np.ones(4), requires_grad=True)
-    opt = nm.Adam([w1], lr0=0.1, total_steps=10)
-    w1.grad = np.full(4, 0.3)
-    opt.step()
-    state = {k: v.copy() for k, v in opt.state_arrays().items()}
-
-    w2 = nm.Tensor(np.ones(4), requires_grad=True)
-    opt2 = nm.Adam([w2], lr0=0.1, total_steps=10)
-    opt2.load_state_arrays(state, steps_done=opt.steps_done)
-    np.testing.assert_array_equal(opt2.m[0], opt.m[0])
-    assert opt2.steps_done == 1
-
-
 def test_grad_check_flags_wrong_gradient():
     x = t(np.array([[1.0, 2.0]]))
 

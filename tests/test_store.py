@@ -10,6 +10,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tabrep import store
 from tabrep.errors import ConfigError, CorruptCheckpoint, VersionMismatch
@@ -184,6 +186,51 @@ def test_malformed_header_with_valid_digest_detected(tmp_path, edit):
     path.write_bytes(payload + hashlib.sha256(payload).digest())
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _headers(draw):
+    """Header bytes: arbitrary bytes, arbitrary JSON, or a real header with one
+    field, of the header or its first tensor, replaced by arbitrary JSON."""
+    kind = draw(st.sampled_from(["bytes", "json", "field"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "json":
+        return json.dumps(draw(_JSON)).encode("utf-8")
+    header = {
+        "config": "",
+        "step": 0,
+        "extra": {},
+        "tensors": [{"name": "w", "dtype": "float32", "shape": [2, 3], "offset": 0, "nbytes": 24}],
+    }
+    owner = draw(st.sampled_from([header, header["tensors"][0]]))
+    owner[draw(st.sampled_from(sorted(owner)))] = draw(_JSON)
+    return json.dumps(header).encode("utf-8")
+
+
+_OVERSIZED = {"name": "w", "dtype": "float32", "shape": [0, 2**70], "offset": 0, "nbytes": 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_headers(), st.sampled_from([1, 2]))
+@example(b"[" * 200_000, 1)
+@example(json.dumps({"config": "", "tensors": [_OVERSIZED]}).encode("utf-8"), 1)
+def test_signed_header_gives_arrays_or_a_typed_error(tmp_path_factory, header, version):
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    payload = MAGIC + struct.pack("<IQ", version, len(header)) + header + np.arange(6, dtype="<f4").tobytes()
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    try:
+        arrays, _, _, _ = load_checkpoint(path)
+    except (CorruptCheckpoint, VersionMismatch):
+        return
+    assert all(isinstance(a, np.ndarray) for a in arrays.values())
 
 
 def test_empty_checkpoint_round_trips(tmp_path):
