@@ -31,22 +31,22 @@ from .errors import ConfigError
 
 @dataclass
 class Bm25Index:
-    k1: float
-    b: float
     n_docs: int
     avg_len: float
     doc_lens: list[int]
     postings: dict[str, list[tuple[int, int]]]  # term -> [(doc, tf)]
 
+    K1, B = 1.2, 0.75
+
     @classmethod
-    def build(cls, docs: list[list[str]], k1: float = 1.2, b: float = 0.75) -> "Bm25Index":
+    def build(cls, docs: list[list[str]]) -> "Bm25Index":
         postings: dict[str, list[tuple[int, int]]] = {}
         doc_lens = [len(d) for d in docs]
         for i, doc in enumerate(docs):
             for term, tf in sorted(Counter(doc).items()):
                 postings.setdefault(term, []).append((i, tf))
         avg = sum(doc_lens) / len(doc_lens) if docs else 0.0
-        return cls(k1=k1, b=b, n_docs=len(docs), avg_len=avg, doc_lens=doc_lens, postings=postings)
+        return cls(n_docs=len(docs), avg_len=avg, doc_lens=doc_lens, postings=postings)
 
     def idf(self, term: str) -> float:
         df = len(self.postings.get(term, ()))
@@ -62,8 +62,8 @@ class Bm25Index:
             idf = self.idf(term)
             for doc, tf in posting:
                 dl = self.doc_lens[doc]
-                denom = tf + self.k1 * (1.0 - self.b + self.b * dl / self.avg_len)
-                scores[doc] = scores.get(doc, 0.0) + idf * tf * (self.k1 + 1.0) / denom
+                denom = tf + self.K1 * (1.0 - self.B + self.B * dl / self.avg_len)
+                scores[doc] = scores.get(doc, 0.0) + idf * tf * (self.K1 + 1.0) / denom
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:k]
 

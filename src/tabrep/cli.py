@@ -27,15 +27,18 @@ from .baselines import CorpusIndex
 from .corpus import (
     ENTITY_RESERVED,
     TOKEN_RESERVED,
+    TOKENIZER,
     IndexedTable,
     Vocab,
-    WordTokenizer,
     build_vocabs,
     index_table,
     load_processed,
     load_raw_tables,
     partition,
+    read_text,
     save_processed,
+    write_file,
+    write_jsonl,
 )
 from .encoder import EncoderConfig, Model, init_model
 from .encoding import build_visibility, linearize
@@ -181,8 +184,14 @@ def _side_dir(args, data_dir: str) -> str:
         return args.side
     meta_path = os.path.join(data_dir, "meta.json")
     if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            src = json.load(fh).get("source_dir")
+        text = read_text(meta_path)
+        try:
+            meta = json.loads(text)
+        except (ValueError, RecursionError):
+            meta = None
+        src = meta.get("source_dir", "") if isinstance(meta, dict) else None
+        if not isinstance(src, str):
+            raise ConfigError(f"{meta_path}: not a JSON object with a string source_dir")
         if src and os.path.isdir(src):
             return src
     return data_dir
@@ -191,8 +200,7 @@ def _side_dir(args, data_dir: str) -> str:
 def _write_report(report: dict, out_path) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_file(out_path, [text, "\n"])
         _info(f"wrote {out_path}")
     _info(text)
 
@@ -214,8 +222,7 @@ def cmd_preprocess(args) -> int:
         save_processed(os.path.join(args.out, f"{name}.jsonl"), splits[name])
     token_vocab.save(os.path.join(args.out, "token_vocab.tsv"))
     entity_vocab.save(os.path.join(args.out, "entity_vocab.tsv"))
-    with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.as_text())
+    write_file(os.path.join(args.out, "config.txt"), [cfg.as_text()])
     meta = {
         "n_raw": len(tables) + len(skipped),
         "n_skipped": len(skipped),
@@ -225,8 +232,7 @@ def cmd_preprocess(args) -> int:
         "source_dir": os.path.dirname(os.path.abspath(args.corpus)),
         "config_hash": cfg.hash(),
     }
-    with open(os.path.join(args.out, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    write_file(os.path.join(args.out, "meta.json"), [json.dumps(meta, indent=2, sort_keys=True)])
     _info(f"splits: train={meta['splits']['train']} valid={meta['splits']['valid']} test={meta['splits']['test']}")
     _info(f"vocab: {len(token_vocab)} tokens, {len(entity_vocab)} entities")
 
@@ -249,8 +255,7 @@ def cmd_preprocess(args) -> int:
             "matrix": vis.astype(int).tolist(),
         }
         path = os.path.join(args.out, f"visibility_{wanted}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dump, fh)
+        write_file(path, [json.dumps(dump)])
         _info(f"wrote {path}")
     return 0
 
@@ -267,11 +272,12 @@ def cmd_pretrain(args) -> int:
     settings = train_settings(cfg)
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
-    log = open(metrics_path, "w", encoding="utf-8")
+    records: list[dict] = []
 
     def on_epoch(record: dict) -> bool:
-        log.write(json.dumps(record) + "\n")
-        log.flush()
+        # rewritten whole each epoch, so the log on disk is always complete
+        records.append(record)
+        write_jsonl(metrics_path, records)
         if record["epoch"] % 10 == 0 or record["epoch"] == cfg.pretrain_epochs - 1:
             _info(
                 f"epoch {record['epoch']}: loss={record['loss']:.4f} "
@@ -279,17 +285,14 @@ def cmd_pretrain(args) -> int:
             )
         return False
 
-    try:
-        model, history = fit(
-            train,
-            ecfg,
-            settings,
-            index.cooccur,
-            valid_tables=valid if args.track_recovery else None,
-            epoch_callback=on_epoch,
-        )
-    finally:
-        log.close()
+    model, history = fit(
+        train,
+        ecfg,
+        settings,
+        index.cooccur,
+        valid_tables=valid if args.track_recovery else None,
+        epoch_callback=on_epoch,
+    )
 
     ckpt = os.path.join(args.out, "checkpoint.bin")
     save_checkpoint(
@@ -299,8 +302,7 @@ def cmd_pretrain(args) -> int:
         step=len(history.step_losses),
         extra={"n_tokens": ecfg.n_tokens, "n_entities": ecfg.n_entities},
     )
-    with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.as_text())
+    write_file(os.path.join(args.out, "config.txt"), [cfg.as_text()])
     _info(f"wrote {ckpt} and {metrics_path}")
     return 0
 
@@ -371,16 +373,14 @@ def cmd_finetune(args) -> int:
     elif task == "relations":
         losses = T.train_relations(model, head, packs, instances, settings, len(labels))
     elif task == "linking":
-        losses = T.train_linking(model, head, packs, instances, side, token_vocab, WordTokenizer(), settings)
+        losses = T.train_linking(model, head, packs, instances, side, token_vocab, TOKENIZER, settings)
     elif task == "rowpop":
         losses = T.train_row_population(model, packs, instances, settings, cfg.max_len)
     else:
         losses = T.train_schema(model, head, packs, instances, labels, token_vocab, settings, cfg.max_len)
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "metrics.jsonl"), "w", encoding="utf-8") as fh:
-        for i, loss in enumerate(losses):
-            fh.write(json.dumps({"epoch": i, "loss": loss}) + "\n")
+    write_jsonl(os.path.join(args.out, "metrics.jsonl"), ({"epoch": i, "loss": loss} for i, loss in enumerate(losses)))
     arrays = dict(model.named_arrays())
     if head is not None:
         arrays.update(_head_arrays(head))
@@ -434,7 +434,9 @@ def cmd_evaluate(args) -> int:
     if args.baseline is not None:
         body = _baseline_report(args.baseline, task, cfg, packs, token_vocab, entity_vocab, side, index)
     else:
-        labels = list(extra.get("labels", []))
+        labels = extra.get("labels", [])
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ConfigError(f"{args.checkpoint}: task labels are not a list of strings")
         instances, _ = _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, labels)
         head = _task_head(task, model, labels, cfg.seed)
         if head is not None:
@@ -452,7 +454,7 @@ def cmd_evaluate(args) -> int:
                 instances,
                 side,
                 token_vocab,
-                WordTokenizer(),
+                TOKENIZER,
                 use_visibility=vis,
                 reweight=args.reweight,
                 alpha=cfg.el_reweight_alpha,
@@ -483,10 +485,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
-    train, valid, index, ecfg = _pretrain_inputs(args.data, cfg)
-    ratios = [float(x) for x in args.mer_grid.split(",") if x.strip()]
+    try:
+        ratios = [float(x) for x in args.mer_grid.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"--mer-grid must be comma-separated numbers, got {args.mer_grid!r}") from None
     if not ratios:
         raise ConfigError("empty --mer-grid")
+    for ratio in ratios:
+        dataclasses.replace(cfg, mer_ratio=ratio).validate()  # the config's rule for mer_ratio
+    train, valid, index, ecfg = _pretrain_inputs(args.data, cfg)
 
     rows = []
     for use_visibility in (True, False):
@@ -512,9 +519,7 @@ def cmd_ablate(args) -> int:
             _info(f"visibility={'on' if use_visibility else 'off'} mer_ratio={ratio}: recovery={acc:.3f}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
+        write_jsonl(args.out, rows)
         _info(f"wrote {args.out}")
     return 0
 

@@ -17,10 +17,11 @@ builds token/entity vocabularies from the training split.
 from __future__ import annotations
 
 import json
+import os
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -37,10 +38,6 @@ ENTITY_RESERVED = ("<pad>", "<mask>", "<unk>")
 
 # Header strings that never carry schema meaning.
 ILLEGAL_HEADERS = frozenset({"note", "notes", "comment", "comments", "reference", "references"})
-
-
-class Tokenizer(Protocol):
-    def tokenize(self, text: str) -> list[str]: ...
 
 
 class WordTokenizer:
@@ -61,12 +58,12 @@ class WordTokenizer:
         return out
 
 
-_DEFAULT_TOKENIZER = WordTokenizer()
+TOKENIZER = WordTokenizer()  # every corpus text is tokenized by this one
 
 
-def normalize_header(text: str, tokenizer: Tokenizer = _DEFAULT_TOKENIZER) -> str:
+def normalize_header(text: str) -> str:
     """Canonical header key: lowercased tokens joined by single spaces."""
-    return " ".join(tokenizer.tokenize(text))
+    return " ".join(TOKENIZER.tokenize(text))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +150,10 @@ class IndexedTable:
             return []
         return [c for c in self.cells if c.col == self.subject_col]
 
+    def subject_by_row(self) -> dict[int, int]:
+        """Entity id of each row's subject cell, for the rows that have one."""
+        return {c.row: c.entity_id for c in self.subject_cells()}
+
 
 # ---------------------------------------------------------------------------
 # vocabulary
@@ -181,13 +182,12 @@ class Vocab:
     def get(self, s: str) -> Optional[int]:
         return self._index.get(s)
 
-    def id_or_unk(self, s: str) -> int:
-        return self._index.get(s, UNK_ID)
+    def ids(self, strings: Iterable[str]) -> np.ndarray:
+        """int64 ids of strings; a string not in the vocabulary maps to UNK_ID."""
+        return np.array([self._index.get(s, UNK_ID) for s in strings], dtype=np.int64)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, (s, c) in enumerate(zip(self.strings, self.counts)):
-                fh.write(f"{i}\t{s}\t{c}\n")
+        write_file(path, (f"{i}\t{s}\t{c}\n" for i, (s, c) in enumerate(zip(self.strings, self.counts))))
 
     @classmethod
     def load(cls, path, reserved: tuple[str, ...]) -> "Vocab":
@@ -284,8 +284,8 @@ def parse_raw(obj: dict) -> RawTable:
     )
 
 
-def _header_legal(header: str, tokenizer: Tokenizer) -> bool:
-    norm = normalize_header(header, tokenizer)
+def _header_legal(header: str) -> bool:
+    norm = normalize_header(header)
     if not norm:
         return False
     if norm.replace(" ", "").isdigit():
@@ -308,9 +308,10 @@ def detect_subject(n_cols: int, cells: list[ProcCell]) -> Optional[int]:
     return None
 
 
-def process_table(raw: RawTable, tokenizer: Tokenizer = _DEFAULT_TOKENIZER) -> ProcessedTable:
+def process_table(raw: RawTable) -> ProcessedTable:
     """Clean one raw table. Raises BadTableError when nothing usable remains."""
-    keep_cols = [i for i, h in enumerate(raw.headers) if _header_legal(h, tokenizer)]
+    tokenize = TOKENIZER.tokenize
+    keep_cols = [i for i, h in enumerate(raw.headers) if _header_legal(h)]
     if not keep_cols:
         raise BadTableError(f"{raw.table_id}: no usable header columns")
 
@@ -326,24 +327,24 @@ def process_table(raw: RawTable, tokenizer: Tokenizer = _DEFAULT_TOKENIZER) -> P
             entity = rc.entity
             mention: list[str] = []
             if entity is not None:
-                mention = tokenizer.tokenize(rc.text)
+                mention = tokenize(rc.text)
                 if not mention:
-                    mention = tokenizer.tokenize(entity)
+                    mention = tokenize(entity)
                 if not mention:
                     entity = None  # no surface form at all: treat as unlinked
                     mention = []
             cells.append(ProcCell(row=ri, col=new_ci, text=rc.text, entity=entity, mention_tokens=mention))
 
     caption_tokens = (
-        tokenizer.tokenize(raw.page_title)
-        + tokenizer.tokenize(raw.section_title)
-        + tokenizer.tokenize(raw.caption)
+        tokenize(raw.page_title)
+        + tokenize(raw.section_title)
+        + tokenize(raw.caption)
     )
 
     topic = None
     if raw.page_entity is not None:
         ref, text = raw.page_entity
-        mention = tokenizer.tokenize(text) or tokenizer.tokenize(raw.page_title) or tokenizer.tokenize(ref)
+        mention = tokenize(text) or tokenize(raw.page_title) or tokenize(ref)
         if mention:
             topic = (ref, mention)
 
@@ -352,7 +353,7 @@ def process_table(raw: RawTable, tokenizer: Tokenizer = _DEFAULT_TOKENIZER) -> P
         table_id=raw.table_id,
         caption_tokens=caption_tokens,
         headers=headers,
-        header_tokens=[tokenizer.tokenize(h) for h in headers],
+        header_tokens=[tokenize(h) for h in headers],
         n_rows=len(rows),
         cells=cells,
         topic=topic,
@@ -449,9 +450,6 @@ def index_table(pt: ProcessedTable, token_vocab: Vocab, entity_vocab: Vocab) -> 
     """Resolve strings to ids. Cells whose entity fell out of vocabulary are
     treated as unlinked and silently dropped from the entity grid."""
 
-    def tok_ids(tokens: list[str]) -> np.ndarray:
-        return np.array([token_vocab.id_or_unk(t) for t in tokens], dtype=np.int64)
-
     cells = []
     for c in pt.cells:
         if c.entity is None:
@@ -460,17 +458,17 @@ def index_table(pt: ProcessedTable, token_vocab: Vocab, entity_vocab: Vocab) -> 
         if eid is None:
             continue
         cells.append(
-            IndexedCell(row=c.row, col=c.col, entity_id=eid, mention_ids=tok_ids(c.mention_tokens))
+            IndexedCell(row=c.row, col=c.col, entity_id=eid, mention_ids=token_vocab.ids(c.mention_tokens))
         )
     topic = None
     if pt.topic is not None:
         tid = entity_vocab.get(pt.topic[0])
         if tid is not None:
-            topic = (tid, tok_ids(pt.topic[1]))
+            topic = (tid, token_vocab.ids(pt.topic[1]))
     return IndexedTable(
         table_id=pt.table_id,
-        caption_ids=tok_ids(pt.caption_tokens),
-        header_ids=[tok_ids(toks) for toks in pt.header_tokens],
+        caption_ids=token_vocab.ids(pt.caption_tokens),
+        header_ids=[token_vocab.ids(toks) for toks in pt.header_tokens],
         headers_norm=[" ".join(toks) for toks in pt.header_tokens],
         n_rows=pt.n_rows,
         n_cols=pt.n_cols,
@@ -567,9 +565,22 @@ def processed_from_json(obj) -> ProcessedTable:
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_file(path, (json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
+
+
+def write_file(path, chunks: Iterable[str | bytes]) -> None:
+    """Write chunks, text as UTF-8, to a temp file beside path, then rename it
+    over path, so a write that fails midway leaves the previous file whole.
+    Every file the package writes goes through here."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read_text(path) -> str:
@@ -600,7 +611,7 @@ def read_jsonl(path) -> list:
     return [value for _, value in _jsonl_lines(path)]
 
 
-def load_raw_tables(path, tokenizer: Tokenizer = _DEFAULT_TOKENIZER):
+def load_raw_tables(path):
     """Parse and process a raw JSONL corpus.
 
     Returns (processed tables, skip log). Tables that fail validation or
@@ -611,7 +622,7 @@ def load_raw_tables(path, tokenizer: Tokenizer = _DEFAULT_TOKENIZER):
     for i, obj in enumerate(read_jsonl(path)):
         try:
             raw = parse_raw(obj)
-            tables.append(process_table(raw, tokenizer))
+            tables.append(process_table(raw))
         except BadTableError as exc:
             skipped.append((obj.get("table_id", f"line{i}") if isinstance(obj, dict) else f"line{i}", str(exc)))
     return tables, skipped

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numeric as nm
-from .corpus import UNK_ID
-from .encoding import Sequence, build_visibility
+from .corpus import ENTITY_RESERVED, UNK_ID
+from .encoding import N_ENTITY_TYPES, N_TOKEN_TYPES, Sequence, build_visibility
 from .errors import ConfigError, UnknownId
 
 __all__ = [
@@ -58,9 +58,6 @@ class EncoderConfig:
     max_len: int = 256
     n_tokens: int = 0
     n_entities: int = 0
-    n_token_types: int = 2
-    n_entity_types: int = 3
-    ln_eps: float = 1e-12
 
     def validate(self) -> None:
         if self.d_model % self.n_heads != 0:
@@ -123,9 +120,9 @@ def init_model(cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -
 
     p("word_emb", trunc_normal(rng, (cfg.n_tokens, d), dtype=dtype))
     p("pos_emb", trunc_normal(rng, (cfg.max_len, d), dtype=dtype))
-    p("tok_type_emb", trunc_normal(rng, (cfg.n_token_types, d), dtype=dtype))
+    p("tok_type_emb", trunc_normal(rng, (N_TOKEN_TYPES, d), dtype=dtype))
     p("ent_emb", trunc_normal(rng, (cfg.n_entities, d), dtype=dtype))
-    p("ent_type_emb", trunc_normal(rng, (cfg.n_entity_types, d), dtype=dtype))
+    p("ent_type_emb", trunc_normal(rng, (N_ENTITY_TYPES, d), dtype=dtype))
     p("fuse_W", trunc_normal(rng, (2 * d, d), dtype=dtype))
     p("fuse_b", np.zeros(d, dtype=dtype))
     for i in range(cfg.n_blocks):
@@ -157,7 +154,7 @@ def init_entity_embeddings(model: Model, mentions: dict[int, np.ndarray]) -> Non
     word = model["word_emb"].data
     ent = model["ent_emb"].data
     for eid, token_ids in mentions.items():
-        if eid < 3 or len(token_ids) == 0:
+        if eid < len(ENTITY_RESERVED) or len(token_ids) == 0:
             continue
         ent[eid] = word[np.asarray(token_ids)].mean(axis=0)
 
@@ -186,7 +183,7 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
         ids, types, pos = seq.ids[tok_idx], seq.type_ids[tok_idx], seq.positions[tok_idx]
         _check_ids(ids, cfg.n_tokens, "token")
         _check_ids(pos, cfg.max_len, "position")
-        _check_ids(types, cfg.n_token_types, "token type")
+        _check_ids(types, N_TOKEN_TYPES, "token type")
         x = nm.add(
             nm.add(nm.gather_rows(model["word_emb"], ids), nm.gather_rows(model["tok_type_emb"], types)),
             nm.gather_rows(model["pos_emb"], pos),
@@ -199,7 +196,7 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
         lens = np.array([len(m) for m in ments])
         flat = np.concatenate(ments)
         _check_ids(ids, cfg.n_entities, "entity")
-        _check_ids(types, cfg.n_entity_types, "entity type")
+        _check_ids(types, N_ENTITY_TYPES, "entity type")
         _check_ids(flat, cfg.n_tokens, "mention token")
         # constant row-averaging matrix: one row per entity, 1/len over its span
         avg = np.zeros((len(ent_idx), len(flat)), dtype=dtype)
@@ -220,14 +217,13 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
 def transformer_block(h: nm.Tensor, masks: list[np.ndarray] | None, starts: np.ndarray, model: Model, block: int) -> nm.Tensor:
     """One post-norm block over packed rows; each table attends only within
     itself. masks=None runs the plain unmasked reference path."""
-    cfg = model.cfg
     pre = f"block{block}."
     q, k, v = (affine(h, model[pre + f"W{side}"], model[pre + f"b{side}"]) for side in "qkv")
-    ctx = nm.table_attention(q, k, v, masks, starts, cfg.n_heads)
+    ctx = nm.table_attention(q, k, v, masks, starts, model.cfg.n_heads)
     a = affine(ctx, model[pre + "Wo"], model[pre + "bo"])
-    h1 = nm.layer_norm(nm.add(h, a), model[pre + "ln1_g"], model[pre + "ln1_b"], cfg.ln_eps)
+    h1 = nm.layer_norm(nm.add(h, a), model[pre + "ln1_g"], model[pre + "ln1_b"])
     f = affine(nm.gelu(affine(h1, model[pre + "ffn_W1"], model[pre + "ffn_b1"])), model[pre + "ffn_W2"], model[pre + "ffn_b2"])
-    return nm.layer_norm(nm.add(h1, f), model[pre + "ln2_g"], model[pre + "ln2_b"], cfg.ln_eps)
+    return nm.layer_norm(nm.add(h1, f), model[pre + "ln2_g"], model[pre + "ln2_b"])
 
 
 @dataclass

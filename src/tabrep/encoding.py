@@ -38,11 +38,13 @@ CELL = 3
 # token segment ids (caption vs header stream)
 TOKEN_TYPE_CAPTION = 0
 TOKEN_TYPE_HEADER = 1
+N_TOKEN_TYPES = 2
 
 # entity segment ids
 ENT_TYPE_SUBJECT = 0
 ENT_TYPE_OBJECT = 1
 ENT_TYPE_TOPIC = 2
+N_ENTITY_TYPES = 3
 
 
 _NO_MENTION = np.zeros(0, dtype=np.int64)

@@ -1,6 +1,6 @@
-"""Evaluation metrics: micro precision/recall/F1, ranking measures, recall of
-candidate generation, and plain accuracy. All functions are pure and operate
-on python containers so they double as test oracles for the task heads."""
+"""Evaluation metrics: micro precision/recall/F1, ranking measures and recall
+of candidate generation. All functions are pure and operate on python
+containers so they double as test oracles for the task heads."""
 
 from __future__ import annotations
 
@@ -105,11 +105,3 @@ def candidate_recall(candidate_sets: Sequence[set], golds: Sequence[set]) -> flo
         covered += len(gold & cands)
         total += len(gold)
     return covered / total if total else 0.0
-
-
-def accuracy(predictions: Sequence[object], golds: Sequence[object]) -> float:
-    if len(predictions) != len(golds):
-        raise ValueError("predictions and golds differ in length")
-    if not golds:
-        return 0.0
-    return sum(1 for p, g in zip(predictions, golds) if p == g) / len(golds)

@@ -347,11 +347,12 @@ class Adam:
     parameter dtype; each update runs through `kernels.adam_update`.
     """
 
-    def __init__(self, params, lr0, total_steps, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr0, total_steps):
         self.params = [p for p in params if p.requires_grad]
         self.lr0 = float(lr0)
         self.total_steps = int(total_steps)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.steps_done = 0
         self.m = [np.zeros(p.data.size, dtype=p.data.dtype) for p in self.params]
         self.v = [np.zeros(p.data.size, dtype=p.data.dtype) for p in self.params]
@@ -368,7 +369,7 @@ class Adam:
                 continue
             flat = p.data.reshape(-1)
             grad = np.ascontiguousarray(p.grad.reshape(-1))
-            kernels.adam_update(flat, grad, m, v, t, lr, self.beta1, self.beta2, self.eps)
+            kernels.adam_update(flat, grad, m, v, t, lr, self.BETA1, self.BETA2, self.EPS)
         self.steps_done = t
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric as nm
-from .corpus import MASK_ID, IndexedTable
+from .corpus import ENTITY_RESERVED, MASK_ID, TOKEN_RESERVED, IndexedTable
 from .encoder import EncoderConfig, Model, encode, encode_batch, init_entity_embeddings, init_model
 from .encoding import Sequence, linearize, mask_cell
 from .errors import NonFiniteLoss
@@ -34,8 +34,8 @@ MASK_BOTH = 1
 MASK_EMB = 2
 RANDOM_EMB = 3
 
-N_RESERVED_TOKENS = 4
-N_RESERVED_ENTITIES = 3
+N_RESERVED_TOKENS = len(TOKEN_RESERVED)
+N_RESERVED_ENTITIES = len(ENTITY_RESERVED)
 
 
 @dataclass

@@ -17,13 +17,12 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_text
+from .corpus import _is_int, read_text, write_file
 from .errors import ConfigError, CorruptCheckpoint, VersionMismatch
 
 MAGIC = b"TBRP"
@@ -173,18 +172,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str, step:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes + b"".join(blobs)
-    digest = hashlib.sha256(payload).digest()
-    # write a temp file beside the target, then rename it over the target, so
-    # a write that fails midway leaves the previous checkpoint whole
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.write(digest)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    write_file(path, [payload, hashlib.sha256(payload).digest()])
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int, dict]:
@@ -238,7 +226,3 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int, dict]:
             raise CorruptCheckpoint(f"{path}: tensor {name!r} has an impossible shape") from exc
         arrays[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
     return arrays, header["config"], header.get("step", 0), header.get("extra", {})
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)

@@ -21,10 +21,11 @@ Run as a module to write a corpus to disk:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 
 import numpy as np
+
+from .corpus import write_jsonl
 
 _SYL = [
     "ka", "lo", "mi", "ra", "ve", "tu", "sa", "ne", "do", "pi",
@@ -252,9 +253,7 @@ def write_corpus(out_dir: str, seed: int, n_tables: int, flavor: str = "tasks") 
     rng = np.random.default_rng(seed + 2)
 
     def dump(name, records):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        write_jsonl(os.path.join(out_dir, name), records)
 
     dump("raw.jsonl", tables)
     dump("types.jsonl", [{"entity": e, "types": t} for e, t in sorted(world.entity_types().items())])

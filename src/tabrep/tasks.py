@@ -185,56 +185,54 @@ def column_repr(enc_h: nm.Tensor, seq: Sequence, col: int, dtype, at: int = 0) -
 # heads
 
 
-class ColumnTypeHead:
+class AffineHead:
+    """Logits as one affine map of the concatenated input parts; its tensors
+    are named `{name}_W` and `{name}_b`."""
+
+    def __init__(self, d_in: int, n_out: int, rng, name: str, dtype=np.float32):
+        self.W = nm.Tensor(trunc_normal(rng, (d_in, n_out), dtype=dtype), requires_grad=True, name=f"{name}_W")
+        self.b = nm.Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True, name=f"{name}_b")
+
+    def params(self):
+        return [self.W, self.b]
+
+    def logits(self, *parts: nm.Tensor) -> nm.Tensor:
+        x = parts[0] if len(parts) == 1 else nm.concat(list(parts), axis=1)
+        return nm.add(nm.matmul(x, self.W), self.b)
+
+
+class ColumnTypeHead(AffineHead):
     def __init__(self, d_model: int, n_types: int, rng, dtype=np.float32):
-        self.W = nm.Tensor(trunc_normal(rng, (2 * d_model, n_types), dtype=dtype), requires_grad=True, name="coltype_W")
-        self.b = nm.Tensor(np.zeros(n_types, dtype=dtype), requires_grad=True, name="coltype_b")
-
-    def params(self):
-        return [self.W, self.b]
-
-    def logits(self, col: nm.Tensor) -> nm.Tensor:
-        return nm.add(nm.matmul(col, self.W), self.b)
+        super().__init__(2 * d_model, n_types, rng, "coltype", dtype)  # reads one column summary
 
 
-class RelationHead:
+class RelationHead(AffineHead):
     def __init__(self, d_model: int, n_relations: int, rng, dtype=np.float32):
-        self.W = nm.Tensor(
-            trunc_normal(rng, (4 * d_model, n_relations), dtype=dtype), requires_grad=True, name="rel_W"
-        )
-        self.b = nm.Tensor(np.zeros(n_relations, dtype=dtype), requires_grad=True, name="rel_b")
-
-    def params(self):
-        return [self.W, self.b]
-
-    def logits(self, subj_col: nm.Tensor, obj_col: nm.Tensor) -> nm.Tensor:
-        return nm.add(nm.matmul(nm.concat([subj_col, obj_col], axis=1), self.W), self.b)
+        super().__init__(4 * d_model, n_relations, rng, "rel", dtype)  # reads subject and object summaries
 
 
-class LinkingHead:
+class LinkingHead(AffineHead):
     """Scores cells against knowledge-base entries.
 
     An entry vector is [mean name word embedding; mean description word
     embedding; mean type embedding]; the cell state is mapped into that space
-    by one affine layer. Missing names, descriptions, or types contribute a
-    zero block.
+    by the head's affine layer (`project`). Missing names, descriptions, or
+    types contribute a zero block.
     """
 
     def __init__(self, d_model: int, kb_types: list[str], rng, dtype=np.float32):
+        super().__init__(d_model, 3 * d_model, rng, "link", dtype)
         self.kb_types = list(kb_types)
         self.type_index = {t: i for i, t in enumerate(self.kb_types)}
-        self.W = nm.Tensor(trunc_normal(rng, (d_model, 3 * d_model), dtype=dtype), requires_grad=True, name="link_W")
-        self.b = nm.Tensor(np.zeros(3 * d_model, dtype=dtype), requires_grad=True, name="link_b")
         n_types = max(1, len(self.kb_types))
         self.type_emb = nm.Tensor(
             trunc_normal(rng, (n_types, d_model), dtype=dtype), requires_grad=True, name="link_type_emb"
         )
 
     def params(self):
-        return [self.W, self.b, self.type_emb]
+        return super().params() + [self.type_emb]
 
-    def project(self, cell_state: nm.Tensor) -> nm.Tensor:
-        return nm.add(nm.matmul(cell_state, self.W), self.b)
+    project = AffineHead.logits
 
     def entry_matrix(self, model: Model, entries, use_description: bool = True) -> nm.Tensor:
         """(C, 3d) matrix for tokenized entries [(name_ids, desc_ids, type_ids)]."""
@@ -253,23 +251,14 @@ class LinkingHead:
         return nm.concat(blocks, axis=1)
 
     def tokenize_entry(self, entry: KbEntry, token_vocab: Vocab, tokenizer) -> tuple:
-        def words(text):
-            return np.array([token_vocab.id_or_unk(t) for t in tokenizer.tokenize(text)], dtype=np.int64)
-
+        name, description = (token_vocab.ids(tokenizer.tokenize(text)) for text in (entry.name, entry.description))
         types = np.array([self.type_index[t] for t in entry.types if t in self.type_index], dtype=np.int64)
-        return (words(entry.name), words(entry.description), types)
+        return (name, description, types)
 
 
-class SchemaHead:
+class SchemaHead(AffineHead):
     def __init__(self, d_model: int, n_headers: int, rng, dtype=np.float32):
-        self.W = nm.Tensor(trunc_normal(rng, (d_model, n_headers), dtype=dtype), requires_grad=True, name="schema_W")
-        self.b = nm.Tensor(np.zeros(n_headers, dtype=dtype), requires_grad=True, name="schema_b")
-
-    def params(self):
-        return [self.W, self.b]
-
-    def logits(self, state: nm.Tensor) -> nm.Tensor:
-        return nm.add(nm.matmul(state, self.W), self.b)
+        super().__init__(d_model, n_headers, rng, "schema", dtype)  # reads the masked header slot's state
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +354,7 @@ def build_relation_data(
         it = pack.indexed
         if it.subject_col is None:
             continue
-        subj_by_row = {c.row: c.entity_id for c in it.cells if c.col == it.subject_col}
+        subj_by_row = it.subject_by_row()
         obj_cols = sorted({c.col for c in it.cells if c.col != it.subject_col})
         for col in obj_cols:
             pairs = [(subj_by_row[c.row], c.entity_id) for c in it.cells if c.col == col and c.row in subj_by_row]
@@ -448,7 +437,7 @@ def build_fill_data(packs: list[TablePack], index: CorpusIndex) -> list[FillInst
         it = pack.indexed
         if it.subject_col is None:
             continue
-        subj_by_row = {c.row: c.entity_id for c in it.cells if c.col == it.subject_col}
+        subj_by_row = it.subject_by_row()
         for c in it.cells:
             if c.col == it.subject_col or c.row not in subj_by_row:
                 continue
@@ -843,8 +832,7 @@ def eval_cell_filling_baseline(index: CorpusIndex, packs, instances, mode: str):
     for inst in instances:
         pack = packs[inst.pack]
         header = pack.indexed.headers_norm[inst.col]
-        subj_by_row = {c.row: c.entity_id for c in pack.indexed.cells if c.col == pack.indexed.subject_col}
-        cands = index.fill_candidates(subj_by_row[inst.row], header)
+        cands = index.fill_candidates(pack.indexed.subject_by_row()[inst.row], header)
         ranked = index.rank_fill(cands, header, mode)
         rankings.append([e for e, _ in ranked])
         golds.append({inst.gold})
@@ -854,12 +842,8 @@ def eval_cell_filling_baseline(index: CorpusIndex, packs, instances, mode: str):
 # -- schema augmentation ---------------------------------------------------------
 
 
-def _header_token_ids(header: str, token_vocab: Vocab) -> np.ndarray:
-    return np.array([token_vocab.id_or_unk(t) for t in header.split()], dtype=np.int64)
-
-
 def _schema_spec(model, head, packs, instances, header_list, token_vocab, max_len: int) -> TaskSpec:
-    header_ids = {h: _header_token_ids(h, token_vocab) for h in header_list}
+    header_ids = {h: token_vocab.ids(h.split()) for h in header_list}
     index = {h: i for i, h in enumerate(header_list)}
     probes = {inst: schema_sequence(packs[inst.pack], inst.seeds, header_ids, max_len) for inst in instances}
 

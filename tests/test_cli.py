@@ -2,11 +2,14 @@
 
 import json
 import os
+import shutil
+import sys
 
 import numpy as np
 import pytest
 
-from tabrep.cli import finetune_settings, resolve_seed, restore_model, run
+from tabrep import cli
+from tabrep.cli import finetune_settings, main, resolve_seed, restore_model, run
 from tabrep.errors import ConfigError
 from tabrep.store import Config, load_checkpoint, save_checkpoint
 from tabrep.synth import write_corpus
@@ -189,6 +192,51 @@ def test_config_may_not_reshape_the_checkpoint_encoder(pipeline, tmp_path):
         run(["evaluate", "--task", "fill", "--checkpoint", ckpt, "--data", data, "--out", str(report),
              "--config", str(wide)])
     assert not report.exists()
+
+
+@pytest.mark.parametrize("bad", ["a_number", "integers"])
+def test_evaluate_rejects_task_labels_that_are_not_strings(pipeline, tmp_path, bad):
+    data, cfg = str(pipeline["data"]), str(pipeline["cfg"])
+    ft = tmp_path / "ft"
+    assert run(["finetune", "--task", "relations", "--checkpoint", str(pipeline["runs"] / "checkpoint.bin"),
+                "--data", data, "--out", str(ft), "--config", cfg]) == 0
+    arrays, cfg_text, step, extra = load_checkpoint(ft / "relations_checkpoint.bin")
+    # correctly signed, with labels that are a number or integers of the right count
+    extra["labels"] = 5 if bad == "a_number" else list(range(len(extra["labels"])))
+    ckpt = tmp_path / "bad_labels.bin"
+    save_checkpoint(ckpt, arrays, cfg_text, step=step, extra=extra)
+    report = tmp_path / "report.json"
+    with pytest.raises(ConfigError, match="bad_labels.bin"):
+        run(["evaluate", "--task", "relations", "--checkpoint", str(ckpt), "--data", data, "--out", str(report),
+             "--config", cfg])
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{not json", '{"source_dir": 5}'])
+def test_bad_meta_json_exits_one_with_an_error_line(pipeline, tmp_path, monkeypatch, capsys, text):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "meta.json").write_text(text)
+    monkeypatch.setattr(sys, "argv", ["tabrep", "evaluate", "--task", "linking", "--baseline", "lookup",
+                                      "--data", str(data), "--config", str(pipeline["cfg"])])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "meta.json" in err
+
+
+@pytest.mark.parametrize("grid", ["abc", "1.5,-2", "0.2,nan"])
+def test_ablate_rejects_a_bad_mer_grid_before_any_run(pipeline, tmp_path, monkeypatch, grid):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("ablate started a run")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    out = tmp_path / "grid.jsonl"
+    with pytest.raises(ConfigError, match="mer"):
+        run(["ablate", "--data", str(pipeline["data"]), "--out", str(out), "--epochs", "1", "--mer-grid", grid,
+             "--config", str(pipeline["cfg"])])
+    assert not out.exists()
 
 
 def test_evaluate_baselines_need_no_checkpoint(pipeline, tmp_path):

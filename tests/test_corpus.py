@@ -205,7 +205,7 @@ def test_vocab_build_order_and_min_count():
     v = C.build_vocab(counter, C.TOKEN_RESERVED, min_count=2)
     assert v.strings[v.n_reserved :] == ["a", "b", "d"]  # count desc, then string
     assert v.get("c") is None
-    assert v.id_or_unk("c") == C.UNK_ID
+    assert v.ids(["c", "a"]).tolist() == [C.UNK_ID, v.get("a")]
 
 
 def test_vocab_tsv_round_trip(tmp_path):

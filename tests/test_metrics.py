@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tabrep.metrics import (
-    accuracy,
     average_precision,
     candidate_recall,
     linking_prf,
@@ -100,13 +99,6 @@ def test_candidate_recall_micro():
     assert candidate_recall([], []) == 0.0
 
 
-def test_accuracy_basic():
-    assert accuracy(["a", "b"], ["a", "c"]) == 0.5
-    assert accuracy([], []) == 0.0
-    with pytest.raises(ValueError):
-        accuracy(["a"], [])
-
-
 @given(st.lists(st.tuples(st.sets(st.integers(0, 9)), st.sets(st.integers(0, 9))), max_size=20))
 def test_micro_prf_bounds(pairs):
     preds = [p for p, _ in pairs]
@@ -132,12 +124,3 @@ def test_average_precision_bounds_and_perfection(ranking, golds):
     assert front >= ap - 1e-12
     if set(ranking) >= golds:
         assert abs(front - 1.0) < TOL
-
-
-@given(st.lists(st.integers(0, 5), max_size=15), st.lists(st.integers(0, 5), max_size=15))
-def test_accuracy_never_exceeds_one(a, b):
-    n = min(len(a), len(b))
-    val = accuracy(a[:n], b[:n])
-    assert 0.0 <= val <= 1.0
-    if a[:n] == b[:n] and n:
-        assert val == 1.0

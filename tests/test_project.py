@@ -1,5 +1,6 @@
-"""The project metadata in pyproject.toml."""
+"""Project-wide checks: the metadata in pyproject.toml and the package's one write path."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -7,6 +8,7 @@ import re
 import pytest
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "tabrep"
 
 
 def test_declared_dependencies_import():
@@ -16,3 +18,21 @@ def test_declared_dependencies_import():
     assert deps
     for spec in deps:
         importlib.import_module(re.match(r"[A-Za-z0-9_.-]+", spec).group(0).replace("-", "_"))
+
+
+def write_opens(path):
+    """Line numbers of the calls to an `open` whose mode may write: a mode with
+    w, a, x or +, or one that is not a string literal."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+        if mode is not None and not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")):
+            yield node.lineno
+
+
+def test_only_corpus_opens_files_for_writing():
+    # every file is written through corpus.write_file: temp file, then rename
+    assert list(write_opens(PACKAGE / "corpus.py"))
+    others = {p.name: list(write_opens(p)) for p in sorted(PACKAGE.glob("*.py")) if p.name != "corpus.py"}
+    assert {name: lines for name, lines in others.items() if lines} == {}

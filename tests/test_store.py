@@ -7,13 +7,14 @@ import io
 import json
 import os
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tabrep import store
+from tabrep import corpus
 from tabrep.errors import ConfigError, CorruptCheckpoint, VersionMismatch
 from tabrep.store import MAGIC, Config, load_checkpoint, load_config, parse_config, save_checkpoint
 
@@ -252,9 +253,38 @@ def test_failed_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
             super().write(bytes(b)[:10])
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(store, "open", lambda p, mode: FullDisk(p, mode.replace("b", "")), raising=False)
+    monkeypatch.setattr(corpus, "open", lambda p, mode: FullDisk(p, mode.replace("b", "")), raising=False)
     with pytest.raises(OSError):
         save_checkpoint(path, {"w": np.ones(6, dtype=np.float32)}, "cfg", step=2)
     arrays, _, step, _ = load_checkpoint(path)
     assert step == 1 and arrays["w"].tobytes() == old["w"].tobytes()
     assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+class FullDiskText(io.FileIO):
+    # writes a few bytes, then fails as a full disk does; takes text too
+    def write(self, b):
+        super().write((b.encode("utf-8") if isinstance(b, str) else bytes(b))[:10])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+# every writer of the package; each writes a different file for v = 1 and v = 2
+WRITERS = {
+    "save_processed": lambda path, v: corpus.save_processed(
+        path, [corpus.ProcessedTable(f"t{v}", ["c"], ["h"], [["h"]], 0, [])]
+    ),
+    "Vocab.save": lambda path, v: corpus.build_vocab(Counter({f"w{v}": v}), corpus.TOKEN_RESERVED).save(path),
+    "write_jsonl": lambda path, v: corpus.write_jsonl(path, [{"version": v}]),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    WRITERS[writer](path, 1)
+    old = path.read_bytes()
+    monkeypatch.setattr(corpus, "open", lambda p, mode, **kw: FullDiskText(p, mode.replace("b", "")), raising=False)
+    with pytest.raises(OSError):
+        WRITERS[writer](path, 2)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["out"]

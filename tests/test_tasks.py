@@ -14,7 +14,7 @@ from tabrep.corpus import (
     build_vocabs,
     process_table,
 )
-from tabrep.encoder import EncoderConfig, encode, init_model
+from tabrep.encoder import EncoderConfig, encode, init_model, trunc_normal
 from tabrep.encoding import CELL, HEADER, linearize, mask_cell
 from tabrep.errors import ConfigError, EmptyColumn, NonFiniteLoss
 from tabrep.metrics import candidate_recall, linking_prf, mean_average_precision, micro_prf, precision_at_k
@@ -222,6 +222,16 @@ def test_head_shapes_and_param_names(tiny_model):
     sch = SchemaHead(8, 7, rng)
     assert sch.logits(state).data.shape == (1, 7)
     assert [p.name for p in sch.params()] == ["schema_W", "schema_b"]
+
+
+@pytest.mark.parametrize("head_cls,prefix,width", [(ColumnTypeHead, "coltype", 2), (RelationHead, "rel", 4), (SchemaHead, "schema", 1)])
+def test_head_checkpoint_layout_is_stable(head_cls, prefix, width):
+    # task checkpoints store head.{prefix}_W (width * d, n) then head.{prefix}_b (n,);
+    # W is the head's only draw from its rng, so a seed gives the same head every time
+    head = head_cls(8, 3, np.random.default_rng(5), dtype=np.float64)
+    assert [(p.name, p.data.shape) for p in head.params()] == [(f"{prefix}_W", (width * 8, 3)), (f"{prefix}_b", (3,))]
+    assert head.W.data.tobytes() == trunc_normal(np.random.default_rng(5), (width * 8, 3), dtype=np.float64).tobytes()
+    assert head.b.data.dtype == np.float64 and not head.b.data.any()
 
 
 def test_entry_matrix_blocks(tiny_model):
@@ -570,7 +580,7 @@ def _reference_logits(task, inst, s, model=None, use_description=True):
         seq, pos = row_population_sequence(pack, inst.seeds, 96)
         return entity_logits(model, encode(seq, model).h, np.array([pos]), inst.candidates)
     if task == "schema":
-        ids = {h: np.array([s["tv"].id_or_unk(t) for t in h.split()], dtype=np.int64) for h in s["headers"]}
+        ids = {h: s["tv"].ids(h.split()) for h in s["headers"]}
         seq, pos = schema_sequence(pack, inst.seeds, ids, 96)
         return head.logits(nm.gather_rows(encode(seq, model).h, np.array([pos])))
     seq = pack.seq.clone()  # fill
