@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    preprocess  raw JSONL corpus -> processed splits + vocabularies
+    preprocess  raw JSONL corpus -> processed splits + vocabularies + skip log
     pretrain    processed splits -> pre-trained checkpoint + metrics log
     finetune    checkpoint + side files -> task checkpoint
     evaluate    task checkpoint (or baseline) -> report JSON
@@ -222,6 +222,7 @@ def cmd_preprocess(args) -> int:
         save_processed(os.path.join(args.out, f"{name}.jsonl"), splits[name])
     token_vocab.save(os.path.join(args.out, "token_vocab.tsv"))
     entity_vocab.save(os.path.join(args.out, "entity_vocab.tsv"))
+    write_jsonl(os.path.join(args.out, "skipped.jsonl"), ({"table_id": tid, "reason": why} for tid, why in skipped))
     write_file(os.path.join(args.out, "config.txt"), [cfg.as_text()])
     meta = {
         "n_raw": len(tables) + len(skipped),

@@ -615,16 +615,18 @@ def load_raw_tables(path):
     """Parse and process a raw JSONL corpus.
 
     Returns (processed tables, skip log). Tables that fail validation or
-    cleaning are skipped and recorded, not fatal.
+    cleaning are skipped and recorded, not fatal. A skip names the table by
+    its table_id, or by its file line ("line7") when it has no string id.
     """
     tables: list[ProcessedTable] = []
     skipped: list[tuple[str, str]] = []
-    for i, obj in enumerate(read_jsonl(path)):
+    for line_no, obj in _jsonl_lines(path):
         try:
             raw = parse_raw(obj)
             tables.append(process_table(raw))
         except BadTableError as exc:
-            skipped.append((obj.get("table_id", f"line{i}") if isinstance(obj, dict) else f"line{i}", str(exc)))
+            table_id = obj.get("table_id") if isinstance(obj, dict) else None
+            skipped.append((table_id if isinstance(table_id, str) and table_id else f"line{line_no}", str(exc)))
     return tables, skipped
 
 

@@ -14,7 +14,20 @@ rows. Attention is one op, `numeric.table_attention`, that loops over the
 tables' row slices, so a row attends only within its own table, under that
 table's visibility matrix. A table's rows therefore come out as if it were
 encoded alone; the tests check that they are bitwise equal. `encode` is a
-batch of one.
+batch of one, and also returns the input of every block.
+
+`encode_substitutions` scores single-element substitutions of an encoded
+table without encoding each substituted copy. Row i of block l's output
+depends only on the rows visible to i in block l's input, so a substitution
+at row c changes block l's output only at rows within l visibility hops of
+c. The last block is needed only at c, so block l (of L, counted from 1)
+recomputes only the rows within min(l, L - l) hops of c; their keys and
+values are the intact ones except at the rows within l - 1 hops, which the
+previous block recomputed (the substituted embedding for l = 1). With two
+blocks, block 1 recomputes the rows that see c (its row, its column, its
+column's header, the caption and the topic) with only c's key and value
+changed, and block 2 recomputes row c alone. Without the visibility matrix
+every row sees every other, so block 1 recomputes all rows.
 
 Initialization follows BERT: every embedding table and weight matrix draws
 from a normal truncated at two standard deviations with std 0.02; biases and
@@ -30,6 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernels
 from . import numeric as nm
 from .corpus import ENTITY_RESERVED, UNK_ID
 from .encoding import N_ENTITY_TYPES, N_TOKEN_TYPES, Sequence, build_visibility
@@ -46,6 +60,7 @@ __all__ = [
     "encode_batch",
     "encode",
     "EncodeResult",
+    "encode_substitutions",
 ]
 
 
@@ -217,9 +232,20 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
 def transformer_block(h: nm.Tensor, masks: list[np.ndarray] | None, starts: np.ndarray, model: Model, block: int) -> nm.Tensor:
     """One post-norm block over packed rows; each table attends only within
     itself. masks=None runs the plain unmasked reference path."""
+    q, k, v = (_projection(h, model, block, side) for side in "qkv")
+    return _block_output(h, nm.table_attention(q, k, v, masks, starts, model.cfg.n_heads), model, block)
+
+
+def _projection(h: nm.Tensor, model: Model, block: int, side: str) -> nm.Tensor:
+    """The query, key or value rows (side "q", "k" or "v") of a block."""
+    return affine(h, model[f"block{block}.W{side}"], model[f"block{block}.b{side}"])
+
+
+def _block_output(h: nm.Tensor, ctx: nm.Tensor, model: Model, block: int) -> nm.Tensor:
+    """The post-attention half of a block, row by row: output projection of
+    the attention context, residual and layer norm, FFN, residual and layer
+    norm. h holds the block's input at the same rows as ctx."""
     pre = f"block{block}."
-    q, k, v = (affine(h, model[pre + f"W{side}"], model[pre + f"b{side}"]) for side in "qkv")
-    ctx = nm.table_attention(q, k, v, masks, starts, model.cfg.n_heads)
     a = affine(ctx, model[pre + "Wo"], model[pre + "bo"])
     h1 = nm.layer_norm(nm.add(h, a), model[pre + "ln1_g"], model[pre + "ln1_b"])
     f = affine(nm.gelu(affine(h1, model[pre + "ffn_W1"], model[pre + "ffn_b1"])), model[pre + "ffn_W2"], model[pre + "ffn_b2"])
@@ -232,12 +258,29 @@ class EncodeResult:
     seq: Sequence
     token_indices: np.ndarray
     entity_indices: np.ndarray
+    block_inputs: list[nm.Tensor]  # the (n, d) input of each block, in order
 
 
 def _pack(seqs: list[Sequence]) -> Sequence:
     """Stack sequences end to end into one sequence of all their elements."""
     fields = [np.concatenate([getattr(s, f) for s in seqs]) for f in ("kinds", "ids", "type_ids", "positions", "rows", "cols")]
     return Sequence("+".join(s.table_id for s in seqs), *fields, [m for s in seqs for m in s.mentions])
+
+
+def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool) -> list[nm.Tensor]:
+    """The packed input of every block, then the output of the last one."""
+    lens = [len(s) for s in seqs]
+    starts = np.cumsum([0] + lens[:-1])
+    states = [embed_sequence(_pack(seqs), model)]
+    if reference:
+        masks = None
+    elif use_visibility:
+        masks = [build_visibility(s) for s in seqs]
+    else:
+        masks = [np.ones((n, n), dtype=np.uint8) for n in lens]
+    for i in range(model.cfg.n_blocks):
+        states.append(transformer_block(states[-1], masks, starts, model, i))
+    return states
 
 
 def encode_batch(seqs: list[Sequence], model: Model, use_visibility: bool = True, reference: bool = False) -> nm.Tensor:
@@ -250,21 +293,74 @@ def encode_batch(seqs: list[Sequence], model: Model, use_visibility: bool = True
     runs the plain softmax path with no mask argument at all; it exists so
     tests can compare the two implementations.
     """
-    lens = [len(s) for s in seqs]
-    starts = np.cumsum([0] + lens[:-1])
-    h = embed_sequence(_pack(seqs), model)
-    if reference:
-        masks = None
-    elif use_visibility:
-        masks = [build_visibility(s) for s in seqs]
-    else:
-        masks = [np.ones((n, n), dtype=np.uint8) for n in lens]
-    for i in range(model.cfg.n_blocks):
-        h = transformer_block(h, masks, starts, model, i)
-    return h
+    return _encode_states(seqs, model, use_visibility, reference)[-1]
 
 
 def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:
     """Run the full encoder over one table (a batch of one)."""
-    h = encode_batch([seq], model, use_visibility=use_visibility, reference=reference)
-    return EncodeResult(h=h, seq=seq, token_indices=seq.token_indices, entity_indices=seq.entity_indices)
+    *inputs, h = _encode_states([seq], model, use_visibility, reference)
+    return EncodeResult(h=h, seq=seq, token_indices=seq.token_indices, entity_indices=seq.entity_indices, block_inputs=inputs)
+
+
+SUBSTITUTION_PACK = 16  # substitutions recomputed together in `encode_substitutions`
+
+
+def encode_substitutions(
+    enc: EncodeResult, positions: np.ndarray, subst: Sequence, model: Model, use_visibility: bool = True
+) -> np.ndarray:
+    """Final states under single-element substitutions of an encoded table.
+
+    `subst` is the table `enc` encoded (with the same use_visibility), with
+    every element at `positions` replaced by its substitute. Row m of the
+    (M, d) result is the final state of element positions[m] when it alone
+    is substituted. Only the rows a substitution reaches are recomputed, by
+    the rule in the module docstring, SUBSTITUTION_PACK substitutions at a
+    time. The result equals a full `encode` of each substituted table up to
+    float rounding, not bitwise.
+    """
+    cfg, n, n_blocks = model.cfg, len(enc.seq), model.cfg.n_blocks
+    vis = build_visibility(enc.seq) if use_visibility else np.ones((n, n), dtype=np.uint8)
+    kernels.check_mask(vis)
+    vis = vis.astype(bool)
+    out = np.empty((len(positions), cfg.d_model), dtype=model.dtype)
+    with nm.no_grad():
+        x0 = embed_sequence(subst, model).data[positions]
+        # each block's intact input, keys and values
+        intact = [[x.data] + [_projection(x, model, i, side).data for side in "kv"] for i, x in enumerate(enc.block_inputs)]
+        for c in range(0, len(positions), SUBSTITUTION_PACK):
+            pos = np.asarray(positions[c : c + SUBSTITUTION_PACK])
+            # reach[k][m, j]: row j is within k visibility hops of pos[m]
+            reach = [np.zeros((len(pos), n), dtype=bool)]
+            reach[0][np.arange(len(pos)), pos] = True
+            for _ in range(n_blocks // 2):
+                reach.append(reach[-1] @ vis)
+            changed, x = reach[0], x0[c : c + len(pos)]
+            for i in range(n_blocks):
+                rows = reach[min(i + 1, n_blocks - i - 1)]
+                x = _substituted_block(x, changed, rows, vis, intact[i], model, i)
+                changed = rows
+            out[c : c + len(pos)] = x
+    return out
+
+
+def _substituted_block(x, changed, rows, vis, intact, model: Model, block: int) -> np.ndarray:
+    """Block `block` at the query rows `rows` (M, n) of each substitution,
+    given its input x at the rows `changed` (M, n) that differ from the
+    intact input; both row sets are flattened in row-major order. Keys and
+    values are the intact ones with the changed rows patched in."""
+    h_in, k_in, v_in = intact
+    qm, qr = np.nonzero(rows)
+    km, kr = np.nonzero(changed)
+    slot = np.full(changed.shape, -1)
+    slot[km, kr] = np.arange(len(km))
+    at = slot[qm, qr]
+    h = h_in[qr]
+    h[at >= 0] = x[at[at >= 0]]
+    q = _projection(nm.Tensor(h), model, block, "q").data
+    k, v = (_projection(nm.Tensor(x), model, block, side).data for side in "kv")
+    # a query row sees the intact keys its substitution left unchanged and
+    # the patched keys of its own substitution, both under the visibility
+    vis_q = vis[qr]
+    mask = np.concatenate([vis_q & ~changed[qm], vis_q[:, kr] & (qm[:, None] == km[None, :])], axis=1)
+    ctx, _ = kernels.attention_fwd(q, np.concatenate([k_in, k]), np.concatenate([v_in, v]), mask, model.cfg.n_heads)
+    return _block_output(nm.Tensor(h), nm.Tensor(ctx), model, block).data

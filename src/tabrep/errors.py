@@ -42,4 +42,4 @@ class VersionMismatch(TabrepError):
 
 
 class NonFiniteLoss(TabrepError):
-    """A training loss came out NaN or infinite; no optimizer step is taken on it."""
+    """A training loss or gradient norm came out NaN or infinite; no optimizer step is taken on it."""

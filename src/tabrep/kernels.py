@@ -6,10 +6,13 @@ which the determinism tests rely on.
 
 Masking convention: `mask` is a (n, n) uint8 array; mask[i, j] == 0 means
 position i must ignore position j. Masked attention weights come out exactly
-0.0, not merely small.
+0.0, not merely small. `attention_fwd` also takes a (m, n) mask of m query
+rows over n key rows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -43,6 +46,21 @@ def masked_softmax_fwd(scores, mask):
     m = np.max(masked, axis=-1, keepdims=True)
     e = np.exp(masked - m)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def attention_fwd(q, k, v, mask, n_heads):
+    # q: (m, d) query rows; k, v: (n, d) key rows; mask: (m, n), or None for
+    # the plain softmax. Scores scale by 1/sqrt(d / n_heads). Returns the
+    # (m, d) context and the per-head views the backward pass reuses:
+    # q3 (h, m, dh), k3t (h, dh, n), v3 (h, n, dh) and the weights (h, m, n).
+    m, d = q.shape
+    dh = d // n_heads
+    q3 = q.reshape(m, n_heads, dh).transpose(1, 0, 2)
+    k3t = k.reshape(len(k), n_heads, dh).transpose(1, 2, 0)
+    v3 = v.reshape(len(v), n_heads, dh).transpose(1, 0, 2)
+    scores = (q3 @ k3t) * (1.0 / math.sqrt(dh))
+    probs = softmax_fwd(scores) if mask is None else masked_softmax_fwd(scores, mask)
+    return (probs @ v3).transpose(1, 0, 2).reshape(m, d), (q3, k3t, v3, probs)
 
 
 def softmax_bwd(probs, dout):

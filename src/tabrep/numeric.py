@@ -1,22 +1,27 @@
 """Reverse-mode autodiff over numpy arrays, plus Adam and a gradient checker.
 
 Small tape-based engine: every op builds an output Tensor holding a closure
-that routes gradients to its parents. Training runs in float32; the gradient
-checker runs the same graph code in float64. Dtype always follows the operand
-arrays, never a global switch.
+that routes gradients to its parents. Inside `no_grad()` no op records
+parents or keeps its closure, so no tape is built; the data an op computes
+is the same either way. Training runs in float32; the gradient checker runs
+the same graph code in float64. Dtype always follows the operand arrays,
+never a global switch.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 
 import numpy as np
 
 from . import kernels
-from .errors import ShapeMismatch
+from .errors import NonFiniteLoss, ShapeMismatch
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "add",
     "matmul",
     "transpose",
@@ -30,6 +35,8 @@ __all__ = [
     "bce_with_logits_sum",
     "Adam",
     "linear_lr",
+    "grad_norm",
+    "descend",
     "grad_check",
 ]
 
@@ -99,9 +106,22 @@ def _needs_grad(parents):
     return any(_wants_grad(p) for p in parents)
 
 
+_GRAD_ENABLED = contextvars.ContextVar("tabrep_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, op outputs have no parents and no backward closure."""
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
 def _make(data, parents, backward):
     out = Tensor(data)
-    if _needs_grad(parents):
+    if _GRAD_ENABLED.get() and _needs_grad(parents):
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -242,23 +262,17 @@ def table_attention(q, k, v, masks, starts, n_heads):
             if mask.shape != (e - s, e - s):
                 raise ShapeMismatch(f"mask {mask.shape} for a table of {e - s} rows")
 
-    def heads(x, s, e, axes):
-        # (n, d) rows of one table -> per-head view, without a copy
-        return x[s:e].reshape(e - s, n_heads, dh).transpose(axes)
-
     out = np.empty_like(q.data)
     saved = []
     for i, (s, e) in enumerate(bounds):
-        q3, k3t, v3 = heads(q.data, s, e, (1, 0, 2)), heads(k.data, s, e, (1, 2, 0)), heads(v.data, s, e, (1, 0, 2))
-        scores = (q3 @ k3t) * c
-        probs = kernels.softmax_fwd(scores) if masks is None else kernels.masked_softmax_fwd(scores, masks[i])
-        out[s:e] = (probs @ v3).transpose(1, 0, 2).reshape(e - s, d)
-        saved.append((s, e, q3, k3t, v3, probs))
+        mask = None if masks is None else masks[i]
+        out[s:e], heads = kernels.attention_fwd(q.data[s:e], k.data[s:e], v.data[s:e], mask, n_heads)
+        saved.append((s, e, *heads))
 
     def backward(dout):
         dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
         for s, e, q3, k3t, v3, probs in saved:
-            dctx = heads(dout, s, e, (1, 0, 2))
+            dctx = dout[s:e].reshape(e - s, n_heads, dh).transpose(1, 0, 2)
             # masked positions hold prob 0, so softmax_bwd routes zero gradient there
             dscores = kernels.softmax_bwd(probs, dctx @ v3.transpose(0, 2, 1)) * c
             dq[s:e] = (dscores @ k3t.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(e - s, d)
@@ -371,6 +385,32 @@ class Adam:
             grad = np.ascontiguousarray(p.grad.reshape(-1))
             kernels.adam_update(flat, grad, m, v, t, lr, self.BETA1, self.BETA2, self.EPS)
         self.steps_done = t
+
+
+def grad_norm(params):
+    """Global L2 norm of the parameters' gradients, one np.vdot per gradient.
+
+    Each square is summed in the gradient's dtype, so a float32 gradient
+    whose norm passes about 1.8e19 reads as inf.
+    """
+    return math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in params if p.grad is not None))
+
+
+def descend(loss, opt, where):
+    """Backpropagate a scalar loss and take one step of `opt`; returns the loss.
+
+    A loss, or a global gradient norm, that is not finite raises
+    NonFiniteLoss, with `where` in its message, before any parameter moves.
+    """
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise NonFiniteLoss(f"loss is {value} {where}")
+    loss.backward()
+    norm = grad_norm(opt.params)
+    if not math.isfinite(norm):
+        raise NonFiniteLoss(f"gradient norm is {norm} {where}")
+    opt.step()
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import numeric as nm
 from .corpus import ENTITY_RESERVED, MASK_ID, TOKEN_RESERVED, IndexedTable
-from .encoder import EncoderConfig, Model, encode, encode_batch, init_entity_embeddings, init_model
+from .encoder import EncoderConfig, Model, encode, encode_batch, encode_substitutions, init_entity_embeddings, init_model
 from .encoding import Sequence, linearize, mask_cell
-from .errors import NonFiniteLoss
 
 # cell masking actions
 KEEP = 0
@@ -282,8 +281,9 @@ def fit(
     ends, with fewer steps, after an epoch in which no table had anything
     masked and so no step was taken; a corpus with nothing to predict would
     otherwise loop forever. An epoch_callback that returns True ends the run
-    after that epoch. A step whose loss is not finite raises NonFiniteLoss,
-    naming the batch's tables, before the optimizer moves any parameter.
+    after that epoch. A step whose loss or gradient norm is not finite raises
+    NonFiniteLoss, naming the step and the batch's tables, before the
+    optimizer moves any parameter.
 
     Each step draws the masks of its batch table by table, in batch order,
     then takes one `table_loss` over the whole batch: one packed graph.
@@ -330,12 +330,8 @@ def fit(
             ep_stats.n_cells += stats.n_cells
             ep_stats.token_correct += stats.token_correct
             ep_stats.cell_correct += stats.cell_correct
-            step_loss = float(total.data)
-            if not np.isfinite(step_loss):
-                tables = ", ".join(m.seq.table_id for m in batch)
-                raise NonFiniteLoss(f"loss is {step_loss} at step {step} (epoch {epoch}), tables {tables}")
-            total.backward()
-            opt.step()
+            tables = ", ".join(m.seq.table_id for m in batch)
+            step_loss = nm.descend(total, opt, f"at step {step} (epoch {epoch}), tables {tables}")
             step += 1
             ep_loss += step_loss
             history.step_losses.append(step_loss)
@@ -384,27 +380,33 @@ def masked_recovery_accuracy(
     The masked cell loses both its entity embedding and its mention; the rest
     of the table stays intact. With only_objects=True, subject-column cells
     are skipped and the measure is object-cell recovery.
+
+    Each table is encoded once, with no tape, and every single-cell masking
+    of it is scored from `encoder.encode_substitutions`, which recomputes only
+    the rows the masked cell reaches. So the logits match a full `encode` of
+    each masked copy within float rounding, not bitwise; `encode` itself, and
+    the bitwise equality of masked and plain attention (C03), are unchanged.
     """
     rng = np.random.default_rng(seed)
     correct = 0
     total = 0
-    for t in tables:
-        seq = linearize(t, model.cfg.max_len)
-        cell_positions = seq.cell_indices()
-        if only_objects:
-            cell_positions = cell_positions[seq.cols[cell_positions] != t.subject_col]
-        if not len(cell_positions):
-            continue
-        golds = seq.ids[cell_positions]
-        cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
-        for pos, gold in zip(cell_positions.tolist(), golds):
+    with nm.no_grad():
+        for t in tables:
+            seq = linearize(t, model.cfg.max_len)
+            cell_positions = seq.cell_indices()
+            if only_objects:
+                cell_positions = cell_positions[seq.cols[cell_positions] != t.subject_col]
+            if not len(cell_positions):
+                continue
+            golds = seq.ids[cell_positions]
+            cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
             masked = seq.clone()
-            mask_cell(masked, pos, mask_entity=True, mask_mention=True)
-            enc = encode(masked, model, use_visibility=use_visibility)
-            logits = entity_logits(model, enc.h, np.array([pos]), cands).data[0]
+            for pos in cell_positions.tolist():
+                mask_cell(masked, pos, mask_entity=True, mask_mention=True)
+            states = encode_substitutions(encode(seq, model, use_visibility), cell_positions, masked, model, use_visibility)
+            logits = entity_logits(model, nm.Tensor(states), np.arange(len(states)), cands).data
             # ties break toward the smaller entity id; argmax already does
             # that because candidates are sorted ascending
-            pred = cands[int(np.argmax(logits))]
-            correct += int(pred == gold)
-            total += 1
+            correct += int((cands[logits.argmax(axis=1)] == golds).sum())
+            total += len(golds)
     return correct / max(1, total)

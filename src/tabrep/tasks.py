@@ -53,7 +53,7 @@ from .corpus import (
 # `encode` is not called here; the benchmark's tracer tests reach it as tasks.encode
 from .encoder import Model, encode, encode_batch, trunc_normal  # noqa: F401
 from .encoding import CELL, HEADER, Sequence, linearize, mask_cell
-from .errors import ConfigError, EmptyColumn, NonFiniteLoss, TableTooSmall
+from .errors import ConfigError, EmptyColumn, TableTooSmall
 from .metrics import (
     candidate_recall,
     linking_prf,
@@ -560,7 +560,8 @@ def finetune(instances, spec: TaskSpec, params, settings: FinetuneSettings) -> l
     """Shuffle, batch, encode each batch as one graph, sum the instances'
     losses, step. Returns epoch losses: summed loss over the number of instances.
 
-    A batch whose loss is not finite raises NonFiniteLoss before the step.
+    A batch whose loss or gradient norm is not finite raises NonFiniteLoss,
+    naming the step, before the optimizer moves any parameter.
     """
     rng = np.random.default_rng(settings.seed)
     n_batches = max(1, (len(instances) + settings.batch_size - 1) // settings.batch_size)
@@ -574,29 +575,25 @@ def finetune(instances, spec: TaskSpec, params, settings: FinetuneSettings) -> l
             opt.zero_grad()
             h, starts = _encode_distinct(spec, batch, settings.use_visibility)
             batch_loss = reduce(nm.add, [spec.loss(inst, spec.logits(inst, h, at)) for inst, at in zip(batch, starts)])
-            loss = float(batch_loss.data)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss is {loss} at step {opt.steps_done}")
-            batch_loss.backward()
-            opt.step()
-            total += loss
+            total += nm.descend(batch_loss, opt, f"at step {opt.steps_done}")
         epoch_losses.append(total / max(1, len(instances)))
     return epoch_losses
 
 
 def forward(instances, spec: TaskSpec, use_visibility: bool = True) -> list[np.ndarray]:
-    """Each instance's logits row. Every distinct sequence is encoded once,
-    FORWARD_PACK sequences to a packed graph."""
+    """Each instance's logits row, computed with no tape. Every distinct
+    sequence is encoded once, FORWARD_PACK sequences to a packed graph."""
     groups: dict = {}
     for i, inst in enumerate(instances):
         groups.setdefault(spec.read(inst)[0], []).append(i)
     keys = list(groups)
     out: list = [None] * len(instances)
-    for b in range(0, len(keys), FORWARD_PACK):
-        idx = [i for key in keys[b : b + FORWARD_PACK] for i in groups[key]]
-        h, starts = _encode_distinct(spec, [instances[i] for i in idx], use_visibility)
-        for i, at in zip(idx, starts):
-            out[i] = spec.logits(instances[i], h, at).data[0]
+    with nm.no_grad():
+        for b in range(0, len(keys), FORWARD_PACK):
+            idx = [i for key in keys[b : b + FORWARD_PACK] for i in groups[key]]
+            h, starts = _encode_distinct(spec, [instances[i] for i in idx], use_visibility)
+            for i, at in zip(idx, starts):
+                out[i] = spec.logits(instances[i], h, at).data[0]
     return out
 
 

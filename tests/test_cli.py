@@ -80,6 +80,19 @@ def test_preprocess_visibility_dump(pipeline, tmp_path):
     assert dump["table_id"] == some_id
 
 
+def test_preprocess_writes_one_skip_record_per_skipped_table(pipeline, tmp_path):
+    good = (pipeline["corpus"] / "raw.jsonl").read_text().splitlines()
+    bad = [json.dumps({"table_id": "no_headers", "headers": [], "rows": []}), "", json.dumps([1, 2])]
+    corpus = tmp_path / "raw.jsonl"
+    corpus.write_text("\n".join(good[:5] + bad) + "\n")
+    out = tmp_path / "data"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(out), "--config", str(pipeline["cfg"])]) == 0
+    skipped = read_jsonl(out / "skipped.jsonl")
+    assert len(skipped) == json.loads((out / "meta.json").read_text())["n_skipped"]
+    assert [r["table_id"] for r in skipped[-2:]] == ["no_headers", "line8"]
+    assert all(set(r) == {"table_id", "reason"} and r["reason"] for r in skipped)
+
+
 def test_preprocess_keeps_tables_wider_than_max_cols_out_of_train(pipeline, tmp_path):
     narrow_cfg = tmp_path / "narrow.cfg"
     narrow_cfg.write_text(TINY_CFG + "max_cols = 4\n")

@@ -6,14 +6,16 @@ import pytest
 from tabrep import numeric as nm
 from tabrep.corpus import UNK_ID, IndexedCell, IndexedTable, MASK_ID
 from tabrep.encoder import (
+    SUBSTITUTION_PACK,
     EncoderConfig,
     embed_sequence,
     encode,
     encode_batch,
+    encode_substitutions,
     init_entity_embeddings,
     init_model,
 )
-from tabrep.encoding import CELL, build_visibility, linearize
+from tabrep.encoding import CELL, build_visibility, linearize, mask_cell
 from tabrep.errors import ConfigError, UnknownId
 
 from conftest import make_indexed_table
@@ -272,3 +274,68 @@ def test_float64_mode_flows_through(model):
     seq = seq_of(rng, m64)
     out = encode(seq, m64)
     assert out.h.data.dtype == np.float64
+
+
+# -- recompute of single-cell maskings ------------------------------------------
+
+
+def masked_cells(seq, positions):
+    masked = seq.clone()
+    for pos in positions.tolist():
+        mask_cell(masked, pos, mask_entity=True, mask_mention=True)
+    return masked
+
+
+def full_encode_of_each_masking(seq, positions, model, use_visibility):
+    # reference: mask one cell in a copy of the table and encode the whole copy
+    out = []
+    for pos in positions.tolist():
+        copy = seq.clone()
+        mask_cell(copy, pos, mask_entity=True, mask_mention=True)
+        out.append(encode(copy, model, use_visibility=use_visibility).h.data[pos])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("use_visibility", [True, False])
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_visibility):
+    model = init_model(tiny_cfg(n_blocks=n_blocks), np.random.default_rng(n_blocks))
+    # at std 0.02 a masked cell moves the other rows' states by less than the
+    # tolerance; at std 0.2 a block that skips a reached row is caught
+    for name, w in model.weights.items():
+        if name.startswith("block") and "W" in name:
+            w.data *= 10.0
+    rng = np.random.default_rng(10 + n_blocks)
+    tables = [
+        make_indexed_table(rng, 6, 3, with_topic=True),  # more cells than one pack
+        make_indexed_table(rng, 3, 2, caption_len=0, cell_density=0.7),
+        make_indexed_table(rng, 1, 1, caption_len=0),  # a one-cell table
+    ]
+    assert len(linearize(tables[0]).cell_indices()) > SUBSTITUTION_PACK
+    cands = np.arange(3, 30)
+    for t in tables:
+        seq = linearize(t, model.cfg.max_len)
+        cells = seq.cell_indices()
+        # every cell, then the object cells alone (the recovery's only_objects)
+        for positions in (cells, cells[seq.cols[cells] != 0]):
+            if not len(positions):
+                continue
+            want = full_encode_of_each_masking(seq, positions, model, use_visibility)
+            enc = encode(seq, model, use_visibility=use_visibility)
+            got = encode_substitutions(enc, positions, masked_cells(seq, positions), model, use_visibility)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+            logits = {k: x @ model["mer_W"].data @ model["ent_emb"].data[cands].T for k, x in (("got", got), ("want", want))}
+            assert np.abs(logits["got"] - logits["want"]).max() <= 1e-5 * np.abs(logits["want"]).max()
+            assert np.array_equal(logits["got"].argmax(axis=1), logits["want"].argmax(axis=1))
+
+
+def test_encode_keeps_each_block_input_and_builds_no_tape_under_no_grad(model):
+    seq = seq_of(np.random.default_rng(12), model, with_topic=True)
+    taped = encode(seq, model)
+    assert len(taped.block_inputs) == model.cfg.n_blocks
+    assert taped.block_inputs[0].data.tobytes() == embed_sequence(seq, model).data.tobytes()
+    with nm.no_grad():
+        free = encode(seq, model)
+    assert free.h.data.tobytes() == taped.h.data.tobytes()
+    assert free.h._parents == () and all(x._parents == () for x in free.block_inputs)

@@ -189,6 +189,65 @@ def test_mixed_dtype_rejected():
         nm.add(a, b)
 
 
+# -- no-grad mode -----------------------------------------------------------------
+
+# the names in numeric.__all__ that are not ops
+_NOT_OPS = {"Tensor", "no_grad", "Adam", "linear_lr", "grad_norm", "descend", "grad_check"}
+
+
+def _op_calls():
+    rng = np.random.default_rng(9)
+    a, b = t(rng.normal(size=(4, 6))), t(rng.normal(size=(4, 6)))
+    w, g, beta = t(rng.normal(size=(6, 3))), t(rng.normal(size=6)), t(rng.normal(size=6))
+    mask = (rng.random((3, 3)) < 0.5).astype(np.uint8)
+    np.fill_diagonal(mask, 1)
+    return {
+        "add": lambda: nm.add(a, b),
+        "matmul": lambda: nm.matmul(a, w),
+        "transpose": lambda: nm.transpose(a, (1, 0)),
+        "concat": lambda: nm.concat([a, b], axis=1),
+        "gather_rows": lambda: nm.gather_rows(a, [3, 0, 3]),
+        "put_rows": lambda: nm.put_rows(a, [5, 1, 0, 2], 7),
+        "table_attention": lambda: nm.table_attention(a, b, a, [mask, np.ones((1, 1), np.uint8)], np.array([0, 3]), 2),
+        "layer_norm": lambda: nm.layer_norm(a, g, beta),
+        "gelu": lambda: nm.gelu(a),
+        "cross_entropy_sum": lambda: nm.cross_entropy_sum(a, [0, 5, 2, 1]),
+        "bce_with_logits_sum": lambda: nm.bce_with_logits_sum(a, np.ones((4, 6))),
+    }
+
+
+def test_no_grad_ops_compute_the_same_data_and_record_no_parents():
+    ops = _op_calls()
+    assert set(ops) == set(nm.__all__) - _NOT_OPS
+    for name, op in ops.items():
+        taped = op()
+        with nm.no_grad():
+            free = op()
+        assert taped._parents and taped._backward is not None, name
+        assert free._parents == () and free._backward is None, name
+        assert free.data.dtype == taped.data.dtype and free.data.tobytes() == taped.data.tobytes(), name
+
+
+def test_no_grad_restores_the_mode_after_an_exception():
+    a = t(np.ones((2, 3)))
+    with pytest.raises(ShapeMismatch):
+        with nm.no_grad():
+            with nm.no_grad():
+                assert nm.add(a, a)._parents == ()
+            assert nm.add(a, a)._parents == ()
+            nm.matmul(a, a)
+    assert nm.add(a, a)._parents
+
+
+def test_grad_norm_is_the_global_l2_norm():
+    a, b, c = t(np.ones((2, 2))), t(np.zeros(3)), t(np.ones(1))
+    a.grad = np.array([[3.0, 0.0], [0.0, 0.0]])
+    b.grad = np.array([0.0, 4.0, 0.0])
+    assert nm.grad_norm([a, b, c]) == 5.0
+    b.grad[0] = np.nan
+    assert np.isnan(nm.grad_norm([a, b, c]))
+
+
 # -- optimizer -------------------------------------------------------------------
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import tabrep.numeric as nm
+from tabrep import pretrain
 from tabrep.corpus import MASK_ID
-from tabrep.encoder import EncoderConfig, init_model
-from tabrep.encoding import CELL, TOPIC, linearize
+from tabrep.encoder import EncoderConfig, encode, init_model
+from tabrep.encoding import CELL, TOPIC, linearize, mask_cell
 from tabrep.errors import NonFiniteLoss
 from tabrep.pretrain import (
     KEEP,
@@ -20,7 +21,9 @@ from tabrep.pretrain import (
     apply_masks,
     build_candidates,
     canonical_mentions,
+    entity_logits,
     fit,
+    masked_recovery_accuracy,
     sample_cell_mask,
     sample_token_mask,
 )
@@ -280,3 +283,77 @@ def test_fit_stops_on_a_non_finite_loss():
     named = str(err.value).split("tables ")[-1].split(", ")
     assert len(set(named)) == 3 and set(named) <= {f"t{i}" for i in range(6)}
     assert all(arr.tobytes() == before[name].tobytes() for name, arr in model.named_arrays().items())
+
+
+def test_fit_stops_on_a_non_finite_gradient(monkeypatch):
+    # the loss stays finite; one gradient entry is not
+    model = init_model(SMALL_CFG, np.random.default_rng(0))
+    before = {name: arr.copy() for name, arr in model.named_arrays().items()}
+    backward = nm.Tensor.backward
+
+    def poisoned(self):
+        backward(self)
+        model["block0.Wq"].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(nm.Tensor, "backward", poisoned)
+    with pytest.raises(NonFiniteLoss, match=r"gradient norm is inf at step 0 \(epoch 0\), tables t\d") as err:
+        small_fit(model=model)
+    assert len(set(str(err.value).split("tables ")[-1].split(", "))) == 3
+    assert all(arr.tobytes() == before[name].tobytes() for name, arr in model.named_arrays().items())
+
+
+# -- masked-recovery evaluation ----------------------------------------------------
+
+
+def recovery_tables():
+    rng = np.random.default_rng(21)
+    return [
+        make_indexed_table(rng, 5, 3, n_tokens=30, n_entities=20, with_topic=True, table_id="a"),
+        make_indexed_table(rng, 2, 2, n_tokens=30, n_entities=20, caption_len=0, table_id="b"),
+        make_indexed_table(rng, 1, 1, n_tokens=30, n_entities=20, caption_len=0, table_id="c"),
+        make_indexed_table(rng, 3, 1, n_tokens=30, n_entities=20, table_id="d"),  # no object cells
+    ]
+
+
+def reference_recovery(model, tables, cooccur, cap, seed, use_visibility=True, only_objects=False):
+    # the per-cell loop: mask one cell, encode the whole copy, score that cell
+    rng = np.random.default_rng(seed)
+    correct = total = 0
+    for t in tables:
+        seq = linearize(t, model.cfg.max_len)
+        cells = seq.cell_indices()
+        if only_objects:
+            cells = cells[seq.cols[cells] != t.subject_col]
+        if not len(cells):
+            continue
+        golds = seq.ids[cells]
+        cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
+        for pos, gold in zip(cells.tolist(), golds):
+            copy = seq.clone()
+            mask_cell(copy, pos, mask_entity=True, mask_mention=True)
+            logits = entity_logits(model, encode(copy, model, use_visibility=use_visibility).h, np.array([pos]), cands)
+            correct += int(cands[int(np.argmax(logits.data[0]))] == gold)
+            total += 1
+    return correct / max(1, total)
+
+
+@pytest.mark.parametrize("use_visibility", [True, False])
+@pytest.mark.parametrize("only_objects", [False, True])
+def test_masked_recovery_equals_the_per_cell_reference(use_visibility, only_objects):
+    model, _ = small_fit(epochs=3)
+    kw = dict(cap=8, seed=4, use_visibility=use_visibility, only_objects=only_objects)
+    tables = recovery_tables()
+    assert masked_recovery_accuracy(model, tables, {}, **kw) == reference_recovery(model, tables, {}, **kw)
+
+
+def test_masked_recovery_encodes_each_table_once(monkeypatch):
+    model = init_model(SMALL_CFG, np.random.default_rng(0))
+    calls = []
+
+    def counting(seq, *args, **kwargs):
+        calls.append(seq.table_id)
+        return encode(seq, *args, **kwargs)
+
+    monkeypatch.setattr(pretrain, "encode", counting)
+    masked_recovery_accuracy(model, recovery_tables(), {}, cap=8, seed=0)
+    assert calls == ["a", "b", "c", "d"]

@@ -503,6 +503,27 @@ def test_finetune_stops_on_a_non_finite_loss(corpus, tiny_model):
     assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before))
 
 
+def test_finetune_stops_on_a_non_finite_gradient(corpus, tiny_model, monkeypatch):
+    # the loss stays finite; one gradient entry is not
+    packs, _, ev = corpus
+    inst, types = build_column_type_data(packs, ev, toy_side())
+    model = init_model(tiny_model.cfg, np.random.default_rng(3))
+    head = ColumnTypeHead(8, len(types), np.random.default_rng(5))
+    params = model.params() + head.params()
+    before = [p.data.copy() for p in params]
+    backward = nm.Tensor.backward
+
+    def poisoned(self):
+        backward(self)
+        head.W.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(nm.Tensor, "backward", poisoned)
+    settings = FinetuneSettings(lr0=1e-2, epochs=2, batch_size=4, seed=1)
+    with pytest.raises(NonFiniteLoss, match="gradient norm is nan at step 0"):
+        train_column_types(model, head, packs, inst, settings, len(types))
+    assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before))
+
+
 # -- the task engine against per-instance reference loops ------------------------
 #
 # The references encode each instance's sequence on its own with `encode`, as
@@ -698,3 +719,26 @@ def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
     tables = {i.pack for i in s["linking_eval"]}
     assert len(s["linking_eval"]) > 2 * len(tables)
     assert sorted(encoded) == sorted(s["packs"][k].seq.table_id for k in tables)
+
+
+def test_evaluation_builds_no_tape(synth_tasks, monkeypatch):
+    import tabrep.tasks as T
+
+    s = synth_tasks
+    m, p, hs = s["model"], s["packs"], s["heads"]
+    taped = []
+    real = T.encode_batch
+
+    def recording(seqs, *args, **kwargs):
+        h = real(seqs, *args, **kwargs)
+        taped.append(bool(h._parents))
+        return h
+
+    monkeypatch.setattr(T, "encode_batch", recording)
+    eval_column_types(m, hs["coltype"], p, s["coltype"])
+    eval_relations(m, hs["relations"], p, s["relations"])
+    eval_linking(m, hs["linking"], p, s["linking_eval"], side=s["side"], token_vocab=s["tv"], tokenizer=TOKENIZER)
+    eval_row_population(m, p, s["rowpop"], 96)
+    eval_cell_filling(m, p, s["fill"])
+    eval_schema(m, hs["schema"], p, s["schema"], s["headers"], s["tv"], 96)
+    assert taped and not any(taped)
