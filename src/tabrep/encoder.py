@@ -27,7 +27,9 @@ previous block recomputed (the substituted embedding for l = 1). With two
 blocks, block 1 recomputes the rows that see c (its row, its column, its
 column's header, the caption and the topic) with only c's key and value
 changed, and block 2 recomputes row c alone. Without the visibility matrix
-every row sees every other, so block 1 recomputes all rows.
+every row sees every other, so block 1 recomputes all rows. Substitutions
+are recomputed together in packs sized so that no block's attention scores
+exceed those of one full encode of a max_len table.
 
 Initialization follows BERT: every embedding table and weight matrix draws
 from a normal truncated at two standard deviations with std 0.02; biases and
@@ -259,6 +261,7 @@ class EncodeResult:
     token_indices: np.ndarray
     entity_indices: np.ndarray
     block_inputs: list[nm.Tensor]  # the (n, d) input of each block, in order
+    mask: np.ndarray | None  # the (n, n) visibility every block used; None for the plain reference path
 
 
 def _pack(seqs: list[Sequence]) -> Sequence:
@@ -267,8 +270,9 @@ def _pack(seqs: list[Sequence]) -> Sequence:
     return Sequence("+".join(s.table_id for s in seqs), *fields, [m for s in seqs for m in s.mentions])
 
 
-def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool) -> list[nm.Tensor]:
-    """The packed input of every block, then the output of the last one."""
+def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool):
+    """The packed input of every block, then the output of the last one, and
+    each table's mask (None on the reference path)."""
     lens = [len(s) for s in seqs]
     starts = np.cumsum([0] + lens[:-1])
     states = [embed_sequence(_pack(seqs), model)]
@@ -280,7 +284,7 @@ def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, ref
         masks = [np.ones((n, n), dtype=np.uint8) for n in lens]
     for i in range(model.cfg.n_blocks):
         states.append(transformer_block(states[-1], masks, starts, model, i))
-    return states
+    return states, masks
 
 
 def encode_batch(seqs: list[Sequence], model: Model, use_visibility: bool = True, reference: bool = False) -> nm.Tensor:
@@ -293,54 +297,66 @@ def encode_batch(seqs: list[Sequence], model: Model, use_visibility: bool = True
     runs the plain softmax path with no mask argument at all; it exists so
     tests can compare the two implementations.
     """
-    return _encode_states(seqs, model, use_visibility, reference)[-1]
+    return _encode_states(seqs, model, use_visibility, reference)[0][-1]
 
 
 def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:
     """Run the full encoder over one table (a batch of one)."""
-    *inputs, h = _encode_states([seq], model, use_visibility, reference)
-    return EncodeResult(h=h, seq=seq, token_indices=seq.token_indices, entity_indices=seq.entity_indices, block_inputs=inputs)
+    (*inputs, h), masks = _encode_states([seq], model, use_visibility, reference)
+    return EncodeResult(
+        h=h, seq=seq, token_indices=seq.token_indices, entity_indices=seq.entity_indices,
+        block_inputs=inputs, mask=None if masks is None else masks[0],
+    )
 
 
-SUBSTITUTION_PACK = 16  # substitutions recomputed together in `encode_substitutions`
-
-
-def encode_substitutions(
-    enc: EncodeResult, positions: np.ndarray, subst: Sequence, model: Model, use_visibility: bool = True
-) -> np.ndarray:
+def encode_substitutions(enc: EncodeResult, positions: np.ndarray, subst: Sequence, model: Model) -> np.ndarray:
     """Final states under single-element substitutions of an encoded table.
 
-    `subst` is the table `enc` encoded (with the same use_visibility), with
-    every element at `positions` replaced by its substitute. Row m of the
-    (M, d) result is the final state of element positions[m] when it alone
-    is substituted. Only the rows a substitution reaches are recomputed, by
-    the rule in the module docstring, SUBSTITUTION_PACK substitutions at a
-    time. The result equals a full `encode` of each substituted table up to
-    float rounding, not bitwise.
+    `subst` is the table `enc` encoded, with every element at `positions`
+    replaced by its substitute. Row m of the (M, d) result is the final state
+    of element positions[m] when it alone is substituted, under the mask
+    `enc` was encoded with. Only the rows a substitution reaches are
+    recomputed, by the rule in the module docstring, as many substitutions
+    at a time as keep every block's attention scores within those of one
+    full encode of a max_len table. The result equals a full `encode` of
+    each substituted table up to float rounding, not bitwise.
     """
     cfg, n, n_blocks = model.cfg, len(enc.seq), model.cfg.n_blocks
-    vis = build_visibility(enc.seq) if use_visibility else np.ones((n, n), dtype=np.uint8)
-    kernels.check_mask(vis)
-    vis = vis.astype(bool)
+    vis = np.ones((n, n), dtype=bool) if enc.mask is None else enc.mask.astype(bool)
+    # reach[k][m, j]: row j is within k visibility hops of positions[m]
+    reach = [np.zeros((len(positions), n), dtype=bool)]
+    reach[0][np.arange(len(positions)), positions] = True
+    for _ in range(n_blocks // 2):
+        reach.append(reach[-1] @ vis)
+    # block i recomputes the rows `rows[i]`; its input differs from the
+    # intact one at `changed[i]`, the rows block i - 1 recomputed
+    rows = [reach[min(i + 1, n_blocks - i - 1)] for i in range(n_blocks)]
+    changed = [reach[min(i, n_blocks - i)] for i in range(n_blocks)]
+    pack = _pack_size(rows, changed, n, cfg.max_len**2)
     out = np.empty((len(positions), cfg.d_model), dtype=model.dtype)
     with nm.no_grad():
         x0 = embed_sequence(subst, model).data[positions]
         # each block's intact input, keys and values
         intact = [[x.data] + [_projection(x, model, i, side).data for side in "kv"] for i, x in enumerate(enc.block_inputs)]
-        for c in range(0, len(positions), SUBSTITUTION_PACK):
-            pos = np.asarray(positions[c : c + SUBSTITUTION_PACK])
-            # reach[k][m, j]: row j is within k visibility hops of pos[m]
-            reach = [np.zeros((len(pos), n), dtype=bool)]
-            reach[0][np.arange(len(pos)), pos] = True
-            for _ in range(n_blocks // 2):
-                reach.append(reach[-1] @ vis)
-            changed, x = reach[0], x0[c : c + len(pos)]
+        for c in range(0, len(positions), pack):
+            part = slice(c, c + pack)
+            x = x0[part]
             for i in range(n_blocks):
-                rows = reach[min(i + 1, n_blocks - i - 1)]
-                x = _substituted_block(x, changed, rows, vis, intact[i], model, i)
-                changed = rows
-            out[c : c + len(pos)] = x
+                x = _substituted_block(x, changed[i][part], rows[i][part], vis, intact[i], model, i)
+            out[part] = x
     return out
+
+
+def _pack_size(rows: list[np.ndarray], changed: list[np.ndarray], n: int, budget: int) -> int:
+    """The most substitutions to recompute together such that, in every
+    block, (query rows) x (n intact + patched key rows) <= budget, at least
+    one. Sized from each block's largest row sets."""
+    q = np.array([r.sum(axis=1).max(initial=0) for r in rows])
+    k = np.array([r.sum(axis=1).max(initial=0) for r in changed])
+    pack = 1
+    while pack < len(rows[0]) and ((pack + 1) * q * (n + (pack + 1) * k)).max() <= budget:
+        pack += 1
+    return pack
 
 
 def _substituted_block(x, changed, rows, vis, intact, model: Model, block: int) -> np.ndarray:

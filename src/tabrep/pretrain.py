@@ -403,7 +403,7 @@ def masked_recovery_accuracy(
             masked = seq.clone()
             for pos in cell_positions.tolist():
                 mask_cell(masked, pos, mask_entity=True, mask_mention=True)
-            states = encode_substitutions(encode(seq, model, use_visibility), cell_positions, masked, model, use_visibility)
+            states = encode_substitutions(encode(seq, model, use_visibility), cell_positions, masked, model)
             logits = entity_logits(model, nm.Tensor(states), np.arange(len(states)), cands).data
             # ties break toward the smaller entity id; argmax already does
             # that because candidates are sorted ascending

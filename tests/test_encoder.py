@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from tabrep import encoder
 from tabrep import numeric as nm
 from tabrep.corpus import UNK_ID, IndexedCell, IndexedTable, MASK_ID
 from tabrep.encoder import (
-    SUBSTITUTION_PACK,
     EncoderConfig,
     embed_sequence,
     encode,
@@ -297,8 +297,8 @@ def full_encode_of_each_masking(seq, positions, model, use_visibility):
 
 
 @pytest.mark.parametrize("use_visibility", [True, False])
-@pytest.mark.parametrize("n_blocks", [1, 2, 3])
-def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_visibility):
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
+def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_visibility, monkeypatch):
     model = init_model(tiny_cfg(n_blocks=n_blocks), np.random.default_rng(n_blocks))
     # at std 0.02 a masked cell moves the other rows' states by less than the
     # tolerance; at std 0.2 a block that skips a reached row is caught
@@ -307,11 +307,18 @@ def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_vis
             w.data *= 10.0
     rng = np.random.default_rng(10 + n_blocks)
     tables = [
-        make_indexed_table(rng, 6, 3, with_topic=True),  # more cells than one pack
+        make_indexed_table(rng, 6, 3, with_topic=True),  # more than one pack from 2 blocks on
         make_indexed_table(rng, 3, 2, caption_len=0, cell_density=0.7),
         make_indexed_table(rng, 1, 1, caption_len=0),  # a one-cell table
     ]
-    assert len(linearize(tables[0]).cell_indices()) > SUBSTITUTION_PACK
+    packs = []  # (substitutions, query rows, patched key rows) of each recomputed block
+
+    def spy(x, changed, rows, *rest):
+        packs.append((len(rows), int(rows.sum()), int(changed.sum())))
+        return substituted_block(x, changed, rows, *rest)
+
+    substituted_block = encoder._substituted_block
+    monkeypatch.setattr(encoder, "_substituted_block", spy)
     cands = np.arange(3, 30)
     for t in tables:
         seq = linearize(t, model.cfg.max_len)
@@ -322,12 +329,19 @@ def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_vis
                 continue
             want = full_encode_of_each_masking(seq, positions, model, use_visibility)
             enc = encode(seq, model, use_visibility=use_visibility)
-            got = encode_substitutions(enc, positions, masked_cells(seq, positions), model, use_visibility)
+            packs.clear()
+            got = encode_substitutions(enc, positions, masked_cells(seq, positions), model)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
             logits = {k: x @ model["mer_W"].data @ model["ent_emb"].data[cands].T for k, x in (("got", got), ("want", want))}
             assert np.abs(logits["got"] - logits["want"]).max() <= 1e-5 * np.abs(logits["want"]).max()
             assert np.array_equal(logits["got"].argmax(axis=1), logits["want"].argmax(axis=1))
+            # every block's attention scores fit in one full encode of a
+            # max_len table, unless the pack holds a single substitution
+            assert sum(m for m, _, _ in packs) == n_blocks * len(positions)
+            assert all(m == 1 or q * (len(seq) + k) <= model.cfg.max_len**2 for m, q, k in packs)
+        if t is tables[0] and n_blocks > 1:
+            assert len(packs) > n_blocks  # the first table took more than one pack
 
 
 def test_encode_keeps_each_block_input_and_builds_no_tape_under_no_grad(model):
