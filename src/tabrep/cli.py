@@ -146,6 +146,8 @@ def _pretrain_inputs(data_dir: str, cfg: Config):
     """(train tables, valid tables, train-split index, encoder config) for pre-training."""
     token_vocab, entity_vocab = _load_vocabs(data_dir)
     train, valid = (_indexed_split(data_dir, name, token_vocab, entity_vocab) for name in ("train", "valid"))
+    if not train:
+        raise ConfigError(f"{os.path.join(data_dir, 'train.jsonl')} holds no tables to pre-train on")
     index = CorpusIndex.build(train, token_vocab.strings)
     return train, valid, index, encoder_config(cfg, len(token_vocab), len(entity_vocab))
 

@@ -192,7 +192,7 @@ class Vocab:
     @classmethod
     def load(cls, path, reserved: tuple[str, ...]) -> "Vocab":
         vocab = cls(reserved)
-        for line_no, line in enumerate(read_text(path).split("\n")):
+        for line_no, line in enumerate(read_text(path).split("\n"), 1):
             if not line:
                 continue
             parts = line.split("\t")

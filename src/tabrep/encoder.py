@@ -192,7 +192,6 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
     """Initial (n, d_model) representation of a linearized table."""
     cfg = model.cfg
     n = len(seq)
-    dtype = model.dtype
 
     tok_idx, ent_idx = seq.token_indices, seq.entity_indices
     parts = []
@@ -210,15 +209,11 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
         ids, types = seq.ids[ent_idx], seq.type_ids[ent_idx]
         # an entity with an empty mention averages the unknown token
         ments = [seq.mentions[i] if len(seq.mentions[i]) else _UNK_MENTION for i in ent_idx]
-        lens = np.array([len(m) for m in ments])
         flat = np.concatenate(ments)
         _check_ids(ids, cfg.n_entities, "entity")
         _check_ids(types, N_ENTITY_TYPES, "entity type")
         _check_ids(flat, cfg.n_tokens, "mention token")
-        # constant row-averaging matrix: one row per entity, 1/len over its span
-        avg = np.zeros((len(ent_idx), len(flat)), dtype=dtype)
-        avg[np.repeat(np.arange(len(ent_idx)), lens), np.arange(len(flat))] = np.repeat(1.0 / lens, lens)
-        mention_mean = nm.matmul(nm.Tensor(avg), nm.gather_rows(model["word_emb"], flat))
+        mention_mean = nm.segment_mean(model["word_emb"], flat, [len(m) for m in ments])
         fused = affine(
             nm.concat([nm.gather_rows(model["ent_emb"], ids), mention_mean], axis=1),
             model["fuse_W"],
@@ -257,9 +252,6 @@ def _block_output(h: nm.Tensor, ctx: nm.Tensor, model: Model, block: int) -> nm.
 @dataclass
 class EncodeResult:
     h: nm.Tensor
-    seq: Sequence
-    token_indices: np.ndarray
-    entity_indices: np.ndarray
     block_inputs: list[nm.Tensor]  # the (n, d) input of each block, in order
     mask: np.ndarray | None  # the (n, n) visibility every block used; None for the plain reference path
 
@@ -303,10 +295,7 @@ def encode_batch(seqs: list[Sequence], model: Model, use_visibility: bool = True
 def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:
     """Run the full encoder over one table (a batch of one)."""
     (*inputs, h), masks = _encode_states([seq], model, use_visibility, reference)
-    return EncodeResult(
-        h=h, seq=seq, token_indices=seq.token_indices, entity_indices=seq.entity_indices,
-        block_inputs=inputs, mask=None if masks is None else masks[0],
-    )
+    return EncodeResult(h=h, block_inputs=inputs, mask=None if masks is None else masks[0])
 
 
 def encode_substitutions(enc: EncodeResult, positions: np.ndarray, subst: Sequence, model: Model) -> np.ndarray:
@@ -321,7 +310,7 @@ def encode_substitutions(enc: EncodeResult, positions: np.ndarray, subst: Sequen
     full encode of a max_len table. The result equals a full `encode` of
     each substituted table up to float rounding, not bitwise.
     """
-    cfg, n, n_blocks = model.cfg, len(enc.seq), model.cfg.n_blocks
+    cfg, n, n_blocks = model.cfg, len(enc.h.data), model.cfg.n_blocks
     vis = np.ones((n, n), dtype=bool) if enc.mask is None else enc.mask.astype(bool)
     # reach[k][m, j]: row j is within k visibility hops of positions[m]
     reach = [np.zeros((len(positions), n), dtype=bool)]

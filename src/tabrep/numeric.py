@@ -27,6 +27,7 @@ __all__ = [
     "transpose",
     "concat",
     "gather_rows",
+    "segment_mean",
     "put_rows",
     "table_attention",
     "layer_norm",
@@ -221,6 +222,17 @@ def gather_rows(a, idx):
             _accum(a, g)
 
     return _make(data, (a,), backward)
+
+
+def segment_mean(a, idx, lens):
+    """(len(lens), d) means of the rows a[idx] in consecutive segments of lens[i] rows, an empty
+    one giving a zero row: one dense matmul of a constant averaging matrix with the gathered rows."""
+    idx, lens = np.asarray(idx, dtype=np.int64), np.asarray(lens, dtype=np.int64)
+    owner = np.repeat(np.arange(len(lens)), lens)
+    avg = np.zeros((len(lens), max(1, len(idx))), dtype=a.data.dtype)
+    avg[owner, np.arange(len(idx))] = 1.0 / lens[owner]
+    rows = gather_rows(a, idx) if len(idx) else Tensor(np.zeros((1, a.data.shape[1]), dtype=a.data.dtype))
+    return matmul(Tensor(avg), rows)
 
 
 def put_rows(x, idx, n):

@@ -366,6 +366,19 @@ def fit(
 # masked-recovery evaluation
 
 
+def masked_cell_states(model: Model, seq: Sequence, positions: np.ndarray, use_visibility: bool) -> np.ndarray:
+    """(M, d) final states of the cells at `positions`, each masked alone (its
+    entity embedding and mention; the rest of the table stays intact). The
+    table is encoded once, with no tape, and `encoder.encode_substitutions`
+    recomputes only the rows each masked cell reaches, so the states match a
+    full `encode` of each masked copy within float rounding, not bitwise."""
+    masked = seq.clone()
+    for pos in positions.tolist():
+        mask_cell(masked, pos, mask_entity=True, mask_mention=True)
+    with nm.no_grad():
+        return encode_substitutions(encode(seq, model, use_visibility), positions, masked, model)
+
+
 def masked_recovery_accuracy(
     model: Model,
     tables: list[IndexedTable],
@@ -377,19 +390,12 @@ def masked_recovery_accuracy(
 ) -> float:
     """Fraction of cells recovered at rank one, masking one cell at a time.
 
-    The masked cell loses both its entity embedding and its mention; the rest
-    of the table stays intact. With only_objects=True, subject-column cells
-    are skipped and the measure is object-cell recovery.
-
-    Each table is encoded once, with no tape, and every single-cell masking
-    of it is scored from `encoder.encode_substitutions`, which recomputes only
-    the rows the masked cell reaches. So the logits match a full `encode` of
-    each masked copy within float rounding, not bitwise; `encode` itself, and
-    the bitwise equality of masked and plain attention (C03), are unchanged.
+    Every cell of a table is scored from `masked_cell_states` over one
+    encoding of the table. With only_objects=True, subject-column cells are
+    skipped and the measure is object-cell recovery.
     """
     rng = np.random.default_rng(seed)
-    correct = 0
-    total = 0
+    correct = total = 0
     with nm.no_grad():
         for t in tables:
             seq = linearize(t, model.cfg.max_len)
@@ -400,10 +406,7 @@ def masked_recovery_accuracy(
                 continue
             golds = seq.ids[cell_positions]
             cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
-            masked = seq.clone()
-            for pos in cell_positions.tolist():
-                mask_cell(masked, pos, mask_entity=True, mask_mention=True)
-            states = encode_substitutions(encode(seq, model, use_visibility), cell_positions, masked, model)
+            states = masked_cell_states(model, seq, cell_positions, use_visibility)
             logits = entity_logits(model, nm.Tensor(states), np.arange(len(states)), cands).data
             # ties break toward the smaller entity id; argmax already does
             # that because candidates are sorted ascending

@@ -69,9 +69,11 @@ class Config:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if not (0 < self.lr0 < math.inf and 0 < self.finetune_lr0 < math.inf):
-            raise ConfigError("learning rates must be positive and finite")
+        for name in ("lr0", "finetune_lr0", "el_reweight_alpha"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in (
+            "max_cols",
             "n_blocks",
             "d_model",
             "n_heads",

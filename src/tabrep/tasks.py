@@ -9,24 +9,26 @@ Six tasks share the encoder:
   relations    multi-label relation prediction for subject/object column pairs
   rowpop       rank candidate entities that belong in the subject column
   fill         rank candidate entities for one empty object cell (no
-               fine-tuning; reuses the masked-cell scorer)
+               fine-tuning; the pre-trained masked-cell scorer)
   schema       rank headers that belong in a partially known schema
 
 Dataset builders derive labels from side files (types.jsonl, relations.jsonl,
 kb.jsonl, candidates.jsonl). Each task head is an independent parameter set;
 fine-tuning one head never touches another.
 
-Every task runs through one engine. A `TaskSpec` says which sequence an
-instance reads, as a (key, Sequence) pair, how to get the instance's logits
-from the packed encoder states at that sequence's first row, and its loss.
-Column types, relations and linking key on the table pack, so instances of
-one table share its encoding; row population, schema and cell filling key on
-the instance, which reads its own probe sequence. `finetune` shuffles and
+Every fine-tuned task runs through one engine. A `TaskSpec` says which
+sequence an instance reads, as a (key, Sequence) pair, how to get the
+instance's logits from the packed encoder states at that sequence's first
+row, and its loss. Column types, relations and linking key on the table pack,
+so instances of one table share its encoding; row population and schema key
+on the instance, which reads its own probe sequence. `finetune` shuffles and
 batches the instances, encodes the distinct keys of each batch as one packed
 graph (`encoder.encode_batch`), adds the instances' losses and takes one
 step. `forward` encodes each distinct key once, FORWARD_PACK sequences to a
 graph, and returns every instance's logits; the `eval_*` functions score
-from them.
+from them. Cell filling reads no sequence of its own: it scores its cells
+the way masked-cell recovery does, from one encoding of each table
+(`pretrain.masked_cell_states`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .corpus import (
 )
 # `encode` is not called here; the benchmark's tracer tests reach it as tasks.encode
 from .encoder import Model, encode, encode_batch, trunc_normal  # noqa: F401
-from .encoding import CELL, HEADER, Sequence, linearize, mask_cell
+from .encoding import CELL, HEADER, Sequence, linearize
 from .errors import ConfigError, EmptyColumn, TableTooSmall
 from .metrics import (
     candidate_recall,
@@ -61,7 +63,7 @@ from .metrics import (
     micro_prf,
     precision_at_k,
 )
-from .pretrain import entity_logits
+from .pretrain import entity_logits, masked_cell_states
 
 # ---------------------------------------------------------------------------
 # side data
@@ -166,19 +168,14 @@ def cell_position(seq: Sequence, row: int, col: int) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
-def _mean_rows(h: nm.Tensor, positions: np.ndarray, dtype) -> nm.Tensor:
-    avg = np.full((1, len(positions)), 1.0 / len(positions), dtype=dtype)
-    return nm.matmul(nm.Tensor(avg), nm.gather_rows(h, positions))
-
-
 def column_repr(enc_h: nm.Tensor, seq: Sequence, col: int, dtype, at: int = 0) -> nm.Tensor:
     """(1, 2d) column summary: mean header-token state, mean entity state.
-    The sequence's states are the rows of enc_h from row `at` on."""
+    The sequence's states are the rows of enc_h from row `at` on (dtype is unused)."""
     header_pos = np.flatnonzero((seq.kinds == HEADER) & (seq.cols == col))
     cell_pos = np.flatnonzero((seq.kinds == CELL) & (seq.cols == col))
     if not len(header_pos) or not len(cell_pos):
         raise EmptyColumn(f"column {col} of {seq.table_id} has no usable header or entities")
-    return nm.concat([_mean_rows(enc_h, at + header_pos, dtype), _mean_rows(enc_h, at + cell_pos, dtype)], axis=1)
+    return nm.concat([nm.segment_mean(enc_h, at + pos, [len(pos)]) for pos in (header_pos, cell_pos)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +236,7 @@ class LinkingHead(AffineHead):
         blocks = []
         for take, table in enumerate((model["word_emb"], model["word_emb"], self.type_emb)):
             ids = [e[take] if take != 1 or use_description else e[take][:0] for e in entries]
-            lens = np.array([len(x) for x in ids], dtype=np.int64)
-            flat = np.concatenate(ids).astype(np.int64)
-            # constant row-averaging matrix; an entry without ids gets a zero row
-            avg = np.zeros((len(entries), max(1, len(flat))), dtype=model.dtype)
-            owner = np.repeat(np.arange(len(entries)), lens)
-            avg[owner, np.arange(len(flat))] = 1.0 / lens[owner]
-            zero = nm.Tensor(np.zeros((1, table.shape[1]), dtype=model.dtype))
-            rows = nm.gather_rows(table, flat) if len(flat) else zero
-            blocks.append(nm.matmul(nm.Tensor(avg), rows))
+            blocks.append(nm.segment_mean(table, np.concatenate(ids), [len(x) for x in ids]))
         return nm.concat(blocks, axis=1)
 
     def tokenize_entry(self, entry: KbEntry, token_vocab: Vocab, tokenizer) -> tuple:
@@ -298,7 +287,7 @@ class RowPopInstance:
     candidates: np.ndarray
 
 
-@dataclass(eq=False)  # hashed by identity: the instance keys its own probe
+@dataclass
 class FillInstance:
     pack: int
     row: int
@@ -799,28 +788,26 @@ def eval_row_population(model, packs, instances, max_len: int, use_visibility=Tr
 # -- cell filling ----------------------------------------------------------------
 
 
-def _fill_probe(pack: TablePack, inst: FillInstance) -> tuple[Sequence, int]:
-    seq = pack.seq.clone()
-    pos = cell_position(seq, inst.row, inst.col)
-    mask_cell(seq, pos, mask_entity=True, mask_mention=True)
-    return seq, pos
-
-
 def _p_at_1_and_map(rankings, golds) -> dict:
     p1 = sum(precision_at_k(r, g, 1) for r, g in zip(rankings, golds)) / max(1, len(rankings))
     return {"p_at_1": p1, "map": mean_average_precision(rankings, golds)}
 
 
 def eval_cell_filling(model, packs, instances, use_visibility=True):
-    """No fine-tuning: the pre-trained masked-cell scorer ranks candidates."""
-    probes = {inst: _fill_probe(packs[inst.pack], inst) for inst in instances}
-    cands = {inst: np.array(sorted(set(inst.candidates)), dtype=np.int64) for inst in instances}
-
-    def logits(inst, h, at):
-        return entity_logits(model, h, np.array([at + probes[inst][1]]), cands[inst])
-
-    scores = forward(instances, TaskSpec(model, _probe_read(probes), logits), use_visibility)
-    rankings = [_ranked(cands[inst], s) for inst, s in zip(instances, scores)]
+    """No fine-tuning: the pre-trained masked-cell scorer ranks candidates.
+    Each table is encoded once for all of its instances' cells."""
+    by_pack: dict[int, list[int]] = {}
+    for i, inst in enumerate(instances):
+        by_pack.setdefault(inst.pack, []).append(i)
+    rankings: list = [None] * len(instances)
+    with nm.no_grad():
+        for p, idx in by_pack.items():
+            seq = packs[p].seq
+            positions = np.array([cell_position(seq, instances[i].row, instances[i].col) for i in idx])
+            states = nm.Tensor(masked_cell_states(model, seq, positions, use_visibility))
+            for m, i in enumerate(idx):
+                cands = np.array(sorted(set(instances[i].candidates)), dtype=np.int64)
+                rankings[i] = _ranked(cands, entity_logits(model, states, np.array([m]), cands).data[0])
     return _report(_p_at_1_and_map(rankings, [{inst.gold} for inst in instances]), instances)
 
 

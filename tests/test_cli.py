@@ -302,6 +302,20 @@ def test_usage_errors_exit_two():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+def test_pretraining_rejects_an_empty_train_split(pipeline, tmp_path, monkeypatch, command):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "train.jsonl").write_text("")
+    with pytest.raises(ConfigError, match="train.jsonl holds no tables"):
+        run([command, "--data", str(data), "--out", str(tmp_path / "out"), "--epochs", "1",
+             "--config", str(pipeline["cfg"])])
+
+
 def test_missing_data_dir_raises_cleanly(tmp_path):
     with pytest.raises((OSError, ConfigError)):
         run(["pretrain", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "o")])

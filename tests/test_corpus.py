@@ -221,7 +221,7 @@ def test_vocab_tsv_round_trip(tmp_path):
 def test_vocab_load_rejects_bad_lines(tmp_path):
     path = tmp_path / "vocab.tsv"
     path.write_text("0\t<pad>\t0\nnot a vocab line\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="bad vocab line 2$"):
         C.Vocab.load(path, C.TOKEN_RESERVED)
 
 

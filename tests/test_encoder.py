@@ -158,7 +158,7 @@ def test_encode_shapes_and_finiteness(model):
     out = encode(seq, model)
     assert out.h.data.shape == (len(seq), model.cfg.d_model)
     assert np.isfinite(out.h.data).all()
-    assert len(out.token_indices) + len(out.entity_indices) == len(seq)
+    assert len(seq.token_indices) + len(seq.entity_indices) == len(seq)
 
 
 def test_visibility_off_equals_reference_bitwise(model):

@@ -51,6 +51,20 @@ def test_gather_accumulates_duplicate_rows():
     np.testing.assert_array_equal(a.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
 
+def test_segment_mean_averages_consecutive_segments():
+    rng = np.random.default_rng(2)
+    a = t(rng.normal(size=(5, 3)))
+    idx, lens = np.array([4, 0, 0, 2, 1]), [2, 0, 3]
+    out = nm.segment_mean(a, idx, lens)
+    np.testing.assert_allclose(out.data, [a.data[[4, 0]].mean(0), np.zeros(3), a.data[[0, 2, 1]].mean(0)])
+    assert nm.segment_mean(a, [], [0, 0]).data.tobytes() == np.zeros((2, 3)).tobytes()
+
+    def loss():
+        return nm.cross_entropy_sum(nm.segment_mean(a, idx, lens), np.array([0, 1, 2]))
+
+    assert nm.grad_check(loss, [a]) < 1e-7
+
+
 def test_put_rows_requires_unique_targets():
     a = t(np.ones((2, 3)))
     with pytest.raises(ShapeMismatch):
@@ -207,6 +221,7 @@ def _op_calls():
         "transpose": lambda: nm.transpose(a, (1, 0)),
         "concat": lambda: nm.concat([a, b], axis=1),
         "gather_rows": lambda: nm.gather_rows(a, [3, 0, 3]),
+        "segment_mean": lambda: nm.segment_mean(a, [3, 0, 3], [1, 0, 2]),
         "put_rows": lambda: nm.put_rows(a, [5, 1, 0, 2], 7),
         "table_attention": lambda: nm.table_attention(a, b, a, [mask, np.ones((1, 1), np.uint8)], np.array([0, 3]), 2),
         "layer_norm": lambda: nm.layer_norm(a, g, beta),

@@ -53,6 +53,10 @@ def test_parse_config_base_overlay():
         "lr0 = 0\n",
         "lr0 = nan\n",
         "finetune_lr0 = inf\n",
+        "max_cols = 0\n",
+        "el_reweight_alpha = nan\n",
+        "el_reweight_alpha = 0\n",
+        "el_reweight_alpha = -0.5\n",
         "use_visibility = maybe\n",
     ],
 )

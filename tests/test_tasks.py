@@ -721,6 +721,48 @@ def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
     assert sorted(encoded) == sorted(s["packs"][k].seq.table_id for k in tables)
 
 
+def test_eval_cell_filling_encodes_each_table_once(synth_tasks, monkeypatch):
+    import tabrep.pretrain as P
+
+    s = synth_tasks
+    encoded = []
+    real = P.encode
+
+    def counting(seq, *args, **kwargs):
+        enc = real(seq, *args, **kwargs)
+        encoded.append((seq.table_id, bool(enc.h._parents)))
+        return enc
+
+    monkeypatch.setattr(P, "encode", counting)
+    eval_cell_filling(s["model"], s["packs"], s["fill"])
+    tables = {i.pack for i in s["fill"]}
+    assert len(s["fill"]) > 2 * len(tables)
+    assert sorted(encoded) == sorted((s["packs"][k].seq.table_id, False) for k in tables)  # once each, no tape
+
+
+def test_eval_cell_filling_logits_match_a_full_encode_of_each_masked_copy(synth_tasks, monkeypatch):
+    import tabrep.tasks as T
+
+    s = synth_tasks
+    scored = []
+    real = T.entity_logits
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        scored.append(out.data[0])
+        return out
+
+    monkeypatch.setattr(T, "entity_logits", recording)
+    eval_cell_filling(s["model"], s["packs"], s["fill"])
+    # instances come table by table, so scoring them grouped by table keeps their order
+    assert [i.pack for i in s["fill"]] == sorted(i.pack for i in s["fill"])
+    assert len(scored) == len(s["fill"])
+    for inst, got in zip(s["fill"], scored):
+        want = _reference_logits("fill", inst, s).data[0]
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+        assert got.argmax() == want.argmax()
+
+
 def test_evaluation_builds_no_tape(synth_tasks, monkeypatch):
     import tabrep.tasks as T
 
