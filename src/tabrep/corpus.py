@@ -165,14 +165,16 @@ class Vocab:
     def __init__(self, reserved: tuple[str, ...]):
         self.strings: list[str] = list(reserved)
         self.counts: list[int] = [0] * len(reserved)
-        self._index: dict[str, int] = {s: i for i, s in enumerate(reserved)}
+        # lookups see only the non-reserved strings, so raw text that reads
+        # "<mask>" or "<pad>" never reaches a reserved id
+        self._index: dict[str, int] = {}
         self.n_reserved = len(reserved)
 
     def __len__(self) -> int:
         return len(self.strings)
 
     def add(self, s: str, count: int) -> int:
-        if s in self._index:
+        if s in self._index or s in self.strings[: self.n_reserved]:
             raise ConfigError(f"duplicate vocab entry {s!r}")
         self.strings.append(s)
         self.counts.append(count)
@@ -180,10 +182,12 @@ class Vocab:
         return self._index[s]
 
     def get(self, s: str) -> Optional[int]:
+        """Id of a string; None when it is not in the vocabulary or is a reserved name."""
         return self._index.get(s)
 
     def ids(self, strings: Iterable[str]) -> np.ndarray:
-        """int64 ids of strings; a string not in the vocabulary maps to UNK_ID."""
+        """int64 ids of strings; a string not in the vocabulary, or a reserved
+        name, maps to UNK_ID."""
         return np.array([self._index.get(s, UNK_ID) for s in strings], dtype=np.int64)
 
     def save(self, path) -> None:
@@ -447,8 +451,9 @@ def build_vocabs(
 
 
 def index_table(pt: ProcessedTable, token_vocab: Vocab, entity_vocab: Vocab) -> IndexedTable:
-    """Resolve strings to ids. Cells whose entity fell out of vocabulary are
-    treated as unlinked and silently dropped from the entity grid."""
+    """Resolve strings to ids. Cells whose entity fell out of vocabulary, or
+    names a reserved row such as "<mask>", are treated as unlinked and
+    silently dropped from the entity grid; such a token reads as UNK_ID."""
 
     cells = []
     for c in pt.cells:

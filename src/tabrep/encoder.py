@@ -10,11 +10,17 @@ zero weight.
 A batch of tables is encoded as one graph (`encode_batch`). The sequences are
 packed end to end into (N, d) rows, with no padding: the embeddings, the
 Q/K/V/O projections, the FFN and both layer norms each run once over all
-rows. Attention is one op, `numeric.table_attention`, that loops over the
+rows. Each projection is one `numeric.affine` node (x @ W + b), and the
+mention means of all entities are one `numeric.segment_mean` node, a sum
+over consecutive segments of the gathered word rows with no dense averaging
+matrix. Attention is one op, `numeric.table_attention`, that loops over the
 tables' row slices, so a row attends only within its own table, under that
 table's visibility matrix. A table's rows therefore come out as if it were
 encoded alone; the tests check that they are bitwise equal. `encode` is a
-batch of one, and also returns the input of every block.
+batch of one, and also returns the input of every block. A pre-training
+step's loss on top (`pretrain.table_loss`) adds the masked-entity head as
+one `numeric.candidate_cross_entropy_sum` node over all tables, so the
+step's tape has the same 48 op nodes (two blocks) for any batch size.
 
 `encode_substitutions` scores single-element substitutions of an encoded
 table without encoding each substituted copy. Row i of block l's output
@@ -176,10 +182,6 @@ def init_entity_embeddings(model: Model, mentions: dict[int, np.ndarray]) -> Non
         ent[eid] = word[np.asarray(token_ids)].mean(axis=0)
 
 
-def affine(x: nm.Tensor, w: nm.Tensor, b: nm.Tensor) -> nm.Tensor:
-    return nm.add(nm.matmul(x, w), b)
-
-
 _UNK_MENTION = np.array([UNK_ID], dtype=np.int64)
 
 
@@ -214,7 +216,7 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
         _check_ids(types, N_ENTITY_TYPES, "entity type")
         _check_ids(flat, cfg.n_tokens, "mention token")
         mention_mean = nm.segment_mean(model["word_emb"], flat, [len(m) for m in ments])
-        fused = affine(
+        fused = nm.affine(
             nm.concat([nm.gather_rows(model["ent_emb"], ids), mention_mean], axis=1),
             model["fuse_W"],
             model["fuse_b"],
@@ -235,7 +237,7 @@ def transformer_block(h: nm.Tensor, masks: list[np.ndarray] | None, starts: np.n
 
 def _projection(h: nm.Tensor, model: Model, block: int, side: str) -> nm.Tensor:
     """The query, key or value rows (side "q", "k" or "v") of a block."""
-    return affine(h, model[f"block{block}.W{side}"], model[f"block{block}.b{side}"])
+    return nm.affine(h, model[f"block{block}.W{side}"], model[f"block{block}.b{side}"])
 
 
 def _block_output(h: nm.Tensor, ctx: nm.Tensor, model: Model, block: int) -> nm.Tensor:
@@ -243,9 +245,9 @@ def _block_output(h: nm.Tensor, ctx: nm.Tensor, model: Model, block: int) -> nm.
     the attention context, residual and layer norm, FFN, residual and layer
     norm. h holds the block's input at the same rows as ctx."""
     pre = f"block{block}."
-    a = affine(ctx, model[pre + "Wo"], model[pre + "bo"])
+    a = nm.affine(ctx, model[pre + "Wo"], model[pre + "bo"])
     h1 = nm.layer_norm(nm.add(h, a), model[pre + "ln1_g"], model[pre + "ln1_b"])
-    f = affine(nm.gelu(affine(h1, model[pre + "ffn_W1"], model[pre + "ffn_b1"])), model[pre + "ffn_W2"], model[pre + "ffn_b2"])
+    f = nm.affine(nm.gelu(nm.affine(h1, model[pre + "ffn_W1"], model[pre + "ffn_b1"])), model[pre + "ffn_W2"], model[pre + "ffn_b2"])
     return nm.layer_norm(nm.add(h1, f), model[pre + "ln2_g"], model[pre + "ln2_b"])
 
 

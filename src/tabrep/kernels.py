@@ -90,12 +90,13 @@ def layer_norm_bwd(x, gamma, mean, rstd, dy):
 
 
 def gelu_fwd(x):
-    # Exact erf form, not the tanh approximation.
-    return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
-
-
-def gelu_bwd(x, dy):
+    # Exact erf form, not the tanh approximation. Returns x * cdf and the
+    # normal cdf at x, which gelu_bwd reuses.
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def gelu_bwd(x, cdf, dy):
     pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
     return dy * (cdf + x * pdf)
 

@@ -6,6 +6,13 @@ parents or keeps its closure, so no tape is built; the data an op computes
 is the same either way. Training runs in float32; the gradient checker runs
 the same graph code in float64. Dtype always follows the operand arrays,
 never a global switch.
+
+Ops that would otherwise be chains of small nodes are single nodes:
+`affine` is x @ W + b; `segment_mean` gathers rows and sums consecutive
+segments of them (`np.add.reduceat` forward, `np.repeat` backward), with no
+dense averaging matrix; `candidate_cross_entropy_sum` scores each table's
+rows of a packed batch against that table's own candidate rows and sums the
+cross-entropy, looping over the tables in numpy like `table_attention`.
 """
 
 from __future__ import annotations
@@ -17,13 +24,14 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import NonFiniteLoss, ShapeMismatch
+from .errors import NonFiniteLoss, ShapeMismatch, UnknownId
 
 __all__ = [
     "Tensor",
     "no_grad",
     "add",
     "matmul",
+    "affine",
     "transpose",
     "concat",
     "gather_rows",
@@ -33,6 +41,7 @@ __all__ = [
     "layer_norm",
     "gelu",
     "cross_entropy_sum",
+    "candidate_cross_entropy_sum",
     "bce_with_logits_sum",
     "Adam",
     "linear_lr",
@@ -185,6 +194,26 @@ def matmul(a, b):
     return _make(data, (a, b), backward)
 
 
+def affine(x, w, b):
+    """(m,k) @ (k,n) + (n,) bias, one tape node. Same arithmetic as
+    add(matmul(x, w), b), so the same bits forward and backward."""
+    _same_dtype(x, w, b)
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != (wd.shape[1],):
+        raise ShapeMismatch(f"bad affine {xd.shape} @ {wd.shape} + {b.data.shape}")
+    data = xd @ wd
+    data += b.data
+
+    def backward(dout):
+        if _wants_grad(x):
+            _accum(x, dout @ wd.T)
+        if _wants_grad(w):
+            _accum(w, xd.T @ dout)
+        _accum(b, dout.sum(axis=0))
+
+    return _make(data, (x, w, b), backward)
+
+
 def transpose(a, axes):
     axes = tuple(axes)
     inv = tuple(int(i) for i in np.argsort(axes))
@@ -225,14 +254,27 @@ def gather_rows(a, idx):
 
 
 def segment_mean(a, idx, lens):
-    """(len(lens), d) means of the rows a[idx] in consecutive segments of lens[i] rows, an empty
-    one giving a zero row: one dense matmul of a constant averaging matrix with the gathered rows."""
+    """(len(lens), d) means of the rows a[idx] in consecutive segments of
+    lens[i] rows, an empty one giving a zero row. One tape node: forward sums
+    each segment of the gathered rows with np.add.reduceat, backward spreads
+    each mean's gradient over its segment's rows with np.repeat."""
     idx, lens = np.asarray(idx, dtype=np.int64), np.asarray(lens, dtype=np.int64)
-    owner = np.repeat(np.arange(len(lens)), lens)
-    avg = np.zeros((len(lens), max(1, len(idx))), dtype=a.data.dtype)
-    avg[owner, np.arange(len(idx))] = 1.0 / lens[owner]
-    rows = gather_rows(a, idx) if len(idx) else Tensor(np.zeros((1, a.data.shape[1]), dtype=a.data.dtype))
-    return matmul(Tensor(avg), rows)
+    if lens.sum() != len(idx):
+        raise ShapeMismatch(f"segments of {lens.sum()} rows over {len(idx)} indices")
+    dt = a.data.dtype
+    denom = np.maximum(lens, 1).astype(dt)[:, None]
+    full = lens > 0
+    data = np.zeros((len(lens), a.data.shape[1]), dtype=dt)
+    if full.any():
+        data[full] = np.add.reduceat(a.data[idx], (np.cumsum(lens) - lens)[full], axis=0) / denom[full]
+
+    def backward(dout):
+        if _wants_grad(a):
+            g = np.zeros_like(a.data)
+            np.add.at(g, idx, np.repeat(dout / denom, lens, axis=0))
+            _accum(a, g)
+
+    return _make(data, (a,), backward)
 
 
 def put_rows(x, idx, n):
@@ -311,12 +353,28 @@ def layer_norm(x, gamma, beta, eps=1e-12):
 
 
 def gelu(x):
-    y = kernels.gelu_fwd(x.data)
+    y, cdf = kernels.gelu_fwd(x.data)
 
     def backward(dout):
-        _accum(x, kernels.gelu_bwd(x.data, dout))
+        _accum(x, kernels.gelu_bwd(x.data, cdf, dout))
 
     return _make(y, (x,), backward)
+
+
+def _cross_entropy(z, targets):
+    """Summed -log softmax(z)[i, targets[i]] over the rows of z, and the
+    (exp, row sum) pair the backward pass reuses."""
+    m = z.max(axis=1, keepdims=True)
+    ez = np.exp(z - m)
+    denom = ez.sum(axis=1, keepdims=True)
+    logp = (z - m) - np.log(denom)
+    return -logp[np.arange(len(z)), targets].sum(dtype=z.dtype), ez, denom
+
+
+def _cross_entropy_grad(ez, denom, targets, dout):
+    g = ez / denom
+    g[np.arange(len(g)), targets] -= 1.0
+    return g * dout
 
 
 def cross_entropy_sum(logits, targets):
@@ -325,20 +383,58 @@ def cross_entropy_sum(logits, targets):
     Returned as a 0-d tensor; the gradient is the classic softmax-minus-onehot.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - m)
-    denom = ez.sum(axis=1, keepdims=True)
-    logp = (z - m) - np.log(denom)
-    rows = np.arange(z.shape[0])
-    loss = -logp[rows, targets].sum(dtype=z.dtype)
+    loss, ez, denom = _cross_entropy(logits.data, targets)
 
     def backward(dout):
-        g = ez / denom
-        g[rows, targets] -= 1.0
-        _accum(logits, g * dout)
+        _accum(logits, _cross_entropy_grad(ez, denom, targets, dout))
 
-    return _make(np.asarray(loss, dtype=z.dtype), (logits,), backward)
+    return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)
+
+
+def candidate_cross_entropy_sum(x, cands, candidates, golds):
+    """Masked-entity loss of a packed batch: each table's rows of x scored
+    against that table's own candidate rows, cross-entropy summed.
+
+    x is (M, d) with len(golds[i]) rows for table i, tables end to end; cands
+    is (C, d) with len(candidates[i]) rows for table i. candidates[i] holds
+    table i's sorted candidate ids and golds[i] the gold id of each of its
+    rows; a gold not among its table's candidates raises UnknownId. Returns
+    the 0-d loss, the sum of the tables' sums in table order, and the number
+    of rows whose first highest-scoring candidate is the gold. One tape node
+    for the whole batch; forward and backward loop over the tables in numpy.
+    """
+    _same_dtype(x, cands)
+    xd, cd = x.data, cands.data
+    n_rows, n_cands = [len(g) for g in golds], [len(c) for c in candidates]
+    if len(n_rows) != len(n_cands) or xd.ndim != 2 or xd.shape[1:] != cd.shape[1:] \
+            or sum(n_rows) != len(xd) or sum(n_cands) != len(cd):
+        raise ShapeMismatch(f"bad candidate scoring of {xd.shape} against {cd.shape}")
+    loss = np.zeros((), dtype=xd.dtype)
+    correct = 0
+    saved = []
+    for ids, gold, xe, ce in zip(candidates, golds, np.cumsum(n_rows), np.cumsum(n_cands)):
+        if not len(gold):
+            continue
+        xs, cs = slice(xe - len(gold), xe), slice(ce - len(ids), ce)
+        target = np.searchsorted(ids, gold)
+        if not len(ids) or (ids[np.minimum(target, len(ids) - 1)] != gold).any():
+            raise UnknownId(f"gold entity not among its table's {len(ids)} candidates")
+        z = xd[xs] @ cd[cs].T
+        part, ez, denom = _cross_entropy(z, target)
+        loss += part
+        correct += int((z.argmax(axis=1) == target).sum())
+        saved.append((xs, cs, target, ez, denom))
+
+    def backward(dout):
+        dx, dc = np.zeros_like(xd), np.zeros_like(cd)
+        for xs, cs, target, ez, denom in saved:
+            g = _cross_entropy_grad(ez, denom, target, dout)
+            dx[xs] = g @ cd[cs]
+            dc[cs] = g.T @ xd[xs]
+        _accum(x, dx)
+        _accum(cands, dc)
+
+    return _make(loss, (x, cands), backward), correct
 
 
 def bce_with_logits_sum(logits, labels):

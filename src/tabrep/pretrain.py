@@ -18,7 +18,7 @@ predicted positions, so table and batch losses add exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -158,15 +158,13 @@ def build_candidates(
 
 def token_logits(model: Model, h: nm.Tensor, positions: np.ndarray) -> nm.Tensor:
     """Scores over the full token vocabulary for the given sequence slots."""
-    sel = nm.gather_rows(h, positions)
-    proj = nm.add(nm.matmul(sel, model["mlm_W"]), model["mlm_b"])
+    proj = nm.affine(nm.gather_rows(h, positions), model["mlm_W"], model["mlm_b"])
     return nm.matmul(proj, nm.transpose(model["word_emb"], (1, 0)))
 
 
 def entity_logits(model: Model, h: nm.Tensor, positions: np.ndarray, candidates: np.ndarray) -> nm.Tensor:
     """Scores over a candidate id array for the given sequence slots."""
-    sel = nm.gather_rows(h, positions)
-    proj = nm.add(nm.matmul(sel, model["mer_W"]), model["mer_b"])
+    proj = nm.affine(nm.gather_rows(h, positions), model["mer_W"], model["mer_b"])
     cand = nm.gather_rows(model["ent_emb"], candidates)
     return nm.matmul(proj, nm.transpose(cand, (1, 0)))
 
@@ -177,6 +175,12 @@ class TableLossStats:
     n_cells: int = 0
     token_correct: int = 0
     cell_correct: int = 0
+    mlm_loss: float = 0.0  # summed over the masked tokens
+    mer_loss: float = 0.0  # summed over the masked cells
+
+    def add(self, other: "TableLossStats") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -192,9 +196,12 @@ class MaskedTable:
 def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> tuple[nm.Tensor | None, TableLossStats]:
     """Summed recovery loss over a batch of corrupted tables.
 
-    The batch is encoded as one packed graph and the token head runs once
-    over every masked token; each table scores its masked cells against its
-    own candidate set.
+    The batch is encoded as one packed graph. The token head runs once over
+    every masked token. The entity head projects every masked cell at once
+    and `numeric.candidate_cross_entropy_sum` scores each table's cells
+    against its own candidate set, so the graph has the same nodes for any
+    number of tables. A gold missing from its table's candidates raises
+    UnknownId.
     """
     stats = TableLossStats()
     h = encode_batch([m.seq for m in batch], model, use_visibility=use_visibility)
@@ -207,19 +214,21 @@ def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> 
         terms.append(nm.cross_entropy_sum(logits, targets))
         stats.n_tokens = len(tok_pos)
         stats.token_correct = int((logits.data.argmax(axis=1) == targets).sum())
-    for m, s in zip(batch, starts):
-        if len(m.cells.indices):
-            gold_pos = np.searchsorted(m.candidates, m.cells.targets)
-            logits = entity_logits(model, h, m.cells.indices + s, m.candidates)
-            terms.append(nm.cross_entropy_sum(logits, gold_pos))
-            stats.n_cells += len(m.cells.indices)
-            stats.cell_correct += int((logits.data.argmax(axis=1) == gold_pos).sum())
+        stats.mlm_loss = float(terms[-1].data)
+    masked = [(m, s) for m, s in zip(batch, starts) if len(m.cells.indices)]
+    if masked:
+        cell_pos = np.concatenate([m.cells.indices + s for m, s in masked])
+        proj = nm.affine(nm.gather_rows(h, cell_pos), model["mer_W"], model["mer_b"])
+        cands = nm.gather_rows(model["ent_emb"], np.concatenate([m.candidates for m, _ in masked]))
+        loss, stats.cell_correct = nm.candidate_cross_entropy_sum(
+            proj, cands, [m.candidates for m, _ in masked], [m.cells.targets for m, _ in masked]
+        )
+        terms.append(loss)
+        stats.n_cells = len(cell_pos)
+        stats.mer_loss = float(loss.data)
     if not terms:
         return None, stats
-    total = terms[0]
-    for term in terms[1:]:
-        total = nm.add(total, term)
-    return total, stats
+    return terms[0] if len(terms) == 1 else nm.add(*terms), stats
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +335,7 @@ def fit(
                 continue
             opt.zero_grad()
             total, stats = table_loss(model, batch, settings.use_visibility)
-            ep_stats.n_tokens += stats.n_tokens
-            ep_stats.n_cells += stats.n_cells
-            ep_stats.token_correct += stats.token_correct
-            ep_stats.cell_correct += stats.cell_correct
+            ep_stats.add(stats)
             tables = ", ".join(m.seq.table_id for m in batch)
             step_loss = nm.descend(total, opt, f"at step {step} (epoch {epoch}), tables {tables}")
             step += 1
@@ -339,6 +345,8 @@ def fit(
         record = {
             "epoch": epoch,
             "loss": ep_loss / max(1, n_pred),
+            "mlm_loss": ep_stats.mlm_loss / max(1, ep_stats.n_tokens),
+            "mer_loss": ep_stats.mer_loss / max(1, ep_stats.n_cells),
             "mlm_acc": ep_stats.token_correct / max(1, ep_stats.n_tokens),
             "mer_acc": ep_stats.cell_correct / max(1, ep_stats.n_cells),
             "oep_acc": None,

@@ -168,9 +168,9 @@ def cell_position(seq: Sequence, row: int, col: int) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
-def column_repr(enc_h: nm.Tensor, seq: Sequence, col: int, dtype, at: int = 0) -> nm.Tensor:
+def column_repr(enc_h: nm.Tensor, seq: Sequence, col: int, at: int = 0) -> nm.Tensor:
     """(1, 2d) column summary: mean header-token state, mean entity state.
-    The sequence's states are the rows of enc_h from row `at` on (dtype is unused)."""
+    The sequence's states are the rows of enc_h from row `at` on."""
     header_pos = np.flatnonzero((seq.kinds == HEADER) & (seq.cols == col))
     cell_pos = np.flatnonzero((seq.kinds == CELL) & (seq.cols == col))
     if not len(header_pos) or not len(cell_pos):
@@ -195,7 +195,7 @@ class AffineHead:
 
     def logits(self, *parts: nm.Tensor) -> nm.Tensor:
         x = parts[0] if len(parts) == 1 else nm.concat(list(parts), axis=1)
-        return nm.add(nm.matmul(x, self.W), self.b)
+        return nm.affine(x, self.W, self.b)
 
 
 class ColumnTypeHead(AffineHead):
@@ -619,7 +619,7 @@ def _eval_label_sets(instances, spec: TaskSpec, use_visibility: bool) -> dict:
 
 def _column_type_spec(model, head, packs) -> TaskSpec:
     def logits(inst, h, at):
-        return head.logits(column_repr(h, packs[inst.pack].seq, inst.col, model.dtype, at))
+        return head.logits(column_repr(h, packs[inst.pack].seq, inst.col, at))
 
     return TaskSpec(model, _table_read(packs), logits, _bce)
 
@@ -639,8 +639,8 @@ def eval_column_types(model, head, packs, instances, use_visibility=True):
 def _relation_spec(model, head, packs) -> TaskSpec:
     def logits(inst, h, at):
         seq = packs[inst.pack].seq
-        subj = column_repr(h, seq, inst.subj_col, model.dtype, at)
-        return head.logits(subj, column_repr(h, seq, inst.obj_col, model.dtype, at))
+        subj = column_repr(h, seq, inst.subj_col, at)
+        return head.logits(subj, column_repr(h, seq, inst.obj_col, at))
 
     return TaskSpec(model, _table_read(packs), logits, _bce)
 

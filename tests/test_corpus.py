@@ -274,6 +274,31 @@ def test_index_table_drops_oov_entities():
     assert C.UNK_ID not in refs  # dropped, not mapped to unk
 
 
+def test_reserved_names_in_raw_text_never_reach_a_reserved_id():
+    # a 3-row table whose cell entity is "<mask>": the cell is unlinked, never
+    # the reserved mask row (which build_candidates drops from every pool)
+    rt = raw(
+        headers=("Player", "Team"),
+        caption="<sep> roster",
+        rows=[
+            [linked("ann", "e1"), linked("<mask>", "<mask>")],
+            [linked("bob", "e2"), linked("reds <pad>", "t2")],
+            [linked("cy", "e3"), linked("blues", "<unk>")],
+        ],
+    )
+    pt = C.process_table(rt)
+    assert any(c.entity == "<mask>" for c in pt.cells)
+    tv, ev = C.build_vocabs([pt, pt])
+    for name in C.ENTITY_RESERVED:
+        assert ev.get(name) is None
+    assert tv.ids(["<pad>", "<mask>", "<unk>", "<sep>", "reds"]).tolist() == [C.UNK_ID] * 4 + [tv.get("reds")]
+    it = C.index_table(pt, tv, ev)
+    assert sorted(c.entity_id for c in it.cells) == sorted(ev.get(e) for e in ("e1", "e2", "e3", "t2"))
+    ids = np.concatenate([it.caption_ids, *it.header_ids, *(c.mention_ids for c in it.cells)])
+    # "<sep>" in the caption and "<pad>" in a kept mention
+    assert not np.isin(ids, [C.PAD_ID, C.MASK_ID, C.SEP_ID]).any() and (ids == C.UNK_ID).sum() == 2
+
+
 def test_processed_json_round_trip():
     pt = _table_with_links(3, 2)
     pt.topic = ("topic_ref", ["the", "topic"])

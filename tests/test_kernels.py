@@ -83,14 +83,25 @@ def test_masked_softmax_all_visible_is_bitwise_plain():
 
 def test_gelu_matches_erf_form():
     x = np.linspace(-6, 6, 301)
-    np.testing.assert_allclose(kernels.gelu_fwd(x), gelu_oracle(x), atol=1e-12)
+    np.testing.assert_allclose(kernels.gelu_fwd(x)[0], gelu_oracle(x), atol=1e-12)
+
+
+def test_gelu_forward_is_bitwise_the_erf_form():
+    # the forward returns x * cdf and keeps the cdf for the backward pass;
+    # its output has the bits of 0.5 * x * (1 + erf(x / sqrt 2))
+    from scipy.special import erf
+
+    x = np.random.default_rng(4).normal(scale=3.0, size=100_000).astype(np.float32)
+    y, cdf = kernels.gelu_fwd(x)
+    assert y.dtype == cdf.dtype == np.float32
+    assert y.tobytes() == (0.5 * x * (1.0 + erf(x * np.float32(1 / math.sqrt(2.0))))).tobytes()
 
 
 def test_gelu_gradient_matches_finite_difference():
     x = np.linspace(-4, 4, 101)
     h = 1e-6
-    num = (kernels.gelu_fwd(x + h) - kernels.gelu_fwd(x - h)) / (2 * h)
-    got = kernels.gelu_bwd(x, np.ones_like(x))
+    num = (kernels.gelu_fwd(x + h)[0] - kernels.gelu_fwd(x - h)[0]) / (2 * h)
+    got = kernels.gelu_bwd(x, kernels.gelu_fwd(x)[1], np.ones_like(x))
     np.testing.assert_allclose(got, num, atol=1e-8)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tabrep import numeric as nm
-from tabrep.errors import ShapeMismatch
+from tabrep.errors import ShapeMismatch, UnknownId
 
 
 def t(arr, grad=True, name=None):
@@ -41,6 +41,65 @@ def test_matmul_skips_the_product_of_a_constant_operand():
     assert const.grad is None and w.grad.shape == (4, 2)
 
 
+def test_affine_grads_and_bits():
+    rng = np.random.default_rng(10)
+    x, w, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=(4, 5))), t(rng.normal(size=5))
+
+    def loss():
+        return nm.cross_entropy_sum(nm.affine(x, w, b), np.array([0, 2, 4]))
+
+    assert nm.grad_check(loss, [x, w, b]) < 1e-7
+    # the same arithmetic as matmul then add, bit for bit, forward and backward
+    grads = []
+    for build in (lambda: nm.affine(x, w, b), lambda: nm.add(nm.matmul(x, w), b)):
+        for p in (x, w, b):
+            p.grad = None
+        out = build()
+        nm.cross_entropy_sum(out, np.array([1, 1, 3])).backward()
+        grads.append([out.data.tobytes()] + [p.grad.tobytes() for p in (x, w, b)])
+    assert grads[0] == grads[1]
+    with pytest.raises(ShapeMismatch):
+        nm.affine(x, w, t(np.zeros(4)))
+
+
+def _candidate_tables(rng):
+    # three tables: 2 cells over 4 candidates, no cell over 3, 3 cells over 6
+    candidates = [np.array([3, 5, 8, 9]), np.array([4, 6, 7]), np.array([3, 4, 10, 11, 12, 15])]
+    golds = [np.array([8, 3]), np.array([], dtype=np.int64), np.array([15, 4, 15])]
+    x = t(rng.normal(size=(5, 6)))
+    cands = t(rng.normal(size=(13, 6)))
+    return x, cands, candidates, golds
+
+
+def test_candidate_cross_entropy_grads_and_reference():
+    x, cands, candidates, golds = _candidate_tables(np.random.default_rng(11))
+
+    def loss():
+        return nm.candidate_cross_entropy_sum(x, cands, candidates, golds)[0]
+
+    assert nm.grad_check(loss, [x, cands]) < 1e-7
+    # the reference: one cross_entropy_sum per table over its own candidates
+    ref, correct, xs, cs = 0.0, 0, 0, 0
+    for ids, gold in zip(candidates, golds):
+        z = x.data[xs : xs + len(gold)] @ cands.data[cs : cs + len(ids)].T
+        target = np.searchsorted(ids, gold)
+        if len(gold):
+            ref += float(nm.cross_entropy_sum(nm.Tensor(z), target).data)
+            correct += int((z.argmax(axis=1) == target).sum())
+        xs, cs = xs + len(gold), cs + len(ids)
+    got, got_correct = nm.candidate_cross_entropy_sum(x, cands, candidates, golds)
+    assert float(got.data) == pytest.approx(ref, rel=1e-12) and got_correct == correct
+
+
+def test_candidate_cross_entropy_rejects_a_gold_outside_its_candidates():
+    x, cands, candidates, golds = _candidate_tables(np.random.default_rng(12))
+    for bad in (np.array([8, 4]), np.array([8, 99]), np.array([8, 0])):  # 4 belongs to another table
+        with pytest.raises(UnknownId):
+            nm.candidate_cross_entropy_sum(x, cands, candidates, [bad] + golds[1:])
+    with pytest.raises(ShapeMismatch):
+        nm.candidate_cross_entropy_sum(x, cands, candidates[:2], golds[:2])
+
+
 def test_gather_accumulates_duplicate_rows():
     a = t(np.arange(6, dtype=np.float64).reshape(3, 2))
     idx = np.array([1, 1, 0])
@@ -58,6 +117,9 @@ def test_segment_mean_averages_consecutive_segments():
     out = nm.segment_mean(a, idx, lens)
     np.testing.assert_allclose(out.data, [a.data[[4, 0]].mean(0), np.zeros(3), a.data[[0, 2, 1]].mean(0)])
     assert nm.segment_mean(a, [], [0, 0]).data.tobytes() == np.zeros((2, 3)).tobytes()
+    assert out._parents == (a,)  # one node over the rows: no averaging-matrix leaf
+    with pytest.raises(ShapeMismatch):
+        nm.segment_mean(a, idx, [2, 0, 2])
 
     def loss():
         return nm.cross_entropy_sum(nm.segment_mean(a, idx, lens), np.array([0, 1, 2]))
@@ -215,9 +277,11 @@ def _op_calls():
     w, g, beta = t(rng.normal(size=(6, 3))), t(rng.normal(size=6)), t(rng.normal(size=6))
     mask = (rng.random((3, 3)) < 0.5).astype(np.uint8)
     np.fill_diagonal(mask, 1)
+    bias = t(rng.normal(size=3))
     return {
         "add": lambda: nm.add(a, b),
         "matmul": lambda: nm.matmul(a, w),
+        "affine": lambda: nm.affine(a, w, bias),
         "transpose": lambda: nm.transpose(a, (1, 0)),
         "concat": lambda: nm.concat([a, b], axis=1),
         "gather_rows": lambda: nm.gather_rows(a, [3, 0, 3]),
@@ -227,6 +291,9 @@ def _op_calls():
         "layer_norm": lambda: nm.layer_norm(a, g, beta),
         "gelu": lambda: nm.gelu(a),
         "cross_entropy_sum": lambda: nm.cross_entropy_sum(a, [0, 5, 2, 1]),
+        "candidate_cross_entropy_sum": lambda: nm.candidate_cross_entropy_sum(
+            a, b, [np.array([2, 4, 7]), np.array([], np.int64), np.array([1])], [np.array([4, 2, 7]), np.array([], np.int64), np.array([1])]
+        )[0],
         "bce_with_logits_sum": lambda: nm.bce_with_logits_sum(a, np.ones((4, 6))),
     }
 

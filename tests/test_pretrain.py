@@ -6,9 +6,9 @@ import pytest
 import tabrep.numeric as nm
 from tabrep import pretrain
 from tabrep.corpus import MASK_ID
-from tabrep.encoder import EncoderConfig, encode, init_model
+from tabrep.encoder import EncoderConfig, encode, encode_batch, init_model
 from tabrep.encoding import CELL, TOPIC, linearize, mask_cell
-from tabrep.errors import NonFiniteLoss
+from tabrep.errors import NonFiniteLoss, UnknownId
 from tabrep.pretrain import (
     KEEP,
     MASK_BOTH,
@@ -17,6 +17,7 @@ from tabrep.pretrain import (
     N_RESERVED_ENTITIES,
     N_RESERVED_TOKENS,
     CellMaskPlan,
+    MaskedTable,
     TrainSettings,
     apply_masks,
     build_candidates,
@@ -26,6 +27,8 @@ from tabrep.pretrain import (
     masked_recovery_accuracy,
     sample_cell_mask,
     sample_token_mask,
+    table_loss,
+    token_logits,
 )
 
 from conftest import make_indexed_table
@@ -178,6 +181,94 @@ def test_candidates_exclude_reserved_rows():
     assert (cands >= N_RESERVED_ENTITIES).all()
 
 
+# -- the batch loss ------------------------------------------------------------------
+
+
+def masked_batch(n_tables, seed=30, cfg=None):
+    cfg = cfg or SMALL_CFG
+    rng = np.random.default_rng(seed)
+    batch = []
+    while len(batch) < n_tables:
+        t = make_indexed_table(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)), n_tokens=30, n_entities=20,
+                               table_id=f"t{len(batch)}")
+        seq = linearize(t, cfg.max_len)
+        tok = sample_token_mask(rng, seq, 0.4, cfg.n_tokens)
+        cell = sample_cell_mask(rng, seq, 0.6, cfg.n_entities)
+        if len(tok.indices) or len(cell.indices):
+            cands = build_candidates(t.entity_ids(), cell.targets, {}, cfg.n_entities, 8, rng)
+            batch.append(MaskedTable(apply_masks(seq, tok, cell, rng, cfg.n_entities), tok, cell, cands))
+    return batch
+
+
+def reference_table_loss(model, batch):
+    # the token head over the whole batch, then one entity head per table
+    h = encode_batch([m.seq for m in batch], model)
+    starts = np.cumsum([0] + [len(m.seq) for m in batch[:-1]])
+    tok_pos = np.concatenate([m.tokens.indices + s for m, s in zip(batch, starts)])
+    targets = np.concatenate([m.tokens.targets for m in batch])
+    logits = token_logits(model, h, tok_pos)
+    mlm = float(nm.cross_entropy_sum(logits, targets).data)
+    stats = dict(n_tokens=len(tok_pos), token_correct=int((logits.data.argmax(axis=1) == targets).sum()))
+    mer, n_cells, correct = 0.0, 0, 0
+    for m, s in zip(batch, starts):
+        if len(m.cells.indices):
+            gold = np.searchsorted(m.candidates, m.cells.targets)
+            logits = entity_logits(model, h, m.cells.indices + s, m.candidates)
+            mer += float(nm.cross_entropy_sum(logits, gold).data)
+            n_cells += len(gold)
+            correct += int((logits.data.argmax(axis=1) == gold).sum())
+    return mlm, mer, dict(stats, n_cells=n_cells, cell_correct=correct)
+
+
+def test_table_loss_equals_a_per_table_reference():
+    model, _ = small_fit(epochs=2)
+    batch = masked_batch(6)
+    assert sum(len(m.cells.indices) == 0 for m in batch) and sum(len(m.cells.indices) > 0 for m in batch) > 2
+    total, stats = table_loss(model, batch, use_visibility=True)
+    mlm, mer, ref_stats = reference_table_loss(model, batch)
+    assert float(total.data) == pytest.approx(mlm + mer, rel=1e-6)
+    assert stats.mlm_loss == pytest.approx(mlm, rel=1e-6) and stats.mer_loss == pytest.approx(mer, rel=1e-6)
+    assert {k: getattr(stats, k) for k in ref_stats} == ref_stats
+
+
+def test_table_loss_terms_add_up_to_the_step_loss():
+    model = init_model(SMALL_CFG, np.random.default_rng(1))
+    for seed in range(5):
+        total, stats = table_loss(model, masked_batch(4, seed=seed), use_visibility=True)
+        assert stats.n_tokens and stats.n_cells
+        assert stats.mlm_loss + stats.mer_loss == pytest.approx(float(total.data), rel=1e-6)
+    _, history = small_fit(epochs=2)
+    for rec in history.epochs:
+        assert rec["mlm_loss"] > 0 and rec["mer_loss"] > 0
+
+
+def test_table_loss_builds_the_same_nodes_for_any_batch_size():
+    model = init_model(SMALL_CFG, np.random.default_rng(2))
+    counts = []
+    for n in (2, 8):
+        batch = masked_batch(n, seed=40 + n)
+        assert sum(len(m.tokens.indices) > 0 for m in batch) and sum(len(m.cells.indices) > 0 for m in batch)
+        total, _ = table_loss(model, batch, use_visibility=True)
+        counts.append(sum(node._backward is not None for node in nm._topo_order(total)))
+    assert counts[0] == counts[1]
+
+
+def test_table_loss_rejects_a_gold_outside_its_candidates():
+    # a cell whose entity is a reserved row (here <mask>) is dropped by
+    # build_candidates; its gold must raise, not silently pick a candidate
+    model = init_model(SMALL_CFG, np.random.default_rng(3))
+    t = make_indexed_table(np.random.default_rng(4), 3, 2, n_tokens=30, n_entities=20)
+    t.cells[2].entity_id = MASK_ID
+    seq = linearize(t, SMALL_CFG.max_len)
+    pos = np.flatnonzero((seq.kinds == CELL) & (seq.ids == MASK_ID))
+    cell = CellMaskPlan(indices=pos, targets=seq.ids[pos], actions=np.full(len(pos), MASK_BOTH))
+    tok = sample_token_mask(np.random.default_rng(5), seq, 0.0, SMALL_CFG.n_tokens)
+    cands = build_candidates(t.entity_ids(), cell.targets, {}, SMALL_CFG.n_entities, 8, np.random.default_rng(6))
+    assert MASK_ID not in cands
+    with pytest.raises(UnknownId):
+        table_loss(model, [MaskedTable(apply_masks(seq, tok, cell), tok, cell, cands)], use_visibility=True)
+
+
 # -- canonical mentions --------------------------------------------------------------
 
 
@@ -225,7 +316,7 @@ def test_fit_runs_and_logs():
     model, history = small_fit(epochs=2)
     assert len(history.epochs) == 2
     rec = history.epochs[0]
-    assert set(rec) == {"epoch", "loss", "mlm_acc", "mer_acc", "oep_acc"}
+    assert set(rec) == {"epoch", "loss", "mlm_loss", "mer_loss", "mlm_acc", "mer_acc", "oep_acc"}
     assert rec["loss"] > 0
     assert history.step_losses
 

@@ -179,7 +179,7 @@ def test_column_repr_is_mean_of_states(corpus, tiny_model):
     packs, _, _ = corpus
     seq = packs[0].seq
     enc = encode(seq, tiny_model)
-    col = column_repr(enc.h, seq, 1, tiny_model.dtype)
+    col = column_repr(enc.h, seq, 1)
     assert col.data.shape == (1, 16)
     head_pos = [i for i in range(len(seq)) if seq.kinds[i] == HEADER and seq.cols[i] == 1]
     cell_pos = [i for i in range(len(seq)) if seq.kinds[i] == CELL and seq.cols[i] == 1]
@@ -196,7 +196,7 @@ def test_column_repr_empty_column_raises(tiny_model):
     model = init_model(cfg, rng)
     enc = encode(seq, model)
     with pytest.raises(EmptyColumn):
-        column_repr(enc.h, seq, 1, model.dtype)
+        column_repr(enc.h, seq, 1)
 
 
 # -- heads ------------------------------------------------------------------------
@@ -587,11 +587,11 @@ def _hot(golds, n):
 def _reference_logits(task, inst, s, model=None, use_description=True):
     """One instance's logits from its own `encode` call."""
     model = model or s["model"]
-    pack, head, dt = s["packs"][inst.pack], s["heads"].get(task), model.dtype
+    pack, head = s["packs"][inst.pack], s["heads"].get(task)
     if task in ("coltype", "relations"):
         h = encode(pack.seq, model).h
         cols = [inst.col] if task == "coltype" else [inst.subj_col, inst.obj_col]
-        return head.logits(*[column_repr(h, pack.seq, c, dt) for c in cols])
+        return head.logits(*[column_repr(h, pack.seq, c) for c in cols])
     if task == "linking":
         seq = linking_sequence(pack)
         proj = head.project(nm.gather_rows(encode(seq, model).h, np.array([cell_position(seq, inst.row, inst.col)])))
