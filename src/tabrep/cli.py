@@ -40,7 +40,7 @@ from .corpus import (
     write_file,
     write_jsonl,
 )
-from .encoder import EncoderConfig, Model, init_model
+from .encoder import EncoderConfig, Model, init_model, load_tensors
 from .encoding import build_visibility, linearize
 from .errors import ConfigError, TabrepError
 from .pretrain import TrainSettings, fit, masked_recovery_accuracy
@@ -90,15 +90,7 @@ def _config_from_args(args, base: Config | None = None) -> Config:
 
 
 def encoder_config(cfg: Config, n_tokens: int, n_entities: int) -> EncoderConfig:
-    return EncoderConfig(
-        n_blocks=cfg.n_blocks,
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        d_intermediate=cfg.d_intermediate,
-        max_len=cfg.max_len,
-        n_tokens=n_tokens,
-        n_entities=n_entities,
-    )
+    return EncoderConfig(**{k: getattr(cfg, k) for k in ENCODER_SHAPE}, n_tokens=n_tokens, n_entities=n_entities)
 
 
 def train_settings(cfg: Config) -> TrainSettings:
@@ -167,18 +159,9 @@ def restore_model(path: str) -> tuple[Model, Config, dict, dict]:
     return model, cfg, arrays, extra
 
 
-def _head_arrays(head) -> dict[str, np.ndarray]:
-    return {"head." + p.name: p.data for p in head.params()}
-
-
-def _load_head(head, arrays: dict[str, np.ndarray]) -> None:
-    for p in head.params():
-        key = "head." + p.name
-        if key not in arrays:
-            raise ConfigError(f"checkpoint lacks task tensor {key!r}")
-        if arrays[key].shape != p.data.shape:
-            raise ConfigError(f"task tensor {key!r} shape mismatch")
-        p.data[...] = arrays[key]
+def _head_tensors(head) -> dict:
+    """A task head's tensors under their checkpoint names."""
+    return {"head." + p.name: p for p in head.params()}
 
 
 def _side_dir(args, data_dir: str) -> str:
@@ -386,7 +369,7 @@ def cmd_finetune(args) -> int:
     write_jsonl(os.path.join(args.out, "metrics.jsonl"), ({"epoch": i, "loss": loss} for i, loss in enumerate(losses)))
     arrays = dict(model.named_arrays())
     if head is not None:
-        arrays.update(_head_arrays(head))
+        arrays.update({k: p.data for k, p in _head_tensors(head).items()})
     ckpt = os.path.join(args.out, f"{task}_checkpoint.bin")
     save_checkpoint(
         ckpt,
@@ -443,7 +426,7 @@ def cmd_evaluate(args) -> int:
         instances, _ = _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, labels)
         head = _task_head(task, model, labels, cfg.seed)
         if head is not None:
-            _load_head(head, arrays)
+            load_tensors(_head_tensors(head), arrays)
         vis = cfg.use_visibility
         if task == "coltype":
             body = T.eval_column_types(model, head, packs, instances, use_visibility=vis)

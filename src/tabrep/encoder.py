@@ -60,6 +60,7 @@ from .errors import ConfigError, UnknownId
 __all__ = [
     "EncoderConfig",
     "Model",
+    "load_tensors",
     "init_model",
     "init_entity_embeddings",
     "trunc_normal",
@@ -110,16 +111,22 @@ class Model:
         return {name: t.data for name, t in self.weights.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self.weights.items():
-            if name not in arrays:
-                raise ConfigError(f"checkpoint is missing tensor {name!r}")
-            if arrays[name].shape != t.data.shape:
-                raise ConfigError(f"tensor {name!r} shape {arrays[name].shape} != {t.data.shape}")
-            t.data[...] = arrays[name]
+        load_tensors(self.weights, arrays)
 
     @property
     def dtype(self):
         return self.weights["word_emb"].data.dtype
+
+
+def load_tensors(tensors: dict[str, nm.Tensor], arrays: dict[str, np.ndarray]) -> None:
+    """Copy arrays[name] into each named tensor. A missing name or a shape
+    mismatch raises ConfigError."""
+    for name, t in tensors.items():
+        if name not in arrays:
+            raise ConfigError(f"checkpoint is missing tensor {name!r}")
+        if arrays[name].shape != t.data.shape:
+            raise ConfigError(f"tensor {name!r} shape {arrays[name].shape} != {t.data.shape}")
+        t.data[...] = arrays[name]
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
@@ -255,7 +262,7 @@ def _block_output(h: nm.Tensor, ctx: nm.Tensor, model: Model, block: int) -> nm.
 class EncodeResult:
     h: nm.Tensor
     block_inputs: list[nm.Tensor]  # the (n, d) input of each block, in order
-    mask: np.ndarray | None  # the (n, n) visibility every block used; None for the plain reference path
+    mask: np.ndarray | None  # the (n, n) bool visibility every block used; None for the plain reference path
 
 
 def _pack(seqs: list[Sequence]) -> Sequence:
@@ -275,7 +282,7 @@ def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, ref
     elif use_visibility:
         masks = [build_visibility(s) for s in seqs]
     else:
-        masks = [np.ones((n, n), dtype=np.uint8) for n in lens]
+        masks = [np.ones((n, n), dtype=bool) for n in lens]
     for i in range(model.cfg.n_blocks):
         states.append(transformer_block(states[-1], masks, starts, model, i))
     return states, masks
@@ -313,7 +320,7 @@ def encode_substitutions(enc: EncodeResult, positions: np.ndarray, subst: Sequen
     each substituted table up to float rounding, not bitwise.
     """
     cfg, n, n_blocks = model.cfg, len(enc.h.data), model.cfg.n_blocks
-    vis = np.ones((n, n), dtype=bool) if enc.mask is None else enc.mask.astype(bool)
+    vis = np.ones((n, n), dtype=bool) if enc.mask is None else enc.mask
     # reach[k][m, j]: row j is within k visibility hops of positions[m]
     reach = [np.zeros((len(positions), n), dtype=bool)]
     reach[0][np.arange(len(positions)), positions] = True

@@ -145,9 +145,8 @@ def linearize(table: IndexedTable, max_len: int = 256) -> Sequence:
 
 
 def build_visibility(seq: Sequence) -> np.ndarray:
-    """(n, n) uint8 visibility matrix for a linearized table."""
+    """(n, n) bool visibility matrix for a linearized table."""
     kinds, rows, cols = seq.kinds, seq.rows, seq.cols
-    n = len(kinds)
     meta = (kinds == CAPTION) | (kinds == TOPIC)
     header = kinds == HEADER
     cell = kinds == CELL
@@ -159,9 +158,8 @@ def build_visibility(seq: Sequence) -> np.ndarray:
     hdr_cell = (header[:, None] & cell[None, :]) | (cell[:, None] & header[None, :])
     vis |= hdr_cell & same_col
     vis |= (cell[:, None] & cell[None, :]) & (same_row | same_col)
-    out = vis.astype(np.uint8)
-    np.fill_diagonal(out, 1)
-    return out
+    np.fill_diagonal(vis, True)
+    return vis
 
 
 def mask_cell(seq: Sequence, index: int, mask_entity: bool, mask_mention: bool, replace_entity: int | None = None) -> None:

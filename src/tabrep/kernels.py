@@ -4,9 +4,9 @@ The autodiff ops in `numeric` call these for the work of attention, layer
 norm, GELU and Adam. Each kernel follows plain IEEE evaluation order in numpy,
 which the determinism tests rely on.
 
-Masking convention: `mask` is a (n, n) uint8 array; mask[i, j] == 0 means
-position i must ignore position j. Masked attention weights come out exactly
-0.0, not merely small. `attention_fwd` also takes a (m, n) mask of m query
+Masking convention: `mask` is a (n, n) bool array; mask[i, j] False means
+position i must ignore position j (a 0/1 array reads the same way). Masked
+attention weights come out exactly 0.0, not merely small. `attention_fwd` also takes a (m, n) mask of m query
 rows over n key rows.
 """
 
@@ -42,7 +42,7 @@ def softmax_fwd(scores):
 def masked_softmax_fwd(scores, mask):
     # Additive -inf masking before the softmax; masked weights are exactly 0.
     neg = np.array(-np.inf, dtype=scores.dtype)
-    masked = np.where(mask.astype(bool), scores, neg)
+    masked = np.where(mask, scores, neg)
     m = np.max(masked, axis=-1, keepdims=True)
     e = np.exp(masked - m)
     return e / np.sum(e, axis=-1, keepdims=True)
@@ -102,7 +102,7 @@ def gelu_bwd(x, cdf, dy):
 
 
 def adam_update(param, grad, m, v, step, lr, beta1, beta2, eps):
-    # In-place update of flat views. eps sits outside the sqrt.
+    # Elementwise, in place on the arrays as stored. eps sits outside the sqrt.
     m *= beta1
     m += (1.0 - beta1) * grad
     v *= beta2

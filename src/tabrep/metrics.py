@@ -4,7 +4,7 @@ containers so they double as test oracles for the task heads."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -19,15 +19,7 @@ class PrfResult:
     undefined_precision: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "undefined_precision": self.undefined_precision,
-        }
+        return asdict(self)
 
 
 def _prf_from_counts(tp: int, fp: int, fn: int) -> PrfResult:

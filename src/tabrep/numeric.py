@@ -7,6 +7,12 @@ is the same either way. Training runs in float32; the gradient checker runs
 the same graph code in float64. Dtype always follows the operand arrays,
 never a global switch.
 
+Gradients are handed over, never copied: a backward closure passes on the
+arrays it made, or views of its `dout`, and a tensor stores the first
+gradient it receives as is. A second one is added out of place, so no
+stored gradient is ever written again, and several tensors may safely hold
+the same array (`add` hands one `dout` to both operands).
+
 Ops that would otherwise be chains of small nodes are single nodes:
 `affine` is x @ W + b; `segment_mean` gathers rows and sums consecutive
 segments of them (`np.add.reduceat` forward, `np.repeat` backward), with no
@@ -72,9 +78,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Fill .grad of every leaf that needs one. An op output's gradient
         is freed as soon as it has been passed on to the op's inputs."""
@@ -138,12 +141,8 @@ def _make(data, parents, backward):
 
 
 def _accum(t, g):
-    if not _wants_grad(t):
-        return
-    if t.grad is None:
-        t.grad = np.array(g, copy=True)
-    else:
-        t.grad += g
+    if _wants_grad(t):
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -297,8 +296,8 @@ def table_attention(q, k, v, masks, starts, n_heads):
     q, k and v are (N, d) rows of B tables stacked end to end; table i owns
     rows starts[i] up to starts[i + 1] (or N). A row attends only to rows of
     its own table, scaled by 1/sqrt(d / n_heads). `masks` holds one constant
-    (n_i, n_i) uint8 visibility matrix per table, shared across the heads, and
-    weights at mask==0 are exactly zero; masks=None runs the plain softmax.
+    (n_i, n_i) bool visibility matrix per table, shared across the heads, and
+    weights where it is False are exactly zero; masks=None runs the plain softmax.
     Returns the (N, d) context rows. One tape node for the whole batch.
     """
     _same_dtype(q, k, v)
@@ -465,8 +464,9 @@ def linear_lr(lr0, step, total_steps):
 class Adam:
     """Adam with bias correction and a linear decay schedule.
 
-    The epsilon term is added outside the square root. Moments live in the
-    parameter dtype; each update runs through `kernels.adam_update`.
+    The epsilon term is added outside the square root. Moments have the
+    parameter's shape and dtype; each update runs elementwise through
+    `kernels.adam_update` on the arrays as stored.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -476,8 +476,8 @@ class Adam:
         self.lr0 = float(lr0)
         self.total_steps = int(total_steps)
         self.steps_done = 0
-        self.m = [np.zeros(p.data.size, dtype=p.data.dtype) for p in self.params]
-        self.v = [np.zeros(p.data.size, dtype=p.data.dtype) for p in self.params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
@@ -489,9 +489,7 @@ class Adam:
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            flat = p.data.reshape(-1)
-            grad = np.ascontiguousarray(p.grad.reshape(-1))
-            kernels.adam_update(flat, grad, m, v, t, lr, self.BETA1, self.BETA2, self.EPS)
+            kernels.adam_update(p.data, p.grad, m, v, t, lr, self.BETA1, self.BETA2, self.EPS)
         self.steps_done = t
 
 

@@ -168,14 +168,24 @@ def cell_position(seq: Sequence, row: int, col: int) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
+def column_rows(seq: Sequence, col: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of column col's header tokens and of its cells in seq. Either
+    may be empty: linearize drops the trailing rows past max_len."""
+    return tuple(np.flatnonzero((seq.kinds == kind) & (seq.cols == col)) for kind in (HEADER, CELL))
+
+
 def column_repr(enc_h: nm.Tensor, seq: Sequence, col: int, at: int = 0) -> nm.Tensor:
     """(1, 2d) column summary: mean header-token state, mean entity state.
     The sequence's states are the rows of enc_h from row `at` on."""
-    header_pos = np.flatnonzero((seq.kinds == HEADER) & (seq.cols == col))
-    cell_pos = np.flatnonzero((seq.kinds == CELL) & (seq.cols == col))
-    if not len(header_pos) or not len(cell_pos):
+    parts = column_rows(seq, col)
+    if not all(len(pos) for pos in parts):
         raise EmptyColumn(f"column {col} of {seq.table_id} has no usable header or entities")
-    return nm.concat([nm.segment_mean(enc_h, at + pos, [len(pos)]) for pos in (header_pos, cell_pos)], axis=1)
+    return nm.concat([nm.segment_mean(enc_h, at + pos, [len(pos)]) for pos in parts], axis=1)
+
+
+def _encoded(seq: Sequence, *cols: int) -> bool:
+    """Whether each column keeps a header token and a cell in seq."""
+    return all(len(pos) for col in cols for pos in column_rows(seq, col))
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +320,16 @@ def _refs(entity_vocab: Vocab, ids) -> list[str]:
 def build_column_type_data(
     packs: list[TablePack], entity_vocab: Vocab, side: SideData, type_list: list[str] | None = None
 ) -> tuple[list[ColumnTypeInstance], list[str]]:
-    """One instance per column whose linked entities share at least one type."""
+    """One instance per encoded column whose linked entities share at least
+    one type."""
     raw: list[tuple[int, int, set[str]]] = []
     for pi, pack in enumerate(packs):
         by_col: dict[int, list[int]] = {}
         for c in pack.indexed.cells:
             by_col.setdefault(c.col, []).append(c.entity_id)
         for col, ids in sorted(by_col.items()):
+            if not _encoded(pack.seq, col):
+                continue
             golds: set[str] | None = None
             for ref in _refs(entity_vocab, ids):
                 t = set(side.types.get(ref, ()))
@@ -337,7 +350,8 @@ def build_column_type_data(
 def build_relation_data(
     packs: list[TablePack], entity_vocab: Vocab, side: SideData, relation_list: list[str] | None = None
 ) -> tuple[list[RelationInstance], list[str]]:
-    """One instance per (subject column, object column) with shared relations."""
+    """One instance per encoded (subject column, object column) with shared
+    relations."""
     raw = []
     for pi, pack in enumerate(packs):
         it = pack.indexed
@@ -347,7 +361,7 @@ def build_relation_data(
         obj_cols = sorted({c.col for c in it.cells if c.col != it.subject_col})
         for col in obj_cols:
             pairs = [(subj_by_row[c.row], c.entity_id) for c in it.cells if c.col == col and c.row in subj_by_row]
-            if not pairs:
+            if not pairs or not _encoded(pack.seq, it.subject_col, col):
                 continue
             golds: set[str] | None = None
             for s, o in pairs:
@@ -669,8 +683,10 @@ def eval_relations_votes(instances, entity_vocab, side: SideData, relation_list,
 # -- linking -------------------------------------------------------------------
 
 
-def _link_entries(head: LinkingHead, side: SideData, refs, token_vocab, tokenizer):
-    return [head.tokenize_entry(side.kb.get(ref, KbEntry()), token_vocab, tokenizer) for ref in refs]
+def _tokenized_entries(head: LinkingHead, side: SideData, instances, token_vocab, tokenizer) -> dict:
+    """Each distinct candidate of the instances, tokenized once: ref -> entry."""
+    refs = dict.fromkeys(ref for inst in instances for ref in inst.candidate_refs)
+    return {ref: head.tokenize_entry(side.kb.get(ref, KbEntry()), token_vocab, tokenizer) for ref in refs}
 
 
 def _linking_spec(model, head, packs, instances, entries) -> TaskSpec:
@@ -689,8 +705,10 @@ def _linking_spec(model, head, packs, instances, entries) -> TaskSpec:
 
 
 def train_linking(model, head, packs, instances, side, token_vocab, tokenizer, settings: FinetuneSettings):
+    tokenized = _tokenized_entries(head, side, instances, token_vocab, tokenizer)
+
     def entries(refs):
-        return head.entry_matrix(model, _link_entries(head, side, refs, token_vocab, tokenizer))
+        return head.entry_matrix(model, [tokenized[ref] for ref in refs])
 
     spec = _linking_spec(model, head, packs, instances, entries)
     return finetune(instances, spec, model.params() + head.params(), settings)
@@ -707,10 +725,12 @@ def eval_linking(
     candidate wins. Each distinct candidate list gets one entry matrix.
     """
     scored = [inst for inst in instances if inst.candidate_refs]
-    mats = {
-        refs: head.entry_matrix(model, _link_entries(head, side, refs, token_vocab, tokenizer), use_description)
-        for refs in {tuple(inst.candidate_refs) for inst in scored}
-    }
+    tokenized = _tokenized_entries(head, side, scored, token_vocab, tokenizer)
+    with nm.no_grad():
+        mats = {
+            refs: head.entry_matrix(model, [tokenized[ref] for ref in refs], use_description)
+            for refs in {tuple(inst.candidate_refs) for inst in scored}
+        }
     spec = _linking_spec(model, head, packs, scored, lambda refs: mats[tuple(refs)])
     choices = {}
     for inst, logits in zip(scored, forward(scored, spec, use_visibility)):

@@ -155,6 +155,7 @@ def test_mask_cell_actions():
 def test_visibility_small_table_by_hand():
     seq = linearize(small_table(with_topic=False))
     vis = build_visibility(seq)
+    assert vis.dtype == bool
     # layout: 3 caption, 3 header (cols 0,0,1), 4 cells
     assert vis[0].all()  # caption sees everything
     h0, h1, h2 = 3, 4, 5

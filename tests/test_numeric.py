@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tabrep import kernels
 from tabrep import numeric as nm
 from tabrep.errors import ShapeMismatch, UnknownId
 
@@ -170,6 +171,22 @@ def test_table_attention_grads():
         nm.table_attention(q, k, v, masks[::-1], starts, n_heads=2)
 
 
+def test_table_attention_reads_a_bool_mask_and_its_uint8_copy_alike():
+    rng = np.random.default_rng(13)
+    q, k, v = (nm.Tensor(rng.normal(size=(7, 4)).astype(np.float32), requires_grad=True) for _ in range(3))
+    masks = [rng.random((n, n)) < 0.5 for n in (3, 4)]
+    for mask in masks:
+        np.fill_diagonal(mask, True)
+    bits = []
+    for ms in (masks, [m.astype(np.uint8) for m in masks]):
+        for p in (q, k, v):
+            p.grad = None
+        out = nm.table_attention(q, k, v, ms, np.array([0, 3]), n_heads=2)
+        nm.cross_entropy_sum(out, np.arange(7) % 4).backward()
+        bits.append([out.data.tobytes()] + [p.grad.tobytes() for p in (q, k, v)])
+    assert bits[0] == bits[1]
+
+
 def test_concat_and_transpose_grads():
     rng = np.random.default_rng(4)
     a = t(rng.normal(size=(2, 3)))
@@ -250,6 +267,30 @@ def test_diamond_graph_accumulates_once_per_path():
     np.testing.assert_allclose(x.grad, [[6.0]])
     # an op output's gradient is freed once passed on; the leaf keeps its own
     assert y.grad is None and z.grad is None
+
+
+def _shared_dout_loss(x, w, b):
+    # x reaches the loss through add(x, x), which hands one dout to both
+    # operands, through a concat split, which hands out views of one array,
+    # and through a residual add
+    y = nm.concat([nm.add(x, x), x], axis=1)
+    return nm.cross_entropy_sum(nm.gelu(nm.add(nm.affine(y, w, b), x)), np.array([0, 3, 1]))
+
+
+def test_handed_over_gradients_check_and_are_never_written_again():
+    rng = np.random.default_rng(11)
+    x, w, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=(8, 4))), t(rng.normal(size=4))
+    assert nm.grad_check(lambda: _shared_dout_loss(x, w, b), [x, w, b]) < 1e-7
+    for p in (x, w, b):
+        p.grad = None
+    _shared_dout_loss(x, w, b).backward()
+    first = [p.grad for p in (x, w, b)]
+    kept = [g.copy() for g in first]
+    # a second backward adds to the stored gradients without writing the first graph's
+    _shared_dout_loss(x, w, b).backward()
+    assert all(g.tobytes() == k.tobytes() for g, k in zip(first, kept))
+    for p, k in zip((x, w, b), kept):
+        np.testing.assert_allclose(p.grad, 2 * k, rtol=1e-12)
 
 
 def test_backward_requires_scalar():
@@ -348,6 +389,31 @@ def test_adam_converges_on_quadratic():
         wtensor.grad = 2.0 * wtensor.data  # d/dw of w^2
         opt.step()
     assert np.abs(wtensor.data).max() < 1e-2
+
+
+def test_adam_equals_a_flat_moment_reference_bitwise():
+    # moments of the parameter's shape, updated on the arrays as stored, give
+    # the bits of flat moments updated from contiguous copies of the
+    # gradients, also for a transposed gradient
+    rng = np.random.default_rng(12)
+    shapes = [(3, 4), (5,), (4, 3)]
+    params = [nm.Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    ref_m = [np.zeros(p.data.size, dtype=np.float32) for p in params]
+    ref_v = [np.zeros(p.data.size, dtype=np.float32) for p in params]
+    opt = nm.Adam(params, lr0=0.1, total_steps=5)
+    for step in range(3):
+        grads = [rng.normal(size=s).astype(np.float32) for s in shapes[:2]]
+        grads.append(rng.normal(size=shapes[2][::-1]).astype(np.float32).T)
+        assert not grads[2].flags.c_contiguous
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        lr = nm.linear_lr(0.1, step, 5)
+        for r, g, m, v in zip(ref, grads, ref_m, ref_v):
+            kernels.adam_update(r.reshape(-1), np.ascontiguousarray(g.reshape(-1)), m, v, step + 1, lr, opt.BETA1, opt.BETA2, opt.EPS)
+        assert all(p.data.tobytes() == r.tobytes() for p, r in zip(params, ref))
+    assert [m.shape for m in opt.m] == shapes
 
 
 def test_grad_check_flags_wrong_gradient():

@@ -299,6 +299,35 @@ def test_relation_votes_perfect_on_clean_side(corpus):
     assert report["n_instances"] == 4
 
 
+def test_columns_that_linearize_dropped_make_no_instances():
+    # six rows at max_len 8: the caption and three headers leave room for the
+    # cells of rows 0-2 only, so column 1, linked only in row 5, has no cell left
+    rows = [
+        [(name, f"P{i + 1}"), ("York", "C1") if i == 5 else ("Leeds", None), ("Reds", "K1") if i == 0 else ("Blues", None)]
+        for i, name in enumerate(["Ann", "Bob", "Cal", "Dee", "Eve", "Fay"])
+    ]
+    processed = [process_table(raw("long", "roster", ["Player", "Town", "Club"], rows))]
+    tv, ev = build_vocabs(processed, min_token_count=1, min_entity_count=1)
+    packs = pack_tables(processed, tv, ev, max_len=8)
+    side = SideData(
+        types={**{f"P{i}": ["person"] for i in range(1, 7)}, "C1": ["place"], "K1": ["club"]},
+        relations={("P6", "C1"): {"born in"}, ("P1", "K1"): {"plays for"}},
+    )
+    ct, types = build_column_type_data(packs, ev, side)
+    rel, rels = build_relation_data(packs, ev, side)
+    assert [i.col for i in ct] == [0, 2] and types == ["club", "person"]
+    assert [(i.subj_col, i.obj_col) for i in rel] == [(0, 2)] and rels == ["plays for"]
+    # every instance left has a column summary to train and evaluate on
+    cfg = EncoderConfig(n_blocks=1, d_model=8, n_heads=2, d_intermediate=16, max_len=8, n_tokens=len(tv), n_entities=len(ev))
+    model = init_model(cfg, np.random.default_rng(0))
+    settings = FinetuneSettings(epochs=1, batch_size=2)
+    ct_head, rel_head = ColumnTypeHead(8, len(types), np.random.default_rng(1)), RelationHead(8, len(rels), np.random.default_rng(2))
+    train_column_types(model, ct_head, packs, ct, settings, len(types))
+    train_relations(model, rel_head, packs, rel, settings, len(rels))
+    assert eval_column_types(model, ct_head, packs, ct)["n_instances"] == 2
+    assert eval_relations(model, rel_head, packs, rel)["n_instances"] == 1
+
+
 def test_linking_instances_gold_filter(corpus):
     packs, _, _ = corpus
     side = toy_side()
