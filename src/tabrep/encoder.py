@@ -271,7 +271,7 @@ def _pack(seqs: list[Sequence]) -> Sequence:
     return Sequence("+".join(s.table_id for s in seqs), *fields, [m for s in seqs for m in s.mentions])
 
 
-def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool):
+def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool, masks=None):
     """The packed input of every block, then the output of the last one, and
     each table's mask (None on the reference path)."""
     lens = [len(s) for s in seqs]
@@ -280,7 +280,7 @@ def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, ref
     if reference:
         masks = None
     elif use_visibility:
-        masks = [build_visibility(s) for s in seqs]
+        masks = [build_visibility(s) if m is None else m for s, m in zip(seqs, masks or [None] * len(seqs))]
     else:
         masks = [np.ones((n, n), dtype=bool) for n in lens]
     for i in range(model.cfg.n_blocks):
@@ -288,17 +288,25 @@ def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, ref
     return states, masks
 
 
-def encode_batch(seqs: list[Sequence], model: Model, use_visibility: bool = True, reference: bool = False) -> nm.Tensor:
+def encode_batch(
+    seqs: list[Sequence],
+    model: Model,
+    use_visibility: bool = True,
+    reference: bool = False,
+    masks: list[np.ndarray | None] | None = None,
+) -> nm.Tensor:
     """Run the full encoder over a batch of tables as one packed graph.
 
     Returns the (sum of lengths, d_model) states of all tables stacked end to
     end: table i owns the len(seqs[i]) rows after those of tables 0..i-1.
-    use_visibility=False substitutes an all-ones matrix per table (structure
-    ablation) but keeps the masked attention code path. reference=True instead
-    runs the plain softmax path with no mask argument at all; it exists so
-    tests can compare the two implementations.
+    Under use_visibility each table attends through `build_visibility` of its
+    sequence; masks[i], when given and not None, is that matrix built
+    beforehand. use_visibility=False substitutes an all-ones matrix per table
+    (structure ablation) but keeps the masked attention code path.
+    reference=True instead runs the plain softmax path with no mask argument
+    at all; it exists so tests can compare the two implementations.
     """
-    return _encode_states(seqs, model, use_visibility, reference)[0][-1]
+    return _encode_states(seqs, model, use_visibility, reference, masks)[0][-1]
 
 
 def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:

@@ -19,6 +19,14 @@ segments of them (`np.add.reduceat` forward, `np.repeat` backward), with no
 dense averaging matrix; `candidate_cross_entropy_sum` scores each table's
 rows of a packed batch against that table's own candidate rows and sums the
 cross-entropy, looping over the tables in numpy like `table_attention`.
+
+A row gradient (`gather_rows`, `segment_mean`) is scattered into its table
+by one 1-D `np.add.at` over flat element offsets: row j of the update goes
+to elements idx[j] * row_size + 0 .. row_size - 1. A 1-D `ufunc.at` applies
+its updates in index order, so every element receives the same float adds
+in the same order as a 2-D `np.add.at(g, idx, rows)`, and the result is the
+same bits, without the 2-D call's per-row overhead. `np.add.reduceat` over
+sorted indices would sum in another order and is not bitwise.
 """
 
 from __future__ import annotations
@@ -238,6 +246,17 @@ def concat(tensors, axis=0):
     return _make(data, tuple(tensors), backward)
 
 
+def _scatter_rows(like, idx, rows):
+    """Zeros shaped like `like`, with rows[j] added into row idx[j] for each
+    j in order: one 1-D np.add.at over flat element offsets, bitwise equal to
+    np.add.at(zeros, idx, rows) (see the module docstring)."""
+    g = np.zeros_like(like)
+    row_size = math.prod(like.shape[1:])
+    flat = (idx[:, None] * row_size + np.arange(row_size)).reshape(-1)
+    np.add.at(g.reshape(-1), flat, rows.reshape(-1))
+    return g
+
+
 def gather_rows(a, idx):
     """Select rows a[idx]; duplicate indices accumulate gradient."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -245,9 +264,7 @@ def gather_rows(a, idx):
 
     def backward(dout):
         if _wants_grad(a):
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, dout)
-            _accum(a, g)
+            _accum(a, _scatter_rows(a.data, idx, dout))
 
     return _make(data, (a,), backward)
 
@@ -256,22 +273,26 @@ def segment_mean(a, idx, lens):
     """(len(lens), d) means of the rows a[idx] in consecutive segments of
     lens[i] rows, an empty one giving a zero row. One tape node: forward sums
     each segment of the gathered rows with np.add.reduceat, backward spreads
-    each mean's gradient over its segment's rows with np.repeat."""
+    each mean's gradient over its segment's rows with np.repeat. A negative
+    length raises ShapeMismatch."""
     idx, lens = np.asarray(idx, dtype=np.int64), np.asarray(lens, dtype=np.int64)
-    if lens.sum() != len(idx):
-        raise ShapeMismatch(f"segments of {lens.sum()} rows over {len(idx)} indices")
+    if (lens < 0).any() or lens.sum() != len(idx):
+        raise ShapeMismatch(f"segments of lengths {lens.tolist()} over {len(idx)} indices")
     dt = a.data.dtype
     denom = np.maximum(lens, 1).astype(dt)[:, None]
-    full = lens > 0
-    data = np.zeros((len(lens), a.data.shape[1]), dtype=dt)
-    if full.any():
-        data[full] = np.add.reduceat(a.data[idx], (np.cumsum(lens) - lens)[full], axis=0) / denom[full]
+    starts = np.cumsum(lens) - lens
+    if lens.all():
+        # no empty segment, so no zero rows to fill in
+        data = np.add.reduceat(a.data[idx], starts, axis=0) / denom
+    else:
+        full = lens > 0
+        data = np.zeros((len(lens), a.data.shape[1]), dtype=dt)
+        if full.any():
+            data[full] = np.add.reduceat(a.data[idx], starts[full], axis=0) / denom[full]
 
     def backward(dout):
         if _wants_grad(a):
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, np.repeat(dout / denom, lens, axis=0))
-            _accum(a, g)
+            _accum(a, _scatter_rows(a.data, idx, np.repeat(dout / denom, lens, axis=0)))
 
     return _make(data, (a,), backward)
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import numeric as nm
 from .corpus import ENTITY_RESERVED, MASK_ID, TOKEN_RESERVED, IndexedTable
 from .encoder import EncoderConfig, Model, encode, encode_batch, encode_substitutions, init_entity_embeddings, init_model
-from .encoding import Sequence, linearize, mask_cell
+from .encoding import Sequence, build_visibility, linearize, mask_cell
 
 # cell masking actions
 KEEP = 0
@@ -115,6 +115,16 @@ def apply_masks(
 # candidate sets
 
 
+def candidate_pool(table_entities: np.ndarray, cooccur: dict[int, set[int]]) -> frozenset[int]:
+    """The table's entities and the entities co-occurring with them, reserved
+    ids left out: the part of a table's candidate set no masking changes."""
+    pool: set[int] = set(int(e) for e in table_entities)
+    for e in table_entities:
+        pool.update(cooccur.get(int(e), ()))
+    pool.difference_update(range(N_RESERVED_ENTITIES))
+    return frozenset(pool)
+
+
 def build_candidates(
     table_entities: np.ndarray,
     golds: np.ndarray,
@@ -122,16 +132,17 @@ def build_candidates(
     n_entities: int,
     cap: int,
     rng: np.random.Generator,
+    pool: frozenset[int] | None = None,
 ) -> np.ndarray:
     """Sorted candidate ids for one table's masked cells.
 
     Golds always survive the cap. The rest is the table's entities, their
     co-occurring entities, and random non-reserved negatives drawn to fill up
-    to the cap when the corpus statistics come up short.
+    to the cap when the corpus statistics come up short. `pool`, when given,
+    is `candidate_pool(table_entities, cooccur)` built beforehand; the result
+    and the rng draws are the same either way.
     """
-    pool: set[int] = set(int(e) for e in table_entities)
-    for e in table_entities:
-        pool.update(cooccur.get(int(e), ()))
+    pool = set(candidate_pool(table_entities, cooccur) if pool is None else pool)
     gold_set = set(int(g) for g in golds)
     pool.update(gold_set)
     pool.difference_update(range(N_RESERVED_ENTITIES))
@@ -191,6 +202,7 @@ class MaskedTable:
     tokens: TokenMaskPlan
     cells: CellMaskPlan
     candidates: np.ndarray   # sorted candidate entity ids for the masked cells
+    visibility: np.ndarray | None = None  # build_visibility(seq) built beforehand; None builds it when encoding
 
 
 def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> tuple[nm.Tensor | None, TableLossStats]:
@@ -204,7 +216,7 @@ def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> 
     UnknownId.
     """
     stats = TableLossStats()
-    h = encode_batch([m.seq for m in batch], model, use_visibility=use_visibility)
+    h = encode_batch([m.seq for m in batch], model, use_visibility=use_visibility, masks=[m.visibility for m in batch])
     starts = np.cumsum([0] + [len(m.seq) for m in batch[:-1]])
     terms = []
     tok_pos = np.concatenate([m.tokens.indices + s for m, s in zip(batch, starts)])
@@ -296,6 +308,9 @@ def fit(
 
     Each step draws the masks of its batch table by table, in batch order,
     then takes one `table_loss` over the whole batch: one packed graph.
+    Two things per table are built once per fit, as no step changes them:
+    its visibility matrix (masking changes only ids and mentions, never the
+    kinds, rows and columns it is built from) and its `candidate_pool`.
     """
     rng = np.random.default_rng(settings.seed)
     if model is None:
@@ -303,6 +318,8 @@ def fit(
         init_entity_embeddings(model, canonical_mentions(tables))
     seqs = [linearize(t, encoder_cfg.max_len) for t in tables]
     ent_sets = [t.entity_ids() for t in tables]
+    pools = [candidate_pool(e, cooccur) for e in ent_sets]
+    visibility = [build_visibility(s) for s in seqs] if settings.use_visibility else [None] * len(seqs)
 
     n_batches = max(1, (len(seqs) + settings.batch_size - 1) // settings.batch_size)
     total_steps = settings.epochs * n_batches if max_steps is None else max_steps
@@ -328,9 +345,10 @@ def fit(
                     continue
                 corrupted = apply_masks(seq0, tok_plan, cell_plan, rng, encoder_cfg.n_entities)
                 cands = build_candidates(
-                    ent_sets[idx], cell_plan.targets, cooccur, encoder_cfg.n_entities, settings.candidate_cap, rng
+                    ent_sets[idx], cell_plan.targets, cooccur, encoder_cfg.n_entities, settings.candidate_cap, rng,
+                    pool=pools[idx],
                 )
-                batch.append(MaskedTable(corrupted, tok_plan, cell_plan, cands))
+                batch.append(MaskedTable(corrupted, tok_plan, cell_plan, cands, visibility[idx]))
             if not batch:
                 continue
             opt.zero_grad()

@@ -128,6 +128,52 @@ def test_segment_mean_averages_consecutive_segments():
     assert nm.grad_check(loss, [a]) < 1e-7
 
 
+def test_segment_mean_rejects_a_negative_length():
+    a = t(np.ones((4, 3)))
+    with pytest.raises(ShapeMismatch):
+        nm.segment_mean(a, [0, 1], [3, -1])  # the lengths still sum to 2
+
+
+def test_segment_mean_rows_do_not_depend_on_empty_segments():
+    # all segments non-empty, and the same segments with empty ones between
+    rng = np.random.default_rng(3)
+    a = nm.Tensor(rng.normal(size=(6, 5)).astype(np.float32))
+    idx = rng.integers(0, 6, 9)
+    full = nm.segment_mean(a, idx, [4, 1, 3, 1]).data
+    gaps = nm.segment_mean(a, idx, [0, 4, 1, 0, 3, 1, 0]).data
+    assert full.tobytes() == gaps[[1, 2, 4, 5]].tobytes()
+    assert not gaps[[0, 3, 6]].any()
+
+
+def _scatter_cases():
+    # (table rows, indices): a 3-row table hit by hundreds of indices, all
+    # indices unique, and no index at all
+    rng = np.random.default_rng(12)
+    return [(3, rng.integers(0, 3, 600)), (40, rng.permutation(40)[:25]), (5, np.array([], np.int64))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_scatter_is_a_2d_add_at_bitwise(dtype):
+    # every cell must get the same adds in index order; values spread over
+    # many magnitudes, so any other summation order changes the bits
+    rng = np.random.default_rng(13)
+    for n, idx in _scatter_cases():
+        a = nm.Tensor(np.zeros((n, 8), dtype=dtype), requires_grad=True)
+        dout = (rng.normal(size=(len(idx), 8)) * 10.0 ** rng.integers(-6, 6, (len(idx), 1))).astype(dtype)
+        ref = np.zeros_like(a.data)
+        np.add.at(ref, idx, dout)
+        nm.gather_rows(a, idx)._backward(dout)
+        assert a.grad.dtype == dtype and a.grad.tobytes() == ref.tobytes()
+
+        a.grad = None
+        lens = np.diff(np.concatenate([[0], np.sort(rng.integers(0, len(idx) + 1, 6)), [len(idx)]]))
+        seg = (rng.normal(size=(len(lens), 8)) * 10.0 ** rng.integers(-6, 6, (len(lens), 1))).astype(dtype)
+        ref = np.zeros_like(a.data)
+        np.add.at(ref, idx, np.repeat(seg / np.maximum(lens, 1).astype(dtype)[:, None], lens, axis=0))
+        nm.segment_mean(a, idx, lens)._backward(seg)
+        assert a.grad.dtype == dtype and a.grad.tobytes() == ref.tobytes()
+
+
 def test_put_rows_requires_unique_targets():
     a = t(np.ones((2, 3)))
     with pytest.raises(ShapeMismatch):

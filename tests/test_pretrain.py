@@ -181,6 +181,27 @@ def test_candidates_exclude_reserved_rows():
     assert (cands >= N_RESERVED_ENTITIES).all()
 
 
+@pytest.mark.parametrize(
+    "entities, golds, cooccur, n_entities, cap",
+    [
+        (np.array([5, 9, 12]), np.array([9, 25]), {5: {14, 15}, 9: {16}}, 30, 5),  # capped
+        (np.array([5]), np.array([5]), {}, 30, 10),  # topped up
+        (np.array([5, 7]), np.array([1, 7]), {5: {0, 1, 2, 7}}, 9, 6),  # reserved ids
+        (np.array([3, 4]), np.array([4]), {3: {5}}, 30, 3),  # exactly full
+    ],
+)
+def test_candidates_from_a_precomputed_pool_match_building_from_scratch(entities, golds, cooccur, n_entities, cap):
+    pool = pretrain.candidate_pool(entities, cooccur)
+    kept = set(pool)
+    scratch, pooled = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(3):
+        want = build_candidates(entities, golds, cooccur, n_entities, cap, scratch)
+        got = build_candidates(entities, golds, cooccur, n_entities, cap, pooled, pool=pool)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert pooled.bit_generator.state == scratch.bit_generator.state
+    assert pool == kept
+
+
 # -- the batch loss ------------------------------------------------------------------
 
 
@@ -362,6 +383,33 @@ def test_fit_max_steps_ends_when_an_epoch_takes_no_step():
     _, history = small_fit(epochs=2, max_steps=5, mlm_ratio=0.0, mer_ratio=0.0)
     assert history.step_losses == []
     assert len(history.epochs) == 1
+
+
+def test_fit_builds_each_visibility_once_and_encodes_with_it(monkeypatch):
+    from tabrep import encoder, encoding
+
+    built = []
+
+    def counting(seq):
+        built.append(seq.table_id)
+        return encoding.build_visibility(seq)
+
+    monkeypatch.setattr(pretrain, "build_visibility", counting)
+    monkeypatch.setattr(encoder, "build_visibility", counting)
+    encoded = []
+
+    def recording(seqs, model, use_visibility=True, reference=False, masks=None):
+        # a corrupted clone has its source table's visibility
+        assert len(masks) == len(seqs)
+        for seq, mask in zip(seqs, masks):
+            assert mask.tobytes() == encoding.build_visibility(seq).tobytes()
+        encoded.extend(s.table_id for s in seqs)
+        return encode_batch(seqs, model, use_visibility, reference, masks)
+
+    monkeypatch.setattr(pretrain, "encode_batch", recording)
+    small_fit(epochs=3)
+    assert sorted(built) == [f"t{i}" for i in range(6)]
+    assert len(encoded) > len(built)
 
 
 def test_fit_stops_on_a_non_finite_loss():
