@@ -20,7 +20,21 @@ encoded alone; the tests check that they are bitwise equal. `encode` is a
 batch of one, and also returns the input of every block. A pre-training
 step's loss on top (`pretrain.table_loss`) adds the masked-entity head as
 one `numeric.candidate_cross_entropy_sum` node over all tables, so the
-step's tape has the same 48 op nodes (two blocks) for any batch size.
+step's tape has the same 49 op nodes (two blocks) for any batch size.
+
+`encode_batch` can return the final states at chosen rows only, the rows
+a loss reads, and then runs the last block only there. Row i of a block's
+output depends on the block's input at every row only through the keys and
+values, so, as in `encode_substitutions` below, the last block is needed
+only at the rows read: it gathers its input there, projects queries there,
+attends from there to the keys and values of every row of the same table
+(under the table's mask cut down to the rows read), and runs its output
+projection, FFN and layer norms there. Every earlier block, and the last
+block's keys and values, still cover every row. The gather is the one
+extra tape node. The rows come out as the same bits as those rows of a full
+encode, as long as the BLAS computes a product's rows alike for any number
+of rows; the gradients differ from a full encode's by float rounding where
+a product sums over rows, or has few of them.
 
 `encode_substitutions` scores single-element substitutions of an encoded
 table without encoding each substituted copy. Row i of block l's output
@@ -235,11 +249,24 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
     return parts[0] if len(parts) == 1 else nm.add(parts[0], parts[1])
 
 
-def transformer_block(h: nm.Tensor, masks: list[np.ndarray] | None, starts: np.ndarray, model: Model, block: int) -> nm.Tensor:
+def transformer_block(
+    h: nm.Tensor,
+    masks: list[np.ndarray] | None,
+    starts: np.ndarray,
+    model: Model,
+    block: int,
+    rows: np.ndarray | None = None,
+) -> nm.Tensor:
     """One post-norm block over packed rows; each table attends only within
-    itself. masks=None runs the plain unmasked reference path."""
-    q, k, v = (_projection(h, model, block, side) for side in "qkv")
-    return _block_output(h, nm.table_attention(q, k, v, masks, starts, model.cfg.n_heads), model, block)
+    itself. masks=None runs the plain unmasked reference path. With `rows`
+    (sorted packed row indices) the block runs only at those rows: queries
+    and everything after attention there, keys and values at every row; it
+    returns the (len(rows), d) output."""
+    k, v = (_projection(h, model, block, side) for side in "kv")
+    if rows is not None:
+        h = nm.gather_rows(h, rows)
+    ctx = nm.table_attention(_projection(h, model, block, "q"), k, v, masks, starts, model.cfg.n_heads, rows)
+    return _block_output(h, ctx, model, block)
 
 
 def _projection(h: nm.Tensor, model: Model, block: int, side: str) -> nm.Tensor:
@@ -271,11 +298,14 @@ def _pack(seqs: list[Sequence]) -> Sequence:
     return Sequence("+".join(s.table_id for s in seqs), *fields, [m for s in seqs for m in s.mentions])
 
 
-def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool, masks=None):
-    """The packed input of every block, then the output of the last one, and
-    each table's mask (None on the reference path)."""
+def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool, masks=None, rows=None):
+    """The packed input of every block, then the output of the last one (at
+    `rows` only, when given), and each table's mask (None on the reference
+    path)."""
     lens = [len(s) for s in seqs]
     starts = np.cumsum([0] + lens[:-1])
+    if rows is not None:
+        rows = kernels.check_rows(rows, sum(lens))
     states = [embed_sequence(_pack(seqs), model)]
     if reference:
         masks = None
@@ -283,8 +313,9 @@ def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, ref
         masks = [build_visibility(s) if m is None else m for s, m in zip(seqs, masks or [None] * len(seqs))]
     else:
         masks = [np.ones((n, n), dtype=bool) for n in lens]
+    last = model.cfg.n_blocks - 1
     for i in range(model.cfg.n_blocks):
-        states.append(transformer_block(states[-1], masks, starts, model, i))
+        states.append(transformer_block(states[-1], masks, starts, model, i, rows if i == last else None))
     return states, masks
 
 
@@ -294,11 +325,17 @@ def encode_batch(
     use_visibility: bool = True,
     reference: bool = False,
     masks: list[np.ndarray | None] | None = None,
+    rows: np.ndarray | None = None,
 ) -> nm.Tensor:
     """Run the full encoder over a batch of tables as one packed graph.
 
     Returns the (sum of lengths, d_model) states of all tables stacked end to
     end: table i owns the len(seqs[i]) rows after those of tables 0..i-1.
+    `rows`, when given, is a sorted array of distinct packed row indices, and
+    only those rows of the states are returned, in order. The last block
+    then runs only at those rows, and they are the same bits as the full
+    result's (see the module docstring). Rows unsorted, repeated or out of
+    range raise ShapeMismatch.
     Under use_visibility each table attends through `build_visibility` of its
     sequence; masks[i], when given and not None, is that matrix built
     beforehand. use_visibility=False substitutes an all-ones matrix per table
@@ -306,7 +343,7 @@ def encode_batch(
     reference=True instead runs the plain softmax path with no mask argument
     at all; it exists so tests can compare the two implementations.
     """
-    return _encode_states(seqs, model, use_visibility, reference, masks)[0][-1]
+    return _encode_states(seqs, model, use_visibility, reference, masks, rows)[0][-1]
 
 
 def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:

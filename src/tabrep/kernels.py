@@ -32,6 +32,17 @@ def check_mask(mask):
         raise AllMaskedRow(f"visibility row {bad} is entirely zero")
 
 
+def check_rows(rows, n_rows):
+    # Query rows: strictly increasing indices in [0, n_rows). Returns them
+    # as int64.
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or len(rows) and (
+        rows.dtype.kind not in "iu" or rows[0] < 0 or rows[-1] >= n_rows or (rows[1:] <= rows[:-1]).any()
+    ):
+        raise ShapeMismatch(f"query rows must be sorted, distinct and in [0, {n_rows})")
+    return rows.astype(np.int64, copy=False)
+
+
 def softmax_fwd(scores):
     # scores: (k, n, n). Row-wise stable softmax over the last axis.
     m = np.max(scores, axis=-1, keepdims=True)
@@ -69,24 +80,31 @@ def softmax_bwd(probs, dout):
 
 
 def layer_norm_fwd(x, gamma, beta, eps):
-    # x: (m, d); returns (y, mean, rstd) with per-row statistics.
-    mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(var + eps)
-    y = (x - mean) * rstd * gamma + beta
-    return y, mean[:, 0], rstd[:, 0]
-
-
-def layer_norm_bwd(x, gamma, mean, rstd, dy):
+    # x: (m, d); returns (y, xhat, rstd): the output, the normalized rows
+    # (x - mean) * rstd that layer_norm_bwd reuses, and the per-row rstd.
+    # Each mean is a plain sum over d, the same bits as np.mean; the in-place
+    # updates give the same bits as their out-of-place forms.
     d = x.shape[-1]
-    xhat = (x - mean[:, None]) * rstd[:, None]
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    rstd = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= rstd
+    y = xhat * gamma
+    y += beta
+    return y, xhat, rstd[:, 0]
+
+
+def layer_norm_bwd(xhat, gamma, rstd, dy):
+    d = xhat.shape[-1]
     dgamma = np.sum(dy * xhat, axis=0)
     dbeta = np.sum(dy, axis=0)
     dxhat = dy * gamma
     t1 = np.sum(dxhat, axis=-1, keepdims=True) / d
     t2 = np.sum(dxhat * xhat, axis=-1, keepdims=True) / d
-    dx = (dxhat - t1 - xhat * t2) * rstd[:, None]
-    return dx, dgamma, dbeta
+    # dx = (dxhat - t1 - xhat * t2) * rstd, in place
+    dxhat -= t1
+    dxhat -= xhat * t2
+    dxhat *= rstd[:, None]
+    return dxhat, dgamma, dbeta
 
 
 def gelu_fwd(x):

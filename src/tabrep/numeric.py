@@ -311,19 +311,26 @@ def put_rows(x, idx, n):
     return _make(data, (x,), backward)
 
 
-def table_attention(q, k, v, masks, starts, n_heads):
+def table_attention(q, k, v, masks, starts, n_heads, rows=None):
     """Multi-head attention within each table of a packed batch.
 
-    q, k and v are (N, d) rows of B tables stacked end to end; table i owns
+    k and v are (N, d) rows of B tables stacked end to end; table i owns
     rows starts[i] up to starts[i + 1] (or N). A row attends only to rows of
     its own table, scaled by 1/sqrt(d / n_heads). `masks` holds one constant
     (n_i, n_i) bool visibility matrix per table, shared across the heads, and
     weights where it is False are exactly zero; masks=None runs the plain softmax.
-    Returns the (N, d) context rows. One tape node for the whole batch.
+    q holds the query rows: all N rows, or, when `rows` is given, only the
+    packed rows rows[0] < rows[1] < ... of [0, N), one q row each; other
+    orders, repeats and rows out of range raise ShapeMismatch. Each table
+    then attends at its rows among `rows` only, under those rows of its
+    mask, and a table with none gets zero key and value gradients.
+    Returns the (len(q), d) context rows. One tape node for the whole batch.
     """
     _same_dtype(q, k, v)
-    n_rows, d = q.data.shape
-    if k.data.shape != (n_rows, d) or v.data.shape != (n_rows, d) or d % n_heads:
+    n_rows, d = k.data.shape
+    rows = None if rows is None else kernels.check_rows(rows, n_rows)
+    n_query = n_rows if rows is None else len(rows)
+    if q.data.shape != (n_query, d) or v.data.shape != (n_rows, d) or d % n_heads:
         raise ShapeMismatch(f"bad attention operands {q.data.shape}, {k.data.shape}, {v.data.shape}")
     dh = d // n_heads
     c = 1.0 / math.sqrt(dh)
@@ -335,21 +342,32 @@ def table_attention(q, k, v, masks, starts, n_heads):
             kernels.check_mask(mask)
             if mask.shape != (e - s, e - s):
                 raise ShapeMismatch(f"mask {mask.shape} for a table of {e - s} rows")
+    # each table's slice of the query rows
+    if rows is None:
+        q_bounds = bounds
+    else:
+        q_bounds = list(zip(np.searchsorted(rows, starts), np.searchsorted(rows, [e for _, e in bounds])))
 
     out = np.empty_like(q.data)
     saved = []
-    for i, (s, e) in enumerate(bounds):
+    for i, ((s, e), (qs, qe)) in enumerate(zip(bounds, q_bounds)):
+        if qs == qe:
+            continue
         mask = None if masks is None else masks[i]
-        out[s:e], heads = kernels.attention_fwd(q.data[s:e], k.data[s:e], v.data[s:e], mask, n_heads)
-        saved.append((s, e, *heads))
+        if mask is not None and rows is not None:
+            mask = mask[rows[qs:qe] - s]
+        out[qs:qe], heads = kernels.attention_fwd(q.data[qs:qe], k.data[s:e], v.data[s:e], mask, n_heads)
+        saved.append((s, e, qs, qe, *heads))
 
     def backward(dout):
-        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
-        for s, e, q3, k3t, v3, probs in saved:
-            dctx = dout[s:e].reshape(e - s, n_heads, dh).transpose(1, 0, 2)
+        # a table with no query rows gets zero key and value gradients
+        fill = np.empty_like if len(saved) == len(bounds) else np.zeros_like
+        dq, dk, dv = np.empty_like(q.data), fill(k.data), fill(v.data)
+        for s, e, qs, qe, q3, k3t, v3, probs in saved:
+            dctx = dout[qs:qe].reshape(qe - qs, n_heads, dh).transpose(1, 0, 2)
             # masked positions hold prob 0, so softmax_bwd routes zero gradient there
             dscores = kernels.softmax_bwd(probs, dctx @ v3.transpose(0, 2, 1)) * c
-            dq[s:e] = (dscores @ k3t.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(e - s, d)
+            dq[qs:qe] = (dscores @ k3t.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(qe - qs, d)
             dk[s:e] = (q3.transpose(0, 2, 1) @ dscores).transpose(2, 0, 1).reshape(e - s, d)
             dv[s:e] = (probs.transpose(0, 2, 1) @ dctx).transpose(1, 0, 2).reshape(e - s, d)
         _accum(q, dq)
@@ -361,10 +379,10 @@ def table_attention(q, k, v, masks, starts, n_heads):
 
 def layer_norm(x, gamma, beta, eps=1e-12):
     _same_dtype(x, gamma, beta)
-    y, mean, rstd = kernels.layer_norm_fwd(x.data, gamma.data, beta.data, eps)
+    y, xhat, rstd = kernels.layer_norm_fwd(x.data, gamma.data, beta.data, eps)
 
     def backward(dout):
-        dx, dgamma, dbeta = kernels.layer_norm_bwd(x.data, gamma.data, mean, rstd, dout)
+        dx, dgamma, dbeta = kernels.layer_norm_bwd(xhat, gamma.data, rstd, dout)
         _accum(x, dx)
         _accum(gamma, dgamma)
         _accum(beta, dbeta)

@@ -208,29 +208,37 @@ class MaskedTable:
 def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> tuple[nm.Tensor | None, TableLossStats]:
     """Summed recovery loss over a batch of corrupted tables.
 
-    The batch is encoded as one packed graph. The token head runs once over
-    every masked token. The entity head projects every masked cell at once
-    and `numeric.candidate_cross_entropy_sum` scores each table's cells
-    against its own candidate set, so the graph has the same nodes for any
-    number of tables. A gold missing from its table's candidates raises
-    UnknownId.
+    The batch is encoded as one packed graph, whose last block runs only at
+    the masked tokens and cells, the only rows the heads read (see the
+    `encoder` module docstring); a batch with nothing masked returns None.
+    The token head runs once over every masked token. The entity head
+    projects every masked cell at once and
+    `numeric.candidate_cross_entropy_sum` scores each table's cells against
+    its own candidate set, so the graph has the same nodes for any number of
+    tables. A gold missing from its table's candidates raises UnknownId.
     """
     stats = TableLossStats()
-    h = encode_batch([m.seq for m in batch], model, use_visibility=use_visibility, masks=[m.visibility for m in batch])
     starts = np.cumsum([0] + [len(m.seq) for m in batch[:-1]])
-    terms = []
     tok_pos = np.concatenate([m.tokens.indices + s for m, s in zip(batch, starts)])
+    cell_pos = np.concatenate([m.cells.indices + s for m, s in zip(batch, starts)])
+    rows = np.union1d(tok_pos, cell_pos)
+    if not len(rows):
+        return None, stats
+    # the final states at the masked rows only, in packed order
+    h = encode_batch(
+        [m.seq for m in batch], model, use_visibility=use_visibility, masks=[m.visibility for m in batch], rows=rows
+    )
+    terms = []
     if len(tok_pos):
         targets = np.concatenate([m.tokens.targets for m in batch])
-        logits = token_logits(model, h, tok_pos)
+        logits = token_logits(model, h, np.searchsorted(rows, tok_pos))
         terms.append(nm.cross_entropy_sum(logits, targets))
         stats.n_tokens = len(tok_pos)
         stats.token_correct = int((logits.data.argmax(axis=1) == targets).sum())
         stats.mlm_loss = float(terms[-1].data)
     masked = [(m, s) for m, s in zip(batch, starts) if len(m.cells.indices)]
     if masked:
-        cell_pos = np.concatenate([m.cells.indices + s for m, s in masked])
-        proj = nm.affine(nm.gather_rows(h, cell_pos), model["mer_W"], model["mer_b"])
+        proj = nm.affine(nm.gather_rows(h, np.searchsorted(rows, cell_pos)), model["mer_W"], model["mer_b"])
         cands = nm.gather_rows(model["ent_emb"], np.concatenate([m.candidates for m, _ in masked]))
         loss, stats.cell_correct = nm.candidate_cross_entropy_sum(
             proj, cands, [m.candidates for m, _ in masked], [m.cells.targets for m, _ in masked]
@@ -238,8 +246,6 @@ def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> 
         terms.append(loss)
         stats.n_cells = len(cell_pos)
         stats.mer_loss = float(loss.data)
-    if not terms:
-        return None, stats
     return terms[0] if len(terms) == 1 else nm.add(*terms), stats
 
 

@@ -16,7 +16,7 @@ from tabrep.encoder import (
     init_model,
 )
 from tabrep.encoding import CELL, build_visibility, linearize, mask_cell
-from tabrep.errors import ConfigError, UnknownId
+from tabrep.errors import ConfigError, ShapeMismatch, UnknownId
 
 from conftest import make_indexed_table
 
@@ -186,6 +186,57 @@ def test_encode_batch_rows_equal_per_table_encode_bitwise(model):
         for seq in seqs:
             assert h[start : start + len(seq)].tobytes() == encode(seq, model, **kw).h.data.tobytes()
             start += len(seq)
+
+
+def batch_and_rows(model, rng, shapes, n_read):
+    """Tables of the given (rows, cols) shapes and sorted packed rows that
+    read n_read[i] random rows of table i."""
+    seqs = [seq_of(rng, model, n_rows=r, n_cols=c, with_topic=bool(r % 2)) for r, c in shapes]
+    starts = np.cumsum([0] + [len(s) for s in seqs[:-1]])
+    rows = [s + np.sort(rng.choice(len(seq), k, replace=False)) for s, seq, k in zip(starts, seqs, n_read)]
+    return seqs, np.concatenate(rows)
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(), dict(use_visibility=False), dict(reference=True)], ids=["visibility", "all_ones", "reference"]
+)
+def test_encode_batch_at_rows_equals_those_rows_of_a_full_encode_bitwise(model, kw):
+    # the last block runs only at the rows read; its keys and values, and
+    # every earlier block, still cover every row. The third table has no row read
+    seqs, rows = batch_and_rows(model, np.random.default_rng(9), [(3, 3), (4, 2), (2, 2), (5, 3)], [5, 3, 0, 7])
+    at = encode_batch(seqs, model, rows=rows, **kw).data
+    assert at.shape == (len(rows), model.cfg.d_model)
+    assert at.tobytes() == encode_batch(seqs, model, **kw).data[rows].tobytes()
+
+
+def test_encode_batch_at_rows_gradients_match_finite_differences():
+    rng = np.random.default_rng(10)
+    cfg = tiny_cfg(d_model=8, n_heads=2, d_intermediate=16, max_len=16, n_tokens=12, n_entities=8)
+    model = init_model(cfg, rng, dtype=np.float64)
+    seqs = [
+        linearize(make_indexed_table(rng, r, c, n_tokens=12, n_entities=8, caption_len=2), model.cfg.max_len)
+        for r, c in [(2, 2), (1, 2), (2, 1)]
+    ]
+    starts = np.cumsum([0] + [len(s) for s in seqs[:-1]])
+    rows = np.concatenate([starts[0] + np.array([0, 3, 5]), starts[2] + np.array([1, 4])])
+    w = nm.Tensor(rng.normal(size=(8, 3)))
+
+    def loss():
+        h = encode_batch(seqs, model, rows=rows)
+        return nm.cross_entropy_sum(nm.matmul(h, w), np.arange(len(rows)) % 3)
+
+    block = ("Wq", "Wk", "Wv", "Wo", "ln1_g", "ffn_b1", "ln2_b")
+    names = ["word_emb", "ent_emb"] + [f"block{i}.{n}" for i in range(2) for n in block]
+    assert nm.grad_check(loss, [model[n] for n in names]) < 1e-5
+
+
+@pytest.mark.parametrize("bad", ["unsorted", "repeated", "negative", "past_the_end"])
+def test_encode_batch_rejects_bad_rows(model, bad):
+    seqs, _ = batch_and_rows(model, np.random.default_rng(11), [(2, 2), (3, 1)], [0, 0])
+    n = sum(len(s) for s in seqs)
+    rows = {"unsorted": [3, 1], "repeated": [1, 1, 2], "negative": [-1, 2], "past_the_end": [2, n]}[bad]
+    with pytest.raises(ShapeMismatch, match="query rows"):
+        encode_batch(seqs, model, rows=np.array(rows))
 
 
 def test_visibility_changes_the_output(model):

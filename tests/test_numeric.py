@@ -217,6 +217,56 @@ def test_table_attention_grads():
         nm.table_attention(q, k, v, masks[::-1], starts, n_heads=2)
 
 
+def test_table_attention_at_query_rows():
+    # three packed tables of 4, 1 and 5 rows; the queries sit at rows 1 and 3
+    # of the first table and 6, 7 and 9 of the last, none in the middle one
+    rng = np.random.default_rng(14)
+    lens = [4, 1, 5]
+    starts = np.cumsum([0] + lens[:-1])
+    rows = np.array([1, 3, 6, 7, 9])
+    q = t(rng.normal(size=(len(rows), 6)))
+    k, v = (t(rng.normal(size=(10, 6))) for _ in range(2))
+    w = t(rng.normal(size=(6, 3)))
+    masks = []
+    for n in lens:
+        mask = rng.random((n, n)) < 0.6
+        np.fill_diagonal(mask, True)
+        masks.append(mask)
+    q_all = t(np.zeros((10, 6)))
+    q_all.data[rows] = q.data
+
+    def loss_with(ms):
+        ctx = nm.table_attention(q, k, v, ms, starts, n_heads=2, rows=rows)
+        return nm.cross_entropy_sum(nm.matmul(ctx, w), np.arange(len(rows)) % 3)
+
+    for ms in (masks, None):
+        assert nm.grad_check(lambda: loss_with(ms), [q, k, v, w]) < 1e-6
+        # each context row is the one a query at every row gives there
+        at = nm.table_attention(q, k, v, ms, starts, n_heads=2, rows=rows).data
+        np.testing.assert_allclose(at, nm.table_attention(q_all, k, v, ms, starts, n_heads=2).data[rows], atol=1e-12)
+        # the middle table is not queried: its keys and values get zero gradient
+        for p in (q, k, v):
+            p.grad = None
+        loss_with(ms).backward()
+        assert q.grad.shape == q.data.shape
+        assert not k.grad[4].any() and not v.grad[4].any()
+        assert k.grad[rows].any() and v.grad[rows].any()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[3, 1], [1, 1, 2], [-1, 2], [2, 10], [[1, 2]]],
+    ids=["unsorted", "repeated", "negative", "past_the_end", "2d"],
+)
+def test_table_attention_rejects_bad_query_rows(rows):
+    rng = np.random.default_rng(15)
+    rows = np.array(rows)
+    q = t(rng.normal(size=(rows.shape[-1], 4)))
+    k, v = (t(rng.normal(size=(10, 4))) for _ in range(2))
+    with pytest.raises(ShapeMismatch, match="query rows"):
+        nm.table_attention(q, k, v, None, np.array([0, 4]), n_heads=2, rows=rows)
+
+
 def test_table_attention_reads_a_bool_mask_and_its_uint8_copy_alike():
     rng = np.random.default_rng(13)
     q, k, v = (nm.Tensor(rng.normal(size=(7, 4)).astype(np.float32), requires_grad=True) for _ in range(3))

@@ -5,7 +5,7 @@ import pytest
 
 import tabrep.numeric as nm
 from tabrep import pretrain
-from tabrep.corpus import MASK_ID
+from tabrep.corpus import MASK_ID, build_vocabs, index_table, parse_raw, pretrain_ok, process_table
 from tabrep.encoder import EncoderConfig, encode, encode_batch, init_model
 from tabrep.encoding import CELL, TOPIC, linearize, mask_cell
 from tabrep.errors import NonFiniteLoss, UnknownId
@@ -30,6 +30,7 @@ from tabrep.pretrain import (
     table_loss,
     token_logits,
 )
+from tabrep.synth import make_corpus
 
 from conftest import make_indexed_table
 
@@ -274,6 +275,41 @@ def test_table_loss_builds_the_same_nodes_for_any_batch_size():
     assert counts[0] == counts[1]
 
 
+def memorize_tables(seed, n_tables):
+    processed = [process_table(parse_raw(r)) for r in make_corpus(seed, n_tables, "memorize")[0]]
+    processed = [p for p in processed if pretrain_ok(p)]
+    tv, ev = build_vocabs(processed, min_token_count=1, min_entity_count=1)
+    return [index_table(p, tv, ev) for p in processed], len(tv), len(ev)
+
+
+@pytest.mark.parametrize("shape", ["short_tables", "long_tables"])
+def test_every_fit_step_has_49_op_nodes(monkeypatch, shape):
+    # the tables of the two pre-training benchmarks: 50 memorize tables of
+    # about 29 elements, and 24 tables of 4 to 50 rows
+    if shape == "short_tables":
+        tables, n_tokens, n_entities = memorize_tables(3, 50)
+    else:
+        rng = np.random.default_rng(12)
+        n_rows = np.linspace(4, 50, 24).round().astype(int)
+        tables = [make_indexed_table(rng, int(r), 3, table_id=f"L{i}") for i, r in enumerate(n_rows)]
+        n_tokens, n_entities = 40, 30
+    cfg = EncoderConfig(
+        n_blocks=2, d_model=16, n_heads=4, d_intermediate=32, max_len=256, n_tokens=n_tokens, n_entities=n_entities
+    )
+    settings = TrainSettings(mlm_ratio=0.2, mer_ratio=0.6, lr0=1e-3, epochs=1, batch_size=8, candidate_cap=64)
+    counts = []
+    descend = nm.descend
+
+    def counting(loss, opt, where):
+        counts.append(sum(node._backward is not None for node in nm._topo_order(loss)))
+        return descend(loss, opt, where)
+
+    monkeypatch.setattr(nm, "descend", counting)
+    fit(tables, cfg, settings, cooccur={})
+    assert len(counts) == -(-len(tables) // 8)
+    assert set(counts) == {49}
+
+
 def test_table_loss_rejects_a_gold_outside_its_candidates():
     # a cell whose entity is a reserved row (here <mask>) is dropped by
     # build_candidates; its gold must raise, not silently pick a candidate
@@ -398,13 +434,13 @@ def test_fit_builds_each_visibility_once_and_encodes_with_it(monkeypatch):
     monkeypatch.setattr(encoder, "build_visibility", counting)
     encoded = []
 
-    def recording(seqs, model, use_visibility=True, reference=False, masks=None):
+    def recording(seqs, model, use_visibility=True, reference=False, masks=None, rows=None):
         # a corrupted clone has its source table's visibility
         assert len(masks) == len(seqs)
         for seq, mask in zip(seqs, masks):
             assert mask.tobytes() == encoding.build_visibility(seq).tobytes()
         encoded.extend(s.table_id for s in seqs)
-        return encode_batch(seqs, model, use_visibility, reference, masks)
+        return encode_batch(seqs, model, use_visibility, reference, masks, rows)
 
     monkeypatch.setattr(pretrain, "encode_batch", recording)
     small_fit(epochs=3)
