@@ -20,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -405,6 +406,7 @@ def _baseline_report(mode, task, cfg, packs, token_vocab, entity_vocab, side, in
 
 
 def cmd_evaluate(args) -> int:
+    start = time.perf_counter()
     task = args.task
     model, base, arrays, extra = None, None, {}, {}
     if args.baseline is None:
@@ -460,6 +462,7 @@ def cmd_evaluate(args) -> int:
         "metrics": body["metrics"],
         "n_instances": body["n_instances"],
         "config_hash": cfg.hash(),
+        "wall_s": time.perf_counter() - start,  # loading, instance building and scoring
     }
     _write_report(report, args.out)
     return 0

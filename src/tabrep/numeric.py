@@ -18,7 +18,9 @@ Ops that would otherwise be chains of small nodes are single nodes:
 segments of them (`np.add.reduceat` forward, `np.repeat` backward), with no
 dense averaging matrix; `candidate_cross_entropy_sum` scores each table's
 rows of a packed batch against that table's own candidate rows and sums the
-cross-entropy, looping over the tables in numpy like `table_attention`.
+cross-entropy, looping over the tables in numpy like `table_attention`;
+`candidate_scores` scores each row of a batch against its own candidate
+rows, the same way, and returns the scores.
 
 A row gradient (`gather_rows`, `segment_mean`) is scattered into its table
 by one 1-D `np.add.at` over flat element offsets: row j of the update goes
@@ -56,6 +58,7 @@ __all__ = [
     "gelu",
     "cross_entropy_sum",
     "candidate_cross_entropy_sum",
+    "candidate_scores",
     "bce_with_logits_sum",
     "Adam",
     "linear_lr",
@@ -473,6 +476,35 @@ def candidate_cross_entropy_sum(x, cands, candidates, golds):
         _accum(cands, dc)
 
     return _make(loss, (x, cands), backward), correct
+
+
+def candidate_scores(x, cands, lens):
+    """(1, sum(lens)) scores of each row of x against its own candidate rows.
+
+    x is (B, d); cands is (C, d) with lens[i] rows for row i, rows end to end.
+    The scores of row i are the bits of x[i:i+1] @ cands[its rows].T, and come
+    after those of rows 0..i-1. One tape node for the batch; forward and
+    backward loop over the rows in numpy, like `candidate_cross_entropy_sum`.
+    """
+    _same_dtype(x, cands)
+    xd, cd = x.data, cands.data
+    lens = np.asarray(lens, dtype=np.int64)
+    if xd.ndim != 2 or xd.shape[1:] != cd.shape[1:] or len(lens) != len(xd) or (lens < 0).any() or lens.sum() != len(cd):
+        raise ShapeMismatch(f"bad candidate scoring of {xd.shape} against {cd.shape} in segments {lens.tolist()}")
+    segs = [slice(end - n, end) for n, end in zip(lens.tolist(), np.cumsum(lens).tolist())]
+    data = np.empty((1, len(cd)), dtype=xd.dtype)
+    for i, seg in enumerate(segs):
+        data[:, seg] = xd[i : i + 1] @ cd[seg].T
+
+    def backward(dout):
+        dx, dc = np.empty_like(xd), np.empty_like(cd)
+        for i, seg in enumerate(segs):
+            dx[i : i + 1] = dout[:, seg] @ cd[seg]
+            dc[seg] = dout[:, seg].T @ xd[i : i + 1]
+        _accum(x, dx)
+        _accum(cands, dc)
+
+    return _make(data, (x, cands), backward)
 
 
 def bce_with_logits_sum(logits, labels):

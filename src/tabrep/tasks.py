@@ -17,26 +17,37 @@ kb.jsonl, candidates.jsonl). Each task head is an independent parameter set;
 fine-tuning one head never touches another.
 
 Every fine-tuned task runs through one engine. A `TaskSpec` says which
-sequence an instance reads, as a (key, Sequence) pair, how to get the
-instance's logits from the packed encoder states at that sequence's first
-row, and its loss. Column types, relations and linking key on the table pack,
-so instances of one table share its encoding; row population and schema key
-on the instance, which reads its own probe sequence. `finetune` shuffles and
-batches the instances, encodes the distinct keys of each batch as one packed
-graph (`encoder.encode_batch`), adds the instances' losses and takes one
-step. `forward` encodes each distinct key once, FORWARD_PACK sequences to a
-graph, and returns every instance's logits; the `eval_*` functions score
-from them. Cell filling reads no sequence of its own: it scores its cells
-the way masked-cell recovery does, from one encoding of each table
+sequence an instance reads, as a (key, Sequence) pair, which positions of it
+the head reads, and how a whole batch is scored and its loss taken. Column
+types, relations and linking key on the table pack, so instances of one
+table share its encoding; row population and schema key on the instance,
+which reads its own probe sequence. `finetune` shuffles and batches the
+instances and encodes the distinct keys of each batch as one packed graph
+(`encoder.encode_batch`), whose last block runs only at the sorted union of
+the positions the instances read. One head then serves the whole batch:
+one mean per summary part over every instance's positions (a column's
+header tokens and its cells, a linked cell, a probe's masked slot), one
+affine map, one loss. Linking and row population score each instance
+against its own candidates in one node (`numeric.candidate_cross_entropy_sum`,
+`numeric.candidate_scores`). A step's tape therefore has the same nodes for
+any batch size, and each step is one backward pass. `forward` encodes each
+distinct key once, FORWARD_PACK sequences to a graph, and returns every
+instance's scores; the `eval_*` functions rank and threshold them. The
+scores equal those of encoding and scoring each instance alone within float
+rounding, not bitwise: a product over the batch's rows may round otherwise
+than one over an instance's single row (see `encoder`). Each
+spec builds a sequence's visibility matrix once, and each column's
+positions once. Cell filling reads no sequence of its own: it scores its
+cells the way masked-cell recovery does, from one encoding of each table
 (`pretrain.masked_cell_states`).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -54,7 +65,7 @@ from .corpus import (
 )
 # `encode` is not called here; the benchmark's tracer tests reach it as tasks.encode
 from .encoder import Model, encode, encode_batch, trunc_normal  # noqa: F401
-from .encoding import CELL, HEADER, Sequence, linearize
+from .encoding import CELL, HEADER, Sequence, build_visibility, linearize
 from .errors import ConfigError, EmptyColumn, TableTooSmall
 from .metrics import (
     candidate_recall,
@@ -174,13 +185,25 @@ def column_rows(seq: Sequence, col: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.flatnonzero((seq.kinds == kind) & (seq.cols == col)) for kind in (HEADER, CELL))
 
 
+def _column_parts(seq: Sequence, col: int) -> list[np.ndarray]:
+    """column_rows(seq, col) as the two parts of a column summary; a column
+    without a header token or a cell raises EmptyColumn."""
+    parts = list(column_rows(seq, col))
+    if not all(len(pos) for pos in parts):
+        raise EmptyColumn(f"column {col} of {seq.table_id} has no usable header or entities")
+    return parts
+
+
+def _part_means(h: nm.Tensor, located: list[list[np.ndarray]]) -> list[nm.Tensor]:
+    """One (B, d) tensor per part: row i is the mean of the rows
+    located[i][k] of h, instance i's rows of part k. One segment_mean each."""
+    return [nm.segment_mean(h, np.concatenate(part), [len(pos) for pos in part]) for part in zip(*located)]
+
+
 def column_repr(enc_h: nm.Tensor, seq: Sequence, col: int, at: int = 0) -> nm.Tensor:
     """(1, 2d) column summary: mean header-token state, mean entity state.
     The sequence's states are the rows of enc_h from row `at` on."""
-    parts = column_rows(seq, col)
-    if not all(len(pos) for pos in parts):
-        raise EmptyColumn(f"column {col} of {seq.table_id} has no usable header or entities")
-    return nm.concat([nm.segment_mean(enc_h, at + pos, [len(pos)]) for pos in parts], axis=1)
+    return nm.concat(_part_means(enc_h, [[at + pos for pos in _column_parts(seq, col)]]), axis=1)
 
 
 def _encoded(seq: Sequence, *cols: int) -> bool:
@@ -532,59 +555,80 @@ class FinetuneSettings:
 
 @dataclass
 class TaskSpec:
-    """How one task reads the encoder.
+    """How one task reads the encoder, a batch of instances at a time.
 
     read(inst) -> (key, Sequence): the sequence the instance reads; instances
         with equal keys share one encoding of it.
-    logits(inst, h, at) -> (1, n) logits from packed states h, in which that
-        sequence's rows start at row `at`.
-    loss(inst, logits) -> the instance's scalar loss (training only).
+    rows(inst) -> [positions, ...]: the parts of that sequence the head
+        reads, each a non-empty array of positions in it: a column's header
+        tokens and its cells, a linked cell, a probe's masked slot.
+    scores(batch, parts) -> one score array per instance of the batch.
+    loss(batch, parts) -> the batch's scalar loss (training only).
+
+    `parts` holds one (B, d) tensor per part of rows(inst), whose row i is the
+    mean final state of instance i's positions in that part. A spec builds
+    each distinct sequence's visibility matrix once, on first use.
     """
 
     model: Model
     read: Callable
-    logits: Callable
-    loss: Callable | None = None
+    rows: Callable
+    scores: Callable
+    loss: Callable
+    visibility: dict = field(default_factory=dict)  # key -> build_visibility of its sequence
 
 
 FORWARD_PACK = 8  # sequences per packed graph in `forward`
 
 
-def _encode_distinct(spec: TaskSpec, batch: list, use_visibility: bool) -> tuple[nm.Tensor, list[int]]:
+def _encode_distinct(spec: TaskSpec, batch: list, use_visibility: bool) -> tuple[list[nm.Tensor], list[str]]:
     """Encode each distinct sequence a batch of instances reads, once, as one
-    packed graph. Returns the states and each instance's first row."""
-    seqs = dict(spec.read(inst) for inst in batch)  # key -> sequence, in first-read order
+    packed graph whose last block runs only at the rows the head reads (the
+    sorted union of every instance's `spec.rows`). Returns the batch's parts
+    (see TaskSpec) and the table ids of the sequences encoded."""
+    reads = [spec.read(inst) for inst in batch]
+    seqs = dict(reads)  # key -> sequence, in first-read order
     starts = dict(zip(seqs, np.cumsum([0] + [len(seq) for seq in seqs.values()]).tolist()))
-    h = encode_batch(list(seqs.values()), spec.model, use_visibility=use_visibility)
-    return h, [starts[spec.read(inst)[0]] for inst in batch]
+    located = [[starts[key] + pos for pos in spec.rows(inst)] for inst, (key, _) in zip(batch, reads)]
+    rows = np.unique(np.concatenate([pos for parts in located for pos in parts]))
+    masks = None
+    if use_visibility:
+        for key, seq in seqs.items():
+            if key not in spec.visibility:
+                spec.visibility[key] = build_visibility(seq)
+        masks = [spec.visibility[key] for key in seqs]
+    h = encode_batch(list(seqs.values()), spec.model, use_visibility=use_visibility, masks=masks, rows=rows)
+    parts = _part_means(h, [[np.searchsorted(rows, pos) for pos in parts] for parts in located])
+    return parts, [seq.table_id for seq in seqs.values()]
 
 
 def finetune(instances, spec: TaskSpec, params, settings: FinetuneSettings) -> list[float]:
-    """Shuffle, batch, encode each batch as one graph, sum the instances'
-    losses, step. Returns epoch losses: summed loss over the number of instances.
+    """Shuffle, batch, encode each batch as one graph, take the batch's loss,
+    step. Returns epoch losses: summed loss over the number of instances.
 
     A batch whose loss or gradient norm is not finite raises NonFiniteLoss,
-    naming the step, before the optimizer moves any parameter.
+    naming the step, the epoch and the batch's tables, before the optimizer
+    moves any parameter.
     """
     rng = np.random.default_rng(settings.seed)
     n_batches = max(1, (len(instances) + settings.batch_size - 1) // settings.batch_size)
     opt = nm.Adam(params, lr0=settings.lr0, total_steps=settings.epochs * n_batches)
     epoch_losses = []
-    for _ in range(settings.epochs):
+    for epoch in range(settings.epochs):
         order = rng.permutation(len(instances))
         total = 0.0
         for b in range(0, len(order), settings.batch_size):
             batch = [instances[int(i)] for i in order[b : b + settings.batch_size]]
             opt.zero_grad()
-            h, starts = _encode_distinct(spec, batch, settings.use_visibility)
-            batch_loss = reduce(nm.add, [spec.loss(inst, spec.logits(inst, h, at)) for inst, at in zip(batch, starts)])
-            total += nm.descend(batch_loss, opt, f"at step {opt.steps_done}")
+            parts, tables = _encode_distinct(spec, batch, settings.use_visibility)
+            where = f"at step {opt.steps_done} (epoch {epoch}), tables {', '.join(tables)}"
+            total += nm.descend(spec.loss(batch, parts), opt, where)
         epoch_losses.append(total / max(1, len(instances)))
     return epoch_losses
 
 
 def forward(instances, spec: TaskSpec, use_visibility: bool = True) -> list[np.ndarray]:
-    """Each instance's logits row, computed with no tape. Every distinct
+    """Each instance's scores, computed with no tape. Every distinct
     sequence is encoded once, FORWARD_PACK sequences to a packed graph."""
     groups: dict = {}
     for i, inst in enumerate(instances):
@@ -594,9 +638,9 @@ def forward(instances, spec: TaskSpec, use_visibility: bool = True) -> list[np.n
     with nm.no_grad():
         for b in range(0, len(keys), FORWARD_PACK):
             idx = [i for key in keys[b : b + FORWARD_PACK] for i in groups[key]]
-            h, starts = _encode_distinct(spec, [instances[i] for i in idx], use_visibility)
-            for i, at in zip(idx, starts):
-                out[i] = spec.logits(instances[i], h, at).data[0]
+            batch = [instances[i] for i in idx]
+            for i, scores in zip(idx, spec.scores(batch, _encode_distinct(spec, batch, use_visibility)[0])):
+                out[i] = scores
     return out
 
 
@@ -604,14 +648,23 @@ def _report(metrics: dict, instances) -> dict:
     return {"metrics": metrics, "n_instances": len(instances)}
 
 
-def _multi_hot(golds, logits: nm.Tensor) -> np.ndarray:
-    y = np.zeros_like(logits.data)
-    y[0, sorted(golds)] = 1.0
-    return y
+def _label_spec(model, head: AffineHead, read, rows, golds) -> TaskSpec:
+    """A spec whose logits are `head` over the parts, trained by multi-label
+    BCE toward the label ids golds(inst)."""
+
+    def loss(batch, parts):
+        logits = head.logits(*parts)
+        y = np.zeros_like(logits.data)
+        for i, inst in enumerate(batch):
+            y[i, sorted(golds(inst))] = 1.0
+        return nm.bce_with_logits_sum(logits, y)
+
+    return TaskSpec(model, read, rows, lambda batch, parts: list(head.logits(*parts).data), loss)
 
 
-def _bce(inst, logits: nm.Tensor) -> nm.Tensor:
-    return nm.bce_with_logits_sum(logits, _multi_hot(inst.golds, logits))
+def _candidate_scores(x: nm.Tensor, cands: nm.Tensor, lens: list[int]) -> list[np.ndarray]:
+    """Each row of x scored against its own lens[i] rows of cands."""
+    return np.split(nm.candidate_scores(x, cands, lens).data[0], np.cumsum(lens)[:-1])
 
 
 def _table_read(packs):
@@ -620,6 +673,11 @@ def _table_read(packs):
 
 def _probe_read(probes):
     return lambda inst: (inst, probes[inst][0])
+
+
+def _probe_rows(probes):
+    """The one part a probe's head reads: its masked slot."""
+    return lambda inst: [np.array([probes[inst][1]])]
 
 
 def _eval_label_sets(instances, spec: TaskSpec, use_visibility: bool) -> dict:
@@ -631,11 +689,14 @@ def _eval_label_sets(instances, spec: TaskSpec, use_visibility: bool) -> dict:
 # -- column types -------------------------------------------------------------
 
 
-def _column_type_spec(model, head, packs) -> TaskSpec:
-    def logits(inst, h, at):
-        return head.logits(column_repr(h, packs[inst.pack].seq, inst.col, at))
+def _column_summaries(packs):
+    """(pack, col) -> the parts of that column's summary, found once."""
+    return functools.cache(lambda p, col: _column_parts(packs[p].seq, col))
 
-    return TaskSpec(model, _table_read(packs), logits, _bce)
+
+def _column_type_spec(model, head, packs) -> TaskSpec:
+    cols = _column_summaries(packs)
+    return _label_spec(model, head, _table_read(packs), lambda inst: cols(inst.pack, inst.col), lambda inst: inst.golds)
 
 
 def train_column_types(model, head, packs, instances, settings: FinetuneSettings, n_types: int):
@@ -651,12 +712,12 @@ def eval_column_types(model, head, packs, instances, use_visibility=True):
 
 
 def _relation_spec(model, head, packs) -> TaskSpec:
-    def logits(inst, h, at):
-        seq = packs[inst.pack].seq
-        subj = column_repr(h, seq, inst.subj_col, at)
-        return head.logits(subj, column_repr(h, seq, inst.obj_col, at))
+    cols = _column_summaries(packs)
 
-    return TaskSpec(model, _table_read(packs), logits, _bce)
+    def rows(inst):
+        return cols(inst.pack, inst.subj_col) + cols(inst.pack, inst.obj_col)
+
+    return _label_spec(model, head, _table_read(packs), rows, lambda inst: inst.golds)
 
 
 def train_relations(model, head, packs, instances, settings: FinetuneSettings, n_relations: int):
@@ -690,25 +751,32 @@ def _tokenized_entries(head: LinkingHead, side: SideData, instances, token_vocab
 
 
 def _linking_spec(model, head, packs, instances, entries) -> TaskSpec:
-    """entries(candidate_refs) gives the (C, 3d) entry matrix of a candidate list."""
+    """entries(candidate lists) gives the entry matrix of the lists' entries
+    end to end. Each cell state is projected once and scored against its own
+    list's entries."""
     seqs = {p: linking_sequence(packs[p]) for p in {inst.pack for inst in instances}}
+    cell = functools.cache(lambda p, row, col: [np.array([cell_position(seqs[p], row, col)])])
 
-    def logits(inst, h, at):
-        pos = at + cell_position(seqs[inst.pack], inst.row, inst.col)
-        proj = head.project(nm.gather_rows(h, np.array([pos])))
-        return nm.matmul(proj, nm.transpose(entries(inst.candidate_refs), (1, 0)))
+    def project(batch, parts):
+        lists = [inst.candidate_refs for inst in batch]
+        return head.project(parts[0]), entries(lists), [len(refs) for refs in lists]
 
-    def loss(inst, logits):
-        return nm.cross_entropy_sum(logits, np.array([inst.candidate_refs.index(inst.gold_ref)]))
+    def loss(batch, parts):
+        x, cands, lens = project(batch, parts)
+        golds = [np.array([inst.candidate_refs.index(inst.gold_ref)]) for inst in batch]
+        return nm.candidate_cross_entropy_sum(x, cands, [np.arange(n) for n in lens], golds)[0]
 
-    return TaskSpec(model, lambda inst: (inst.pack, seqs[inst.pack]), logits, loss)
+    return TaskSpec(
+        model, lambda inst: (inst.pack, seqs[inst.pack]), lambda inst: cell(inst.pack, inst.row, inst.col),
+        lambda batch, parts: _candidate_scores(*project(batch, parts)), loss,
+    )
 
 
 def train_linking(model, head, packs, instances, side, token_vocab, tokenizer, settings: FinetuneSettings):
     tokenized = _tokenized_entries(head, side, instances, token_vocab, tokenizer)
 
-    def entries(refs):
-        return head.entry_matrix(model, [tokenized[ref] for ref in refs])
+    def entries(lists):
+        return head.entry_matrix(model, [tokenized[ref] for refs in lists for ref in refs])
 
     spec = _linking_spec(model, head, packs, instances, entries)
     return finetune(instances, spec, model.params() + head.params(), settings)
@@ -728,10 +796,10 @@ def eval_linking(
     tokenized = _tokenized_entries(head, side, scored, token_vocab, tokenizer)
     with nm.no_grad():
         mats = {
-            refs: head.entry_matrix(model, [tokenized[ref] for ref in refs], use_description)
+            refs: head.entry_matrix(model, [tokenized[ref] for ref in refs], use_description).data
             for refs in {tuple(inst.candidate_refs) for inst in scored}
         }
-    spec = _linking_spec(model, head, packs, scored, lambda refs: mats[tuple(refs)])
+    spec = _linking_spec(model, head, packs, scored, lambda lists: nm.Tensor(np.concatenate([mats[tuple(r)] for r in lists])))
     choices = {}
     for inst, logits in zip(scored, forward(scored, spec, use_visibility)):
         z = logits - logits.max()
@@ -753,13 +821,28 @@ def eval_linking_lookup(instances):
 # -- row population -------------------------------------------------------------
 
 
-def _row_population_spec(model, packs, instances, max_len: int) -> TaskSpec:
+def _row_population_spec(model, packs, instances, max_len: int, offset: nm.Tensor | None = None) -> TaskSpec:
+    """The MER head scores each probe's candidates, all the batch's at once;
+    training adds `offset` to every logit (see train_row_population)."""
     probes = {inst: row_population_sequence(packs[inst.pack], inst.seeds, max_len) for inst in instances}
 
-    def logits(inst, h, at):
-        return entity_logits(model, h, np.array([at + probes[inst][1]]), inst.candidates)
+    def project(batch, parts):
+        x = nm.affine(parts[0], model["mer_W"], model["mer_b"])
+        cands = nm.gather_rows(model["ent_emb"], np.concatenate([inst.candidates for inst in batch]))
+        return x, cands, [len(inst.candidates) for inst in batch]
 
-    return TaskSpec(model, _probe_read(probes), logits)
+    def loss(batch, parts):
+        logits = nm.add(nm.candidate_scores(*project(batch, parts)), offset)
+        return nm.bce_with_logits_sum(logits, _candidate_labels(batch, model.dtype)[None, :])
+
+    return TaskSpec(
+        model, _probe_read(probes), _probe_rows(probes), lambda batch, parts: _candidate_scores(*project(batch, parts)), loss
+    )
+
+
+def _candidate_labels(instances, dtype) -> np.ndarray:
+    """1 for each gold among the instances' candidates, end to end, else 0."""
+    return np.concatenate([np.isin(inst.candidates, sorted(inst.golds)) for inst in instances]).astype(dtype)
 
 
 def train_row_population(model, packs, instances, settings: FinetuneSettings, max_len: int):
@@ -775,17 +858,11 @@ def train_row_population(model, packs, instances, settings: FinetuneSettings, ma
     instance. The offset is the same for every candidate, so it never changes
     a ranking and evaluation does without it.
     """
-    spec = _row_population_spec(model, packs, instances, max_len)
-
-    def labels(inst: RowPopInstance) -> np.ndarray:
-        return np.isin(inst.candidates, sorted(inst.golds)).astype(model.dtype)[None, :]
-
-    start = 0.0
+    offset = nm.Tensor(np.zeros(1, dtype=model.dtype), requires_grad=True, name="rowpop_offset")
+    spec = _row_population_spec(model, packs, instances, max_len, offset)
     if instances:
-        rate = np.clip(np.concatenate([labels(inst).ravel() for inst in instances]).mean(), 1e-6, 1.0 - 1e-6)
-        start = np.log(rate / (1.0 - rate)) - np.concatenate(forward(instances, spec, settings.use_visibility)).mean()
-    offset = nm.Tensor(np.array([start], dtype=model.dtype), requires_grad=True, name="rowpop_offset")
-    spec.loss = lambda inst, logits: nm.bce_with_logits_sum(nm.add(logits, offset), labels(inst))
+        rate = np.clip(_candidate_labels(instances, model.dtype).mean(), 1e-6, 1.0 - 1e-6)
+        offset.data[0] = np.log(rate / (1.0 - rate)) - np.concatenate(forward(instances, spec, settings.use_visibility)).mean()
     return finetune(instances, spec, model.params() + [offset], settings)
 
 
@@ -850,14 +927,7 @@ def _schema_spec(model, head, packs, instances, header_list, token_vocab, max_le
     header_ids = {h: token_vocab.ids(h.split()) for h in header_list}
     index = {h: i for i, h in enumerate(header_list)}
     probes = {inst: schema_sequence(packs[inst.pack], inst.seeds, header_ids, max_len) for inst in instances}
-
-    def logits(inst, h, at):
-        return head.logits(nm.gather_rows(h, np.array([at + probes[inst][1]])))
-
-    def loss(inst, logits):
-        return nm.bce_with_logits_sum(logits, _multi_hot({index[g] for g in inst.golds}, logits))
-
-    return TaskSpec(model, _probe_read(probes), logits, loss)
+    return _label_spec(model, head, _probe_read(probes), _probe_rows(probes), lambda inst: {index[g] for g in inst.golds})
 
 
 def train_schema(model, head, packs, instances, header_list, token_vocab, settings: FinetuneSettings, max_len: int):

@@ -150,6 +150,7 @@ def test_finetune_and_evaluate_column_types(pipeline, tmp_path):
     assert 0.0 <= report["metrics"]["f1"] <= 1.0
     assert report["n_instances"] > 0
     assert report["config_hash"]
+    assert 0.0 < report["wall_s"] < 60.0
 
 
 @pytest.mark.parametrize(
@@ -260,6 +261,7 @@ def test_evaluate_baselines_need_no_checkpoint(pipeline, tmp_path):
     report = json.loads(out.read_text())
     assert report["baseline"] == "lookup"
     assert report["metrics"]["recall"] > 0.0
+    assert report["wall_s"] > 0.0  # baseline reports are timed too
 
     out2 = tmp_path / "votes.json"
     assert run(["evaluate", "--task", "relations", "--data", str(data), "--baseline", "votes",

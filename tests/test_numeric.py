@@ -101,6 +101,21 @@ def test_candidate_cross_entropy_rejects_a_gold_outside_its_candidates():
         nm.candidate_cross_entropy_sum(x, cands, candidates[:2], golds[:2])
 
 
+def test_candidate_scores_grads_and_bits():
+    # three rows: 4 candidates, none, 6; the scores end to end
+    rng = np.random.default_rng(13)
+    x, cands, lens = t(rng.normal(size=(3, 6))), t(rng.normal(size=(10, 6))), [4, 0, 6]
+    out = nm.candidate_scores(x, cands, lens)
+    assert out.data.shape == (1, 10) and out._parents == (x, cands)
+    want = np.concatenate([x.data[:1] @ cands.data[:4].T, x.data[2:] @ cands.data[4:].T], axis=1)
+    assert out.data.tobytes() == want.tobytes()
+    labels = rng.random((1, 10)) < 0.5
+    assert nm.grad_check(lambda: nm.bce_with_logits_sum(nm.candidate_scores(x, cands, lens), labels), [x, cands]) < 1e-7
+    for bad in ([4, 6], [4, 0, 5], [4, -1, 7]):
+        with pytest.raises(ShapeMismatch):
+            nm.candidate_scores(x, cands, bad)
+
+
 def test_gather_accumulates_duplicate_rows():
     a = t(np.arange(6, dtype=np.float64).reshape(3, 2))
     idx = np.array([1, 1, 0])
@@ -431,6 +446,7 @@ def _op_calls():
         "candidate_cross_entropy_sum": lambda: nm.candidate_cross_entropy_sum(
             a, b, [np.array([2, 4, 7]), np.array([], np.int64), np.array([1])], [np.array([4, 2, 7]), np.array([], np.int64), np.array([1])]
         )[0],
+        "candidate_scores": lambda: nm.candidate_scores(a, b, [2, 0, 1, 1]),
         "bce_with_logits_sum": lambda: nm.bce_with_logits_sum(a, np.ones((4, 6))),
     }
 

@@ -36,6 +36,7 @@ from tabrep.tasks import (
     build_schema_data,
     cell_position,
     column_repr,
+    column_rows,
     eval_cell_filling,
     eval_column_types,
     eval_linking,
@@ -553,6 +554,28 @@ def test_finetune_stops_on_a_non_finite_gradient(corpus, tiny_model, monkeypatch
     assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before))
 
 
+def test_a_non_finite_step_names_its_epoch_and_tables(corpus, tiny_model, monkeypatch):
+    packs, _, ev = corpus
+    inst, types = build_column_type_data(packs, ev, toy_side())
+    model = init_model(tiny_model.cfg, np.random.default_rng(3))
+    head = ColumnTypeHead(8, len(types), np.random.default_rng(5))
+    backward = nm.Tensor.backward
+    steps = []
+
+    def poisoned_at_step_2(self):
+        backward(self)
+        steps.append(1)
+        if len(steps) == 3:
+            head.W.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(nm.Tensor, "backward", poisoned_at_step_2)
+    settings = FinetuneSettings(lr0=1e-2, epochs=2, batch_size=4, seed=1)  # 8 instances: 2 steps an epoch
+    with pytest.raises(NonFiniteLoss, match=r"at step 2 \(epoch 1\), tables ") as err:
+        train_column_types(model, head, packs, inst, settings, len(types))
+    named = str(err.value).split("tables ")[1].split(", ")
+    assert named and set(named) <= {p.seq.table_id for p in packs} and len(set(named)) == len(named)
+
+
 # -- the task engine against per-instance reference loops ------------------------
 #
 # The references encode each instance's sequence on its own with `encode`, as
@@ -813,3 +836,154 @@ def test_evaluation_builds_no_tape(synth_tasks, monkeypatch):
     eval_cell_filling(m, p, s["fill"])
     eval_schema(m, hs["schema"], p, s["schema"], s["headers"], s["tv"], 96)
     assert taped and not any(taped)
+
+
+def _train(task, s, settings, instances=None):
+    """Fine-tune one task of the synthetic fixture, on its instances or the
+    given ones; returns the epoch losses."""
+    m, p, hs, inst = s["model"], s["packs"], s["heads"], s[task] if instances is None else instances
+    if task == "coltype":
+        return train_column_types(m, hs["coltype"], p, inst, settings, s["n_types"])
+    if task == "relations":
+        return train_relations(m, hs["relations"], p, inst, settings, s["n_rels"])
+    if task == "linking":
+        return train_linking(m, hs["linking"], p, inst, s["side"], s["tv"], TOKENIZER, settings)
+    if task == "rowpop":
+        return train_row_population(m, p, inst, settings, 96)
+    return train_schema(m, hs["schema"], p, inst, s["headers"], s["tv"], settings, 96)
+
+
+FINETUNED = ["coltype", "relations", "linking", "rowpop", "schema"]
+# a step's op nodes: the two-block encoder's 39, then the head's, one node
+# per summary part (segment_mean) and per affine map, entry matrix block or loss
+NODES = {"coltype": 39 + 5, "relations": 39 + 7, "linking": 39 + 7, "rowpop": 39 + 6, "schema": 39 + 3}
+
+
+@pytest.mark.parametrize("task", FINETUNED)
+def test_a_finetune_step_has_the_same_op_nodes_at_any_batch_size(synth_tasks, monkeypatch, task):
+    s = synth_tasks
+    # a batch without any entity element embeds with 8 nodes fewer; only the
+    # schema probes can lack one (their one entity is the table's topic), so
+    # they are trained on the tables that have a topic
+    instances = [i for i in s[task] if task != "schema" or s["packs"][i.pack].indexed.topic is not None]
+    assert len(instances) > 2
+    counts = {}
+    descend = nm.descend
+
+    def counting(loss, opt, where):
+        counts.setdefault(batch_size, []).append(sum(node._backward is not None for node in nm._topo_order(loss)))
+        return descend(loss, opt, where)
+
+    monkeypatch.setattr(nm, "descend", counting)
+    for batch_size in (2, 8):
+        _train(task, s, FinetuneSettings(lr0=0.0, epochs=1, batch_size=batch_size, seed=4), instances)
+    assert len(counts[2]) == -(-len(instances) // 2) and len(counts[8]) == -(-len(instances) // 8)
+    assert set(counts[2]) == set(counts[8]) == {NODES[task]}
+
+
+def _evaluate(task, s):
+    m, p, hs = s["model"], s["packs"], s["heads"]
+    if task == "coltype":
+        return eval_column_types(m, hs["coltype"], p, s["coltype"])
+    if task == "relations":
+        return eval_relations(m, hs["relations"], p, s["relations"])
+    if task == "linking":
+        return eval_linking(m, hs["linking"], p, s["linking_eval"], side=s["side"], token_vocab=s["tv"], tokenizer=TOKENIZER)
+    if task == "rowpop":
+        return eval_row_population(m, p, s["rowpop"], 96)
+    return eval_schema(m, hs["schema"], p, s["schema"], s["headers"], s["tv"], 96)
+
+
+@pytest.mark.parametrize("task", FINETUNED)
+def test_batched_scores_equal_a_per_instance_reference(synth_tasks, monkeypatch, task):
+    import tabrep.tasks as T
+
+    s = synth_tasks
+    scored = []
+    real = T.forward
+
+    def recording(instances, spec, *args, **kwargs):
+        out = real(instances, spec, *args, **kwargs)
+        scored.extend(zip(instances, out))
+        return out
+
+    monkeypatch.setattr(T, "forward", recording)
+    _evaluate(task, s)
+    assert len(scored) == len(s["linking_eval" if task == "linking" else task])
+    # Not bitwise: OpenBLAS sums a product's terms in another order for a
+    # product of one row (gemv) or a few rows than for many, and the batch
+    # projects B rows where the reference projects one. A reordered sum of
+    # k float32 terms moves by at most about k * 2**-24 of their magnitudes;
+    # the widest products here have k = 4d = 32 (measured: at most 5e-7).
+    for inst, got in scored:
+        want = _reference_logits(task, inst, s).data[0]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def _probe_suffix(task):
+    return {"rowpop": "#rowpop", "schema": "#schema"}.get(task, "")
+
+
+@pytest.mark.parametrize("task", FINETUNED)
+def test_finetune_builds_each_visibility_matrix_once(synth_tasks, monkeypatch, task):
+    import tabrep.encoder as E
+    import tabrep.tasks as T
+
+    s = synth_tasks
+    built = []
+    real = T.build_visibility
+
+    def counting(seq):
+        built.append(seq.table_id)
+        return real(seq)
+
+    monkeypatch.setattr(T, "build_visibility", counting)
+    monkeypatch.setattr(E, "build_visibility", counting)
+    _train(task, s, FinetuneSettings(lr0=0.0, epochs=3, batch_size=4, seed=5))
+    # one matrix per distinct sequence, over every epoch (and, for row
+    # population, the forward pass that sets the offset); rowpop and schema
+    # instances each read a probe of their own table
+    want = sorted({s["packs"][i.pack].seq.table_id + _probe_suffix(task) for i in s[task]})
+    assert sorted(built) == want
+
+
+@pytest.mark.parametrize("task", FINETUNED)
+def test_encode_batch_runs_the_last_block_at_the_rows_the_heads_read(synth_tasks, monkeypatch, task):
+    import tabrep.tasks as T
+
+    s = synth_tasks
+    header_ids = {h: s["tv"].ids(h.split()) for h in s["headers"]}
+    calls = []
+    real = T.encode_batch
+
+    def recording(seqs, *args, rows=None, **kwargs):
+        calls.append(([seq.table_id for seq in seqs], [len(seq) for seq in seqs], rows))
+        return real(seqs, *args, rows=rows, **kwargs)
+
+    def read_rows(inst):
+        """Positions the instance's head reads in its sequence, found afresh."""
+        pack = s["packs"][inst.pack]
+        if task == "coltype":
+            return np.concatenate(column_rows(pack.seq, inst.col))
+        if task == "relations":
+            return np.concatenate(column_rows(pack.seq, inst.subj_col) + column_rows(pack.seq, inst.obj_col))
+        if task == "linking":
+            return np.array([cell_position(linking_sequence(pack), inst.row, inst.col)])
+        if task == "rowpop":
+            return np.array([row_population_sequence(pack, inst.seeds, 96)[1]])
+        return np.array([schema_sequence(pack, inst.seeds, header_ids, 96)[1]])
+
+    monkeypatch.setattr(T, "encode_batch", recording)
+    # one batch holds every instance, so each call (and each of the forward
+    # calls that set the row population offset) encodes all the readers of
+    # its sequences
+    readers = {}
+    for inst in s[task]:
+        readers.setdefault(s["packs"][inst.pack].seq.table_id + _probe_suffix(task), []).append(inst)
+    _train(task, s, FinetuneSettings(lr0=0.0, epochs=1, batch_size=len(s[task]), seed=6))
+    assert calls
+    for tables, lens, rows in calls:
+        starts = np.cumsum([0] + lens[:-1])
+        want = np.concatenate([at + read_rows(inst) for table, at in zip(tables, starts) for inst in readers[table]])
+        np.testing.assert_array_equal(rows, np.unique(want))
