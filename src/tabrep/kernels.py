@@ -119,12 +119,27 @@ def gelu_bwd(x, cdf, dy):
     return dy * (cdf + x * pdf)
 
 
-def adam_update(param, grad, m, v, step, lr, beta1, beta2, eps):
+def adam_update(param, grad, m, v, step, lr, beta1, beta2, eps, s1=None, s2=None):
     # Elementwise, in place on the arrays as stored. eps sits outside the sqrt.
+    # s1 and s2 are scratch arrays of param's shape (made here when not
+    # given). Each in-place ufunc computes one operation of the out-of-place
+    #   m = beta1 * m + (1 - beta1) * grad
+    #   v = beta2 * v + (1 - beta2) * grad * grad
+    #   param -= lr * (m / (1 - beta1**step)) / (sqrt(v / (1 - beta2**step)) + eps)
+    # in the same order, so the bits are the same.
+    if s1 is None:
+        s1, s2 = np.empty_like(param), np.empty_like(param)
     m *= beta1
-    m += (1.0 - beta1) * grad
+    np.multiply(grad, 1.0 - beta1, out=s1)
+    m += s1
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1**step)
-    vhat = v / (1.0 - beta2**step)
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
+    np.multiply(grad, 1.0 - beta2, out=s1)
+    s1 *= grad
+    v += s1
+    np.divide(m, 1.0 - beta1**step, out=s1)
+    s1 *= lr
+    np.divide(v, 1.0 - beta2**step, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    s1 /= s2
+    param -= s1

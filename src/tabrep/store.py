@@ -210,7 +210,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int, dict]:
         try:
             name, dtype, shape, start, nbytes = (t[k] for k in ("name", "dtype", "shape", "offset", "nbytes"))
             dt = np.dtype(dtype if isinstance(dtype, str) else object).newbyteorder("<")
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, SyntaxError) as exc:  # np.dtype("01") raises SyntaxError
             raise CorruptCheckpoint(f"{path}: malformed manifest entry {i}") from exc
         if not (
             isinstance(name, str)

@@ -179,6 +179,16 @@ def cell_position(seq: Sequence, row: int, col: int) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
+def cell_positions(seq: Sequence) -> dict[tuple[int, int], int]:
+    """(row, col) -> cell_position(seq, row, col) for every cell of seq, in
+    one pass; a cell that linearize dropped has no key."""
+    at = np.flatnonzero(seq.kinds == CELL)
+    out: dict[tuple[int, int], int] = {}
+    for pos, row, col in zip(at.tolist(), seq.rows[at].tolist(), seq.cols[at].tolist()):
+        out.setdefault((row, col), pos)
+    return out
+
+
 def column_rows(seq: Sequence, col: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions of column col's header tokens and of its cells in seq. Either
     may be empty: linearize drops the trailing rows past max_len."""
@@ -413,11 +423,12 @@ def build_linking_data(
     """
     instances = []
     for pi, pack in enumerate(packs):
+        positions = cell_positions(pack.seq)
         for cell in pack.processed.linked_cells():
             cands = side.candidates.get(" ".join(cell.mention_tokens), [])
             if not cands or (require_gold and cell.entity not in cands):
                 continue
-            if cell_position(pack.seq, cell.row, cell.col) is None:
+            if (cell.row, cell.col) not in positions:
                 continue
             instances.append(
                 LinkInstance(pack=pi, row=cell.row, col=cell.col, gold_ref=cell.entity, candidate_refs=list(cands))
@@ -464,12 +475,13 @@ def build_fill_data(packs: list[TablePack], index: CorpusIndex) -> list[FillInst
         if it.subject_col is None:
             continue
         subj_by_row = it.subject_by_row()
+        positions = cell_positions(pack.seq)
         for c in it.cells:
             if c.col == it.subject_col or c.row not in subj_by_row:
                 continue
             header = it.headers_norm[c.col]
             cands = index.fill_candidates(subj_by_row[c.row], header)
-            if not cands or cell_position(pack.seq, c.row, c.col) is None:
+            if not cands or (c.row, c.col) not in positions:
                 continue
             instances.append(
                 FillInstance(pack=pi, row=c.row, col=c.col, gold=c.entity_id, candidates=[e for e, _ in cands])
@@ -755,7 +767,7 @@ def _linking_spec(model, head, packs, instances, entries) -> TaskSpec:
     end to end. Each cell state is projected once and scored against its own
     list's entries."""
     seqs = {p: linking_sequence(packs[p]) for p in {inst.pack for inst in instances}}
-    cell = functools.cache(lambda p, row, col: [np.array([cell_position(seqs[p], row, col)])])
+    positions = {p: cell_positions(seq) for p, seq in seqs.items()}
 
     def project(batch, parts):
         lists = [inst.candidate_refs for inst in batch]
@@ -767,7 +779,7 @@ def _linking_spec(model, head, packs, instances, entries) -> TaskSpec:
         return nm.candidate_cross_entropy_sum(x, cands, [np.arange(n) for n in lens], golds)[0]
 
     return TaskSpec(
-        model, lambda inst: (inst.pack, seqs[inst.pack]), lambda inst: cell(inst.pack, inst.row, inst.col),
+        model, lambda inst: (inst.pack, seqs[inst.pack]), lambda inst: [np.array([positions[inst.pack][inst.row, inst.col]])],
         lambda batch, parts: _candidate_scores(*project(batch, parts)), loss,
     )
 
@@ -900,7 +912,8 @@ def eval_cell_filling(model, packs, instances, use_visibility=True):
     with nm.no_grad():
         for p, idx in by_pack.items():
             seq = packs[p].seq
-            positions = np.array([cell_position(seq, instances[i].row, instances[i].col) for i in idx])
+            at = cell_positions(seq)
+            positions = np.array([at[instances[i].row, instances[i].col] for i in idx])
             states = nm.Tensor(masked_cell_states(model, seq, positions, use_visibility))
             for m, i in enumerate(idx):
                 cands = np.array(sorted(set(instances[i].candidates)), dtype=np.int64)

@@ -155,6 +155,24 @@ def test_adam_update_single_step():
     np.testing.assert_allclose(m, (1 - b1) * grad, atol=1e-15)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_update_with_scratch_equals_the_out_of_place_formula_bitwise(dtype):
+    rng = np.random.default_rng(5)
+    n, lr, b1, b2, eps, step = 1000, 3e-3, 0.9, 0.999, 1e-8, 4
+    param, grad, m = (rng.normal(size=n).astype(dtype) for _ in range(3))
+    v = rng.random(n).astype(dtype)
+    v[::7] = 0.0
+    grad[::14] = 0.0  # v stays 0 there, so the denominator is eps alone
+    m_ref = b1 * m + (1.0 - b1) * grad
+    v_ref = b2 * v + (1.0 - b2) * grad * grad
+    p_ref = param - lr * (m_ref / (1.0 - b1**step)) / (np.sqrt(v_ref / (1.0 - b2**step)) + eps)
+    assert not v_ref[::14].any()
+    s1, s2 = np.full(n, np.nan, dtype), np.full(n, np.nan, dtype)
+    kernels.adam_update(param, grad, m, v, step, lr, b1, b2, eps, s1, s2)
+    assert param.tobytes() == p_ref.tobytes()
+    assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
 # -- mask validation ----------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from tabrep import kernels
 from tabrep import numeric as nm
+from tabrep.encoder import load_tensors
 from tabrep.errors import ShapeMismatch, UnknownId
 
 
@@ -526,6 +527,109 @@ def test_adam_equals_a_flat_moment_reference_bitwise():
             kernels.adam_update(r.reshape(-1), np.ascontiguousarray(g.reshape(-1)), m, v, step + 1, lr, opt.BETA1, opt.BETA2, opt.EPS)
         assert all(p.data.tobytes() == r.tobytes() for p, r in zip(params, ref))
     assert [m.shape for m in opt.m] == shapes
+
+
+def _adam_reference(p, g, m, v, t, lr, opt):
+    # the out-of-place per-tensor formula; returns the new (p, m, v)
+    m = opt.BETA1 * m + (1.0 - opt.BETA1) * g
+    v = opt.BETA2 * v + (1.0 - opt.BETA2) * g * g
+    p = p - lr * (m / (1.0 - opt.BETA1**t)) / (np.sqrt(v / (1.0 - opt.BETA2**t)) + opt.EPS)
+    return p, m, v
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_flat_update_equals_a_per_tensor_reference_bitwise(monkeypatch, dtype, chunk):
+    # runs split in the middle of the buffer where a parameter has no
+    # gradient, a transposed gradient, and (chunk 7) chunks that cut through
+    # parameters all give the bits of the per-tensor formula
+    if chunk is not None:
+        monkeypatch.setattr(nm, "CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    shapes = [(3, 4), (5,), (4, 3), (2, 2, 3), (1,), (6, 5)]
+    params = [nm.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True, name=f"p{i}") for i, s in enumerate(shapes)]
+    ref = [p.data.copy() for p in params]
+    ref_m = [np.zeros(s, dtype) for s in shapes]
+    ref_v = [np.zeros(s, dtype) for s in shapes]
+    opt = nm.Adam(params, lr0=0.05, total_steps=6)
+    for p in params:
+        assert p.data.dtype == dtype and np.shares_memory(p.data, opt.flat)
+    skipped = [{1}, {0, 4}, set(), {2, 3, 5}, {5}]
+    for step, skip in enumerate(skipped):
+        opt.zero_grad()
+        grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+        grads[2] = rng.normal(size=shapes[2][::-1]).astype(dtype).T
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if i not in skip:
+                p.grad = g
+        opt.step()
+        lr = nm.linear_lr(0.05, step, 6)
+        for i, g in enumerate(grads):
+            if i not in skip:
+                ref[i], ref_m[i], ref_v[i] = _adam_reference(ref[i], g, ref_m[i], ref_v[i], step + 1, lr, opt)
+        for p, r, m, v, om, ov in zip(params, ref, ref_m, ref_v, opt.m, opt.v):
+            assert p.data.tobytes() == r.tobytes()
+            assert om.tobytes() == m.tobytes() and ov.tobytes() == v.tobytes()
+
+
+def test_adam_owns_its_parameters_storage():
+    # each .data is a view of the optimizer's buffer, so a later in-place
+    # load (as from a checkpoint) writes into that buffer
+    params = {"a": t(np.ones((2, 3))), "b": t(np.zeros(4))}
+    opt = nm.Adam(params.values(), lr0=0.1, total_steps=2)
+    assert all(np.shares_memory(p.data, opt.flat) for p in params.values())
+    load_tensors(params, {"a": np.full((2, 3), 2.0), "b": np.arange(4.0)})
+    assert opt.flat.tolist() == [2.0] * 6 + [0.0, 1.0, 2.0, 3.0]
+
+
+def test_adam_rejects_mixed_dtypes():
+    a = nm.Tensor(np.zeros(3, np.float32), requires_grad=True)
+    with pytest.raises(ShapeMismatch, match="one dtype"):
+        nm.Adam([a, t(np.zeros(3))], lr0=0.1, total_steps=2)
+
+
+def test_adam_rejects_a_parameter_listed_twice():
+    a = t(np.zeros(3), name="w")
+    with pytest.raises(ShapeMismatch, match="'w' is listed twice"):
+        nm.Adam([a, t(np.zeros(2)), a], lr0=0.1, total_steps=2)
+
+
+def test_adam_step_rejects_a_gradient_of_another_shape_before_any_update():
+    # a same-size gradient with swapped axes would otherwise be flattened
+    # into the wrong elements
+    a, b = t(np.zeros(4), name="first"), t(np.zeros((2, 3)), name="w")
+    opt = nm.Adam([a, b], lr0=0.1, total_steps=2)
+    a.grad, b.grad = np.ones(4), np.ones((3, 2))
+    with pytest.raises(ShapeMismatch, match=r"'w' has shape \(3, 2\), not \(2, 3\)"):
+        opt.step()
+    assert not opt.flat.any() and opt.steps_done == 0
+
+
+def test_adam_without_parameters_or_gradients_moves_nothing():
+    opt = nm.Adam([], lr0=0.1, total_steps=2)
+    opt.step()
+    a = t(np.arange(3.0))
+    opt = nm.Adam([a], lr0=0.1, total_steps=2)
+    opt.step()
+    assert a.data.tolist() == [0.0, 1.0, 2.0] and not opt.m[0].any()
+
+
+def test_adam_step_hooks_that_the_bench_wraps(monkeypatch):
+    # the bench times `Adam.step` by patching the class's own attribute and
+    # traces `kernels.adam_update` by patching the module attribute: one
+    # call per CHUNK elements of each run of parameters with a gradient
+    assert "step" in vars(nm.Adam)
+    monkeypatch.setattr(nm, "CHUNK", 5)
+    calls = []
+    real = kernels.adam_update
+    monkeypatch.setattr(kernels, "adam_update", lambda param, *a: calls.append(param.size) or real(param, *a))
+    sizes = [7, 3, 4, 12, 2]
+    params = [t(np.zeros(n)) for n in sizes]
+    opt = nm.Adam(params, lr0=0.1, total_steps=2)
+    for i in (0, 1, 3):  # runs of 7 + 3 = 10 and 12 elements
+        params[i].grad = np.ones(sizes[i])
+    opt.step()
+    assert calls == [5, 5, 5, 5, 2]
 
 
 def test_grad_check_flags_wrong_gradient():

@@ -173,11 +173,16 @@ def _with_first(header, **fields):
     [
         lambda h: {k: v for k, v in h.items() if k != "tensors"},
         lambda h: _with_first(h, dtype="object"),
+        lambda h: _with_first(h, dtype="01"),
+        lambda h: _with_first(h, dtype="(-1,)f4"),
         lambda h: _with_first(h, shape=[7, 6]),
         lambda h: _with_first(h, offset=-8),
         lambda h: [h],
     ],
-    ids=["no-tensors", "object-dtype", "shape-vs-nbytes", "negative-offset", "list-header"],
+    ids=[
+        "no-tensors", "object-dtype", "dtype-syntax-error", "dtype-value-error",
+        "shape-vs-nbytes", "negative-offset", "list-header",
+    ],
 )
 def test_malformed_header_with_valid_digest_detected(tmp_path, edit):
     path = tmp_path / "model.bin"

@@ -35,6 +35,7 @@ from tabrep.tasks import (
     build_row_population_data,
     build_schema_data,
     cell_position,
+    cell_positions,
     column_repr,
     column_rows,
     eval_cell_filling,
@@ -174,6 +175,18 @@ def test_cell_position(corpus):
     assert seq.kinds[pos] == CELL
     assert seq.rows[pos] == 0 and seq.cols[pos] == 1
     assert cell_position(seq, 9, 9) is None
+
+
+def test_cell_positions_map_equals_cell_position(corpus):
+    packs, _, _ = corpus
+    for pack in packs:
+        seq = pack.seq
+        at = cell_positions(seq)
+        cells = set(zip(seq.rows[seq.kinds == CELL].tolist(), seq.cols[seq.kinds == CELL].tolist()))
+        assert set(at) == cells
+        for row, col in cells:
+            assert at[row, col] == cell_position(seq, row, col)
+        assert (9, 9) not in at and cell_position(seq, 9, 9) is None
 
 
 def test_column_repr_is_mean_of_states(corpus, tiny_model):
