@@ -98,10 +98,10 @@ class EncoderConfig:
     n_entities: int = 0
 
     def validate(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.n_heads}")
         if min(self.n_blocks, self.d_model, self.n_heads, self.d_intermediate, self.max_len) <= 0:
             raise ConfigError("encoder dimensions must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.n_heads}")
         if self.n_tokens <= 0 or self.n_entities <= 0:
             raise ConfigError("vocabulary sizes must be set before building a model")
 

@@ -34,6 +34,9 @@ sorted indices would sum in another order and is not bitwise.
 rebinds each `.data` to a view of it, so a step updates every run of
 consecutive parameters that have a gradient in chunks of `CHUNK` elements,
 not tensor by tensor. A parameter with no gradient is skipped.
+
+`train` is the one training loop: pre-training (`pretrain.fit`) and every
+fine-tuning task (`tasks.finetune`) run through it with their own batch loss.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import NonFiniteLoss, ShapeMismatch, UnknownId
+from .errors import ConfigError, NonFiniteLoss, ShapeMismatch, UnknownId
 
 __all__ = [
     "Tensor",
@@ -70,6 +73,7 @@ __all__ = [
     "linear_lr",
     "grad_norm",
     "descend",
+    "train",
     "grad_check",
 ]
 
@@ -652,6 +656,44 @@ def descend(loss, opt, where):
         raise NonFiniteLoss(f"gradient norm is {norm} {where}")
     opt.step()
     return value
+
+
+def train(params, settings, n_items, rng, batch_loss, end_epoch=None, max_steps=None):
+    """The one training loop of every phase; returns (step_losses, epoch_sums).
+
+    Adam decays linearly from settings.lr0 over settings.epochs epochs, or over
+    max_steps steps if given. Each epoch cuts one rng.permutation(n_items) into
+    batches of settings.batch_size; each batch zeroes the gradients, then
+    batch_loss(indices) gives None (no step) or (loss, table_ids) and `descend`
+    steps. An epoch sums its step losses left to right from 0.0. A max_steps
+    run takes exactly that many steps, cycling through as many epochs as they
+    need, and ends early after an epoch that took no step, which would repeat
+    forever. end_epoch(epoch, loss_sum) runs after every epoch, a cut-short
+    last one too; True ends the run. A non-finite loss or gradient norm raises
+    NonFiniteLoss, naming the step, the epoch and the batch's tables, before
+    any parameter moves.
+    """
+    if settings.batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {settings.batch_size}")
+    budget = settings.epochs * max(1, -(-n_items // settings.batch_size)) if max_steps is None else max_steps
+    opt = Adam(params, lr0=settings.lr0, total_steps=budget)
+    step_losses, epoch_sums = [], []
+    while len(epoch_sums) < settings.epochs if max_steps is None else len(step_losses) < max_steps:
+        epoch, first, total = len(epoch_sums), len(step_losses), 0.0
+        order = rng.permutation(n_items)
+        for b in range(0, n_items, settings.batch_size):
+            if len(step_losses) == budget:
+                break
+            opt.zero_grad()
+            out = batch_loss(order[b : b + settings.batch_size])
+            if out is not None:
+                where = f"at step {len(step_losses)} (epoch {epoch}), tables {', '.join(out[1])}"
+                step_losses.append(descend(out[0], opt, where))
+                total += step_losses[-1]
+        epoch_sums.append(total)
+        if (end_epoch is not None and end_epoch(epoch, total)) or (max_steps is not None and len(step_losses) == first):
+            break
+    return step_losses, epoch_sums
 
 
 # ---------------------------------------------------------------------------

@@ -299,21 +299,13 @@ def fit(
     model: Model | None = None,
     epoch_callback=None,
 ) -> tuple[Model, History]:
-    """Pre-train a model. Deterministic for a fixed seed and inputs.
-
-    The run lasts settings.epochs epochs, unless max_steps is given: then it
-    takes exactly max_steps optimizer steps, cycling through as many epochs as
-    that needs (fewer or more than settings.epochs), and the learning rate
-    decays linearly to zero over those max_steps. A run with max_steps also
-    ends, with fewer steps, after an epoch in which no table had anything
-    masked and so no step was taken; a corpus with nothing to predict would
-    otherwise loop forever. An epoch_callback that returns True ends the run
-    after that epoch. A step whose loss or gradient norm is not finite raises
-    NonFiniteLoss, naming the step and the batch's tables, before the
-    optimizer moves any parameter.
+    """Pre-train a model through `numeric.train`, which documents max_steps
+    and the NonFiniteLoss stop. Deterministic for a fixed seed and inputs. An
+    epoch_callback that returns True ends the run after that epoch.
 
     Each step draws the masks of its batch table by table, in batch order,
-    then takes one `table_loss` over the whole batch: one packed graph.
+    then takes one `table_loss` over the whole batch: one packed graph. A
+    batch in which no table has anything masked takes no step.
     Two things per table are built once per fit, as no step changes them:
     its visibility matrix (masking changes only ids and mentions, never the
     kinds, rows and columns it is built from) and its `candidate_pool`.
@@ -326,71 +318,47 @@ def fit(
     ent_sets = [t.entity_ids() for t in tables]
     pools = [candidate_pool(e, cooccur) for e in ent_sets]
     visibility = [build_visibility(s) for s in seqs] if settings.use_visibility else [None] * len(seqs)
-
-    n_batches = max(1, (len(seqs) + settings.batch_size - 1) // settings.batch_size)
-    total_steps = settings.epochs * n_batches if max_steps is None else max_steps
-    opt = nm.Adam(model.params(), lr0=settings.lr0, total_steps=total_steps)
     history = History()
+    ep_stats = TableLossStats()
 
-    step = 0
-    epoch = 0
-    while (epoch < settings.epochs) if max_steps is None else (step < max_steps):
-        epoch_start_step = step
-        order = rng.permutation(len(seqs))
-        ep_loss = 0.0
-        ep_stats = TableLossStats()
-        for b in range(0, len(order), settings.batch_size):
-            if max_steps is not None and step >= max_steps:
-                break
-            batch = []
-            for idx in order[b : b + settings.batch_size]:
-                seq0 = seqs[idx]
-                tok_plan = sample_token_mask(rng, seq0, settings.mlm_ratio, encoder_cfg.n_tokens)
-                cell_plan = sample_cell_mask(rng, seq0, settings.mer_ratio, encoder_cfg.n_entities)
-                if not len(tok_plan.indices) and not len(cell_plan.indices):
-                    continue
-                corrupted = apply_masks(seq0, tok_plan, cell_plan, rng, encoder_cfg.n_entities)
-                cands = build_candidates(
-                    ent_sets[idx], cell_plan.targets, cooccur, encoder_cfg.n_entities, settings.candidate_cap, rng,
-                    pool=pools[idx],
-                )
-                batch.append(MaskedTable(corrupted, tok_plan, cell_plan, cands, visibility[idx]))
-            if not batch:
+    def batch_loss(indices):
+        batch = []
+        for idx in indices:
+            seq0 = seqs[idx]
+            tok_plan = sample_token_mask(rng, seq0, settings.mlm_ratio, encoder_cfg.n_tokens)
+            cell_plan = sample_cell_mask(rng, seq0, settings.mer_ratio, encoder_cfg.n_entities)
+            if not len(tok_plan.indices) and not len(cell_plan.indices):
                 continue
-            opt.zero_grad()
-            total, stats = table_loss(model, batch, settings.use_visibility)
-            ep_stats.add(stats)
-            tables = ", ".join(m.seq.table_id for m in batch)
-            step_loss = nm.descend(total, opt, f"at step {step} (epoch {epoch}), tables {tables}")
-            step += 1
-            ep_loss += step_loss
-            history.step_losses.append(step_loss)
-        n_pred = ep_stats.n_tokens + ep_stats.n_cells
+            corrupted = apply_masks(seq0, tok_plan, cell_plan, rng, encoder_cfg.n_entities)
+            cands = build_candidates(
+                ent_sets[idx], cell_plan.targets, cooccur, encoder_cfg.n_entities, settings.candidate_cap, rng,
+                pool=pools[idx],
+            )
+            batch.append(MaskedTable(corrupted, tok_plan, cell_plan, cands, visibility[idx]))
+        if not batch:
+            return None
+        total, stats = table_loss(model, batch, settings.use_visibility)
+        ep_stats.add(stats)
+        return total, [m.seq.table_id for m in batch]
+
+    def end_epoch(epoch, loss_sum):
+        nonlocal ep_stats
+        s, ep_stats = ep_stats, TableLossStats()
         record = {
             "epoch": epoch,
-            "loss": ep_loss / max(1, n_pred),
-            "mlm_loss": ep_stats.mlm_loss / max(1, ep_stats.n_tokens),
-            "mer_loss": ep_stats.mer_loss / max(1, ep_stats.n_cells),
-            "mlm_acc": ep_stats.token_correct / max(1, ep_stats.n_tokens),
-            "mer_acc": ep_stats.cell_correct / max(1, ep_stats.n_cells),
-            "oep_acc": None,
+            "loss": loss_sum / max(1, s.n_tokens + s.n_cells),
+            "mlm_loss": s.mlm_loss / max(1, s.n_tokens),
+            "mer_loss": s.mer_loss / max(1, s.n_cells),
+            "mlm_acc": s.token_correct / max(1, s.n_tokens),
+            "mer_acc": s.cell_correct / max(1, s.n_cells),
         }
-        if valid_tables is not None:
-            record["oep_acc"] = masked_recovery_accuracy(
-                model,
-                valid_tables,
-                cooccur,
-                cap=settings.candidate_cap,
-                seed=settings.seed,
-                use_visibility=settings.use_visibility,
-                only_objects=True,
-            )
+        record["oep_acc"] = None if valid_tables is None else masked_recovery_accuracy(
+            model, valid_tables, cooccur, settings.candidate_cap, settings.seed, settings.use_visibility, only_objects=True
+        )
         history.epochs.append(record)
-        epoch += 1
-        if epoch_callback is not None and epoch_callback(record):
-            break
-        if step == epoch_start_step and max_steps is not None:
-            break
+        return epoch_callback is not None and epoch_callback(record)
+
+    history.step_losses = nm.train(model.params(), settings, len(seqs), rng, batch_loss, end_epoch, max_steps)[0]
     return model, history
 
 

@@ -67,8 +67,6 @@ class Config:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         for name in ("lr0", "finetune_lr0", "el_reweight_alpha"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
@@ -88,10 +86,13 @@ class Config:
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not (0.0 <= self.re_vote_threshold <= 1.0):
             raise ConfigError("re_vote_threshold must lie in [0, 1]")
-        if self.seed_cells < 0:
-            raise ConfigError("seed_cells must be non-negative")
+        for name in ("seed", "seed_cells"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     def as_text(self) -> str:
         lines = []

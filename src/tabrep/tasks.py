@@ -616,27 +616,16 @@ def _encode_distinct(spec: TaskSpec, batch: list, use_visibility: bool) -> tuple
 
 def finetune(instances, spec: TaskSpec, params, settings: FinetuneSettings) -> list[float]:
     """Shuffle, batch, encode each batch as one graph, take the batch's loss,
-    step. Returns epoch losses: summed loss over the number of instances.
+    step (`numeric.train`). Returns epoch losses: summed loss over the number
+    of instances."""
 
-    A batch whose loss or gradient norm is not finite raises NonFiniteLoss,
-    naming the step, the epoch and the batch's tables, before the optimizer
-    moves any parameter.
-    """
-    rng = np.random.default_rng(settings.seed)
-    n_batches = max(1, (len(instances) + settings.batch_size - 1) // settings.batch_size)
-    opt = nm.Adam(params, lr0=settings.lr0, total_steps=settings.epochs * n_batches)
-    epoch_losses = []
-    for epoch in range(settings.epochs):
-        order = rng.permutation(len(instances))
-        total = 0.0
-        for b in range(0, len(order), settings.batch_size):
-            batch = [instances[int(i)] for i in order[b : b + settings.batch_size]]
-            opt.zero_grad()
-            parts, tables = _encode_distinct(spec, batch, settings.use_visibility)
-            where = f"at step {opt.steps_done} (epoch {epoch}), tables {', '.join(tables)}"
-            total += nm.descend(spec.loss(batch, parts), opt, where)
-        epoch_losses.append(total / max(1, len(instances)))
-    return epoch_losses
+    def batch_loss(indices):
+        batch = [instances[int(i)] for i in indices]
+        parts, tables = _encode_distinct(spec, batch, settings.use_visibility)
+        return spec.loss(batch, parts), tables
+
+    _, sums = nm.train(params, settings, len(instances), np.random.default_rng(settings.seed), batch_loss)
+    return [total / max(1, len(instances)) for total in sums]
 
 
 def forward(instances, spec: TaskSpec, use_visibility: bool = True) -> list[np.ndarray]:

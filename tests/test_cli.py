@@ -240,6 +240,34 @@ def test_bad_meta_json_exits_one_with_an_error_line(pipeline, tmp_path, monkeypa
     assert err.startswith("error: ") and "meta.json" in err
 
 
+@pytest.mark.parametrize("case", ["config", "checkpoint", "seed_flag", "seed_env", "preprocess_seed"])
+def test_zero_heads_or_a_negative_seed_exit_one_with_an_error_line(pipeline, tmp_path, monkeypatch, capsys, case):
+    data, out, cfg = str(pipeline["data"]), str(tmp_path / "out"), str(pipeline["cfg"])
+    zero_heads = tmp_path / "zero_heads.cfg"
+    zero_heads.write_text(TINY_CFG.replace("n_heads = 2", "n_heads = 0"))
+    arrays, cfg_text, step, extra = load_checkpoint(pipeline["runs"] / "checkpoint.bin")
+    assert "n_heads = 2" in cfg_text
+    ckpt = tmp_path / "zero_heads.bin"
+    save_checkpoint(ckpt, arrays, cfg_text.replace("n_heads = 2", "n_heads = 0"), step=step, extra=extra)
+    monkeypatch.delenv("TABREP_SEED", raising=False)
+    if case == "seed_env":
+        monkeypatch.setenv("TABREP_SEED", "-3")
+    argv = {
+        "config": ["pretrain", "--data", data, "--out", out, "--config", str(zero_heads)],
+        "checkpoint": ["evaluate", "--task", "fill", "--checkpoint", str(ckpt), "--data", data, "--out", out],
+        "seed_flag": ["pretrain", "--data", data, "--out", out, "--config", cfg, "--seed", "-1"],
+        "seed_env": ["pretrain", "--data", data, "--out", out, "--config", cfg],
+        "preprocess_seed": ["preprocess", "--corpus", str(pipeline["corpus"] / "raw.jsonl"), "--out", out, "--seed", "-5"],
+    }[case]
+    monkeypatch.setattr(sys, "argv", ["tabrep", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("n_heads must be positive" in err or "seed must be non-negative" in err)
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("grid", ["abc", "1.5,-2", "0.2,nan"])
 def test_ablate_rejects_a_bad_mer_grid_before_any_run(pipeline, tmp_path, monkeypatch, grid):
     def no_fit(*args, **kwargs):

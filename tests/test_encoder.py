@@ -45,6 +45,11 @@ def test_config_validation():
     assert tiny_cfg().d_head == 4
 
 
+def test_config_validation_checks_heads_before_dividing_by_them():
+    with pytest.raises(ConfigError, match="positive"):
+        tiny_cfg(n_heads=0).validate()
+
+
 def test_embedding_shape_and_dtype(model):
     rng = np.random.default_rng(1)
     seq = seq_of(rng, model, with_topic=True)

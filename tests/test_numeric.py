@@ -1,12 +1,14 @@
 """Autodiff engine: gradients against finite differences, exact loss algebra."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from tabrep import kernels
 from tabrep import numeric as nm
 from tabrep.encoder import load_tensors
-from tabrep.errors import ShapeMismatch, UnknownId
+from tabrep.errors import ConfigError, NonFiniteLoss, ShapeMismatch, UnknownId
 
 
 def t(arr, grad=True, name=None):
@@ -421,7 +423,7 @@ def test_mixed_dtype_rejected():
 # -- no-grad mode -----------------------------------------------------------------
 
 # the names in numeric.__all__ that are not ops
-_NOT_OPS = {"Tensor", "no_grad", "Adam", "linear_lr", "grad_norm", "descend", "grad_check"}
+_NOT_OPS = {"Tensor", "no_grad", "Adam", "linear_lr", "grad_norm", "descend", "train", "grad_check"}
 
 
 def _op_calls():
@@ -646,3 +648,125 @@ def test_grad_check_flags_wrong_gradient():
         return out
 
     assert nm.grad_check(loss, [x]) > 0.1
+
+
+# -- the training loop ------------------------------------------------------------
+
+
+def _quadratic(w, ys):
+    """sum_i ||w - ys[i]||^2 as one node: a toy loss with no encoder."""
+    r = w.data - ys
+    out = nm.Tensor(np.asarray((r * r).sum()))
+
+    def backward(dout):
+        w.grad = 2.0 * dout * r.sum(axis=0)
+
+    out._parents = (w,)
+    out._backward = backward
+    return out
+
+
+def _toy(n_items=5, epochs=3, batch_size=2, seed=0):
+    """A parameter, the settings train reads, and a batch loss pulling the
+    parameter toward each item's target."""
+    w = t(np.zeros(3))
+    ys = np.random.default_rng(seed).normal(size=(n_items, 3))
+    settings = SimpleNamespace(lr0=0.1, epochs=epochs, batch_size=batch_size)
+
+    def batch_loss(idx):
+        assert w.grad is None  # the last step's gradient is freed before the next graph
+        return _quadratic(w, ys[idx]), [f"i{i}" for i in idx]
+
+    return w, settings, batch_loss
+
+
+def test_train_sums_each_epoch_left_to_right():
+    w, settings, batch_loss = _toy()
+    step_losses, epoch_sums = nm.train([w], settings, 5, np.random.default_rng(1), batch_loss)
+    assert len(step_losses) == 9 and len(epoch_sums) == 3  # 3 batches of 2, 2 and 1 items
+    for e, total in enumerate(epoch_sums):
+        expect = 0.0
+        for loss in step_losses[3 * e : 3 * e + 3]:
+            expect += loss
+        assert total.hex() == expect.hex()
+    assert epoch_sums[-1] < epoch_sums[0]
+
+
+def test_train_skips_a_none_batch_without_counting_a_step():
+    w, settings, batch_loss = _toy(n_items=4, batch_size=1)
+    calls = []
+
+    def every_other(idx):
+        calls.append(idx)
+        return None if len(calls) % 2 else batch_loss(idx)
+
+    step_losses, epoch_sums = nm.train([w], settings, 4, np.random.default_rng(1), every_other)
+    assert len(calls) == 12 and len(step_losses) == 6 and len(epoch_sums) == 3
+
+    def poisoned(idx):
+        out = every_other(idx)
+        return (_quadratic(w, np.full((1, 3), np.nan)), ["bad"]) if len(calls) == 4 else out
+
+    calls.clear()
+    # the fourth batch is the second to take a step
+    with pytest.raises(NonFiniteLoss, match=r"loss is nan at step 1 \(epoch 0\), tables bad"):
+        nm.train([w], settings, 4, np.random.default_rng(1), poisoned)
+
+
+def test_train_max_steps_is_an_exact_budget_across_epochs(monkeypatch):
+    w, settings, batch_loss = _toy(n_items=4, epochs=2, batch_size=2)
+    opts = []
+    real_adam = nm.Adam
+    monkeypatch.setattr(nm, "Adam", lambda *a, **kw: opts.append(real_adam(*a, **kw)) or opts[-1])
+    step_losses, epoch_sums = nm.train([w], settings, 4, np.random.default_rng(1), batch_loss, max_steps=7)
+    assert len(step_losses) == 7 and len(epoch_sums) == 4
+    assert [(o.total_steps, o.steps_done) for o in opts] == [(7, 7)]
+
+
+def test_train_ends_a_max_steps_run_after_an_epoch_without_a_step():
+    w, settings, batch_loss = _toy(n_items=4, epochs=2, batch_size=2)
+    calls = []
+
+    def dries_up(idx):
+        calls.append(idx)
+        return batch_loss(idx) if len(calls) <= 2 else None
+
+    step_losses, epoch_sums = nm.train([w], settings, 4, np.random.default_rng(1), dries_up, max_steps=10)
+    assert len(step_losses) == 2 and len(epoch_sums) == 2 and epoch_sums[1] == 0.0
+    # without max_steps an epoch without a step does not end the run
+    _, epoch_sums = nm.train([w], settings, 4, np.random.default_rng(1), lambda idx: None)
+    assert epoch_sums == [0.0, 0.0]
+
+
+def test_train_end_epoch_sees_every_epoch_and_may_end_the_run():
+    w, settings, batch_loss = _toy(n_items=4, epochs=5, batch_size=2)
+    seen = []
+
+    def record(epoch, total, last=None):
+        seen.append((epoch, total))
+        return epoch == last
+
+    _, epoch_sums = nm.train([w], settings, 4, np.random.default_rng(1), batch_loss, lambda e, s: record(e, s, 1))
+    assert seen == list(enumerate(epoch_sums)) and len(seen) == 2
+    # a max_steps run cut short inside its last epoch still reports that epoch
+    seen.clear()
+    step_losses, epoch_sums = nm.train([w], settings, 4, np.random.default_rng(1), batch_loss, record, max_steps=3)
+    assert len(step_losses) == 3 and seen == [(0, epoch_sums[0]), (1, epoch_sums[1])]
+    assert epoch_sums[1] == step_losses[2]
+
+
+def test_train_draws_one_permutation_per_epoch():
+    w, settings, batch_loss = _toy(n_items=5, epochs=3, batch_size=2)
+    seen = []
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    nm.train([w], settings, 5, rng, lambda idx: seen.append(idx) or batch_loss(idx))
+    assert np.concatenate(seen).tolist() == np.concatenate([ref.permutation(5) for _ in range(3)]).tolist()
+    assert rng.random() == ref.random()  # nothing else was drawn
+
+
+@pytest.mark.parametrize("batch_size", [0, -2])
+def test_train_rejects_a_batch_size_below_one_before_building_adam(monkeypatch, batch_size):
+    w, settings, batch_loss = _toy(batch_size=batch_size)
+    monkeypatch.setattr(nm, "Adam", lambda *a, **kw: pytest.fail("Adam was built"))
+    with pytest.raises(ConfigError, match="batch_size must be at least 1"):
+        nm.train([w], settings, 5, np.random.default_rng(1), batch_loss)

@@ -8,7 +8,7 @@ from tabrep import pretrain
 from tabrep.corpus import MASK_ID, build_vocabs, index_table, parse_raw, pretrain_ok, process_table
 from tabrep.encoder import EncoderConfig, encode, encode_batch, init_model
 from tabrep.encoding import CELL, TOPIC, linearize, mask_cell
-from tabrep.errors import NonFiniteLoss, UnknownId
+from tabrep.errors import ConfigError, NonFiniteLoss, UnknownId
 from tabrep.pretrain import (
     KEEP,
     MASK_BOTH,
@@ -419,6 +419,16 @@ def test_fit_max_steps_ends_when_an_epoch_takes_no_step():
     _, history = small_fit(epochs=2, max_steps=5, mlm_ratio=0.0, mer_ratio=0.0)
     assert history.step_losses == []
     assert len(history.epochs) == 1
+
+
+@pytest.mark.parametrize("batch_size", [0, -2])
+def test_fit_rejects_a_batch_size_below_one(batch_size):
+    # 0 used to divide by zero; a negative size took no step and logged zero losses
+    rng = np.random.default_rng(100)
+    tables = [make_indexed_table(rng, 3, 2, n_tokens=30, n_entities=20, table_id=f"t{i}") for i in range(3)]
+    settings = TrainSettings(lr0=1e-3, epochs=2, batch_size=batch_size, candidate_cap=16)
+    with pytest.raises(ConfigError, match="batch_size"):
+        fit(tables, SMALL_CFG, settings, cooccur={})
 
 
 def test_fit_builds_each_visibility_once_and_encodes_with_it(monkeypatch):

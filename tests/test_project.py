@@ -1,4 +1,4 @@
-"""Project-wide checks: the metadata in pyproject.toml and the package's one write path."""
+"""Project-wide checks: the metadata in pyproject.toml, the package's one write path and its one training loop."""
 
 import ast
 import importlib
@@ -35,4 +35,18 @@ def test_only_corpus_opens_files_for_writing():
     # every file is written through corpus.write_file: temp file, then rename
     assert list(write_opens(PACKAGE / "corpus.py"))
     others = {p.name: list(write_opens(p)) for p in sorted(PACKAGE.glob("*.py")) if p.name != "corpus.py"}
+    assert {name: lines for name, lines in others.items() if lines} == {}
+
+
+def optimizer_calls(path):
+    """Line numbers of the calls to `Adam` or `descend`, by name or as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("Adam", "descend"):
+            yield node.lineno
+
+
+def test_only_numeric_builds_an_optimizer_or_steps_it():
+    # `numeric.train` is the one training loop; a second copy would build its own Adam
+    assert list(optimizer_calls(PACKAGE / "numeric.py"))
+    others = {p.name: list(optimizer_calls(p)) for p in sorted(PACKAGE.glob("*.py")) if p.name != "numeric.py"}
     assert {name: lines for name, lines in others.items() if lines} == {}

@@ -65,6 +65,13 @@ def test_parse_config_rejects(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text, name", [("n_heads = 0", "n_heads"), ("n_heads = -4", "n_heads"), ("seed = -5", "seed")])
+def test_parse_config_rejects_zero_heads_and_a_negative_seed(text, name):
+    # checked before d_model % n_heads divides or numpy seeds a generator
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        parse_config(text)
+
+
 def test_bool_spellings():
     assert parse_config("use_visibility = YES\n").use_visibility is True
     assert parse_config("use_visibility = 0\n").use_visibility is False

@@ -546,6 +546,18 @@ def test_finetune_stops_on_a_non_finite_loss(corpus, tiny_model):
     assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before))
 
 
+@pytest.mark.parametrize("batch_size", [0, -2])
+def test_finetune_rejects_a_batch_size_below_one(corpus, tiny_model, batch_size):
+    # 0 used to divide by zero; a negative size trained nothing and returned zero losses
+    packs, _, ev = corpus
+    inst, types = build_column_type_data(packs, ev, toy_side())
+    model = init_model(tiny_model.cfg, np.random.default_rng(3))
+    head = ColumnTypeHead(8, len(types), np.random.default_rng(5))
+    settings = FinetuneSettings(lr0=1e-2, epochs=2, batch_size=batch_size, seed=1)
+    with pytest.raises(ConfigError, match="batch_size"):
+        train_column_types(model, head, packs, inst, settings, len(types))
+
+
 def test_finetune_stops_on_a_non_finite_gradient(corpus, tiny_model, monkeypatch):
     # the loss stays finite; one gradient entry is not
     packs, _, ev = corpus
