@@ -42,7 +42,7 @@ from .corpus import (
     write_jsonl,
 )
 from .encoder import EncoderConfig, Model, init_model, load_tensors
-from .encoding import build_visibility, linearize
+from .encoding import linearize
 from .errors import ConfigError, TabrepError
 from .pretrain import TrainSettings, fit, masked_recovery_accuracy
 from .store import Config, load_checkpoint, load_config, parse_config, save_checkpoint
@@ -152,12 +152,32 @@ def restore_model(path: str) -> tuple[Model, Config, dict, dict]:
     sizes = (extra.get("n_tokens"), extra.get("n_entities"))
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
         raise ConfigError(f"{path}: checkpoint lacks integer vocabulary sizes")
-    if "word_emb" not in arrays:
-        raise ConfigError(f"{path}: checkpoint is missing tensor 'word_emb'")
     ecfg = encoder_config(cfg, *sizes)
+    _check_sizes(path, ecfg, arrays)
     model = init_model(ecfg, np.random.default_rng(0), dtype=arrays["word_emb"].dtype)
     model.load_arrays({k: v for k, v in arrays.items() if not k.startswith("head.")})
     return model, cfg, arrays, extra
+
+
+def _check_sizes(path: str, ecfg: EncoderConfig, arrays: dict) -> None:
+    """Raise ConfigError unless the arrays have every size the checkpoint's
+    config and vocabulary sizes claim, before a model of those sizes is
+    allocated."""
+    d = ecfg.d_model
+    want = {
+        "word_emb": (ecfg.n_tokens, d),
+        "pos_emb": (ecfg.max_len, d),
+        "ent_emb": (ecfg.n_entities, d),
+        "block0.ffn_W1": (d, ecfg.d_intermediate),
+    }
+    for name, shape in want.items():
+        if name not in arrays:
+            raise ConfigError(f"{path}: checkpoint is missing tensor {name!r}")
+        if arrays[name].shape != shape:
+            raise ConfigError(f"{path}: tensor {name!r} has shape {arrays[name].shape}, its sizes give {shape}")
+    n_blocks = len({name.split(".")[0] for name in arrays if name.startswith("block")})
+    if n_blocks != ecfg.n_blocks:
+        raise ConfigError(f"{path}: the tensors hold {n_blocks} encoder block(s); the config says {ecfg.n_blocks}")
 
 
 def _head_tensors(head) -> dict:
@@ -230,7 +250,7 @@ def cmd_preprocess(args) -> int:
             raise ConfigError(f"table {wanted!r} not present in any split")
         it = index_table(all_tables[wanted], token_vocab, entity_vocab)
         seq = linearize(it, cfg.max_len)
-        vis = build_visibility(seq)
+        vis = seq.visibility()
         dump = {
             "table_id": wanted,
             "elements": [

@@ -68,7 +68,7 @@ import numpy as np
 from . import kernels
 from . import numeric as nm
 from .corpus import ENTITY_RESERVED, UNK_ID
-from .encoding import N_ENTITY_TYPES, N_TOKEN_TYPES, Sequence, build_visibility
+from .encoding import N_ENTITY_TYPES, N_TOKEN_TYPES, Sequence
 from .errors import ConfigError, UnknownId
 
 __all__ = [
@@ -104,10 +104,6 @@ class EncoderConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.n_heads}")
         if self.n_tokens <= 0 or self.n_entities <= 0:
             raise ConfigError("vocabulary sizes must be set before building a model")
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
 
 
 @dataclass
@@ -298,7 +294,7 @@ def _pack(seqs: list[Sequence]) -> Sequence:
     return Sequence("+".join(s.table_id for s in seqs), *fields, [m for s in seqs for m in s.mentions])
 
 
-def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool, masks=None, rows=None):
+def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool, rows=None):
     """The packed input of every block, then the output of the last one (at
     `rows` only, when given), and each table's mask (None on the reference
     path)."""
@@ -310,7 +306,7 @@ def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, ref
     if reference:
         masks = None
     elif use_visibility:
-        masks = [build_visibility(s) if m is None else m for s, m in zip(seqs, masks or [None] * len(seqs))]
+        masks = [s.visibility() for s in seqs]
     else:
         masks = [np.ones((n, n), dtype=bool) for n in lens]
     last = model.cfg.n_blocks - 1
@@ -324,7 +320,6 @@ def encode_batch(
     model: Model,
     use_visibility: bool = True,
     reference: bool = False,
-    masks: list[np.ndarray | None] | None = None,
     rows: np.ndarray | None = None,
 ) -> nm.Tensor:
     """Run the full encoder over a batch of tables as one packed graph.
@@ -336,14 +331,14 @@ def encode_batch(
     then runs only at those rows, and they are the same bits as the full
     result's (see the module docstring). Rows unsorted, repeated or out of
     range raise ShapeMismatch.
-    Under use_visibility each table attends through `build_visibility` of its
-    sequence; masks[i], when given and not None, is that matrix built
-    beforehand. use_visibility=False substitutes an all-ones matrix per table
+    Under use_visibility each table attends through its sequence's
+    `visibility()`, built once per sequence and shared by its clones.
+    use_visibility=False substitutes an all-ones matrix per table
     (structure ablation) but keeps the masked attention code path.
     reference=True instead runs the plain softmax path with no mask argument
     at all; it exists so tests can compare the two implementations.
     """
-    return _encode_states(seqs, model, use_visibility, reference, masks, rows)[0][-1]
+    return _encode_states(seqs, model, use_visibility, reference, rows)[0][-1]
 
 
 def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:

@@ -10,6 +10,11 @@ field (kind, id, segment id, position, row, column) with one slot per
 element, plus one mention token-id array per element. Tokens and entities
 share the `ids` array; `kinds` tells them apart.
 
+Masking writes only `ids` and `mentions`, so `linearize` marks the other
+five arrays read-only, and a sequence owns its visibility matrix: built on
+first use (`Sequence.visibility`), kept, and shared with every clone, which
+shares the five arrays too.
+
 Visibility pins which elements may attend to each other:
   - caption tokens and the topic entity see everything and are seen by all;
   - header tokens all see each other;
@@ -21,7 +26,7 @@ Everything else is invisible. The matrix is symmetric by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -74,6 +79,7 @@ class Sequence:
     rows: np.ndarray
     cols: np.ndarray
     mentions: list[np.ndarray]
+    _vis: list = field(default_factory=list, repr=False, compare=False)  # [visibility matrix] once built
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -93,18 +99,20 @@ class Sequence:
     def cell_indices(self) -> np.ndarray:
         return np.flatnonzero(self.kinds == CELL)
 
+    def visibility(self) -> np.ndarray:
+        """`build_visibility` of this sequence, built on first use, kept and read-only."""
+        if not self._vis:
+            self._vis.append(build_visibility(self))
+            self._vis[0].flags.writeable = False
+        return self._vis[0]
+
     def clone(self) -> "Sequence":
-        """Copy every array. The mention arrays are shared: mask_cell replaces
-        a mention and never writes into one."""
+        """Copy `ids` and the mention list, which masking writes (mask_cell
+        replaces a mention and never writes into one). Every other array and
+        the visibility matrix, built or not, are shared with this sequence."""
         return Sequence(
-            table_id=self.table_id,
-            kinds=self.kinds.copy(),
-            ids=self.ids.copy(),
-            type_ids=self.type_ids.copy(),
-            positions=self.positions.copy(),
-            rows=self.rows.copy(),
-            cols=self.cols.copy(),
-            mentions=list(self.mentions),
+            self.table_id, self.kinds, self.ids.copy(), self.type_ids, self.positions, self.rows, self.cols,
+            list(self.mentions), self._vis,
         )
 
 
@@ -128,7 +136,7 @@ def linearize(table: IndexedTable, max_len: int = 256) -> Sequence:
     if n_meta + len(order) == 0:
         raise TableTooSmall(f"{table.table_id}: nothing to encode")
 
-    kinds, ids, type_ids, positions, rows, cols = fields = np.empty((6, n_meta + len(order)), dtype=np.int64)
+    kinds, ids, type_ids, positions, rows, cols = np.empty((6, n_meta + len(order)), dtype=np.int64)
     meta, cell = slice(0, n_meta), slice(n_meta, None)
     kinds[meta], type_ids[meta], cols[meta], starts = np.array(seg_fields).repeat(seg_len, axis=0)[meta].T
     positions[meta] = np.arange(n_meta) - starts
@@ -141,7 +149,9 @@ def linearize(table: IndexedTable, max_len: int = 256) -> Sequence:
     topic_mention = [np.asarray(m, dtype=np.int64) for _, m in topic]
     mentions = ([_NO_MENTION] * seg_len[0] + topic_mention + [_NO_MENTION] * (seg_start[-1] - seg_start[2]))[meta]
     mentions += [np.asarray(table.cells[k].mention_ids, dtype=np.int64) for k in order]
-    return Sequence(table.table_id, *fields, mentions)
+    for structure in (kinds, type_ids, positions, rows, cols):
+        structure.flags.writeable = False
+    return Sequence(table.table_id, kinds, ids, type_ids, positions, rows, cols, mentions)
 
 
 def build_visibility(seq: Sequence) -> np.ndarray:

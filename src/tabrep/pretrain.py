@@ -25,7 +25,7 @@ import numpy as np
 from . import numeric as nm
 from .corpus import ENTITY_RESERVED, MASK_ID, TOKEN_RESERVED, IndexedTable
 from .encoder import EncoderConfig, Model, encode, encode_batch, encode_substitutions, init_entity_embeddings, init_model
-from .encoding import Sequence, build_visibility, linearize, mask_cell
+from .encoding import Sequence, linearize, mask_cell
 
 # cell masking actions
 KEEP = 0
@@ -202,7 +202,6 @@ class MaskedTable:
     tokens: TokenMaskPlan
     cells: CellMaskPlan
     candidates: np.ndarray   # sorted candidate entity ids for the masked cells
-    visibility: np.ndarray | None = None  # build_visibility(seq) built beforehand; None builds it when encoding
 
 
 def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> tuple[nm.Tensor | None, TableLossStats]:
@@ -225,9 +224,7 @@ def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> 
     if not len(rows):
         return None, stats
     # the final states at the masked rows only, in packed order
-    h = encode_batch(
-        [m.seq for m in batch], model, use_visibility=use_visibility, masks=[m.visibility for m in batch], rows=rows
-    )
+    h = encode_batch([m.seq for m in batch], model, use_visibility=use_visibility, rows=rows)
     terms = []
     if len(tok_pos):
         targets = np.concatenate([m.tokens.targets for m in batch])
@@ -306,9 +303,9 @@ def fit(
     Each step draws the masks of its batch table by table, in batch order,
     then takes one `table_loss` over the whole batch: one packed graph. A
     batch in which no table has anything masked takes no step.
-    Two things per table are built once per fit, as no step changes them:
-    its visibility matrix (masking changes only ids and mentions, never the
-    kinds, rows and columns it is built from) and its `candidate_pool`.
+    A table's `candidate_pool` is built once per fit, as no step changes it;
+    so is its visibility matrix, which every corrupted clone shares with the
+    table's sequence (see `encoding`).
     """
     rng = np.random.default_rng(settings.seed)
     if model is None:
@@ -317,7 +314,6 @@ def fit(
     seqs = [linearize(t, encoder_cfg.max_len) for t in tables]
     ent_sets = [t.entity_ids() for t in tables]
     pools = [candidate_pool(e, cooccur) for e in ent_sets]
-    visibility = [build_visibility(s) for s in seqs] if settings.use_visibility else [None] * len(seqs)
     history = History()
     ep_stats = TableLossStats()
 
@@ -334,7 +330,7 @@ def fit(
                 ent_sets[idx], cell_plan.targets, cooccur, encoder_cfg.n_entities, settings.candidate_cap, rng,
                 pool=pools[idx],
             )
-            batch.append(MaskedTable(corrupted, tok_plan, cell_plan, cands, visibility[idx]))
+            batch.append(MaskedTable(corrupted, tok_plan, cell_plan, cands))
         if not batch:
             return None
         total, stats = table_loss(model, batch, settings.use_visibility)

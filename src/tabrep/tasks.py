@@ -35,11 +35,12 @@ distinct key once, FORWARD_PACK sequences to a graph, and returns every
 instance's scores; the `eval_*` functions rank and threshold them. The
 scores equal those of encoding and scoring each instance alone within float
 rounding, not bitwise: a product over the batch's rows may round otherwise
-than one over an instance's single row (see `encoder`). Each
-spec builds a sequence's visibility matrix once, and each column's
-positions once. Cell filling reads no sequence of its own: it scores its
-cells the way masked-cell recovery does, from one encoding of each table
-(`pretrain.masked_cell_states`).
+than one over an instance's single row (see `encoder`). A sequence builds
+its visibility matrix once and keeps it across specs and rounds, and a
+linking sequence shares its table's (`encoding.Sequence.visibility`); each
+spec finds each column's positions once. Cell filling reads no sequence of
+its own: it scores its cells the way masked-cell recovery does, from one
+encoding of each table (`pretrain.masked_cell_states`).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .corpus import (
 )
 # `encode` is not called here; the benchmark's tracer tests reach it as tasks.encode
 from .encoder import Model, encode, encode_batch, trunc_normal  # noqa: F401
-from .encoding import CELL, HEADER, Sequence, build_visibility, linearize
+from .encoding import CELL, HEADER, Sequence, linearize
 from .errors import ConfigError, EmptyColumn, TableTooSmall
 from .metrics import (
     candidate_recall,
@@ -578,8 +579,7 @@ class TaskSpec:
     loss(batch, parts) -> the batch's scalar loss (training only).
 
     `parts` holds one (B, d) tensor per part of rows(inst), whose row i is the
-    mean final state of instance i's positions in that part. A spec builds
-    each distinct sequence's visibility matrix once, on first use.
+    mean final state of instance i's positions in that part.
     """
 
     model: Model
@@ -587,7 +587,6 @@ class TaskSpec:
     rows: Callable
     scores: Callable
     loss: Callable
-    visibility: dict = field(default_factory=dict)  # key -> build_visibility of its sequence
 
 
 FORWARD_PACK = 8  # sequences per packed graph in `forward`
@@ -603,13 +602,7 @@ def _encode_distinct(spec: TaskSpec, batch: list, use_visibility: bool) -> tuple
     starts = dict(zip(seqs, np.cumsum([0] + [len(seq) for seq in seqs.values()]).tolist()))
     located = [[starts[key] + pos for pos in spec.rows(inst)] for inst, (key, _) in zip(batch, reads)]
     rows = np.unique(np.concatenate([pos for parts in located for pos in parts]))
-    masks = None
-    if use_visibility:
-        for key, seq in seqs.items():
-            if key not in spec.visibility:
-                spec.visibility[key] = build_visibility(seq)
-        masks = [spec.visibility[key] for key in seqs]
-    h = encode_batch(list(seqs.values()), spec.model, use_visibility=use_visibility, masks=masks, rows=rows)
+    h = encode_batch(list(seqs.values()), spec.model, use_visibility=use_visibility, rows=rows)
     parts = _part_means(h, [[np.searchsorted(rows, pos) for pos in parts] for parts in located])
     return parts, [seq.table_id for seq in seqs.values()]
 

@@ -11,7 +11,7 @@ import pytest
 from tabrep import cli
 from tabrep.cli import finetune_settings, main, resolve_seed, restore_model, run
 from tabrep.errors import ConfigError
-from tabrep.store import Config, load_checkpoint, save_checkpoint
+from tabrep.store import Config, load_checkpoint, parse_config, save_checkpoint
 from tabrep.synth import write_corpus
 
 TINY_CFG = """
@@ -117,14 +117,29 @@ def test_pretrain_outputs(pipeline):
     assert set(history[0]) >= {"epoch", "loss", "mlm_acc", "mer_acc", "oep_acc"}
 
 
-@pytest.mark.parametrize("damage", ["missing_word_emb", "non_integer_n_tokens"])
+HUGE = 10**13  # a size whose model would take hundreds of TiB
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["missing_word_emb", "non_integer_n_tokens", "n_tokens", "n_entities", "max_len", "d_model", "d_intermediate",
+     "n_blocks"],
+)
 def test_restore_model_rejects_wrong_contents(pipeline, tmp_path, damage):
-    # a well-formed, correctly signed checkpoint whose contents do not fit
+    # a well-formed, correctly signed checkpoint whose contents do not fit;
+    # a size the tensors do not hold is rejected before anything is allocated
     arrays, cfg_text, step, extra = load_checkpoint(pipeline["runs"] / "checkpoint.bin")
     if damage == "missing_word_emb":
         del arrays["word_emb"]
-    else:
+    elif damage == "non_integer_n_tokens":
         extra["n_tokens"] = "ten"
+    elif damage in extra:
+        extra[damage] = HUGE
+    else:
+        cfg = parse_config(cfg_text)
+        # d_model must stay divisible by the heads for the config to parse
+        setattr(cfg, damage, HUGE * cfg.n_heads if damage == "d_model" else HUGE)
+        cfg_text = cfg.as_text()
     path = tmp_path / "damaged.bin"
     save_checkpoint(path, arrays, cfg_text, step=step, extra=extra)
     with pytest.raises(ConfigError):

@@ -133,6 +133,23 @@ def test_clone_is_deep_for_mutated_fields():
     assert list(dup.mentions[pos]) == [MASK_ID]
 
 
+@pytest.mark.parametrize("built_first", [True, False])
+def test_clone_shares_the_visibility_matrix_and_structure(built_first):
+    seq = linearize(small_table())
+    if built_first:
+        seq.visibility()
+    dup = seq.clone()
+    mask_cell(dup, int(dup.cell_indices()[0]), mask_entity=True, mask_mention=True)
+    assert dup.visibility() is seq.visibility()
+    np.testing.assert_array_equal(seq.visibility(), build_visibility(seq))
+    for name in ("kinds", "type_ids", "positions", "rows", "cols"):
+        assert getattr(dup, name) is getattr(seq, name)
+    # the arrays the matrix is built from, and the matrix, cannot go stale
+    for arr in (dup.kinds, dup.rows, dup.cols, dup.visibility()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 def test_mask_cell_actions():
     seq = linearize(small_table())
     pos = int(seq.cell_indices()[1])

@@ -432,25 +432,24 @@ def test_fit_rejects_a_batch_size_below_one(batch_size):
 
 
 def test_fit_builds_each_visibility_once_and_encodes_with_it(monkeypatch):
-    from tabrep import encoder, encoding
+    from tabrep import encoding
 
     built = []
+    real = encoding.build_visibility
 
     def counting(seq):
         built.append(seq.table_id)
-        return encoding.build_visibility(seq)
+        return real(seq)
 
-    monkeypatch.setattr(pretrain, "build_visibility", counting)
-    monkeypatch.setattr(encoder, "build_visibility", counting)
+    monkeypatch.setattr(encoding, "build_visibility", counting)
     encoded = []
 
-    def recording(seqs, model, use_visibility=True, reference=False, masks=None, rows=None):
+    def recording(seqs, model, use_visibility=True, reference=False, rows=None):
         # a corrupted clone has its source table's visibility
-        assert len(masks) == len(seqs)
-        for seq, mask in zip(seqs, masks):
-            assert mask.tobytes() == encoding.build_visibility(seq).tobytes()
+        for seq in seqs:
+            assert seq.visibility().tobytes() == real(seq).tobytes()
         encoded.extend(s.table_id for s in seqs)
-        return encode_batch(seqs, model, use_visibility, reference, masks, rows)
+        return encode_batch(seqs, model, use_visibility, reference, rows)
 
     monkeypatch.setattr(pretrain, "encode_batch", recording)
     small_fit(epochs=3)

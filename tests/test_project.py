@@ -1,4 +1,5 @@
-"""Project-wide checks: the metadata in pyproject.toml, the package's one write path and its one training loop."""
+"""Project-wide checks: the metadata in pyproject.toml, the package's one write path, its one training loop and
+the one owner of the visibility matrix."""
 
 import ast
 import importlib
@@ -38,15 +39,26 @@ def test_only_corpus_opens_files_for_writing():
     assert {name: lines for name, lines in others.items() if lines} == {}
 
 
-def optimizer_calls(path):
-    """Line numbers of the calls to `Adam` or `descend`, by name or as an attribute."""
+def calls(path, names):
+    """Line numbers of the calls to any of `names`, by name or as an attribute."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("Adam", "descend"):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in names:
             yield node.lineno
+
+
+def calls_outside(module, names):
+    """Module file name -> lines calling any of `names`, for every package
+    module but `module`, which must call one."""
+    assert list(calls(PACKAGE / module, names))
+    others = {p.name: list(calls(p, names)) for p in sorted(PACKAGE.glob("*.py")) if p.name != module}
+    return {name: lines for name, lines in others.items() if lines}
 
 
 def test_only_numeric_builds_an_optimizer_or_steps_it():
     # `numeric.train` is the one training loop; a second copy would build its own Adam
-    assert list(optimizer_calls(PACKAGE / "numeric.py"))
-    others = {p.name: list(optimizer_calls(p)) for p in sorted(PACKAGE.glob("*.py")) if p.name != "numeric.py"}
-    assert {name: lines for name, lines in others.items() if lines} == {}
+    assert calls_outside("numeric.py", ("Adam", "descend")) == {}
+
+
+def test_only_encoding_builds_a_visibility_matrix():
+    # `Sequence.visibility` is the one cache; a second would call build_visibility itself
+    assert calls_outside("encoding.py", ("build_visibility",)) == {}

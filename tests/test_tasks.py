@@ -27,6 +27,7 @@ from tabrep.tasks import (
     SchemaHead,
     SideData,
     FinetuneSettings,
+    TablePack,
     _ranked,
     build_column_type_data,
     build_fill_data,
@@ -952,18 +953,19 @@ def _probe_suffix(task):
 
 @pytest.mark.parametrize("task", FINETUNED)
 def test_finetune_builds_each_visibility_matrix_once(synth_tasks, monkeypatch, task):
-    import tabrep.encoder as E
-    import tabrep.tasks as T
+    import tabrep.encoding as E
 
-    s = synth_tasks
+    # freshly linearized packs: the fixture's sequences keep the matrices
+    # other tests built
+    packs = [TablePack(p.processed, p.indexed, linearize(p.indexed, 96)) for p in synth_tasks["packs"]]
+    s = {**synth_tasks, "packs": packs}
     built = []
-    real = T.build_visibility
+    real = E.build_visibility
 
     def counting(seq):
         built.append(seq.table_id)
         return real(seq)
 
-    monkeypatch.setattr(T, "build_visibility", counting)
     monkeypatch.setattr(E, "build_visibility", counting)
     _train(task, s, FinetuneSettings(lr0=0.0, epochs=3, batch_size=4, seed=5))
     # one matrix per distinct sequence, over every epoch (and, for row
