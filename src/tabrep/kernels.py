@@ -5,9 +5,20 @@ norm, GELU and Adam. Each kernel follows plain IEEE evaluation order in numpy,
 which the determinism tests rely on.
 
 Masking convention: `mask` is a (n, n) bool array; mask[i, j] False means
-position i must ignore position j (a 0/1 array reads the same way). Masked
-attention weights come out exactly 0.0, not merely small. `attention_fwd` also takes a (m, n) mask of m query
-rows over n key rows.
+position i must ignore position j (a 0/1 array reads the same way).
+`attention_fwd` also takes a (m, n) mask of m query rows over n key rows.
+The mask becomes a 2-D additive bias, 0 where visible and -inf where not,
+in the scores' dtype, broadcast over the heads. Masked attention weights
+come out exactly 0.0, not merely small. Adding 0 leaves every visible score
+as it was, except that -0.0 becomes +0.0, which no exp can tell apart; so for
+finite scores the weights have the bits of the `np.where(mask, scores, -inf)`
+form, and an all-ones mask gives the bits of the plain softmax.
+
+Each softmax makes one new array and works in place on it: subtract the row
+max, exp, divide by the row sum. In-place ufuncs give the same bits as their
+out-of-place forms, the row max is exact in any order, and the row sum is
+`np.add.reduce`, the same pairwise sum as `np.sum`. No kernel writes into
+its inputs.
 """
 
 from __future__ import annotations
@@ -43,40 +54,75 @@ def check_rows(rows, n_rows):
     return rows.astype(np.int64, copy=False)
 
 
+def check_starts(starts, n_rows):
+    # Table starts of a packed batch of n_rows rows: a 1-D integer array
+    # that begins at 0, never decreases and stays <= n_rows (a repeated start
+    # is an empty table), with at least one table when n_rows > 0. Returns
+    # them as int64.
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or not (
+        starts.dtype.kind in "iu" and starts[0] == 0 and starts[-1] <= n_rows and (starts[1:] >= starts[:-1]).all()
+        if len(starts)
+        else n_rows == 0
+    ):
+        raise ShapeMismatch(f"table starts must begin at 0, never decrease and stay <= {n_rows}")
+    return starts.astype(np.int64, copy=False)
+
+
+def _softmax(x, out):
+    # Softmax of x over its last axis into out, which may be x itself:
+    # subtract the row max, exp, divide by the row sum, each in place on out.
+    m = np.maximum.reduce(x.reshape(-1, x.shape[-1]), axis=-1)
+    np.subtract(x, m.reshape(x.shape[:-1] + (1,)), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out
+
+
 def softmax_fwd(scores):
     # scores: (k, n, n). Row-wise stable softmax over the last axis.
-    m = np.max(scores, axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return _softmax(scores, np.empty_like(scores))
 
 
 def masked_softmax_fwd(scores, mask):
-    # Additive -inf masking before the softmax; masked weights are exactly 0.
-    neg = np.array(-np.inf, dtype=scores.dtype)
-    masked = np.where(mask, scores, neg)
-    m = np.max(masked, axis=-1, keepdims=True)
-    e = np.exp(masked - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # Additive 2-D -inf bias before the softmax; masked weights are exactly 0.
+    bias = np.where(mask, scores.dtype.type(0), scores.dtype.type(-np.inf))
+    out = scores + bias
+    return _softmax(out, out)
 
 
-def attention_fwd(q, k, v, mask, n_heads):
+def attention_fwd(q, k, v, mask, n_heads, out=None):
     # q: (m, d) query rows; k, v: (n, d) key rows; mask: (m, n), or None for
     # the plain softmax. Scores scale by 1/sqrt(d / n_heads). Returns the
     # (m, d) context and the per-head views the backward pass reuses:
     # q3 (h, m, dh), k3t (h, dh, n), v3 (h, n, dh) and the weights (h, m, n).
+    # With `out`, a C-contiguous (m, d) array such as a row slice of a
+    # C-ordered array, the context is written there through a per-head view
+    # and `out` is returned; the bits are the same as without it.
     m, d = q.shape
     dh = d // n_heads
     q3 = q.reshape(m, n_heads, dh).transpose(1, 0, 2)
     k3t = k.reshape(len(k), n_heads, dh).transpose(1, 2, 0)
     v3 = v.reshape(len(v), n_heads, dh).transpose(1, 0, 2)
-    scores = (q3 @ k3t) * (1.0 / math.sqrt(dh))
+    scores = q3 @ k3t
+    scores *= 1.0 / math.sqrt(dh)
     probs = softmax_fwd(scores) if mask is None else masked_softmax_fwd(scores, mask)
-    return (probs @ v3).transpose(1, 0, 2).reshape(m, d), (q3, k3t, v3, probs)
+    if out is None:
+        out = np.empty((m, d), dtype=probs.dtype)
+    elif out.shape != (m, d) or not out.flags.c_contiguous:
+        raise ShapeMismatch(f"attention output must be a C-contiguous {(m, d)} array, got {out.shape}")
+    np.matmul(probs, v3, out=out.reshape(m, n_heads, dh).transpose(1, 0, 2))
+    return out, (q3, k3t, v3, probs)
 
 
 def softmax_bwd(probs, dout):
-    inner = np.sum(probs * dout, axis=-1, keepdims=True)
-    return probs * (dout - inner)
+    # probs * (dout - sum(probs * dout)) in one new array; the product is
+    # commutative, so the in-place steps give the same bits.
+    out = probs * dout
+    inner = np.add.reduce(out, axis=-1, keepdims=True)
+    np.subtract(dout, inner, out=out)
+    out *= probs
+    return out
 
 
 def layer_norm_fwd(x, gamma, beta, eps):

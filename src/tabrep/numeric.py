@@ -328,19 +328,26 @@ def table_attention(q, k, v, masks, starts, n_heads, rows=None):
     """Multi-head attention within each table of a packed batch.
 
     k and v are (N, d) rows of B tables stacked end to end; table i owns
-    rows starts[i] up to starts[i + 1] (or N). A row attends only to rows of
-    its own table, scaled by 1/sqrt(d / n_heads). `masks` holds one constant
-    (n_i, n_i) bool visibility matrix per table, shared across the heads, and
-    weights where it is False are exactly zero; masks=None runs the plain softmax.
+    rows starts[i] up to starts[i + 1] (or N). `starts` must be a 1-D
+    integer array that begins at 0, never decreases and stays <= N, with at
+    least one table when N > 0; a repeated start is an empty table. A row
+    attends only to rows of its own table, scaled by 1/sqrt(d / n_heads).
+    `masks` holds one constant (n_i, n_i) bool visibility matrix per table,
+    shared across the heads, and weights where it is False are exactly zero;
+    masks=None runs the plain softmax.
     q holds the query rows: all N rows, or, when `rows` is given, only the
     packed rows rows[0] < rows[1] < ... of [0, N), one q row each; other
     orders, repeats and rows out of range raise ShapeMismatch. Each table
     then attends at its rows among `rows` only, under those rows of its
     mask, and a table with none gets zero key and value gradients.
     Returns the (len(q), d) context rows. One tape node for the whole batch.
+    Each table's context and, in the backward pass, its dq, dk and dv rows
+    are written straight into the packed arrays, with no per-table copies;
+    no operand and no `dout` is written into.
     """
     _same_dtype(q, k, v)
     n_rows, d = k.data.shape
+    starts = kernels.check_starts(starts, n_rows)
     rows = None if rows is None else kernels.check_rows(rows, n_rows)
     n_query = n_rows if rows is None else len(rows)
     if q.data.shape != (n_query, d) or v.data.shape != (n_rows, d) or d % n_heads:
@@ -361,7 +368,8 @@ def table_attention(q, k, v, masks, starts, n_heads, rows=None):
     else:
         q_bounds = list(zip(np.searchsorted(rows, starts), np.searchsorted(rows, [e for _, e in bounds])))
 
-    out = np.empty_like(q.data)
+    # C-ordered, so that each table's row slice is contiguous
+    out = np.empty(q.data.shape, q.data.dtype)
     saved = []
     for i, ((s, e), (qs, qe)) in enumerate(zip(bounds, q_bounds)):
         if qs == qe:
@@ -369,20 +377,26 @@ def table_attention(q, k, v, masks, starts, n_heads, rows=None):
         mask = None if masks is None else masks[i]
         if mask is not None and rows is not None:
             mask = mask[rows[qs:qe] - s]
-        out[qs:qe], heads = kernels.attention_fwd(q.data[qs:qe], k.data[s:e], v.data[s:e], mask, n_heads)
+        _, heads = kernels.attention_fwd(q.data[qs:qe], k.data[s:e], v.data[s:e], mask, n_heads, out[qs:qe])
         saved.append((s, e, qs, qe, *heads))
+
+    def heads_of(x, start, end):
+        # (h, rows, dh) view of rows start..end of a packed (., d) array
+        return x[start:end].reshape(end - start, n_heads, dh).transpose(1, 0, 2)
 
     def backward(dout):
         # a table with no query rows gets zero key and value gradients
-        fill = np.empty_like if len(saved) == len(bounds) else np.zeros_like
-        dq, dk, dv = np.empty_like(q.data), fill(k.data), fill(v.data)
+        fill = np.empty if len(saved) == len(bounds) else np.zeros
+        dq = np.empty(q.data.shape, q.data.dtype)
+        dk, dv = fill(k.data.shape, k.data.dtype), fill(v.data.shape, v.data.dtype)
         for s, e, qs, qe, q3, k3t, v3, probs in saved:
-            dctx = dout[qs:qe].reshape(qe - qs, n_heads, dh).transpose(1, 0, 2)
+            dctx = heads_of(dout, qs, qe)
             # masked positions hold prob 0, so softmax_bwd routes zero gradient there
-            dscores = kernels.softmax_bwd(probs, dctx @ v3.transpose(0, 2, 1)) * c
-            dq[qs:qe] = (dscores @ k3t.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(qe - qs, d)
-            dk[s:e] = (q3.transpose(0, 2, 1) @ dscores).transpose(2, 0, 1).reshape(e - s, d)
-            dv[s:e] = (probs.transpose(0, 2, 1) @ dctx).transpose(1, 0, 2).reshape(e - s, d)
+            dscores = kernels.softmax_bwd(probs, dctx @ v3.transpose(0, 2, 1))
+            dscores *= c
+            np.matmul(dscores, k3t.transpose(0, 2, 1), out=heads_of(dq, qs, qe))
+            np.matmul(q3.transpose(0, 2, 1), dscores, out=heads_of(dk, s, e).transpose(0, 2, 1))
+            np.matmul(probs.transpose(0, 2, 1), dctx, out=heads_of(dv, s, e))
         _accum(q, dq)
         _accum(k, dk)
         _accum(v, dv)

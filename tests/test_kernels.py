@@ -42,6 +42,33 @@ def masked_softmax_oracle(scores, mask):
     return out
 
 
+def softmax_formula_oracle(scores):
+    # the out-of-place form the kernels replaced; the kernels must keep its bits
+    m = np.max(scores, axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def masked_softmax_where_oracle(scores, mask):
+    # -inf substituted by a 3-D np.where, then the out-of-place softmax
+    return softmax_formula_oracle(np.where(mask, scores, np.array(-np.inf, dtype=scores.dtype)))
+
+
+def softmax_bwd_formula_oracle(probs, dout):
+    return probs * (dout - np.sum(probs * dout, axis=-1, keepdims=True))
+
+
+def attention_formula_oracle(q, k, v, mask, n_heads):
+    m, d = q.shape
+    dh = d // n_heads
+    q3 = q.reshape(m, n_heads, dh).transpose(1, 0, 2)
+    k3t = k.reshape(len(k), n_heads, dh).transpose(1, 2, 0)
+    v3 = v.reshape(len(v), n_heads, dh).transpose(1, 0, 2)
+    scores = (q3 @ k3t) * (1.0 / math.sqrt(dh))
+    probs = softmax_formula_oracle(scores) if mask is None else masked_softmax_where_oracle(scores, mask)
+    return (probs @ v3).transpose(1, 0, 2).reshape(m, d)
+
+
 def gelu_oracle(x):
     return np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.ravel()]).reshape(x.shape)
 
@@ -79,6 +106,98 @@ def test_masked_softmax_all_visible_is_bitwise_plain():
         a = kernels.masked_softmax_fwd(scores, mask)
         b = kernels.softmax_fwd(scores)
         assert a.tobytes() == b.tobytes()
+
+
+def signed_zero_scores(rng, dtype, h=3, m=5, n=8):
+    """(h, m, n) scores with +0.0 and -0.0 scattered in, and rows whose
+    largest visible score is exactly +0.0 or -0.0; the matching (m, n) mask
+    has rows that see only themselves."""
+    scores = rng.normal(size=(h, m, n)).astype(dtype)
+    scores[rng.random((h, m, n)) < 0.2] = 0.0
+    scores[rng.random((h, m, n)) < 0.2] = -0.0
+    scores[:, 1] = -np.abs(scores[:, 1])
+    scores[:, 1, 2] = -0.0
+    scores[:, 3] = -np.abs(scores[:, 3])
+    scores[:, 3, 0] = 0.0
+    mask = rng.random((m, n)) < 0.5
+    mask[:, 0] = mask[np.arange(m), np.arange(m)] = True
+    mask[1, 2] = True
+    mask[2] = mask[4] = False
+    mask[2, 2] = mask[4, 4] = True  # rows that see only themselves
+    return scores, mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_softmax_has_the_bits_of_the_where_form(dtype):
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        scores, mask = signed_zero_scores(rng, dtype)
+        assert np.signbit(scores[scores == 0]).any() and not np.signbit(scores[scores == 0]).all()
+        for m in (mask, mask.astype(np.uint8)):
+            got = kernels.masked_softmax_fwd(scores, m)
+            assert got.dtype == dtype
+            assert got.tobytes() == masked_softmax_where_oracle(scores, m).tobytes()
+        assert (got[:, [2, 4]].sum(axis=-1) == 1.0).all()
+    # a non-contiguous view of the scores reads the same
+    wide = rng.normal(size=(3, 8, 5)).astype(dtype)
+    view = wide.transpose(0, 2, 1)
+    assert kernels.masked_softmax_fwd(view, mask).tobytes() == masked_softmax_where_oracle(view, mask).tobytes()
+    assert kernels.softmax_fwd(view).tobytes() == softmax_formula_oracle(view).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_and_its_backward_have_the_bits_of_the_formulas(dtype):
+    rng = np.random.default_rng(22)
+    scores, _ = signed_zero_scores(rng, dtype)
+    probs = kernels.softmax_fwd(scores)
+    assert probs.tobytes() == softmax_formula_oracle(scores).tobytes()
+    dout = rng.normal(size=scores.shape).astype(dtype)
+    dout[:, 0] = 0.0
+    got = kernels.softmax_bwd(probs, dout)
+    assert got.dtype == dtype
+    assert got.tobytes() == softmax_bwd_formula_oracle(probs, dout).tobytes()
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_attention_writes_into_out_with_the_bits_it_returns(masked):
+    rng = np.random.default_rng(23)
+    q = rng.normal(size=(6, 16)).astype(np.float32)
+    k, v = (rng.normal(size=(9, 16)).astype(np.float32) for _ in range(2))
+    q[2] = 0.0
+    k[:, :4] = -0.0
+    mask = None
+    if masked:
+        mask = rng.random((6, 9)) < 0.5
+        mask[:, 0] = True
+    plain, heads = kernels.attention_fwd(q, k, v, mask, 4)
+    assert plain.tobytes() == attention_formula_oracle(q, k, v, mask, 4).tobytes()
+    packed = np.full((10, 16), np.nan, np.float32)
+    got, heads_out = kernels.attention_fwd(q, k, v, mask, 4, out=packed[3:9])
+    assert got.base is packed and got.tobytes() == plain.tobytes()
+    assert np.isnan(packed[:3]).all() and np.isnan(packed[9:]).all()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(heads, heads_out))
+    with pytest.raises(ShapeMismatch):
+        kernels.attention_fwd(q, k, v, mask, 4, out=np.empty((16, 6), np.float32).T)
+    with pytest.raises(ShapeMismatch):
+        kernels.attention_fwd(q, k, v, mask, 4, out=packed[3:8])
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(24)
+    scores, mask = signed_zero_scores(rng, np.float32)
+    dout = rng.normal(size=scores.shape).astype(np.float32)
+    probs = kernels.masked_softmax_fwd(scores, mask)
+    q = rng.normal(size=(5, 12)).astype(np.float32)
+    k, v = (rng.normal(size=(8, 12)).astype(np.float32) for _ in range(2))
+    inputs = (scores, mask, dout, probs, q, k, v)
+    before = [a.tobytes() for a in inputs]
+    kernels.softmax_fwd(scores)
+    kernels.masked_softmax_fwd(scores, mask)
+    kernels.masked_softmax_fwd(scores, mask.astype(np.uint8))
+    kernels.softmax_bwd(probs, dout)
+    kernels.attention_fwd(q, k, v, mask, 3)
+    kernels.attention_fwd(q, k, v, None, 3, out=np.empty((5, 12), np.float32))
+    assert [a.tobytes() for a in inputs] == before
 
 
 def test_gelu_matches_erf_form():

@@ -301,6 +301,82 @@ def test_table_attention_reads_a_bool_mask_and_its_uint8_copy_alike():
     assert bits[0] == bits[1]
 
 
+@pytest.mark.parametrize(
+    "starts",
+    [[1, 3], [0, 4, 2], [0, 7], [], [[0, 2]], np.array([0.0, 2.0])],
+    ids=["not_at_zero", "decreasing", "past_the_end", "no_table", "2d", "float"],
+)
+def test_table_attention_rejects_bad_table_starts(starts):
+    # [1, 3] used to return uninitialized memory at row 0; [0, 4, 2] and
+    # [0, 7] failed inside a numpy reduction
+    rng = np.random.default_rng(16)
+    q, k, v = (t(rng.normal(size=(5, 4))) for _ in range(3))
+    with pytest.raises(ShapeMismatch, match="table starts"):
+        nm.table_attention(q, k, v, None, np.asarray(starts), n_heads=2)
+
+
+def _float32_qkv(rng, n, d):
+    return [nm.Tensor(rng.normal(size=(n, d)).astype(np.float32), requires_grad=True) for _ in range(3)]
+
+
+def _attention_bits(q, k, v, masks, starts, dout):
+    for p in (q, k, v):
+        p.grad = None
+    out = nm.table_attention(q, k, v, masks, starts, n_heads=2)
+    out._backward(dout)
+    return [out.data.tobytes()] + [p.grad.tobytes() for p in (q, k, v)]
+
+
+def test_table_attention_treats_repeated_starts_as_empty_tables():
+    rng = np.random.default_rng(17)
+    q, k, v = _float32_qkv(rng, 5, 4)
+    dout = rng.normal(size=(5, 4)).astype(np.float32)
+    masks = [rng.random((n, n)) < 0.5 for n in (2, 3)]
+    for mask in masks:
+        np.fill_diagonal(mask, True)
+    empty = np.ones((0, 0), bool)
+    want = _attention_bits(q, k, v, masks, np.array([0, 2]), dout)
+    assert _attention_bits(q, k, v, [masks[0], empty, masks[1], empty], np.array([0, 2, 2, 5]), dout) == want
+    plain = _attention_bits(q, k, v, None, np.array([0, 2]), dout)
+    assert _attention_bits(q, k, v, None, np.array([0, 0, 2, 5]), dout) == plain
+    # a batch of no rows holds no tables
+    none = [nm.Tensor(np.zeros((0, 4), np.float32)) for _ in range(3)]
+    assert nm.table_attention(*none, [], np.array([], np.int64), n_heads=2).shape == (0, 4)
+
+
+def test_table_attention_writes_into_none_of_its_inputs():
+    rng = np.random.default_rng(18)
+    q, k, v = _float32_qkv(rng, 9, 8)
+    bias = nm.Tensor(rng.normal(size=(9, 8)).astype(np.float32), requires_grad=True)
+    masks = [rng.random((n, n)) < 0.5 for n in (4, 5)]
+    for mask in masks:
+        np.fill_diagonal(mask, True)
+    before = [x.tobytes() for x in [q.data, k.data, v.data] + masks]
+    ctx = nm.table_attention(q, k, v, masks, np.array([0, 4]), n_heads=2)
+    # `add` hands one dout to both operands: bias.grad is the very array the
+    # attention backward reads
+    nm.cross_entropy_sum(nm.add(ctx, bias), np.arange(9) % 8).backward()
+    assert [x.tobytes() for x in [q.data, k.data, v.data] + masks] == before
+    alone = nm.Tensor(bias.data, requires_grad=True)
+    nm.cross_entropy_sum(nm.add(nm.Tensor(ctx.data), alone), np.arange(9) % 8).backward()
+    assert bias.grad.tobytes() == alone.grad.tobytes()
+
+
+def test_all_ones_masks_equal_plain_attention_bitwise_at_exact_zeros():
+    # zero query rows and zero key columns give scores of +-0.0 and rows
+    # whose max is exactly 0; the masked path must keep the plain path's bits
+    rng = np.random.default_rng(19)
+    q, k, v = _float32_qkv(rng, 10, 8)
+    q.data[[0, 6]] = 0.0
+    q.data[3] = -0.0
+    k.data[:, :4] = -0.0
+    k.data[7] = 0.0
+    dout = rng.normal(size=(10, 8)).astype(np.float32)
+    starts = np.array([0, 3, 4])
+    ones = [np.ones((n, n), bool) for n in (3, 1, 6)]
+    assert _attention_bits(q, k, v, ones, starts, dout) == _attention_bits(q, k, v, None, starts, dout)
+
+
 def test_concat_and_transpose_grads():
     rng = np.random.default_rng(4)
     a = t(rng.normal(size=(2, 3)))

@@ -457,6 +457,40 @@ def test_fit_builds_each_visibility_once_and_encodes_with_it(monkeypatch):
     assert len(encoded) > len(built)
 
 
+def test_a_two_block_fit_step_runs_the_attention_kernels_once_per_table_per_block(monkeypatch):
+    # bench/tracing.py attributes attention time through these two kernel
+    # names. The first block runs every table of the batch, the last only
+    # those it has query rows in (in fit, every batched table has some).
+    from tabrep import kernels
+
+    calls = {"masked_softmax_fwd": 0, "softmax_bwd": 0}
+    for name in calls:
+        real = getattr(kernels, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, counting)
+    batched, queried = [], []
+
+    def recording(seqs, model, use_visibility=True, reference=False, rows=None):
+        ends = np.cumsum([len(s.ids) for s in seqs])
+        batched.append(len(seqs))
+        queried.append(len(np.unique(np.searchsorted(ends, rows, side="right"))))
+        return encode_batch(seqs, model, use_visibility, reference, rows)
+
+    monkeypatch.setattr(pretrain, "encode_batch", recording)
+    rng = np.random.default_rng(101)
+    tables = [make_indexed_table(rng, 3, 2, n_tokens=30, n_entities=20, table_id=f"t{i}") for i in range(6)]
+    cfg = EncoderConfig(n_blocks=2, d_model=8, n_heads=2, d_intermediate=16, max_len=64, n_tokens=30, n_entities=20)
+    settings = TrainSettings(mlm_ratio=0.1, mer_ratio=0.2, lr0=1e-3, epochs=1, batch_size=6, candidate_cap=16, seed=4)
+    _, history = fit(tables, cfg, settings, cooccur={}, max_steps=1)
+    assert len(history.step_losses) == 1 and len(batched) == 1 and 1 < batched[0] < len(tables)
+    per_kernel = batched[0] + queried[0]
+    assert calls == {"masked_softmax_fwd": per_kernel, "softmax_bwd": per_kernel}
+
+
 def test_fit_stops_on_a_non_finite_loss():
     model = init_model(SMALL_CFG, np.random.default_rng(0))
     model["block0.Wq"].data[0, 0] = np.nan
