@@ -67,7 +67,8 @@ def resolve_seed(cli_seed, cfg: Config) -> int:
     return cfg.seed
 
 
-# config keys that shape a checkpoint's tensors; a restored run may not change them
+# config keys that shape a checkpoint's tensors; a restored run may not change
+# them, nor the attention mode the weights were trained in
 ENCODER_SHAPE = ("n_blocks", "d_model", "n_heads", "d_intermediate", "max_len")
 
 
@@ -84,9 +85,9 @@ def _config_from_args(args, base: Config | None = None) -> Config:
         cfg.seed_cells = args.seeds
     cfg.validate()
     if base is not None:
-        changed = [k for k in ENCODER_SHAPE if getattr(cfg, k) != getattr(base, k)]
+        changed = [k for k in (*ENCODER_SHAPE, "use_visibility") if getattr(cfg, k) != getattr(base, k)]
         if changed:
-            raise ConfigError(f"--config changes the checkpoint's encoder shape ({', '.join(changed)})")
+            raise ConfigError(f"--config changes the checkpoint's encoder ({', '.join(changed)})")
     return cfg
 
 
@@ -114,7 +115,6 @@ def finetune_settings(cfg: Config, task: str) -> T.FinetuneSettings:
         epochs=cfg.sa_epochs if task == "schema" else cfg.finetune_epochs,
         batch_size=cfg.batch_size,
         seed=cfg.seed,
-        use_visibility=cfg.use_visibility,
     )
 
 
@@ -156,6 +156,7 @@ def restore_model(path: str) -> tuple[Model, Config, dict, dict]:
     _check_sizes(path, ecfg, arrays)
     model = init_model(ecfg, np.random.default_rng(0), dtype=arrays["word_emb"].dtype)
     model.load_arrays({k: v for k, v in arrays.items() if not k.startswith("head.")})
+    model.use_visibility = cfg.use_visibility
     return model, cfg, arrays, extra
 
 
@@ -409,10 +410,6 @@ def cmd_finetune(args) -> int:
 
 
 def _baseline_report(mode, task, cfg, packs, token_vocab, entity_vocab, side, index) -> dict:
-    if task not in BASELINES:
-        raise ConfigError(f"no baseline defined for task {task!r}")
-    if mode not in BASELINES[task]:
-        raise ConfigError(f"{task} baseline must be {' or '.join(map(repr, BASELINES[task]))}, got {mode!r}")
     # the caption baseline ranks every header of the split, however rare
     labels = T.header_vocabulary(packs, min_tables=1) if task == "schema" else None
     instances, labels = _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, labels)
@@ -428,6 +425,9 @@ def _baseline_report(mode, task, cfg, packs, token_vocab, entity_vocab, side, in
 def cmd_evaluate(args) -> int:
     start = time.perf_counter()
     task = args.task
+    for flag, given in (("--reweight", args.reweight), ("--no-description", args.no_description)):
+        if given and (task != "linking" or args.baseline is not None):
+            raise ConfigError(f"{flag} applies only when a linking model is evaluated")
     model, base, arrays, extra = None, None, {}, {}
     if args.baseline is None:
         if not args.checkpoint:
@@ -435,8 +435,14 @@ def cmd_evaluate(args) -> int:
         model, base, arrays, extra = restore_model(args.checkpoint)
         if task != "fill" and extra.get("task") not in (None, task):
             raise ConfigError(f"checkpoint was fine-tuned for {extra.get('task')!r}, not {task!r}")
+    elif task not in BASELINES:
+        raise ConfigError(f"no baseline defined for task {task!r}")
+    elif args.baseline not in BASELINES[task]:
+        choices = " or ".join(map(repr, BASELINES[task]))
+        raise ConfigError(f"{task} baseline must be {choices}, got {args.baseline!r}")
     cfg = _config_from_args(args, base)
-    need_index = task in ("rowpop", "fill", "schema")
+    # rowpop and fill instances read the train-split index, and so do the fill and caption baselines
+    need_index = task in ("rowpop", "fill") or args.baseline == "caption"
     token_vocab, entity_vocab, side, packs, index = _task_data(args, cfg, args.split, need_index)
 
     if args.baseline is not None:
@@ -449,31 +455,21 @@ def cmd_evaluate(args) -> int:
         head = _task_head(task, model, labels, cfg.seed)
         if head is not None:
             load_tensors(_head_tensors(head), arrays)
-        vis = cfg.use_visibility
         if task == "coltype":
-            body = T.eval_column_types(model, head, packs, instances, use_visibility=vis)
+            body = T.eval_column_types(model, head, packs, instances)
         elif task == "relations":
-            body = T.eval_relations(model, head, packs, instances, use_visibility=vis)
+            body = T.eval_relations(model, head, packs, instances)
         elif task == "linking":
             body = T.eval_linking(
-                model,
-                head,
-                packs,
-                instances,
-                side,
-                token_vocab,
-                TOKENIZER,
-                use_visibility=vis,
-                reweight=args.reweight,
-                alpha=cfg.el_reweight_alpha,
-                use_description=not args.no_description,
+                model, head, packs, instances, side, token_vocab, TOKENIZER,
+                reweight=args.reweight, alpha=cfg.el_reweight_alpha, use_description=not args.no_description,
             )
         elif task == "rowpop":
-            body = T.eval_row_population(model, packs, instances, cfg.max_len, use_visibility=vis)
+            body = T.eval_row_population(model, packs, instances, cfg.max_len)
         elif task == "fill":
-            body = T.eval_cell_filling(model, packs, instances, use_visibility=vis)
+            body = T.eval_cell_filling(model, packs, instances)
         else:
-            body = T.eval_schema(model, head, packs, instances, labels, token_vocab, cfg.max_len, use_visibility=vis)
+            body = T.eval_schema(model, head, packs, instances, labels, token_vocab, cfg.max_len)
 
     report = {
         "task": task,
@@ -509,15 +505,7 @@ def cmd_ablate(args) -> int:
         for ratio in ratios:
             settings = dataclasses.replace(train_settings(cfg), mer_ratio=ratio, use_visibility=use_visibility)
             model, history = fit(train, ecfg, settings, index.cooccur)
-            acc = masked_recovery_accuracy(
-                model,
-                valid,
-                index.cooccur,
-                cap=cfg.candidate_cap,
-                seed=cfg.seed,
-                use_visibility=use_visibility,
-                only_objects=True,
-            )
+            acc = masked_recovery_accuracy(model, valid, index.cooccur, cfg.candidate_cap, cfg.seed, only_objects=True)
             row = {
                 "use_visibility": use_visibility,
                 "mer_ratio": ratio,

@@ -108,8 +108,18 @@ class EncoderConfig:
 
 @dataclass
 class Model:
+    """An encoder's config and weights, and its attention mode.
+
+    use_visibility is part of the architecture: True attends through each
+    table's visibility matrix, False lets every element see every other
+    (the paper's ablation). Every layer above the encoder encodes in the
+    model's own mode; `pretrain.fit` sets it from its settings and
+    `cli.restore_model` from the checkpoint's config.
+    """
+
     cfg: EncoderConfig
     weights: dict[str, nm.Tensor] = field(default_factory=dict)
+    use_visibility: bool = True
 
     def __getitem__(self, name: str) -> nm.Tensor:
         return self.weights[name]

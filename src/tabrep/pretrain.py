@@ -204,7 +204,7 @@ class MaskedTable:
     candidates: np.ndarray   # sorted candidate entity ids for the masked cells
 
 
-def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> tuple[nm.Tensor | None, TableLossStats]:
+def table_loss(model: Model, batch: list[MaskedTable]) -> tuple[nm.Tensor | None, TableLossStats]:
     """Summed recovery loss over a batch of corrupted tables.
 
     The batch is encoded as one packed graph, whose last block runs only at
@@ -224,7 +224,7 @@ def table_loss(model: Model, batch: list[MaskedTable], use_visibility: bool) -> 
     if not len(rows):
         return None, stats
     # the final states at the masked rows only, in packed order
-    h = encode_batch([m.seq for m in batch], model, use_visibility=use_visibility, rows=rows)
+    h = encode_batch([m.seq for m in batch], model, use_visibility=model.use_visibility, rows=rows)
     terms = []
     if len(tok_pos):
         targets = np.concatenate([m.tokens.targets for m in batch])
@@ -302,7 +302,8 @@ def fit(
 
     Each step draws the masks of its batch table by table, in batch order,
     then takes one `table_loss` over the whole batch: one packed graph. A
-    batch in which no table has anything masked takes no step.
+    batch in which no table has anything masked takes no step. The model,
+    new or given, takes settings.use_visibility as its attention mode.
     A table's `candidate_pool` is built once per fit, as no step changes it;
     so is its visibility matrix, which every corrupted clone shares with the
     table's sequence (see `encoding`).
@@ -311,6 +312,7 @@ def fit(
     if model is None:
         model = init_model(encoder_cfg, rng)
         init_entity_embeddings(model, canonical_mentions(tables))
+    model.use_visibility = settings.use_visibility
     seqs = [linearize(t, encoder_cfg.max_len) for t in tables]
     ent_sets = [t.entity_ids() for t in tables]
     pools = [candidate_pool(e, cooccur) for e in ent_sets]
@@ -333,7 +335,7 @@ def fit(
             batch.append(MaskedTable(corrupted, tok_plan, cell_plan, cands))
         if not batch:
             return None
-        total, stats = table_loss(model, batch, settings.use_visibility)
+        total, stats = table_loss(model, batch)
         ep_stats.add(stats)
         return total, [m.seq.table_id for m in batch]
 
@@ -349,7 +351,7 @@ def fit(
             "mer_acc": s.cell_correct / max(1, s.n_cells),
         }
         record["oep_acc"] = None if valid_tables is None else masked_recovery_accuracy(
-            model, valid_tables, cooccur, settings.candidate_cap, settings.seed, settings.use_visibility, only_objects=True
+            model, valid_tables, cooccur, settings.candidate_cap, settings.seed, only_objects=True
         )
         history.epochs.append(record)
         return epoch_callback is not None and epoch_callback(record)
@@ -362,7 +364,7 @@ def fit(
 # masked-recovery evaluation
 
 
-def masked_cell_states(model: Model, seq: Sequence, positions: np.ndarray, use_visibility: bool) -> np.ndarray:
+def masked_cell_states(model: Model, seq: Sequence, positions: np.ndarray) -> np.ndarray:
     """(M, d) final states of the cells at `positions`, each masked alone (its
     entity embedding and mention; the rest of the table stays intact). The
     table is encoded once, with no tape, and `encoder.encode_substitutions`
@@ -372,7 +374,7 @@ def masked_cell_states(model: Model, seq: Sequence, positions: np.ndarray, use_v
     for pos in positions.tolist():
         mask_cell(masked, pos, mask_entity=True, mask_mention=True)
     with nm.no_grad():
-        return encode_substitutions(encode(seq, model, use_visibility), positions, masked, model)
+        return encode_substitutions(encode(seq, model, model.use_visibility), positions, masked, model)
 
 
 def masked_recovery_accuracy(
@@ -381,7 +383,6 @@ def masked_recovery_accuracy(
     cooccur: dict[int, set[int]],
     cap: int,
     seed: int,
-    use_visibility: bool = True,
     only_objects: bool = False,
 ) -> float:
     """Fraction of cells recovered at rank one, masking one cell at a time.
@@ -402,7 +403,7 @@ def masked_recovery_accuracy(
                 continue
             golds = seq.ids[cell_positions]
             cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
-            states = masked_cell_states(model, seq, cell_positions, use_visibility)
+            states = masked_cell_states(model, seq, cell_positions)
             logits = entity_logits(model, nm.Tensor(states), np.arange(len(states)), cands).data
             # ties break toward the smaller entity id; argmax already does
             # that because candidates are sorted ascending

@@ -35,7 +35,9 @@ distinct key once, FORWARD_PACK sequences to a graph, and returns every
 instance's scores; the `eval_*` functions rank and threshold them. The
 scores equal those of encoding and scoring each instance alone within float
 rounding, not bitwise: a product over the batch's rows may round otherwise
-than one over an instance's single row (see `encoder`). A sequence builds
+than one over an instance's single row (see `encoder`). Every encoding
+attends in the model's own mode (`encoder.Model.use_visibility`), the mode
+it was pre-trained in; no task or setting chooses it. A sequence builds
 its visibility matrix once and keeps it across specs and rounds, and a
 linking sequence shares its table's (`encoding.Sequence.visibility`); each
 spec finds each column's positions once. Cell filling reads no sequence of
@@ -563,7 +565,6 @@ class FinetuneSettings:
     epochs: int = 10
     batch_size: int = 8
     seed: int = 13
-    use_visibility: bool = True
 
 
 @dataclass
@@ -592,7 +593,7 @@ class TaskSpec:
 FORWARD_PACK = 8  # sequences per packed graph in `forward`
 
 
-def _encode_distinct(spec: TaskSpec, batch: list, use_visibility: bool) -> tuple[list[nm.Tensor], list[str]]:
+def _encode_distinct(spec: TaskSpec, batch: list) -> tuple[list[nm.Tensor], list[str]]:
     """Encode each distinct sequence a batch of instances reads, once, as one
     packed graph whose last block runs only at the rows the head reads (the
     sorted union of every instance's `spec.rows`). Returns the batch's parts
@@ -602,7 +603,7 @@ def _encode_distinct(spec: TaskSpec, batch: list, use_visibility: bool) -> tuple
     starts = dict(zip(seqs, np.cumsum([0] + [len(seq) for seq in seqs.values()]).tolist()))
     located = [[starts[key] + pos for pos in spec.rows(inst)] for inst, (key, _) in zip(batch, reads)]
     rows = np.unique(np.concatenate([pos for parts in located for pos in parts]))
-    h = encode_batch(list(seqs.values()), spec.model, use_visibility=use_visibility, rows=rows)
+    h = encode_batch(list(seqs.values()), spec.model, use_visibility=spec.model.use_visibility, rows=rows)
     parts = _part_means(h, [[np.searchsorted(rows, pos) for pos in parts] for parts in located])
     return parts, [seq.table_id for seq in seqs.values()]
 
@@ -614,14 +615,14 @@ def finetune(instances, spec: TaskSpec, params, settings: FinetuneSettings) -> l
 
     def batch_loss(indices):
         batch = [instances[int(i)] for i in indices]
-        parts, tables = _encode_distinct(spec, batch, settings.use_visibility)
+        parts, tables = _encode_distinct(spec, batch)
         return spec.loss(batch, parts), tables
 
     _, sums = nm.train(params, settings, len(instances), np.random.default_rng(settings.seed), batch_loss)
     return [total / max(1, len(instances)) for total in sums]
 
 
-def forward(instances, spec: TaskSpec, use_visibility: bool = True) -> list[np.ndarray]:
+def forward(instances, spec: TaskSpec) -> list[np.ndarray]:
     """Each instance's scores, computed with no tape. Every distinct
     sequence is encoded once, FORWARD_PACK sequences to a packed graph."""
     groups: dict = {}
@@ -633,7 +634,7 @@ def forward(instances, spec: TaskSpec, use_visibility: bool = True) -> list[np.n
         for b in range(0, len(keys), FORWARD_PACK):
             idx = [i for key in keys[b : b + FORWARD_PACK] for i in groups[key]]
             batch = [instances[i] for i in idx]
-            for i, scores in zip(idx, spec.scores(batch, _encode_distinct(spec, batch, use_visibility)[0])):
+            for i, scores in zip(idx, spec.scores(batch, _encode_distinct(spec, batch)[0])):
                 out[i] = scores
     return out
 
@@ -674,9 +675,9 @@ def _probe_rows(probes):
     return lambda inst: [np.array([probes[inst][1]])]
 
 
-def _eval_label_sets(instances, spec: TaskSpec, use_visibility: bool) -> dict:
+def _eval_label_sets(instances, spec: TaskSpec) -> dict:
     """Micro P/R/F1 of the labels whose sigmoid clears 0.5."""
-    preds = [{int(i) for i in np.flatnonzero(z > 0.0)} for z in forward(instances, spec, use_visibility)]
+    preds = [{int(i) for i in np.flatnonzero(z > 0.0)} for z in forward(instances, spec)]
     return _report(micro_prf(preds, [inst.golds for inst in instances]).as_dict(), instances)
 
 
@@ -698,8 +699,8 @@ def train_column_types(model, head, packs, instances, settings: FinetuneSettings
     return finetune(instances, _column_type_spec(model, head, packs), model.params() + head.params(), settings)
 
 
-def eval_column_types(model, head, packs, instances, use_visibility=True):
-    return _eval_label_sets(instances, _column_type_spec(model, head, packs), use_visibility)
+def eval_column_types(model, head, packs, instances):
+    return _eval_label_sets(instances, _column_type_spec(model, head, packs))
 
 
 # -- relations ---------------------------------------------------------------
@@ -719,8 +720,8 @@ def train_relations(model, head, packs, instances, settings: FinetuneSettings, n
     return finetune(instances, _relation_spec(model, head, packs), model.params() + head.params(), settings)
 
 
-def eval_relations(model, head, packs, instances, use_visibility=True):
-    return _eval_label_sets(instances, _relation_spec(model, head, packs), use_visibility)
+def eval_relations(model, head, packs, instances):
+    return _eval_label_sets(instances, _relation_spec(model, head, packs))
 
 
 def eval_relations_votes(instances, entity_vocab, side: SideData, relation_list, threshold: float):
@@ -776,10 +777,7 @@ def train_linking(model, head, packs, instances, side, token_vocab, tokenizer, s
     return finetune(instances, spec, model.params() + head.params(), settings)
 
 
-def eval_linking(
-    model, head, packs, instances, side, token_vocab, tokenizer,
-    use_visibility=True, reweight=False, alpha=0.8, use_description=True,
-):
+def eval_linking(model, head, packs, instances, side, token_vocab, tokenizer, reweight=False, alpha=0.8, use_description=True):
     """Pick one candidate per mention; None when the lookup gives nothing.
 
     With reweight=True the model's top choice must beat the lookup's first
@@ -795,7 +793,7 @@ def eval_linking(
         }
     spec = _linking_spec(model, head, packs, scored, lambda lists: nm.Tensor(np.concatenate([mats[tuple(r)] for r in lists])))
     choices = {}
-    for inst, logits in zip(scored, forward(scored, spec, use_visibility)):
+    for inst, logits in zip(scored, forward(scored, spec)):
         z = logits - logits.max()
         probs = np.exp(z) / np.exp(z).sum()
         choice = int(np.argmax(probs))
@@ -856,7 +854,7 @@ def train_row_population(model, packs, instances, settings: FinetuneSettings, ma
     spec = _row_population_spec(model, packs, instances, max_len, offset)
     if instances:
         rate = np.clip(_candidate_labels(instances, model.dtype).mean(), 1e-6, 1.0 - 1e-6)
-        offset.data[0] = np.log(rate / (1.0 - rate)) - np.concatenate(forward(instances, spec, settings.use_visibility)).mean()
+        offset.data[0] = np.log(rate / (1.0 - rate)) - np.concatenate(forward(instances, spec)).mean()
     return finetune(instances, spec, model.params() + [offset], settings)
 
 
@@ -865,8 +863,8 @@ def _ranked(candidates: np.ndarray, scores: np.ndarray) -> list[int]:
     return [int(candidates[i]) for i in order]
 
 
-def eval_row_population(model, packs, instances, max_len: int, use_visibility=True):
-    scores = forward(instances, _row_population_spec(model, packs, instances, max_len), use_visibility)
+def eval_row_population(model, packs, instances, max_len: int):
+    scores = forward(instances, _row_population_spec(model, packs, instances, max_len))
     golds = [inst.golds for inst in instances]
     rankings = [_ranked(inst.candidates, s) for inst, s in zip(instances, scores)]
     cand_sets = [set(int(c) for c in inst.candidates) for inst in instances]
@@ -884,7 +882,7 @@ def _p_at_1_and_map(rankings, golds) -> dict:
     return {"p_at_1": p1, "map": mean_average_precision(rankings, golds)}
 
 
-def eval_cell_filling(model, packs, instances, use_visibility=True):
+def eval_cell_filling(model, packs, instances):
     """No fine-tuning: the pre-trained masked-cell scorer ranks candidates.
     Each table is encoded once for all of its instances' cells."""
     by_pack: dict[int, list[int]] = {}
@@ -896,7 +894,7 @@ def eval_cell_filling(model, packs, instances, use_visibility=True):
             seq = packs[p].seq
             at = cell_positions(seq)
             positions = np.array([at[instances[i].row, instances[i].col] for i in idx])
-            states = nm.Tensor(masked_cell_states(model, seq, positions, use_visibility))
+            states = nm.Tensor(masked_cell_states(model, seq, positions))
             for m, i in enumerate(idx):
                 cands = np.array(sorted(set(instances[i].candidates)), dtype=np.int64)
                 rankings[i] = _ranked(cands, entity_logits(model, states, np.array([m]), cands).data[0])
@@ -930,10 +928,10 @@ def train_schema(model, head, packs, instances, header_list, token_vocab, settin
     return finetune(instances, spec, model.params() + head.params(), settings)
 
 
-def eval_schema(model, head, packs, instances, header_list, token_vocab, max_len: int, use_visibility=True):
+def eval_schema(model, head, packs, instances, header_list, token_vocab, max_len: int):
     spec = _schema_spec(model, head, packs, instances, header_list, token_vocab, max_len)
     rankings = []
-    for inst, scores in zip(instances, forward(instances, spec, use_visibility)):
+    for inst, scores in zip(instances, forward(instances, spec)):
         keep = [i for i, h in enumerate(header_list) if h not in inst.seeds]
         order = sorted(keep, key=lambda i: (-scores[i], header_list[i]))
         rankings.append([header_list[i] for i in order])

@@ -197,7 +197,7 @@ def test_c01_encoder_gradients_match_finite_differences():
         batch.append(MaskedTable(corrupted, tok, cell, cands))
 
     def loss_fn():
-        total, _ = table_loss(model, batch, use_visibility=True)
+        total, _ = table_loss(model, batch)
         return total
 
     err = nm.grad_check(loss_fn, model.params(), eps=1e-5)
@@ -338,8 +338,7 @@ def test_c06_structure_and_mask_ratio_ablations():
             candidate_cap=64, use_visibility=use_visibility, seed=seed,
         )
         model, _ = fit(indexed, cfg, settings, cooccur)
-        return masked_recovery_accuracy(model, indexed, cooccur, cap=64, seed=99,
-                                        use_visibility=use_visibility)
+        return masked_recovery_accuracy(model, indexed, cooccur, cap=64, seed=99)
 
     vis_wins = ratio_wins = 0
     lines = []

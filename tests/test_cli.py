@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tabrep import cli
+from tabrep.baselines import CorpusIndex
 from tabrep.cli import finetune_settings, main, resolve_seed, restore_model, run
 from tabrep.errors import ConfigError
 from tabrep.store import Config, load_checkpoint, parse_config, save_checkpoint
@@ -312,6 +313,83 @@ def test_evaluate_baselines_need_no_checkpoint(pipeline, tmp_path):
     assert json.loads(out2.read_text())["metrics"]["f1"] > 0.0
 
 
+@pytest.mark.parametrize("task,baseline", [("fill", "exact"), ("fill", "pair"), ("schema", "caption")])
+def test_evaluate_ranking_baselines(pipeline, tmp_path, task, baseline):
+    out = tmp_path / "report.json"
+    assert run(["evaluate", "--task", task, "--data", str(pipeline["data"]), "--baseline", baseline,
+                "--out", str(out), "--config", str(pipeline["cfg"])]) == 0
+    report = json.loads(out.read_text())
+    assert (report["task"], report["baseline"]) == (task, baseline)
+    assert report["n_instances"] > 0
+    metrics = ("p_at_1", "map") if task == "fill" else ("map",)
+    assert all(0.0 <= report["metrics"][m] <= 1.0 for m in metrics)
+
+
+def test_evaluate_builds_the_corpus_index_only_where_it_is_read(pipeline, tmp_path, monkeypatch):
+    data, cfg = str(pipeline["data"]), str(pipeline["cfg"])
+    ft = tmp_path / "ft"
+    assert run(["finetune", "--task", "schema", "--checkpoint", str(pipeline["runs"] / "checkpoint.bin"),
+                "--data", data, "--out", str(ft), "--config", cfg]) == 0
+    builds = []
+    real = CorpusIndex.build
+    monkeypatch.setattr(CorpusIndex, "build", lambda *args: builds.append(args) or real(*args))
+    assert run(["evaluate", "--task", "schema", "--checkpoint", str(ft / "schema_checkpoint.bin"), "--data", data,
+                "--config", cfg]) == 0
+    assert len(builds) == 0  # schema instances and their model never read the index
+    assert run(["evaluate", "--task", "schema", "--baseline", "caption", "--data", data, "--config", cfg]) == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("flag", ["--reweight", "--no-description"])
+@pytest.mark.parametrize("case", ["coltype", "fill", "lookup"])
+def test_linking_flags_are_refused_where_no_linking_model_is_scored(pipeline, tmp_path, flag, case):
+    ckpt = ["--checkpoint", str(pipeline["runs"] / "checkpoint.bin")]
+    target = {"coltype": ["--task", "coltype", *ckpt], "fill": ["--task", "fill", *ckpt],
+              "lookup": ["--task", "linking", "--baseline", "lookup"]}[case]
+    out = tmp_path / "report.json"
+    with pytest.raises(ConfigError, match=flag):
+        run(["evaluate", *target, "--data", str(pipeline["data"]), "--out", str(out), "--config",
+             str(pipeline["cfg"]), flag])
+    assert not out.exists()
+
+
+def test_pretrain_tracks_recovery_only_when_asked(pipeline, tmp_path):
+    out = tmp_path / "runs"
+    assert run(["pretrain", "--data", str(pipeline["data"]), "--out", str(out), "--config", str(pipeline["cfg"]),
+                "--track-recovery"]) == 0
+    tracked = [r["oep_acc"] for r in read_jsonl(out / "metrics.jsonl")]
+    assert len(tracked) == 2 and all(isinstance(a, float) and 0.0 <= a <= 1.0 for a in tracked)
+    assert [r["oep_acc"] for r in read_jsonl(pipeline["runs"] / "metrics.jsonl")] == [None, None]
+
+
+def test_a_checkpoint_keeps_its_attention_mode(pipeline, tmp_path):
+    data, pretrained = str(pipeline["data"]), pipeline["runs"] / "checkpoint.bin"
+    arrays, cfg_text, step, extra = load_checkpoint(pretrained)
+    assert "use_visibility = true" in cfg_text
+    assert restore_model(str(pretrained))[0].use_visibility is True
+    ablated = tmp_path / "ablated.bin"
+    save_checkpoint(ablated, arrays, cfg_text.replace("use_visibility = true", "use_visibility = false"), step=step,
+                    extra=extra)
+    assert restore_model(str(ablated))[0].use_visibility is False
+    # a --config may not score the weights in a mode they were not trained in
+    on, off = tmp_path / "on.cfg", tmp_path / "off.cfg"
+    on.write_text(TINY_CFG + "use_visibility = true\n")
+    off.write_text(TINY_CFG + "use_visibility = false\n")
+    for ckpt, cfg in ((pretrained, off), (ablated, on)):
+        report = tmp_path / "fill.json"
+        with pytest.raises(ConfigError, match="use_visibility"):
+            run(["evaluate", "--task", "fill", "--checkpoint", str(ckpt), "--data", data, "--out", str(report),
+                 "--config", str(cfg)])
+        assert not report.exists()
+    ft = tmp_path / "ft"
+    with pytest.raises(ConfigError, match="use_visibility"):
+        run(["finetune", "--task", "coltype", "--checkpoint", str(pretrained), "--data", data, "--out", str(ft),
+             "--config", str(off)])
+    assert not ft.exists()
+    for cfg in (off, pipeline["cfg"]):  # the checkpoint's own mode, stated or left alone
+        assert run(["evaluate", "--task", "fill", "--checkpoint", str(ablated), "--data", data, "--config", str(cfg)]) == 0
+
+
 def test_evaluate_fill_uses_pretrain_checkpoint(pipeline, tmp_path):
     data, runs = pipeline["data"], pipeline["runs"]
     out = tmp_path / "fill.json"
@@ -367,9 +445,9 @@ def test_missing_data_dir_raises_cleanly(tmp_path):
 
 
 def test_finetune_settings_come_from_the_config():
-    cfg = Config(seed=4, finetune_lr0=2e-3, finetune_epochs=3, sa_epochs=7, batch_size=5, use_visibility=False)
+    cfg = Config(seed=4, finetune_lr0=2e-3, finetune_epochs=3, sa_epochs=7, batch_size=5)
     s = finetune_settings(cfg, "coltype")
-    assert (s.lr0, s.epochs, s.batch_size, s.seed, s.use_visibility) == (2e-3, 3, 5, 4, False)
+    assert (s.lr0, s.epochs, s.batch_size, s.seed) == (2e-3, 3, 5, 4)
     assert finetune_settings(cfg, "schema").epochs == 7  # schema augmentation has its own epoch count
 
 

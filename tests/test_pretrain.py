@@ -246,7 +246,7 @@ def test_table_loss_equals_a_per_table_reference():
     model, _ = small_fit(epochs=2)
     batch = masked_batch(6)
     assert sum(len(m.cells.indices) == 0 for m in batch) and sum(len(m.cells.indices) > 0 for m in batch) > 2
-    total, stats = table_loss(model, batch, use_visibility=True)
+    total, stats = table_loss(model, batch)
     mlm, mer, ref_stats = reference_table_loss(model, batch)
     assert float(total.data) == pytest.approx(mlm + mer, rel=1e-6)
     assert stats.mlm_loss == pytest.approx(mlm, rel=1e-6) and stats.mer_loss == pytest.approx(mer, rel=1e-6)
@@ -256,7 +256,7 @@ def test_table_loss_equals_a_per_table_reference():
 def test_table_loss_terms_add_up_to_the_step_loss():
     model = init_model(SMALL_CFG, np.random.default_rng(1))
     for seed in range(5):
-        total, stats = table_loss(model, masked_batch(4, seed=seed), use_visibility=True)
+        total, stats = table_loss(model, masked_batch(4, seed=seed))
         assert stats.n_tokens and stats.n_cells
         assert stats.mlm_loss + stats.mer_loss == pytest.approx(float(total.data), rel=1e-6)
     _, history = small_fit(epochs=2)
@@ -270,7 +270,7 @@ def test_table_loss_builds_the_same_nodes_for_any_batch_size():
     for n in (2, 8):
         batch = masked_batch(n, seed=40 + n)
         assert sum(len(m.tokens.indices) > 0 for m in batch) and sum(len(m.cells.indices) > 0 for m in batch)
-        total, _ = table_loss(model, batch, use_visibility=True)
+        total, _ = table_loss(model, batch)
         counts.append(sum(node._backward is not None for node in nm._topo_order(total)))
     assert counts[0] == counts[1]
 
@@ -323,7 +323,7 @@ def test_table_loss_rejects_a_gold_outside_its_candidates():
     cands = build_candidates(t.entity_ids(), cell.targets, {}, SMALL_CFG.n_entities, 8, np.random.default_rng(6))
     assert MASK_ID not in cands
     with pytest.raises(UnknownId):
-        table_loss(model, [MaskedTable(apply_masks(seq, tok, cell), tok, cell, cands)], use_visibility=True)
+        table_loss(model, [MaskedTable(apply_masks(seq, tok, cell), tok, cell, cands)])
 
 
 # -- canonical mentions --------------------------------------------------------------
@@ -367,6 +367,13 @@ def small_fit(seed=13, epochs=2, max_steps=None, use_visibility=True, mlm_ratio=
         use_visibility=use_visibility, seed=seed,
     )
     return fit(tables, SMALL_CFG, settings, cooccur={}, max_steps=max_steps, model=model)
+
+
+def test_fit_gives_the_model_the_attention_mode_of_its_settings():
+    model, _ = small_fit(epochs=1, use_visibility=False)
+    assert model.use_visibility is False
+    again, _ = small_fit(epochs=1, model=model)  # a model it is given takes the mode too
+    assert again is model and model.use_visibility is True
 
 
 def test_fit_runs_and_logs():
@@ -559,9 +566,11 @@ def reference_recovery(model, tables, cooccur, cap, seed, use_visibility=True, o
 @pytest.mark.parametrize("only_objects", [False, True])
 def test_masked_recovery_equals_the_per_cell_reference(use_visibility, only_objects):
     model, _ = small_fit(epochs=3)
-    kw = dict(cap=8, seed=4, use_visibility=use_visibility, only_objects=only_objects)
+    model.use_visibility = use_visibility  # the same weights, scored in either mode
+    kw = dict(cap=8, seed=4, only_objects=only_objects)
     tables = recovery_tables()
-    assert masked_recovery_accuracy(model, tables, {}, **kw) == reference_recovery(model, tables, {}, **kw)
+    want = reference_recovery(model, tables, {}, use_visibility=use_visibility, **kw)
+    assert masked_recovery_accuracy(model, tables, {}, **kw) == want
 
 
 def test_masked_recovery_encodes_each_table_once(monkeypatch):

@@ -1,7 +1,8 @@
-"""Project-wide checks: the metadata in pyproject.toml, the package's one write path, its one training loop and
-the one owner of the visibility matrix."""
+"""Project-wide checks: the metadata in pyproject.toml, the package's one write path, its one training loop,
+the one owner of the visibility matrix and the one carrier of the attention mode."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import re
@@ -62,3 +63,22 @@ def test_only_numeric_builds_an_optimizer_or_steps_it():
 def test_only_encoding_builds_a_visibility_matrix():
     # `Sequence.visibility` is the one cache; a second would call build_visibility itself
     assert calls_outside("encoding.py", ("build_visibility",)) == {}
+
+
+def takes(path, name):
+    """Line numbers of the functions (lambdas too) that take a parameter called `name`."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            if name in {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p is not None}:
+                yield node.lineno
+
+
+def test_the_model_alone_carries_its_attention_mode():
+    # `Model.use_visibility` is set where a model gets its weights; no layer above the encoder takes its own
+    from tabrep.tasks import FinetuneSettings
+
+    assert list(takes(PACKAGE / "encoder.py", "use_visibility"))
+    above = {name: list(takes(PACKAGE / name, "use_visibility")) for name in ("pretrain.py", "tasks.py", "cli.py")}
+    assert {name: lines for name, lines in above.items() if lines} == {}
+    assert "use_visibility" not in {f.name for f in dataclasses.fields(FinetuneSettings)}
