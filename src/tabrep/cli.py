@@ -8,7 +8,8 @@ Subcommands:
     evaluate    task checkpoint (or baseline) -> report JSON
     ablate      grid over visibility and cell-mask ratio -> recovery log
 
-Exit codes: 0 success, 1 runtime failure (bad files, bad config), 2 usage.
+Exit codes: 0 success, 1 runtime failure (bad files, bad config, a flag the
+run would not read: see tasks.TASKS), 2 usage.
 A run's config is the checkpoint's (finetune, evaluate) or the defaults, then
 --config, the seed (--seed, then TABREP_SEED), --epochs and --seeds.
 """
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .baselines import CorpusIndex
 from .corpus import (
     ENTITY_RESERVED,
     TOKEN_RESERVED,
-    TOKENIZER,
     IndexedTable,
     Vocab,
     build_vocabs,
@@ -47,9 +49,6 @@ from .errors import ConfigError, TabrepError
 from .pretrain import TrainSettings, fit, masked_recovery_accuracy
 from .store import Config, load_checkpoint, load_config, parse_config, save_checkpoint
 from . import tasks as T
-
-TASKS = ("linking", "coltype", "relations", "rowpop", "fill", "schema")
-
 
 def _info(msg: str) -> None:
     print(msg, flush=True)
@@ -109,10 +108,10 @@ def train_settings(cfg: Config) -> TrainSettings:
 
 
 def finetune_settings(cfg: Config, task: str) -> T.FinetuneSettings:
-    """Schema augmentation trains for sa_epochs, every other task for finetune_epochs."""
+    """The task trains for the epochs of its record's config key (tasks.TASKS)."""
     return T.FinetuneSettings(
         lr0=cfg.finetune_lr0,
-        epochs=cfg.sa_epochs if task == "schema" else cfg.finetune_epochs,
+        epochs=getattr(cfg, T.TASKS[task].epochs),
         batch_size=cfg.batch_size,
         seed=cfg.seed,
     )
@@ -318,161 +317,88 @@ def cmd_pretrain(args) -> int:
 # ---------------------------------------------------------------------------
 # finetune and evaluate
 
-BASELINES = {"linking": ("lookup",), "relations": ("votes",), "fill": ("exact", "pair"), "schema": ("caption",)}
-HEADS = {"coltype": T.ColumnTypeHead, "relations": T.RelationHead, "schema": T.SchemaHead}
+
+def _refuse_unread(args, reads) -> None:
+    """Raise ConfigError for a flag that some task reads, given to a run that does not read it."""
+    for flag in ("--side", "--seeds", "--reweight", "--no-description"):
+        given = getattr(args, flag[2:].replace("-", "_"), None)  # None or False when absent; --seeds 0 is given
+        if given is not None and given is not False and flag not in reads:
+            what = f"the {args.baseline} baseline" if getattr(args, "baseline", None) else f"task {args.task}"
+            raise ConfigError(f"{flag} is not read by {what}")
 
 
-def _task_data(args, cfg: Config, split: str, need_index: bool):
-    """(token vocab, entity vocab, side data, packs of the split, train-split index or None)."""
+def _run(args, cfg: Config, split: str, model: Model | None, training: bool = False) -> SimpleNamespace:
+    """The namespace a task's steps read (tasks.TASKS). Side data and the
+    train-split corpus index load on their first call, where a step reads them."""
     token_vocab, entity_vocab = _load_vocabs(args.data)
-    side = T.load_side_data(_side_dir(args, args.data))
-    packs = T.pack_tables(_load_split(args.data, split), token_vocab, entity_vocab, cfg.max_len)
-    index = None
-    if need_index:
-        index = CorpusIndex.build(_indexed_split(args.data, "train", token_vocab, entity_vocab), token_vocab.strings)
-    return token_vocab, entity_vocab, side, packs, index
-
-
-def _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, labels=None, training=False):
-    """(instances, labels) of a task over packs. labels=None derives the labels
-    from the packs, as fine-tuning does; evaluation passes the checkpoint's.
-    Row population and cell filling have no labels. Linking keeps only cells
-    whose gold entry is a candidate when training."""
-    if task == "coltype":
-        return T.build_column_type_data(packs, entity_vocab, side, type_list=labels)
-    if task == "relations":
-        return T.build_relation_data(packs, entity_vocab, side, relation_list=labels)
-    if task == "linking":
-        if labels is None:
-            labels = sorted({t for e in side.kb.values() for t in e.types})
-        return T.build_linking_data(packs, side, require_gold=training), labels
-    if task == "rowpop":
-        return T.build_row_population_data(packs, index, token_vocab, cfg.seed_cells, cfg.rp_retrieval_k), []
-    if task == "fill":
-        return T.build_fill_data(packs, index), []
-    if labels is None:
-        labels = T.header_vocabulary(packs, cfg.sa_min_header_tables)
-        if not labels:
-            raise ConfigError("no headers clear sa_min_header_tables; lower the threshold")
-    return T.build_schema_data(packs, labels, cfg.seed_cells), labels
-
-
-def _task_head(task: str, model: Model, labels: list[str], seed: int):
-    """The task's head over labels, sized from the model; None for a task without one."""
-    rng = np.random.default_rng(seed)
-    if task == "linking":
-        return T.LinkingHead(model.cfg.d_model, labels, rng, dtype=model.dtype)
-    if task in HEADS:
-        return HEADS[task](model.cfg.d_model, len(labels), rng, dtype=model.dtype)
-    return None
+    return SimpleNamespace(
+        args=args, cfg=cfg, token_vocab=token_vocab, entity_vocab=entity_vocab,
+        side=functools.cache(lambda: T.load_side_data(_side_dir(args, args.data))),
+        packs=T.pack_tables(_load_split(args.data, split), token_vocab, entity_vocab, cfg.max_len),
+        index=functools.cache(lambda: CorpusIndex.build(
+            _indexed_split(args.data, "train", token_vocab, entity_vocab), token_vocab.strings)),
+        model=model, training=training, labels=None,
+    )
 
 
 def cmd_finetune(args) -> int:
+    task = T.TASKS[args.task]
+    _refuse_unread(args, task.reads)
     model, base, _, extra = restore_model(args.checkpoint)
     cfg = _config_from_args(args, base)
-    task = args.task
-    token_vocab, entity_vocab, side, packs, index = _task_data(args, cfg, "train", task == "rowpop")
-    instances, labels = _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, training=True)
-    _info(f"{len(instances)} {task} instances, {len(labels)} labels")
-    head = _task_head(task, model, labels, cfg.seed)
-    settings = finetune_settings(cfg, task)
-    if task == "coltype":
-        losses = T.train_column_types(model, head, packs, instances, settings, len(labels))
-    elif task == "relations":
-        losses = T.train_relations(model, head, packs, instances, settings, len(labels))
-    elif task == "linking":
-        losses = T.train_linking(model, head, packs, instances, side, token_vocab, TOKENIZER, settings)
-    elif task == "rowpop":
-        losses = T.train_row_population(model, packs, instances, settings, cfg.max_len)
-    else:
-        losses = T.train_schema(model, head, packs, instances, labels, token_vocab, settings, cfg.max_len)
+    r = _run(args, cfg, "train", model, training=True)
+    instances, r.labels = task.build(r)
+    _info(f"{len(instances)} {args.task} instances, {len(r.labels)} labels")
+    r.head = task.head and task.head(model.cfg.d_model, r.labels, np.random.default_rng(cfg.seed), model.dtype)
+    r.settings = finetune_settings(cfg, args.task)
+    losses = task.train(r, instances)
 
     os.makedirs(args.out, exist_ok=True)
     write_jsonl(os.path.join(args.out, "metrics.jsonl"), ({"epoch": i, "loss": loss} for i, loss in enumerate(losses)))
     arrays = dict(model.named_arrays())
-    if head is not None:
-        arrays.update({k: p.data for k, p in _head_tensors(head).items()})
-    ckpt = os.path.join(args.out, f"{task}_checkpoint.bin")
-    save_checkpoint(
-        ckpt,
-        arrays,
-        cfg.as_text(),
-        step=len(losses),
-        extra={
-            "task": task,
-            "labels": labels,
-            "n_tokens": int(extra["n_tokens"]),
-            "n_entities": int(extra["n_entities"]),
-        },
-    )
+    if r.head is not None:
+        arrays.update({k: p.data for k, p in _head_tensors(r.head).items()})
+    ckpt = os.path.join(args.out, f"{args.task}_checkpoint.bin")
+    sizes = {k: int(extra[k]) for k in ("n_tokens", "n_entities")}
+    save_checkpoint(ckpt, arrays, cfg.as_text(), step=len(losses), extra={"task": args.task, "labels": r.labels, **sizes})
     _info(f"wrote {ckpt} (final epoch loss {losses[-1]:.4f})")
     return 0
 
 
-def _baseline_report(mode, task, cfg, packs, token_vocab, entity_vocab, side, index) -> dict:
-    # the caption baseline ranks every header of the split, however rare
-    labels = T.header_vocabulary(packs, min_tables=1) if task == "schema" else None
-    instances, labels = _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, labels)
-    if task == "linking":
-        return T.eval_linking_lookup(instances)
-    if task == "relations":
-        return T.eval_relations_votes(instances, entity_vocab, side, labels, cfg.re_vote_threshold)
-    if task == "fill":
-        return T.eval_cell_filling_baseline(index, packs, instances, mode)
-    return T.eval_schema_baseline(index, packs, instances, token_vocab)
-
-
 def cmd_evaluate(args) -> int:
     start = time.perf_counter()
-    task = args.task
-    for flag, given in (("--reweight", args.reweight), ("--no-description", args.no_description)):
-        if given and (task != "linking" or args.baseline is not None):
-            raise ConfigError(f"{flag} applies only when a linking model is evaluated")
+    task = T.TASKS[args.task]
+    if args.baseline is not None and args.baseline not in task.baselines:
+        if not task.baselines:
+            raise ConfigError(f"no baseline defined for task {args.task!r}")
+        choices = " or ".join(map(repr, task.baselines))
+        raise ConfigError(f"{args.task} baseline must be {choices}, got {args.baseline!r}")
+    reads, baseline = task.baselines.get(args.baseline, (task.reads, None))
+    _refuse_unread(args, reads)
     model, base, arrays, extra = None, None, {}, {}
-    if args.baseline is None:
+    if baseline is None:
         if not args.checkpoint:
             raise ConfigError("evaluate needs --checkpoint unless --baseline is given")
         model, base, arrays, extra = restore_model(args.checkpoint)
-        if task != "fill" and extra.get("task") not in (None, task):
-            raise ConfigError(f"checkpoint was fine-tuned for {extra.get('task')!r}, not {task!r}")
-    elif task not in BASELINES:
-        raise ConfigError(f"no baseline defined for task {task!r}")
-    elif args.baseline not in BASELINES[task]:
-        choices = " or ".join(map(repr, BASELINES[task]))
-        raise ConfigError(f"{task} baseline must be {choices}, got {args.baseline!r}")
+        if task.train is not None and extra.get("task") not in (None, args.task):
+            raise ConfigError(f"checkpoint was fine-tuned for {extra.get('task')!r}, not {args.task!r}")
     cfg = _config_from_args(args, base)
-    # rowpop and fill instances read the train-split index, and so do the fill and caption baselines
-    need_index = task in ("rowpop", "fill") or args.baseline == "caption"
-    token_vocab, entity_vocab, side, packs, index = _task_data(args, cfg, args.split, need_index)
+    r = _run(args, cfg, args.split, model)
 
-    if args.baseline is not None:
-        body = _baseline_report(args.baseline, task, cfg, packs, token_vocab, entity_vocab, side, index)
+    if baseline is not None:
+        body = baseline(r)
     else:
-        labels = extra.get("labels", [])
-        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        r.labels = extra.get("labels", [])
+        if not (isinstance(r.labels, list) and all(isinstance(x, str) for x in r.labels)):
             raise ConfigError(f"{args.checkpoint}: task labels are not a list of strings")
-        instances, _ = _task_instances(task, cfg, packs, token_vocab, entity_vocab, side, index, labels)
-        head = _task_head(task, model, labels, cfg.seed)
-        if head is not None:
-            load_tensors(_head_tensors(head), arrays)
-        if task == "coltype":
-            body = T.eval_column_types(model, head, packs, instances)
-        elif task == "relations":
-            body = T.eval_relations(model, head, packs, instances)
-        elif task == "linking":
-            body = T.eval_linking(
-                model, head, packs, instances, side, token_vocab, TOKENIZER,
-                reweight=args.reweight, alpha=cfg.el_reweight_alpha, use_description=not args.no_description,
-            )
-        elif task == "rowpop":
-            body = T.eval_row_population(model, packs, instances, cfg.max_len)
-        elif task == "fill":
-            body = T.eval_cell_filling(model, packs, instances)
-        else:
-            body = T.eval_schema(model, head, packs, instances, labels, token_vocab, cfg.max_len)
+        instances, _ = task.build(r)
+        r.head = task.head and task.head(model.cfg.d_model, r.labels, np.random.default_rng(cfg.seed), model.dtype)
+        if r.head is not None:
+            load_tensors(_head_tensors(r.head), arrays)
+        body = task.evaluate(r, instances)
 
     report = {
-        "task": task,
+        "task": args.task,
         "split": args.split,
         "baseline": args.baseline,
         "metrics": body["metrics"],
@@ -547,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", parents=[common], help="fit one task head")
-    p.add_argument("--task", required=True, choices=[t for t in TASKS if t != "fill"])
+    p.add_argument("--task", required=True, choices=[name for name, task in T.TASKS.items() if task.train])
     p.add_argument("--checkpoint", required=True, help="pre-trained checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -556,13 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", parents=[common], help="score a task on a held-out split")
-    p.add_argument("--task", required=True, choices=TASKS)
+    p.add_argument("--task", required=True, choices=list(T.TASKS))
     p.add_argument("--checkpoint", help="task checkpoint (fill accepts the pre-train checkpoint)")
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=["train", "valid", "test"])
     p.add_argument("--side", help="directory with side files")
     p.add_argument("--out", help="write the report JSON here")
-    p.add_argument("--baseline", help="score a non-neural baseline instead: lookup, votes, exact, pair, caption")
+    baselines = ", ".join(name for task in T.TASKS.values() for name in task.baselines)
+    p.add_argument("--baseline", help=f"score a non-neural baseline instead: {baselines}")
     p.add_argument("--reweight", action="store_true", help="linking: blend model and lookup ranks")
     p.add_argument("--no-description", action="store_true", help="linking: drop descriptions from entries")
     p.add_argument("--seeds", type=int, help="seed cells / headers given to ranking tasks")

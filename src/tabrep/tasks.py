@@ -43,6 +43,13 @@ linking sequence shares its table's (`encoding.Sequence.visibility`); each
 spec finds each column's positions once. Cell filling reads no sequence of
 its own: it scores its cells the way masked-cell recovery does, from one
 encoding of each table (`pretrain.masked_cell_states`).
+
+`TASKS` maps each task's name to its `Task` record: instance builder, head
+factory, train step (none for cell filling), evaluate step, baselines by name,
+the optional command-line flags it reads and the config key of its epochs.
+Each step reads one plain namespace `r` of the run (args, cfg, vocabularies,
+packs, training, labels, model, head, settings), whose `side()` and `index()`
+load the side files and the train-split corpus index on first call.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from . import numeric as nm
 from .baselines import CorpusIndex, vote_relations
 from .corpus import (
     MASK_ID,
+    TOKENIZER,
     IndexedCell,
     IndexedTable,
     ProcessedTable,
@@ -944,3 +952,98 @@ def eval_schema_baseline(index: CorpusIndex, packs, instances, token_vocab, k: i
         query = [token_vocab.strings[int(i)] for i in packs[inst.pack].indexed.caption_ids]
         rankings.append([h for h, _ in index.suggest_headers(query, inst.seeds, k=k)])
     return _report({"map": mean_average_precision(rankings, [i.golds for i in instances])}, instances)
+
+
+# ---------------------------------------------------------------------------
+# the task table
+
+
+@dataclass(frozen=True)
+class Task:
+    """A task as a run drives it; each step reads the run's namespace `r`.
+    `reads` names the optional flags its model's steps read; a baseline is
+    (the flags it reads, r -> report body)."""
+
+    build: Callable  # r -> (instances, labels); r.labels None derives the labels
+    evaluate: Callable  # (r, instances) -> report body
+    head: Callable | None = None  # (d_model, labels, rng, dtype) -> head
+    train: Callable | None = None  # (r, instances) -> epoch losses; None scores the pre-trained model
+    reads: tuple[str, ...] = ()
+    baselines: dict = field(default_factory=dict)
+    epochs: str = "finetune_epochs"  # the config key of its fine-tuning epochs
+
+
+def _schema_data(r):
+    labels = header_vocabulary(r.packs, r.cfg.sa_min_header_tables) if r.labels is None else r.labels
+    if r.labels is None and not labels:
+        raise ConfigError("no headers clear sa_min_header_tables; lower the threshold")
+    return build_schema_data(r.packs, labels, r.cfg.seed_cells), labels
+
+
+def _votes(r):
+    instances, relation_list = build_relation_data(r.packs, r.entity_vocab, r.side())
+    return eval_relations_votes(instances, r.entity_vocab, r.side(), relation_list, r.cfg.re_vote_threshold)
+
+
+def _fill_baseline(mode):
+    return lambda r: eval_cell_filling_baseline(r.index(), r.packs, build_fill_data(r.packs, r.index()), mode)
+
+
+def _caption(r):
+    instances = build_schema_data(r.packs, header_vocabulary(r.packs, min_tables=1), r.cfg.seed_cells)
+    return eval_schema_baseline(r.index(), r.packs, instances, r.token_vocab)
+
+
+TASKS = {
+    "linking": Task(
+        build=lambda r: (
+            build_linking_data(r.packs, r.side(), require_gold=r.training),
+            sorted({t for e in r.side().kb.values() for t in e.types}) if r.labels is None else r.labels,
+        ),
+        evaluate=lambda r, inst: eval_linking(
+            r.model, r.head, r.packs, inst, r.side(), r.token_vocab, TOKENIZER,
+            reweight=r.args.reweight, alpha=r.cfg.el_reweight_alpha, use_description=not r.args.no_description,
+        ),
+        head=LinkingHead,
+        train=lambda r, inst: train_linking(r.model, r.head, r.packs, inst, r.side(), r.token_vocab, TOKENIZER, r.settings),
+        reads=("--side", "--reweight", "--no-description"),
+        baselines={"lookup": (("--side",), lambda r: eval_linking_lookup(build_linking_data(r.packs, r.side(), False)))},
+    ),
+    "coltype": Task(
+        build=lambda r: build_column_type_data(r.packs, r.entity_vocab, r.side(), r.labels),
+        evaluate=lambda r, inst: eval_column_types(r.model, r.head, r.packs, inst),
+        head=lambda d_model, labels, rng, dtype: ColumnTypeHead(d_model, len(labels), rng, dtype),
+        train=lambda r, inst: train_column_types(r.model, r.head, r.packs, inst, r.settings, len(r.labels)),
+        reads=("--side",),
+    ),
+    "relations": Task(
+        build=lambda r: build_relation_data(r.packs, r.entity_vocab, r.side(), r.labels),
+        evaluate=lambda r, inst: eval_relations(r.model, r.head, r.packs, inst),
+        head=lambda d_model, labels, rng, dtype: RelationHead(d_model, len(labels), rng, dtype),
+        train=lambda r, inst: train_relations(r.model, r.head, r.packs, inst, r.settings, len(r.labels)),
+        reads=("--side",),
+        baselines={"votes": (("--side",), _votes)},
+    ),
+    "rowpop": Task(
+        build=lambda r: (
+            build_row_population_data(r.packs, r.index(), r.token_vocab, r.cfg.seed_cells, r.cfg.rp_retrieval_k), []
+        ),
+        evaluate=lambda r, inst: eval_row_population(r.model, r.packs, inst, r.cfg.max_len),
+        train=lambda r, inst: train_row_population(r.model, r.packs, inst, r.settings, r.cfg.max_len),
+        reads=("--seeds",),
+    ),
+    "fill": Task(
+        build=lambda r: (build_fill_data(r.packs, r.index()), []),
+        evaluate=lambda r, inst: eval_cell_filling(r.model, r.packs, inst),
+        baselines={"exact": ((), _fill_baseline("exact")), "pair": ((), _fill_baseline("pair"))},
+    ),
+    "schema": Task(
+        build=_schema_data,
+        evaluate=lambda r, inst: eval_schema(r.model, r.head, r.packs, inst, r.labels, r.token_vocab, r.cfg.max_len),
+        head=lambda d_model, labels, rng, dtype: SchemaHead(d_model, len(labels), rng, dtype),
+        train=lambda r, inst: train_schema(r.model, r.head, r.packs, inst, r.labels, r.token_vocab, r.settings, r.cfg.max_len),
+        reads=("--seeds",),
+        baselines={"caption": (("--seeds",), _caption)},  # ranks every header of the split, however rare
+        epochs="sa_epochs",
+    ),
+}

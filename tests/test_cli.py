@@ -14,6 +14,7 @@ from tabrep.cli import finetune_settings, main, resolve_seed, restore_model, run
 from tabrep.errors import ConfigError
 from tabrep.store import Config, load_checkpoint, parse_config, save_checkpoint
 from tabrep.synth import write_corpus
+from tabrep.tasks import TASKS
 
 TINY_CFG = """
 n_blocks = 1
@@ -462,3 +463,105 @@ def test_seed_precedence(monkeypatch):
     with pytest.raises(ConfigError):
         resolve_seed(None, cfg)
     assert resolve_seed(9, cfg) == 9  # explicit seed never consults the env
+
+
+# Every flag that some task or baseline reads, with the value a run passes; `--side` names a directory that
+# keeps every other record of each side file (see `halved_side`).
+TASK_FLAGS = {"--seeds": ["2"], "--side": None, "--reweight": [], "--no-description": []}
+
+
+def task_flag_cases():
+    """(command, task, baseline, flag) for each finetune and evaluate run of each TASKS record and of each
+    of its baselines, and each task flag the command takes."""
+    for task, record in TASKS.items():
+        runs = [("evaluate", None), *(("evaluate", name) for name in record.baselines)]
+        runs += [("finetune", None)] if record.train is not None else []
+        for command, baseline in runs:
+            for flag in TASK_FLAGS:
+                if command == "evaluate" or flag in ("--seeds", "--side"):
+                    yield pytest.param(command, task, baseline, flag, id=f"{command}-{baseline or task}-{flag}")
+
+
+@pytest.fixture(scope="module")
+def tuned(pipeline):
+    """task -> the checkpoint it evaluates: fine-tuned from the pipeline's with no task flag, or the
+    pipeline's own for a task without fine-tuning."""
+    out = {}
+    for task, record in TASKS.items():
+        out[task] = pipeline["runs"] / "checkpoint.bin"
+        if record.train is not None:
+            ft = pipeline["root"] / f"tuned_{task}"
+            assert run(["finetune", "--task", task, "--checkpoint", str(out[task]), "--data", str(pipeline["data"]),
+                        "--out", str(ft), "--config", str(pipeline["cfg"])]) == 0
+            out[task] = ft / f"{task}_checkpoint.bin"
+    return out
+
+
+@pytest.fixture(scope="module")
+def halved_side(pipeline):
+    side = pipeline["root"] / "halved_side"
+    side.mkdir(exist_ok=True)
+    for name in ("types.jsonl", "relations.jsonl", "kb.jsonl", "candidates.jsonl"):
+        lines = (pipeline["corpus"] / name).read_text().splitlines()
+        (side / name).write_text("\n".join(lines[::2]) + "\n")
+    return side
+
+
+def task_argv(pipeline, tuned, command, task, baseline):
+    argv = [command, "--task", task, "--data", str(pipeline["data"]), "--config", str(pipeline["cfg"])]
+    if baseline is not None:
+        return argv + ["--baseline", baseline]
+    return argv + ["--checkpoint", str(tuned[task] if command == "evaluate" else pipeline["runs"] / "checkpoint.bin")]
+
+
+def outcome(argv, out):
+    """What a run gives: a finetune's epoch losses, or an evaluation's metrics."""
+    assert run([*argv, "--out", str(out)]) == 0
+    if argv[0] == "finetune":
+        return [r["loss"] for r in read_jsonl(out / "metrics.jsonl")]
+    return json.loads(out.read_text())["metrics"]
+
+
+@pytest.mark.parametrize("command,task,baseline,flag", task_flag_cases())
+def test_a_task_flag_changes_the_run_or_is_refused(pipeline, tuned, halved_side, tmp_path, monkeypatch, capsys,
+                                                    command, task, baseline, flag):
+    argv = task_argv(pipeline, tuned, command, task, baseline)
+    given = [flag, *(TASK_FLAGS[flag] if TASK_FLAGS[flag] is not None else [str(halved_side)])]
+    record = TASKS[task]
+    if flag in (record.reads if baseline is None else record.baselines[baseline][0]):
+        assert outcome(argv + given, tmp_path / "flag") != outcome(argv, tmp_path / "plain")
+        return
+    monkeypatch.setattr(sys, "argv", ["tabrep", *argv, *given, "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_baseline_names_come_from_the_task_table(pipeline, capsys):
+    for task, record in TASKS.items():
+        argv = ["evaluate", "--task", task, "--baseline", "bogus", "--data", str(pipeline["data"])]
+        with pytest.raises(ConfigError) as exc:
+            run(argv)
+        names = list(record.baselines)
+        assert all(repr(name) in str(exc.value) for name in names) if names else "no baseline" in str(exc.value)
+    with pytest.raises(SystemExit):
+        run(["evaluate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ", ".join(name for record in TASKS.values() for name in record.baselines) in help_text
+
+
+def test_side_data_loads_only_where_it_is_read(pipeline, tmp_path):
+    data, side = tmp_path / "data", tmp_path / "side"
+    shutil.copytree(pipeline["data"], data)
+    shutil.copytree(pipeline["corpus"], side)
+    (side / "kb.jsonl").write_text("[1, 2]\n")
+    meta = json.loads((data / "meta.json").read_text())
+    (data / "meta.json").write_text(json.dumps({**meta, "source_dir": str(side)}))
+    argv = ["--data", str(data), "--config", str(pipeline["cfg"])]
+    assert run(["evaluate", "--task", "schema", "--baseline", "caption", *argv]) == 0
+    assert run(["evaluate", "--task", "fill", "--checkpoint", str(pipeline["runs"] / "checkpoint.bin"), *argv]) == 0
+    with pytest.raises(ConfigError, match="kb.jsonl"):
+        run(["evaluate", "--task", "linking", "--baseline", "lookup", *argv])

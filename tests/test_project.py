@@ -1,5 +1,5 @@
 """Project-wide checks: the metadata in pyproject.toml, the package's one write path, its one training loop,
-the one owner of the visibility matrix and the one carrier of the attention mode."""
+the one owner of the visibility matrix, the one carrier of the attention mode and the one task table."""
 
 import ast
 import dataclasses
@@ -82,3 +82,26 @@ def test_the_model_alone_carries_its_attention_mode():
     above = {name: list(takes(PACKAGE / name, "use_visibility")) for name in ("pretrain.py", "tasks.py", "cli.py")}
     assert {name: lines for name, lines in above.items() if lines} == {}
     assert "use_visibility" not in {f.name for f in dataclasses.fields(FinetuneSettings)}
+
+
+def test_the_command_line_reads_each_task_from_the_table():
+    # `tasks.TASKS` is the one place a task is defined; cli.py looks a task up in it and branches on none
+    from tabrep import tasks
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    compared = [
+        node.lineno
+        for cmp in ast.walk(tree) if isinstance(cmp, ast.Compare)
+        for side in (cmp.left, *cmp.comparators)
+        for node in ast.walk(side) if isinstance(node, ast.Constant) and node.value in tasks.TASKS
+    ]
+    assert compared == []
+    steps = {name for name in vars(tasks) if name.startswith(("train_", "eval_", "build_"))}
+    assert steps and list(calls(PACKAGE / "cli.py", steps)) == []
+    choices = [
+        next(k.value for k in node.keywords if k.arg == "choices")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args and getattr(node.args[0], "value", None) == "--task"
+    ]
+    assert len(choices) == 2
+    assert all(any(getattr(n, "attr", None) == "TASKS" for n in ast.walk(c)) for c in choices)
