@@ -97,21 +97,26 @@ class CorpusIndex:
         docs: list[list[str]] = []
         pair_events: dict[tuple[int, int], set[tuple[int, str]]] = {}
         for tidx, t in enumerate(tables):
-            ents = t.entity_ids()
+            # every other entity of the table, as whole-set operations: `e`
+            # goes in with the rest and comes out again, so no entity is its
+            # own mate
+            ents = t.entity_ids().tolist()
             for e in ents:
-                idx.cooccur.setdefault(int(e), set()).update(int(x) for x in ents if x != e)
+                mates = idx.cooccur.setdefault(e, set())
+                mates.update(ents)
+                mates.discard(e)
 
             by_row: dict[int, list] = {}
             for c in t.cells:
                 by_row.setdefault(c.row, []).append(c)
             for row_cells in by_row.values():
                 for a in row_cells:
+                    # every other cell of the row, under that cell's header;
+                    # a repeat of `a`'s entity in another cell counts
+                    mates = idx.row_mates.setdefault(a.entity_id, {})
                     for b in row_cells:
-                        if a is b:
-                            continue
-                        idx.row_mates.setdefault(a.entity_id, {}).setdefault(b.entity_id, set()).add(
-                            t.headers_norm[b.col]
-                        )
+                        if b is not a:
+                            mates.setdefault(b.entity_id, set()).add(t.headers_norm[b.col])
                 if t.subject_col is not None:
                     subj = [c for c in row_cells if c.col == t.subject_col]
                     if subj:

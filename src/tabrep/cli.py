@@ -198,7 +198,9 @@ def _side_dir(args, data_dir: str) -> str:
         src = meta.get("source_dir", "") if isinstance(meta, dict) else None
         if not isinstance(src, str):
             raise ConfigError(f"{meta_path}: not a JSON object with a string source_dir")
-        if src and os.path.isdir(src):
+        if src:
+            if not os.path.isdir(src):
+                raise ConfigError(f"{meta_path}: source_dir {src} is not a directory; pass --side")
             return src
     return data_dir
 

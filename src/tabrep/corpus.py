@@ -40,22 +40,29 @@ ENTITY_RESERVED = ("<pad>", "<mask>", "<unk>")
 ILLEGAL_HEADERS = frozenset({"note", "notes", "comment", "comments", "reference", "references"})
 
 
+class _PunctToSpace(dict):
+    """`str.translate` table: Unicode punctuation (category P*) to a space,
+    every other code point to itself, each decided once on first sight."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        out = self[code] = " " if unicodedata.category(ch).startswith("P") else ch
+        return out
+
+
+_PUNCT_TO_SPACE = _PunctToSpace()
+
+
 class WordTokenizer:
-    """Lowercase, split on whitespace and Unicode punctuation. Digits survive."""
+    """Lowercase, split on whitespace and Unicode punctuation. Digits survive.
+
+    Punctuation becomes a space and `str.split()` splits at exactly the
+    `str.isspace()` characters, so a token is a maximal run of lowercased
+    characters that are neither whitespace nor in a `P*` category.
+    """
 
     def tokenize(self, text: str) -> list[str]:
-        out: list[str] = []
-        cur: list[str] = []
-        for ch in text.lower():
-            if ch.isspace() or unicodedata.category(ch).startswith("P"):
-                if cur:
-                    out.append("".join(cur))
-                    cur = []
-            else:
-                cur.append(ch)
-        if cur:
-            out.append("".join(cur))
-        return out
+        return text.lower().translate(_PUNCT_TO_SPACE).split()
 
 
 TOKENIZER = WordTokenizer()  # every corpus text is tokenized by this one

@@ -541,7 +541,10 @@ def bce_with_logits_sum(logits, labels):
     loss = (np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))).sum(dtype=x.dtype)
 
     def backward(dout):
-        sig = 1.0 / (1.0 + np.exp(-x))
+        # exp(-x) overflows to inf below about -88 in float32, and 1/inf is
+        # the exact sigmoid there (0), so only the warning is unwanted
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-x))
         _accum(logits, (sig - y) * dout)
 
     return _make(np.asarray(loss, dtype=x.dtype), (logits,), backward)

@@ -162,6 +162,44 @@ def test_cooccur_and_subjects(toy_index):
     assert idx.subject_entities[2] == [10]
 
 
+def cooccur_oracle(tables):
+    """Every ordered pair of distinct entities of one table, topic included."""
+    out = {}
+    for t in tables:
+        ents = [c.entity_id for c in t.cells] + ([t.topic[0]] if t.topic is not None else [])
+        for a in ents:
+            out.setdefault(a, set()).update(b for b in ents if b != a)
+    return out
+
+
+def row_mates_oracle(tables):
+    """Every ordered pair of distinct cells of one row, under the second
+    cell's header."""
+    out = {}
+    for t in tables:
+        for a in t.cells:
+            for b in t.cells:
+                if b is not a and b.row == a.row:
+                    out.setdefault(a.entity_id, {}).setdefault(b.entity_id, set()).add(t.headers_norm[b.col])
+    return out
+
+
+def test_cooccur_and_row_mates_match_the_pairwise_definitions(toy_index):
+    _, tables = toy_index
+    # 20 twice in one row, 10 in two rows of one table and in every other
+    # table, and a topic entity that sits in no cell
+    repeats = toy_table("t3", ["roster"], ["player", "town", "residence"],
+                        [[(10, "m10"), (20, "m20"), (20, "m20")], [(12, "m11"), (10, "m10"), (23, "m22")]])
+    repeats.topic = (24, toks("m21"))
+    tables = [*tables, repeats]
+    idx = CorpusIndex.build(tables, WORDS)
+    assert idx.cooccur == cooccur_oracle(tables)
+    assert idx.row_mates == row_mates_oracle(tables)
+    assert all(e not in mates for e, mates in idx.cooccur.items())
+    assert idx.cooccur[24] == {10, 12, 20, 23}
+    assert idx.row_mates[20][20] == {"residence", "town"}
+
+
 def test_fill_candidates_and_modes(toy_index):
     idx, _ = toy_index
     # subject 11 sat next to 21 under "town" and 22 under "residence"

@@ -257,6 +257,23 @@ def test_bad_meta_json_exits_one_with_an_error_line(pipeline, tmp_path, monkeypa
     assert err.startswith("error: ") and "meta.json" in err
 
 
+def test_missing_source_dir_exits_one_unless_side_is_given(pipeline, tmp_path, monkeypatch, capsys):
+    data, gone = tmp_path / "data", tmp_path / "moved_corpus"
+    shutil.copytree(pipeline["data"], data)
+    meta = json.loads((data / "meta.json").read_text())
+    (data / "meta.json").write_text(json.dumps({**meta, "source_dir": str(gone)}))
+    argv = ["evaluate", "--task", "linking", "--baseline", "lookup", "--data", str(data),
+            "--config", str(pipeline["cfg"])]
+    monkeypatch.setattr(sys, "argv", ["tabrep", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(gone) in err and "--side" in err
+    assert run([*argv, "--side", str(pipeline["corpus"]), "--out", str(tmp_path / "report.json")]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["n_instances"] > 0
+
+
 @pytest.mark.parametrize("case", ["config", "checkpoint", "seed_flag", "seed_env", "preprocess_seed"])
 def test_zero_heads_or_a_negative_seed_exit_one_with_an_error_line(pipeline, tmp_path, monkeypatch, capsys, case):
     data, out, cfg = str(pipeline["data"]), str(tmp_path / "out"), str(pipeline["cfg"])

@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import unicodedata
 
 import numpy as np
 import pytest
@@ -57,6 +58,33 @@ def test_tokenizer_output_is_clean(text):
     for tok in C.WordTokenizer().tokenize(text):
         assert tok == tok.lower()
         assert " " not in tok and tok != ""
+
+
+def per_character_tokens(text):
+    """The tokenizer's rule, one character at a time: whitespace and Unicode
+    punctuation (category P*) split, every other character joins."""
+    out, cur = [], []
+    for ch in text.lower():
+        if ch.isspace() or unicodedata.category(ch).startswith("P"):
+            if cur:
+                out.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if cur:
+        out.append("".join(cur))
+    return out
+
+
+def test_tokenizer_matches_the_per_character_rule_on_every_bmp_code_point():
+    text = "a".join(chr(c) for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF)
+    assert C.WordTokenizer().tokenize(text) == per_character_tokens(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_tokenizer_matches_the_per_character_rule(text):
+    assert C.WordTokenizer().tokenize(text) == per_character_tokens(text)
 
 
 def test_normalize_header():

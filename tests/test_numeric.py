@@ -1,5 +1,6 @@
 """Autodiff engine: gradients against finite differences, exact loss algebra."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -432,6 +433,16 @@ def test_bce_is_stable_at_extreme_logits():
     y_wrong = np.array([[0.0, 1.0]])
     val = float(nm.bce_with_logits_sum(x, y_wrong).data)
     assert np.isfinite(val) and val > 100
+
+
+def test_bce_gradient_at_extreme_float32_logits_is_exact_and_silent():
+    # exp(100) overflows float32; the sigmoid there is exactly 0 and must
+    # come without a RuntimeWarning
+    x = nm.Tensor(np.array([-100.0, 100.0], dtype=np.float32), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nm.bce_with_logits_sum(x, np.array([1.0, 0.0])).backward()
+    assert x.grad.dtype == np.float32 and x.grad.tolist() == [-1.0, 1.0]
 
 
 def test_loss_sums_add_exactly():
