@@ -160,24 +160,26 @@ def restore_model(path: str) -> tuple[Model, Config, dict, dict]:
 
 
 def _check_sizes(path: str, ecfg: EncoderConfig, arrays: dict) -> None:
-    """Raise ConfigError unless the arrays have every size the checkpoint's
-    config and vocabulary sizes claim, before a model of those sizes is
-    allocated."""
+    """Raise ConfigError unless the arrays hold the config's blocks, with the
+    largest weights of every kind in each, in every size the config and the
+    vocabulary sizes claim, and one floating dtype, word_emb's, that of the
+    model. A model is allocated only after this, so at most a few times the
+    size of the arrays."""
+    n_blocks = len({name.split(".")[0] for name in arrays if name.startswith("block")})
+    if n_blocks != ecfg.n_blocks:
+        raise ConfigError(f"{path}: the tensors hold {n_blocks} encoder block(s); the config says {ecfg.n_blocks}")
     d = ecfg.d_model
-    want = {
-        "word_emb": (ecfg.n_tokens, d),
-        "pos_emb": (ecfg.max_len, d),
-        "ent_emb": (ecfg.n_entities, d),
-        "block0.ffn_W1": (d, ecfg.d_intermediate),
-    }
+    want = {"word_emb": (ecfg.n_tokens, d), "pos_emb": (ecfg.max_len, d), "ent_emb": (ecfg.n_entities, d), "fuse_W": (2 * d, d)}
+    for i in range(n_blocks):
+        want.update({f"block{i}.Wq": (d, d), f"block{i}.ffn_W1": (d, ecfg.d_intermediate)})
     for name, shape in want.items():
         if name not in arrays:
             raise ConfigError(f"{path}: checkpoint is missing tensor {name!r}")
         if arrays[name].shape != shape:
             raise ConfigError(f"{path}: tensor {name!r} has shape {arrays[name].shape}, its sizes give {shape}")
-    n_blocks = len({name.split(".")[0] for name in arrays if name.startswith("block")})
-    if n_blocks != ecfg.n_blocks:
-        raise ConfigError(f"{path}: the tensors hold {n_blocks} encoder block(s); the config says {ecfg.n_blocks}")
+    for name in ["word_emb", *arrays]:
+        if arrays[name].dtype.kind != "f" or arrays[name].dtype != arrays["word_emb"].dtype:
+            raise ConfigError(f"{path}: tensor {name!r} has dtype {arrays[name].dtype}; all must share one floating dtype")
 
 
 def _head_tensors(head) -> dict:

@@ -325,14 +325,9 @@ def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, ref
     return states, masks
 
 
-def encode_batch(
-    seqs: list[Sequence],
-    model: Model,
-    use_visibility: bool = True,
-    reference: bool = False,
-    rows: np.ndarray | None = None,
-) -> nm.Tensor:
-    """Run the full encoder over a batch of tables as one packed graph.
+def encode_batch(seqs: list[Sequence], model: Model, rows: np.ndarray | None = None) -> nm.Tensor:
+    """Run the full encoder over a batch of tables as one packed graph, in
+    the model's attention mode (`Model.use_visibility`).
 
     Returns the (sum of lengths, d_model) states of all tables stacked end to
     end: table i owns the len(seqs[i]) rows after those of tables 0..i-1.
@@ -341,18 +336,18 @@ def encode_batch(
     then runs only at those rows, and they are the same bits as the full
     result's (see the module docstring). Rows unsorted, repeated or out of
     range raise ShapeMismatch.
-    Under use_visibility each table attends through its sequence's
-    `visibility()`, built once per sequence and shared by its clones.
-    use_visibility=False substitutes an all-ones matrix per table
-    (structure ablation) but keeps the masked attention code path.
-    reference=True instead runs the plain softmax path with no mask argument
-    at all; it exists so tests can compare the two implementations.
+    Under visibility each table attends through its sequence's
+    `visibility()`, built once per sequence and shared by its clones; with
+    it off, through an all-ones matrix per table (structure ablation) on the
+    same masked attention code path.
     """
-    return _encode_states(seqs, model, use_visibility, reference, rows)[0][-1]
+    return _encode_states(seqs, model, model.use_visibility, False, rows)[0][-1]
 
 
 def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:
-    """Run the full encoder over one table (a batch of one)."""
+    """One table (a batch of one) under use_visibility, not the model's mode;
+    reference=True runs the plain softmax path with no mask argument at all,
+    so that tests can compare the two implementations."""
     (*inputs, h), masks = _encode_states([seq], model, use_visibility, reference)
     return EncodeResult(h=h, block_inputs=inputs, mask=None if masks is None else masks[0])
 

@@ -26,6 +26,7 @@ from . import numeric as nm
 from .corpus import ENTITY_RESERVED, MASK_ID, TOKEN_RESERVED, IndexedTable
 from .encoder import EncoderConfig, Model, encode, encode_batch, encode_substitutions, init_entity_embeddings, init_model
 from .encoding import Sequence, linearize, mask_cell
+from .errors import ConfigError
 
 # cell masking actions
 KEEP = 0
@@ -173,10 +174,15 @@ def token_logits(model: Model, h: nm.Tensor, positions: np.ndarray) -> nm.Tensor
     return nm.matmul(proj, nm.transpose(model["word_emb"], (1, 0)))
 
 
+def entity_head(model: Model, x: nm.Tensor, candidates: np.ndarray) -> tuple[nm.Tensor, nm.Tensor]:
+    """The masked-entity head, its one read path: the states x projected into
+    entity space, and the candidates' embeddings; a score is their dot product."""
+    return nm.affine(x, model["mer_W"], model["mer_b"]), nm.gather_rows(model["ent_emb"], candidates)
+
+
 def entity_logits(model: Model, h: nm.Tensor, positions: np.ndarray, candidates: np.ndarray) -> nm.Tensor:
     """Scores over a candidate id array for the given sequence slots."""
-    proj = nm.affine(nm.gather_rows(h, positions), model["mer_W"], model["mer_b"])
-    cand = nm.gather_rows(model["ent_emb"], candidates)
+    proj, cand = entity_head(model, nm.gather_rows(h, positions), candidates)
     return nm.matmul(proj, nm.transpose(cand, (1, 0)))
 
 
@@ -224,7 +230,7 @@ def table_loss(model: Model, batch: list[MaskedTable]) -> tuple[nm.Tensor | None
     if not len(rows):
         return None, stats
     # the final states at the masked rows only, in packed order
-    h = encode_batch([m.seq for m in batch], model, use_visibility=model.use_visibility, rows=rows)
+    h = encode_batch([m.seq for m in batch], model, rows=rows)
     terms = []
     if len(tok_pos):
         targets = np.concatenate([m.tokens.targets for m in batch])
@@ -233,12 +239,12 @@ def table_loss(model: Model, batch: list[MaskedTable]) -> tuple[nm.Tensor | None
         stats.n_tokens = len(tok_pos)
         stats.token_correct = int((logits.data.argmax(axis=1) == targets).sum())
         stats.mlm_loss = float(terms[-1].data)
-    masked = [(m, s) for m, s in zip(batch, starts) if len(m.cells.indices)]
+    masked = [m for m in batch if len(m.cells.indices)]
     if masked:
-        proj = nm.affine(nm.gather_rows(h, np.searchsorted(rows, cell_pos)), model["mer_W"], model["mer_b"])
-        cands = nm.gather_rows(model["ent_emb"], np.concatenate([m.candidates for m, _ in masked]))
+        ids = np.concatenate([m.candidates for m in masked])
+        proj, cands = entity_head(model, nm.gather_rows(h, np.searchsorted(rows, cell_pos)), ids)
         loss, stats.cell_correct = nm.candidate_cross_entropy_sum(
-            proj, cands, [m.candidates for m, _ in masked], [m.cells.targets for m, _ in masked]
+            proj, cands, [m.candidates for m in masked], [m.cells.targets for m in masked]
         )
         terms.append(loss)
         stats.n_cells = len(cell_pos)
@@ -303,7 +309,8 @@ def fit(
     Each step draws the masks of its batch table by table, in batch order,
     then takes one `table_loss` over the whole batch: one packed graph. A
     batch in which no table has anything masked takes no step. The model,
-    new or given, takes settings.use_visibility as its attention mode.
+    new or given, takes settings.use_visibility as its attention mode; a
+    given model whose config is not encoder_cfg raises ConfigError.
     A table's `candidate_pool` is built once per fit, as no step changes it;
     so is its visibility matrix, which every corrupted clone shares with the
     table's sequence (see `encoding`).
@@ -312,6 +319,9 @@ def fit(
     if model is None:
         model = init_model(encoder_cfg, rng)
         init_entity_embeddings(model, canonical_mentions(tables))
+    elif model.cfg != encoder_cfg:
+        differ = [f.name for f in fields(encoder_cfg) if getattr(model.cfg, f.name) != getattr(encoder_cfg, f.name)]
+        raise ConfigError(f"the model's config differs from encoder_cfg in {', '.join(differ)}")
     model.use_visibility = settings.use_visibility
     seqs = [linearize(t, encoder_cfg.max_len) for t in tables]
     ent_sets = [t.entity_ids() for t in tables]

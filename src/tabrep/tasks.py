@@ -24,25 +24,28 @@ table share its encoding; row population and schema key on the instance,
 which reads its own probe sequence. `finetune` shuffles and batches the
 instances and encodes the distinct keys of each batch as one packed graph
 (`encoder.encode_batch`), whose last block runs only at the sorted union of
-the positions the instances read. One head then serves the whole batch:
-one mean per summary part over every instance's positions (a column's
-header tokens and its cells, a linked cell, a probe's masked slot), one
-affine map, one loss. Linking and row population score each instance
-against its own candidates in one node (`numeric.candidate_cross_entropy_sum`,
-`numeric.candidate_scores`). A step's tape therefore has the same nodes for
-any batch size, and each step is one backward pass. `forward` encodes each
-distinct key once, FORWARD_PACK sequences to a graph, and returns every
-instance's scores; the `eval_*` functions rank and threshold them. The
-scores equal those of encoding and scoring each instance alone within float
-rounding, not bitwise: a product over the batch's rows may round otherwise
-than one over an instance's single row (see `encoder`). Every encoding
-attends in the model's own mode (`encoder.Model.use_visibility`), the mode
-it was pre-trained in; no task or setting chooses it. A sequence builds
-its visibility matrix once and keeps it across specs and rounds, and a
-linking sequence shares its table's (`encoding.Sequence.visibility`); each
-spec finds each column's positions once. Cell filling reads no sequence of
-its own: it scores its cells the way masked-cell recovery does, from one
-encoding of each table (`pretrain.masked_cell_states`).
+the positions the instances read. One head then serves the whole batch: one
+mean per summary part over every instance's positions (a column's header
+tokens and its cells, a linked cell, a probe's masked slot), one affine map,
+one loss. Linking and row population score each instance against its own
+candidates in one node (`numeric.candidate_cross_entropy_sum`,
+`numeric.candidate_scores`), linking against entry rows that each batch
+builds for itself, in training and evaluation alike; row population and cell
+filling score through the masked-entity head (`pretrain.entity_head`). A
+step's tape therefore has the same nodes for any batch size, and each step
+is one backward pass. `forward` encodes each distinct key once, FORWARD_PACK
+sequences to a graph, and returns every instance's scores; the `eval_*`
+functions rank and threshold them. The scores equal those of encoding and
+scoring each instance alone within float rounding, not bitwise: a product
+over the batch's rows may round otherwise than one over an instance's single
+row (see `encoder`). Every encoding attends in the model's own mode
+(`encoder.Model.use_visibility`), the mode it was pre-trained in; no task or
+setting chooses it. A sequence builds its visibility matrix once and keeps
+it across specs and rounds, and a linking sequence shares its table's
+(`encoding.Sequence.visibility`); each spec finds each column's positions
+once. Cell filling reads no sequence of its own: it scores its cells the way
+masked-cell recovery does, from one encoding of each table
+(`pretrain.masked_cell_states`).
 
 `TASKS` maps each task's name to its `Task` record: instance builder, head
 factory, train step (none for cell filling), evaluate step, baselines by name,
@@ -85,7 +88,7 @@ from .metrics import (
     micro_prf,
     precision_at_k,
 )
-from .pretrain import entity_logits, masked_cell_states
+from .pretrain import entity_head, entity_logits, masked_cell_states
 
 # ---------------------------------------------------------------------------
 # side data
@@ -611,7 +614,7 @@ def _encode_distinct(spec: TaskSpec, batch: list) -> tuple[list[nm.Tensor], list
     starts = dict(zip(seqs, np.cumsum([0] + [len(seq) for seq in seqs.values()]).tolist()))
     located = [[starts[key] + pos for pos in spec.rows(inst)] for inst, (key, _) in zip(batch, reads)]
     rows = np.unique(np.concatenate([pos for parts in located for pos in parts]))
-    h = encode_batch(list(seqs.values()), spec.model, use_visibility=spec.model.use_visibility, rows=rows)
+    h = encode_batch(list(seqs.values()), spec.model, rows=rows)
     parts = _part_means(h, [[np.searchsorted(rows, pos) for pos in parts] for parts in located])
     return parts, [seq.table_id for seq in seqs.values()]
 
@@ -747,22 +750,20 @@ def eval_relations_votes(instances, entity_vocab, side: SideData, relation_list,
 # -- linking -------------------------------------------------------------------
 
 
-def _tokenized_entries(head: LinkingHead, side: SideData, instances, token_vocab, tokenizer) -> dict:
-    """Each distinct candidate of the instances, tokenized once: ref -> entry."""
-    refs = dict.fromkeys(ref for inst in instances for ref in inst.candidate_refs)
-    return {ref: head.tokenize_entry(side.kb.get(ref, KbEntry()), token_vocab, tokenizer) for ref in refs}
-
-
-def _linking_spec(model, head, packs, instances, entries) -> TaskSpec:
-    """entries(candidate lists) gives the entry matrix of the lists' entries
-    end to end. Each cell state is projected once and scored against its own
-    list's entries."""
+def _linking_spec(model, head, packs, instances, side, token_vocab, tokenizer, use_description=True) -> TaskSpec:
+    """Each distinct candidate of the instances is tokenized once; each batch
+    builds the entry rows of its instances' candidate lists end to end, in
+    training and evaluation alike. Each cell state is projected once and
+    scored against its own list's entries."""
     seqs = {p: linking_sequence(packs[p]) for p in {inst.pack for inst in instances}}
     positions = {p: cell_positions(seq) for p, seq in seqs.items()}
+    refs = dict.fromkeys(ref for inst in instances for ref in inst.candidate_refs)
+    tokenized = {ref: head.tokenize_entry(side.kb.get(ref, KbEntry()), token_vocab, tokenizer) for ref in refs}
 
     def project(batch, parts):
-        lists = [inst.candidate_refs for inst in batch]
-        return head.project(parts[0]), entries(lists), [len(refs) for refs in lists]
+        entries = [tokenized[ref] for inst in batch for ref in inst.candidate_refs]
+        x = head.project(parts[0])
+        return x, head.entry_matrix(model, entries, use_description), [len(inst.candidate_refs) for inst in batch]
 
     def loss(batch, parts):
         x, cands, lens = project(batch, parts)
@@ -776,12 +777,7 @@ def _linking_spec(model, head, packs, instances, entries) -> TaskSpec:
 
 
 def train_linking(model, head, packs, instances, side, token_vocab, tokenizer, settings: FinetuneSettings):
-    tokenized = _tokenized_entries(head, side, instances, token_vocab, tokenizer)
-
-    def entries(lists):
-        return head.entry_matrix(model, [tokenized[ref] for refs in lists for ref in refs])
-
-    spec = _linking_spec(model, head, packs, instances, entries)
+    spec = _linking_spec(model, head, packs, instances, side, token_vocab, tokenizer)
     return finetune(instances, spec, model.params() + head.params(), settings)
 
 
@@ -790,16 +786,11 @@ def eval_linking(model, head, packs, instances, side, token_vocab, tokenizer, re
 
     With reweight=True the model's top choice must beat the lookup's first
     candidate by the margin alpha: alpha * p_model > p_lookup, else the lookup
-    candidate wins. Each distinct candidate list gets one entry matrix.
+    candidate wins. Each forward batch builds the entry rows of its own
+    instances' candidates, as a training batch does.
     """
     scored = [inst for inst in instances if inst.candidate_refs]
-    tokenized = _tokenized_entries(head, side, scored, token_vocab, tokenizer)
-    with nm.no_grad():
-        mats = {
-            refs: head.entry_matrix(model, [tokenized[ref] for ref in refs], use_description).data
-            for refs in {tuple(inst.candidate_refs) for inst in scored}
-        }
-    spec = _linking_spec(model, head, packs, scored, lambda lists: nm.Tensor(np.concatenate([mats[tuple(r)] for r in lists])))
+    spec = _linking_spec(model, head, packs, scored, side, token_vocab, tokenizer, use_description)
     choices = {}
     for inst, logits in zip(scored, forward(scored, spec)):
         z = logits - logits.max()
@@ -827,8 +818,7 @@ def _row_population_spec(model, packs, instances, max_len: int, offset: nm.Tenso
     probes = {inst: row_population_sequence(packs[inst.pack], inst.seeds, max_len) for inst in instances}
 
     def project(batch, parts):
-        x = nm.affine(parts[0], model["mer_W"], model["mer_b"])
-        cands = nm.gather_rows(model["ent_emb"], np.concatenate([inst.candidates for inst in batch]))
+        x, cands = entity_head(model, parts[0], np.concatenate([inst.candidates for inst in batch]))
         return x, cands, [len(inst.candidates) for inst in batch]
 
     def loss(batch, parts):

@@ -7,11 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabrep import cli
 from tabrep.baselines import CorpusIndex
-from tabrep.cli import finetune_settings, main, resolve_seed, restore_model, run
-from tabrep.errors import ConfigError
+from tabrep.cli import encoder_config, finetune_settings, main, resolve_seed, restore_model, run
+from tabrep.encoder import init_model
+from tabrep.errors import ConfigError, TabrepError
 from tabrep.store import Config, load_checkpoint, parse_config, save_checkpoint
 from tabrep.synth import write_corpus
 from tabrep.tasks import TASKS
@@ -146,6 +149,91 @@ def test_restore_model_rejects_wrong_contents(pipeline, tmp_path, damage):
     save_checkpoint(path, arrays, cfg_text, step=step, extra=extra)
     with pytest.raises(ConfigError):
         restore_model(str(path))
+
+
+def test_restore_model_refuses_a_small_file_that_asks_for_a_huge_model(tmp_path, monkeypatch):
+    # blocks named by empty tensors: at d_model 4096 a 75 kB file once asked for about 25 GiB of weights. Here
+    # d_model is 512 (about 400 MiB), and the stub keeps a regression from allocating them.
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was allocated")
+
+    monkeypatch.setattr(cli, "init_model", no_model)
+    d, n_blocks = 512, 100
+    arrays = {name: np.zeros((1, d), np.float32) for name in ("word_emb", "pos_emb", "ent_emb")}
+    arrays.update({"fuse_W": np.zeros((2 * d, d), np.float32)[:0], "block0.ffn_W1": np.zeros((d, 1), np.float32)})
+    arrays.update({f"block{i}.x": np.zeros(0, np.float32) for i in range(1, n_blocks)})
+    path = tmp_path / "huge.bin"
+    cfg = Config(n_blocks=n_blocks, d_model=d, n_heads=1, d_intermediate=1, max_len=1)
+    save_checkpoint(path, arrays, cfg.as_text(), extra={"n_tokens": 1, "n_entities": 1})
+    assert path.stat().st_size < 50_000
+    with pytest.raises(ConfigError, match="'fuse_W' has shape"):
+        restore_model(str(path))
+    arrays["fuse_W"] = np.zeros((2 * d, d), np.float32)
+    save_checkpoint(path, arrays, cfg.as_text(), extra={"n_tokens": 1, "n_entities": 1})
+    with pytest.raises(ConfigError, match="missing tensor 'block0.Wq'"):
+        restore_model(str(path))
+
+
+@pytest.mark.parametrize("name,dtype", [("word_emb", np.int8), ("word_emb", np.complex64), ("mer_W", np.float64)])
+def test_restore_model_refuses_a_tensor_of_another_dtype(pipeline, tmp_path, monkeypatch, capsys, name, dtype):
+    # the model is built in word_emb's dtype: an int8 one would truncate every other weight, a complex one would
+    # build a complex model, and a float64 mer_W would be cast to float32 without a word
+    arrays, cfg_text, step, extra = load_checkpoint(pipeline["runs"] / "checkpoint.bin")
+    arrays[name] = arrays[name].astype(dtype)
+    path = tmp_path / "cast.bin"
+    save_checkpoint(path, arrays, cfg_text, step=step, extra=extra)
+    with pytest.raises(ConfigError, match=f"{name!r} has dtype {np.dtype(dtype)}"):
+        restore_model(str(path))
+    monkeypatch.setattr(sys, "argv", ["tabrep", "evaluate", "--task", "fill", "--checkpoint", str(path),
+                                      "--data", str(pipeline["data"]), "--out", str(tmp_path / "fill.json")])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1 and name in capsys.readouterr().err
+    assert not (tmp_path / "fill.json").exists()
+
+
+FUZZ_CFG = Config(n_blocks=1, d_model=4, n_heads=2, d_intermediate=4, max_len=8)
+FUZZ_SIZES = {"n_tokens": 7, "n_entities": 6}
+FUZZ_DTYPES = [np.float16, np.float32, np.float64, np.int8, np.int64, np.uint8, np.bool_, np.complex64]
+_SIZE_VALUES = st.integers() | st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+
+
+@st.composite
+def _checkpoint_contents(draw):
+    """The arrays and extra of a tiny model's checkpoint, with up to three of: a tensor cast to another dtype,
+    given another shape, dropped or added; a vocabulary size, or the whole extra, replaced."""
+    arrays = dict(init_model(encoder_config(FUZZ_CFG, **FUZZ_SIZES), np.random.default_rng(0)).named_arrays())
+    extra = dict(FUZZ_SIZES)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["dtype", "shape", "drop", "add", "size", "extra"]))
+        name = draw(st.sampled_from(sorted(arrays) + ["block1.Wq", "head.x"]))
+        if kind == "dtype" and name in arrays:
+            arrays[name] = np.real(arrays[name]).astype(draw(st.sampled_from(FUZZ_DTYPES)))  # a complex one may recur
+        elif kind == "shape" and name in arrays:
+            arrays[name] = np.zeros(draw(st.lists(st.integers(0, 8), max_size=3)), dtype=arrays[name].dtype)
+        elif kind == "drop":
+            arrays.pop(name, None)
+        elif kind == "add":
+            arrays[name] = np.ones(draw(st.lists(st.integers(0, 8), max_size=3)), dtype=draw(st.sampled_from(FUZZ_DTYPES)))
+        elif kind == "size":
+            extra[draw(st.sampled_from(sorted(FUZZ_SIZES)))] = draw(_SIZE_VALUES)
+        elif kind == "extra":
+            extra = draw(st.dictionaries(st.sampled_from(["n_tokens", "n_entities", "task", "x"]), _SIZE_VALUES))
+    return arrays, extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(_checkpoint_contents())
+def test_restore_model_gives_the_checkpoint_weights_or_a_typed_error(tmp_path_factory, contents):
+    arrays, extra = contents
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    save_checkpoint(path, arrays, FUZZ_CFG.as_text(), extra=extra)
+    try:
+        model = restore_model(str(path))[0]
+    except (TabrepError, OSError):
+        return
+    for name, arr in model.named_arrays().items():  # every weight as stored, never cast
+        assert arr.dtype == arrays[name].dtype and arr.tobytes() == arrays[name].tobytes(), name
 
 
 def test_finetune_and_evaluate_column_types(pipeline, tmp_path):
@@ -480,6 +568,76 @@ def test_seed_precedence(monkeypatch):
     with pytest.raises(ConfigError):
         resolve_seed(None, cfg)
     assert resolve_seed(9, cfg) == 9  # explicit seed never consults the env
+
+
+# Every flag of the commands that prepare data or pre-train, with the value a run passes; `--config` names a
+# file that keeps the pipeline's config and changes two keys those commands read (see `run_config`).
+RUN_FLAGS = {"--seed": ["5"], "--epochs": ["1"], "--track-recovery": [], "--dump-visibility": None,
+             "--mer-grid": ["0.2,0.6"], "--config": None}
+# the flags of RUN_FLAGS each command takes
+RUN_TAKES = {"preprocess": {"--seed", "--config", "--dump-visibility"},
+             "pretrain": {"--seed", "--config", "--epochs", "--track-recovery"},
+             "ablate": {"--seed", "--config", "--epochs", "--mer-grid"}}
+
+
+def run_argv(pipeline, command, out):
+    """A command's run on the pipeline's data under the pipeline's config, writing to out."""
+    data = ["--data", str(pipeline["data"])]
+    return {
+        "preprocess": ["preprocess", "--corpus", str(pipeline["corpus"] / "raw.jsonl"), "--out", str(out)],
+        "pretrain": ["pretrain", *data, "--out", str(out)],
+        "ablate": ["ablate", *data, "--out", str(out)],
+    }[command] + ["--config", str(pipeline["cfg"])]
+
+
+def run_result(command, out):
+    """What a run writes, less the record of its own config: every file preprocess writes but config.txt and
+    meta.json; pretrain's metrics and checkpoint tensors; ablate's grid."""
+    if command == "preprocess":
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name not in ("config.txt", "meta.json")}
+    if command == "pretrain":
+        return read_jsonl(out / "metrics.jsonl"), {
+            k: v.tobytes() for k, v in load_checkpoint(out / "checkpoint.bin")[0].items()}
+    return read_jsonl(out)
+
+
+@pytest.fixture(scope="module")
+def run_config(pipeline):
+    cfg = pipeline["root"] / "run_flag.cfg"
+    cfg.write_text(TINY_CFG + "min_token_count = 2\nmlm_ratio = 0.5\n")
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def plain_results(pipeline, tmp_path_factory):
+    """command -> run_result of its run with no flag of RUN_FLAGS but the pipeline's --config."""
+    out = {}
+    for command in RUN_TAKES:
+        where = tmp_path_factory.mktemp("plain") / command
+        assert run(run_argv(pipeline, command, where)) == 0
+        out[command] = run_result(command, where)
+    return out
+
+
+@pytest.mark.parametrize("flag", RUN_FLAGS)
+@pytest.mark.parametrize("command", RUN_TAKES)
+def test_a_run_flag_changes_the_output_or_is_refused(pipeline, run_config, plain_results, tmp_path, monkeypatch,
+                                                     capsys, command, flag):
+    # a flag that a command takes must change what it writes; one it does not take is a usage error (exit 2)
+    monkeypatch.delenv("TABREP_SEED", raising=False)
+    out = tmp_path / "out"
+    given = {"--dump-visibility": [read_jsonl(pipeline["data"] / "train.jsonl")[0]["table_id"]],
+             "--config": [str(run_config)]}.get(flag, RUN_FLAGS[flag])
+    argv = run_argv(pipeline, command, out) + [flag, *given]
+    if flag in RUN_TAKES[command]:
+        assert run(argv) == 0
+        assert run_result(command, out) != plain_results[command]
+        return
+    monkeypatch.setattr(sys, "argv", ["tabrep", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2 and flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Every flag that some task or baseline reads, with the value a run passes; `--side` names a directory that

@@ -280,6 +280,45 @@ def test_text_loaders_give_a_value_or_a_typed_error(data):
                 pass
 
 
+_VOCAB_STRINGS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"), max_size=4)
+
+
+@st.composite
+def _vocab_texts(draw):
+    """Vocab TSV text: the rows of a well-formed vocabulary, with up to three rows replaced by a row of any
+    id, string and count, or by a junk line, dropped or repeated."""
+    strings = draw(st.lists(_VOCAB_STRINGS.filter(lambda x: x not in C.TOKEN_RESERVED), unique=True, max_size=5))
+    lines = [f"{i}\t{x}\t{i % 3}" for i, x in enumerate([*C.TOKEN_RESERVED, *strings])]
+    number = st.integers(-2, 12).map(str) | st.sampled_from(["", "x", "1.5", "٣", " 4", "9" * 30])
+    row = st.tuples(number, st.sampled_from(C.TOKEN_RESERVED) | _VOCAB_STRINGS, number).map("\t".join)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["replace", "drop", "repeat"]))
+        if kind == "replace" or not lines:
+            lines[at:at + 1] = [draw(row | _VOCAB_STRINGS)]
+        elif kind == "drop":
+            del lines[at:at + 1]
+        else:
+            lines.insert(at, lines[at % len(lines)])
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vocab_texts())
+def test_vocab_file_gives_a_dense_vocabulary_or_a_typed_error(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "vocab.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            vocab = C.Vocab.load(path, C.TOKEN_RESERVED)
+        except TabrepError:
+            return
+    assert vocab.strings[: vocab.n_reserved] == list(C.TOKEN_RESERVED) and len(vocab.counts) == len(vocab)
+    assert all(vocab.get(x) == i for i, x in enumerate(vocab.strings) if i >= vocab.n_reserved)
+    assert all(type(c) is int for c in vocab.counts)
+
+
 def test_entity_vocab_min_count_two():
     t1 = _table_with_links(3, 1)
     tables = [t1, t1]  # every entity appears twice

@@ -183,12 +183,13 @@ def test_encode_batch_rows_equal_per_table_encode_bitwise(model):
     shapes = [(1, 1), (4, 3), (2, 2), (5, 1), (3, 4)]
     seqs = [seq_of(rng, model, n_rows=r, n_cols=c, with_topic=bool(r % 2)) for r, c in shapes]
     assert len({len(s) for s in seqs}) == len(seqs)
-    for kw in (dict(), dict(use_visibility=False), dict(reference=True)):
-        h = encode_batch(seqs, model, **kw).data
+    for use_visibility in (True, False):
+        model.use_visibility = use_visibility
+        h = encode_batch(seqs, model).data
         assert h.shape == (sum(len(s) for s in seqs), model.cfg.d_model)
         start = 0
         for seq in seqs:
-            assert h[start : start + len(seq)].tobytes() == encode(seq, model, **kw).h.data.tobytes()
+            assert h[start : start + len(seq)].tobytes() == encode(seq, model, use_visibility).h.data.tobytes()
             start += len(seq)
 
 
@@ -201,16 +202,15 @@ def batch_and_rows(model, rng, shapes, n_read):
     return seqs, np.concatenate(rows)
 
 
-@pytest.mark.parametrize(
-    "kw", [dict(), dict(use_visibility=False), dict(reference=True)], ids=["visibility", "all_ones", "reference"]
-)
-def test_encode_batch_at_rows_equals_those_rows_of_a_full_encode_bitwise(model, kw):
+@pytest.mark.parametrize("use_visibility", [True, False], ids=["visibility", "all_ones"])
+def test_encode_batch_at_rows_equals_those_rows_of_a_full_encode_bitwise(model, use_visibility):
     # the last block runs only at the rows read; its keys and values, and
     # every earlier block, still cover every row. The third table has no row read
+    model.use_visibility = use_visibility
     seqs, rows = batch_and_rows(model, np.random.default_rng(9), [(3, 3), (4, 2), (2, 2), (5, 3)], [5, 3, 0, 7])
-    at = encode_batch(seqs, model, rows=rows, **kw).data
+    at = encode_batch(seqs, model, rows=rows).data
     assert at.shape == (len(rows), model.cfg.d_model)
-    assert at.tobytes() == encode_batch(seqs, model, **kw).data[rows].tobytes()
+    assert at.tobytes() == encode_batch(seqs, model).data[rows].tobytes()
 
 
 def test_encode_batch_at_rows_gradients_match_finite_differences():

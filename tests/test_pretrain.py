@@ -1,5 +1,7 @@
 """Masking plans, candidate sets, and the pre-training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -376,6 +378,18 @@ def test_fit_gives_the_model_the_attention_mode_of_its_settings():
     assert again is model and model.use_visibility is True
 
 
+def test_fit_refuses_a_model_built_from_another_config():
+    # fit linearizes and draws ids from encoder_cfg, so a model of other sizes would train on truncated tables
+    model, _ = small_fit(epochs=1)
+    before = {k: v.copy() for k, v in model.named_arrays().items()}
+    rng = np.random.default_rng(100)
+    tables = [make_indexed_table(rng, 3, 2, n_tokens=30, n_entities=20, table_id=f"t{i}") for i in range(6)]
+    short = dataclasses.replace(SMALL_CFG, max_len=8, n_entities=19)
+    with pytest.raises(ConfigError, match="max_len, n_entities$"):
+        fit(tables, short, TrainSettings(epochs=2, batch_size=3, candidate_cap=16), cooccur={}, model=model)
+    assert all(np.array_equal(before[k], v) for k, v in model.named_arrays().items())
+
+
 def test_fit_runs_and_logs():
     model, history = small_fit(epochs=2)
     assert len(history.epochs) == 2
@@ -451,12 +465,12 @@ def test_fit_builds_each_visibility_once_and_encodes_with_it(monkeypatch):
     monkeypatch.setattr(encoding, "build_visibility", counting)
     encoded = []
 
-    def recording(seqs, model, use_visibility=True, reference=False, rows=None):
+    def recording(seqs, model, rows=None):
         # a corrupted clone has its source table's visibility
         for seq in seqs:
             assert seq.visibility().tobytes() == real(seq).tobytes()
         encoded.extend(s.table_id for s in seqs)
-        return encode_batch(seqs, model, use_visibility, reference, rows)
+        return encode_batch(seqs, model, rows)
 
     monkeypatch.setattr(pretrain, "encode_batch", recording)
     small_fit(epochs=3)
@@ -481,11 +495,11 @@ def test_a_two_block_fit_step_runs_the_attention_kernels_once_per_table_per_bloc
         monkeypatch.setattr(kernels, name, counting)
     batched, queried = [], []
 
-    def recording(seqs, model, use_visibility=True, reference=False, rows=None):
+    def recording(seqs, model, rows=None):
         ends = np.cumsum([len(s.ids) for s in seqs])
         batched.append(len(seqs))
         queried.append(len(np.unique(np.searchsorted(ends, rows, side="right"))))
-        return encode_batch(seqs, model, use_visibility, reference, rows)
+        return encode_batch(seqs, model, rows)
 
     monkeypatch.setattr(pretrain, "encode_batch", recording)
     rng = np.random.default_rng(101)

@@ -1,9 +1,11 @@
 """Project-wide checks: the metadata in pyproject.toml, the package's one write path, its one training loop,
-the one owner of the visibility matrix, the one carrier of the attention mode and the one task table."""
+the one owner of the visibility matrix, the one carrier of the attention mode, the one read path of the
+masked-entity head, the one linking path and the one task table."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import re
 
@@ -82,6 +84,40 @@ def test_the_model_alone_carries_its_attention_mode():
     above = {name: list(takes(PACKAGE / name, "use_visibility")) for name in ("pretrain.py", "tasks.py", "cli.py")}
     assert {name: lines for name, lines in above.items() if lines} == {}
     assert "use_visibility" not in {f.name for f in dataclasses.fields(FinetuneSettings)}
+    # a packed batch encodes in the model's mode; only `encode` keeps a mode of its own (the bench's C03 gate)
+    from tabrep.encoder import encode_batch
+
+    assert list(inspect.signature(encode_batch).parameters) == ["seqs", "model", "rows"]
+
+
+def holders(path, names):
+    """Names of a module's top-level definitions ("<module>" for other code) whose code holds a string
+    constant in `names`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body for node in ast.walk(top) if isinstance(node, ast.Constant) and node.value in names
+    }
+
+
+def test_one_function_reads_the_masked_entity_head():
+    # `pretrain.entity_head` is the head's one read path, for pre-training, recovery, cell filling and row
+    # population alike; `init_model` only creates its weights
+    found = {(p.name, name) for p in sorted(PACKAGE.glob("*.py")) for name in holders(p, {"mer_W", "mer_b"})}
+    assert found == {("pretrain.py", "entity_head"), ("encoder.py", "init_model")}
+
+
+def called_parameters(path, function):
+    """The parameters of a module's top-level function that its code (nested functions too) calls."""
+    fn = next(n for n in ast.parse(path.read_text(encoding="utf-8")).body if getattr(n, "name", None) == function)
+    params = {a.arg for a in [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]}
+    return {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and getattr(n.func, "id", None) in params}
+
+
+def test_linking_scores_its_candidates_one_way():
+    # training and evaluation build entry rows the same way, inside the spec; no caller hands it a callback
+    assert called_parameters(PACKAGE / "tasks.py", "_linking_spec") == set()
+    assert called_parameters(PACKAGE / "tasks.py", "_label_spec") == {"golds"}  # the check does see a call
 
 
 def test_the_command_line_reads_each_task_from_the_table():

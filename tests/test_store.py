@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabrep import corpus
-from tabrep.errors import ConfigError, CorruptCheckpoint, VersionMismatch
+from tabrep.errors import ConfigError, CorruptCheckpoint, TabrepError, VersionMismatch
 from tabrep.store import MAGIC, Config, load_checkpoint, load_config, parse_config, save_checkpoint
 
 
@@ -80,6 +80,40 @@ def test_bool_spellings():
 def test_config_hash_tracks_content():
     assert Config().hash() != Config(seed=14).hash()
     assert Config().hash() == Config().hash()
+
+
+_CONFIG_VALUES = {
+    int: st.integers(-3, 400).map(str),
+    float: st.floats(-0.5, 1.5).map(repr) | st.sampled_from(["1e-4", "nan", "-inf", "1e400"]),
+    bool: st.sampled_from(["true", "False", "yes", "0", "maybe"]),
+    None: st.sampled_from(["", "0x10", "1_0", "9" * 30, "٣"]) | st.floats().map(repr) | st.text(max_size=6),
+}
+
+
+@st.composite
+def _config_texts(draw):
+    """Config text: lines of a key, a separator and a value of the key's type, or a value or key of any kind,
+    some with a comment, among junk lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["typed", "typed", "typed", "any", "junk"]))
+        f = draw(st.sampled_from(dataclasses.fields(Config)))
+        key = f.name if kind == "typed" else draw(st.sampled_from([f.name, f.name.upper(), "", "x y"]))
+        value = draw(_CONFIG_VALUES[type(f.default) if kind == "typed" else None])
+        sep, tail = draw(st.sampled_from([" = ", "=", " == "])), draw(st.sampled_from(["", " # c"]))
+        lines.append(draw(st.text(max_size=10)) if kind == "junk" else f"{key}{sep}{value}{tail}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_texts())
+def test_config_text_gives_a_valid_config_or_a_typed_error(text):
+    try:
+        cfg = parse_config(text)
+    except TabrepError:
+        return
+    cfg.validate()
+    assert all(type(getattr(cfg, f.name)) is type(f.default) for f in dataclasses.fields(Config))
 
 
 def test_load_config_file(tmp_path):
