@@ -207,6 +207,18 @@ def _side_dir(args, data_dir: str) -> str:
     return data_dir
 
 
+def _check_out_file(path) -> None:
+    """Raise ConfigError unless `path` (when given) can name a file to write
+    later: its directory exists and it is not a directory itself."""
+    if not path:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--out {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory; name a file")
+
+
 def _write_report(report: dict, out_path) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
@@ -371,6 +383,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     start = time.perf_counter()
+    _check_out_file(args.out)
     task = T.TASKS[args.task]
     if args.baseline is not None and args.baseline not in task.baselines:
         if not task.baselines:
@@ -419,6 +432,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_out_file(args.out)
     cfg = _config_from_args(args)
     try:
         ratios = [float(x) for x in args.mer_grid.split(",") if x.strip()]

@@ -606,7 +606,8 @@ def read_text(path) -> str:
 
 def _jsonl_lines(path):
     """(line number, JSON value) of each non-blank line; a line that is not
-    JSON raises ConfigError."""
+    JSON, or whose escapes decode to a lone surrogate (text no UTF-8 file
+    can hold), raises ConfigError."""
     for line_no, line in enumerate(read_text(path).split("\n"), 1):
         line = line.strip()
         if not line:
@@ -615,11 +616,17 @@ def _jsonl_lines(path):
             value = json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: line {line_no} is not JSON: {exc}") from None
+        if "\\u" in line:
+            try:
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"{path}: line {line_no} escapes a lone surrogate, which UTF-8 cannot hold") from None
         yield line_no, value
 
 
 def read_jsonl(path) -> list:
-    """One JSON value per non-blank line; a line that is not JSON raises ConfigError."""
+    """One JSON value per non-blank line; a line that is not JSON, or that
+    escapes a lone surrogate, raises ConfigError."""
     return [value for _, value in _jsonl_lines(path)]
 
 

@@ -49,7 +49,10 @@ column's header, the caption and the topic) with only c's key and value
 changed, and block 2 recomputes row c alone. Without the visibility matrix
 every row sees every other, so block 1 recomputes all rows. Substitutions
 are recomputed together in packs sized so that no block's attention scores
-exceed those of one full encode of a max_len table.
+per head exceed 256 x 256, those of one full encode at the default
+max_len, or those of one full encode of a max_len table when that is more.
+With two blocks at max_len 64, the masked cells of a 30-element table then
+fit in one pack per block.
 
 Initialization follows BERT: every embedding table and weight matrix draws
 from a normal truncated at two standard deviations with std 0.02; biases and
@@ -85,6 +88,10 @@ __all__ = [
     "EncodeResult",
     "encode_substitutions",
 ]
+
+# the per-head attention scores of one full encode at the default max_len;
+# encode_substitutions packs up to this many, or max_len**2 when larger
+_SCORE_FLOOR = 256**2
 
 
 @dataclass
@@ -360,8 +367,8 @@ def encode_substitutions(enc: EncodeResult, positions: np.ndarray, subst: Sequen
     of element positions[m] when it alone is substituted, under the mask
     `enc` was encoded with. Only the rows a substitution reaches are
     recomputed, by the rule in the module docstring, as many substitutions
-    at a time as keep every block's attention scores within those of one
-    full encode of a max_len table. The result equals a full `encode` of
+    at a time as keep every block's attention scores per head within
+    max(max_len**2, 256**2). The result equals a full `encode` of
     each substituted table up to float rounding, not bitwise.
     """
     cfg, n, n_blocks = model.cfg, len(enc.h.data), model.cfg.n_blocks
@@ -375,7 +382,7 @@ def encode_substitutions(enc: EncodeResult, positions: np.ndarray, subst: Sequen
     # intact one at `changed[i]`, the rows block i - 1 recomputed
     rows = [reach[min(i + 1, n_blocks - i - 1)] for i in range(n_blocks)]
     changed = [reach[min(i, n_blocks - i)] for i in range(n_blocks)]
-    pack = _pack_size(rows, changed, n, cfg.max_len**2)
+    pack = _pack_size(rows, changed, n, max(cfg.max_len**2, _SCORE_FLOOR))
     out = np.empty((len(positions), cfg.d_model), dtype=model.dtype)
     with nm.no_grad():
         x0 = embed_sequence(subst, model).data[positions]
@@ -393,13 +400,13 @@ def encode_substitutions(enc: EncodeResult, positions: np.ndarray, subst: Sequen
 def _pack_size(rows: list[np.ndarray], changed: list[np.ndarray], n: int, budget: int) -> int:
     """The most substitutions to recompute together such that, in every
     block, (query rows) x (n intact + patched key rows) <= budget, at least
-    one. Sized from each block's largest row sets."""
+    one. Sized from each block's largest row sets. The cost p q (n + p k) of
+    p substitutions never falls as p grows, so the answer is the count of
+    feasible p."""
     q = np.array([r.sum(axis=1).max(initial=0) for r in rows])
     k = np.array([r.sum(axis=1).max(initial=0) for r in changed])
-    pack = 1
-    while pack < len(rows[0]) and ((pack + 1) * q * (n + (pack + 1) * k)).max() <= budget:
-        pack += 1
-    return pack
+    p = np.arange(1, len(rows[0]) + 1)[:, None]
+    return max(1, int(((p * q * (n + p * k)).max(axis=1) <= budget).sum()))
 
 
 def _substituted_block(x, changed, rows, vis, intact, model: Model, block: int) -> np.ndarray:

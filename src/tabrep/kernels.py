@@ -16,9 +16,10 @@ form, and an all-ones mask gives the bits of the plain softmax.
 
 Each softmax makes one new array and works in place on it: subtract the row
 max, exp, divide by the row sum. In-place ufuncs give the same bits as their
-out-of-place forms, the row max is exact in any order, and the row sum is
-`np.add.reduce`, the same pairwise sum as `np.sum`. No kernel writes into
-its inputs.
+out-of-place forms, the row max is exact in any order (it reduces the
+columns of a transposed copy, which is faster on short rows), and the row
+sum is `np.add.reduce`, the same pairwise sum as `np.sum`. No kernel writes
+into its inputs.
 """
 
 from __future__ import annotations
@@ -69,11 +70,20 @@ def check_starts(starts, n_rows):
     return starts.astype(np.int64, copy=False)
 
 
+def _row_max(x):
+    # The max of each row of x over its last axis, shape x.shape[:-1]. numpy
+    # reduces a short contiguous row at a fixed cost per row, so this reduces
+    # the columns of a transposed copy instead, elementwise over all rows at
+    # once: 4 us against 11 us at (4, 28, 28). A max is exact in any order;
+    # only the sign of a max that is a zero of both signs can differ, and no
+    # subtraction and exp below can tell it apart.
+    return np.maximum.reduce(np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T), axis=0).reshape(x.shape[:-1])
+
+
 def _softmax(x, out):
     # Softmax of x over its last axis into out, which may be x itself:
     # subtract the row max, exp, divide by the row sum, each in place on out.
-    m = np.maximum.reduce(x.reshape(-1, x.shape[-1]), axis=-1)
-    np.subtract(x, m.reshape(x.shape[:-1] + (1,)), out=out)
+    np.subtract(x, _row_max(x)[..., None], out=out)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out

@@ -524,6 +524,31 @@ def test_ablate_grid(pipeline, tmp_path):
         assert set(r) >= {"use_visibility", "mer_ratio", "oep_acc", "final_loss"}
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+@pytest.mark.parametrize("command", ["ablate", "evaluate", "evaluate_baseline"])
+def test_an_unwritable_out_path_exits_one_before_any_work(pipeline, tmp_path, monkeypatch, capsys, command, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command loaded data or a model before checking --out")
+
+    for name in ("fit", "restore_model", "_load_split"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = str(tmp_path / "missing" / "report.json") if where == "missing_dir" else str(tmp_path)
+    data, cfg = ["--data", str(pipeline["data"])], ["--config", str(pipeline["cfg"])]
+    argv = {
+        "ablate": ["ablate", *data, "--out", out, "--epochs", "1", *cfg],
+        "evaluate": ["evaluate", "--task", "fill", "--checkpoint", str(pipeline["runs"] / "checkpoint.bin"), *data,
+                     "--out", out, *cfg],
+        "evaluate_baseline": ["evaluate", "--task", "linking", "--baseline", "lookup", *data, "--out", out, *cfg],
+    }[command]
+    monkeypatch.setattr(sys, "argv", ["tabrep", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and out in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_usage_errors_exit_two():
     for argv in ([], ["pretrain"], ["evaluate", "--task", "bogus", "--data", "x"]):
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from tabrep import corpus as C
 from tabrep.errors import BadTableError, ConfigError, TabrepError
 from tabrep.store import load_config
+from tabrep.synth import make_corpus
+
+from conftest import mutated_jsonl
 
 
 def raw(table_id="t1", headers=("Name", "Year"), rows=(), **kw):
@@ -261,6 +264,19 @@ def test_non_utf8_input_names_the_file(tmp_path):
             load()
 
 
+def test_a_lone_surrogate_escape_names_the_file_and_line(tmp_path):
+    # "\ud800" is valid JSON syntax but decodes to a str that no UTF-8 file,
+    # such as preprocess's split files, can hold; a surrogate pair is text
+    path = tmp_path / "raw.jsonl"
+    good = json.dumps({"table_id": "ok", "headers": ["Name"], "rows": [[{"text": "ann \U0001f600", "entity": "e1"}]]})
+    path.write_text(good + "\n" + good.replace("ann", "ann \\ud800") + "\n")
+    assert "\\ud83d\\ude00" in good
+    with pytest.raises(ConfigError, match="raw.jsonl: line 2 escapes a lone surrogate"):
+        C.load_raw_tables(path)
+    path.write_text(good + "\n")
+    assert [t.table_id for t in C.load_raw_tables(path)[0]] == ["ok"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.binary(max_size=80)
@@ -455,3 +471,24 @@ def test_load_raw_tables_skips_bad_records(tmp_path):
     tables, skipped = C.load_raw_tables(path)
     assert [t.table_id for t in tables] == ["ok"]
     assert skipped and skipped[0][0] == "bad"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_jsonl(make_corpus(3, 3, "tasks")[0]))
+def test_raw_corpus_file_gives_a_table_or_a_skip_per_record_or_a_typed_error(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "raw.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            tables, skipped = C.load_raw_tables(path)
+        except (TabrepError, OSError):
+            return
+        with open(path, encoding="utf-8") as fh:
+            n_records = sum(1 for line in fh.read().split("\n") if line.strip())
+    assert len(tables) + len(skipped) == n_records
+    assert all(isinstance(table_id, str) and isinstance(why, str) for table_id, why in skipped)
+    for pt in tables:
+        assert isinstance(pt, C.ProcessedTable)
+        assert all(0 <= c.row < pt.n_rows and 0 <= c.col < pt.n_cols for c in pt.cells)
+        json.dumps(C.processed_to_json(pt), ensure_ascii=False).encode("utf-8")  # preprocess can write it

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tabrep import encoder
 from tabrep import numeric as nm
@@ -374,6 +376,9 @@ def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_vis
 
     substituted_block = encoder._substituted_block
     monkeypatch.setattr(encoder, "_substituted_block", spy)
+    # the package's score floor, then none, which leaves max_len**2 alone and
+    # splits the first table into several packs
+    floors = (encoder._SCORE_FLOOR, 0)
     cands = np.arange(3, 30)
     for t in tables:
         seq = linearize(t, model.cfg.max_len)
@@ -384,19 +389,44 @@ def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_vis
                 continue
             want = full_encode_of_each_masking(seq, positions, model, use_visibility)
             enc = encode(seq, model, use_visibility=use_visibility)
-            packs.clear()
-            got = encode_substitutions(enc, positions, masked_cells(seq, positions), model)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
-            logits = {k: x @ model["mer_W"].data @ model["ent_emb"].data[cands].T for k, x in (("got", got), ("want", want))}
-            assert np.abs(logits["got"] - logits["want"]).max() <= 1e-5 * np.abs(logits["want"]).max()
-            assert np.array_equal(logits["got"].argmax(axis=1), logits["want"].argmax(axis=1))
-            # every block's attention scores fit in one full encode of a
-            # max_len table, unless the pack holds a single substitution
-            assert sum(m for m, _, _ in packs) == n_blocks * len(positions)
-            assert all(m == 1 or q * (len(seq) + k) <= model.cfg.max_len**2 for m, q, k in packs)
+            for floor in floors:
+                monkeypatch.setattr(encoder, "_SCORE_FLOOR", floor)
+                packs.clear()
+                got = encode_substitutions(enc, positions, masked_cells(seq, positions), model)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+                logits = {k: x @ model["mer_W"].data @ model["ent_emb"].data[cands].T for k, x in (("got", got), ("want", want))}
+                assert np.abs(logits["got"] - logits["want"]).max() <= 1e-5 * np.abs(logits["want"]).max()
+                assert np.array_equal(logits["got"].argmax(axis=1), logits["want"].argmax(axis=1))
+                # every block's attention scores per head fit in the budget,
+                # unless the pack holds a single substitution
+                budget = max(model.cfg.max_len**2, floor)
+                assert sum(m for m, _, _ in packs) == n_blocks * len(positions)
+                assert all(m == 1 or q * (len(seq) + k) <= budget for m, q, k in packs)
+                if floor and n_blocks <= 2:
+                    assert len(packs) == n_blocks  # one pack per block at the floor
         if t is tables[0] and n_blocks > 1:
-            assert len(packs) > n_blocks  # the first table took more than one pack
+            assert len(packs) > n_blocks  # without the floor the first table took more than one pack
+
+
+def _pack_size_by_loop(rows, changed, n, budget):
+    # the pack size as first written: grow the pack one substitution at a
+    # time while every block's scores fit
+    q = np.array([r.sum(axis=1).max(initial=0) for r in rows])
+    k = np.array([r.sum(axis=1).max(initial=0) for r in changed])
+    pack = 1
+    while pack < len(rows[0]) and ((pack + 1) * q * (n + (pack + 1) * k)).max() <= budget:
+        pack += 1
+    return pack
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 24), st.integers(1, 4), st.integers(0, 6000))
+@example(seed=0, n=5, n_positions=0, n_blocks=2, budget=100)  # no positions
+def test_pack_size_equals_growing_the_pack_one_at_a_time(seed, n, n_positions, n_blocks, budget):
+    rng = np.random.default_rng(seed)
+    rows, changed = ([rng.random((n_positions, n)) < rng.random() for _ in range(n_blocks)] for _ in range(2))
+    assert encoder._pack_size(rows, changed, n, budget) == _pack_size_by_loop(rows, changed, n, budget)
 
 
 def test_encode_keeps_each_block_input_and_builds_no_tape_under_no_grad(model):

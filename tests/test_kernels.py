@@ -158,6 +158,30 @@ def test_softmax_and_its_backward_have_the_bits_of_the_formulas(dtype):
     assert got.tobytes() == softmax_bwd_formula_oracle(probs, dout).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_max_has_the_bits_of_the_last_axis_reduce(dtype):
+    rng = np.random.default_rng(23)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0], dtype=dtype)
+    for n in range(1, 41):  # every tail length of the SIMD loops
+        x = np.stack([
+            rng.choice(special, size=(6, n)),
+            rng.choice(special[[0, 1, 3, 6]], size=(6, n)),  # rows whose max is often a zero
+            np.full((6, n), -np.inf, dtype=dtype),  # a single visible entry per row
+        ])
+        x[2, np.arange(6), rng.integers(0, n, 6)] = rng.choice(special, 6)
+        got, want = kernels._row_max(x), np.maximum.reduce(x, axis=-1)
+        assert got.shape == want.shape and got.dtype == dtype
+        # where the max is a zero of both signs, the reduce's own sign depends
+        # on its order (it changes with n at the parent); equal values there
+        zeros = x == 0
+        both = (want == 0) & (zeros & np.signbit(x)).any(axis=-1) & (zeros & ~np.signbit(x)).any(axis=-1)
+        assert got[~both].tobytes() == want[~both].tobytes()
+        assert (got[both] == 0).all()
+        # and the softmax cannot tell the two signs apart
+        with np.errstate(invalid="ignore"):
+            assert kernels.softmax_fwd(x).tobytes() == softmax_formula_oracle(x).tobytes()
+
+
 @pytest.mark.parametrize("masked", [True, False])
 def test_attention_writes_into_out_with_the_bits_it_returns(masked):
     rng = np.random.default_rng(23)

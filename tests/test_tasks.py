@@ -1,8 +1,13 @@
 """Task instance builders, heads, probe sequences, and evaluation rules on a
 small hand-written corpus with known answers."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tabrep.numeric as nm
 from tabrep.baselines import CorpusIndex
@@ -16,9 +21,10 @@ from tabrep.corpus import (
 )
 from tabrep.encoder import EncoderConfig, encode, init_model, trunc_normal
 from tabrep.encoding import CELL, HEADER, linearize, mask_cell
-from tabrep.errors import ConfigError, EmptyColumn, NonFiniteLoss
+from tabrep.errors import ConfigError, EmptyColumn, NonFiniteLoss, TabrepError
 from tabrep.metrics import candidate_recall, linking_prf, mean_average_precision, micro_prf, precision_at_k
 from tabrep.pretrain import entity_logits
+from tabrep.synth import make_corpus
 from tabrep.tasks import (
     ColumnTypeHead,
     KbEntry,
@@ -60,7 +66,7 @@ from tabrep.tasks import (
     train_schema,
 )
 
-from conftest import make_indexed_table
+from conftest import make_indexed_table, mutated_jsonl
 
 TOKENIZER = WordTokenizer()
 
@@ -161,6 +167,45 @@ def test_load_side_data_reads_well_formed_records(tmp_path):
     (tmp_path / "kb.jsonl").write_text('{"entity": "e"}\n')
     side = load_side_data(tmp_path)
     assert side.types == {"e": ["t"]} and side.kb["e"] == KbEntry(name="", description="", types=[])
+
+
+def _side_records():
+    world = make_corpus(3, 3, "tasks")[1]
+    records = {
+        "types.jsonl": [{"entity": e, "types": t} for e, t in sorted(world.entity_types().items())],
+        "relations.jsonl": world.relations(),
+        "kb.jsonl": world.kb_entries(),
+        "candidates.jsonl": world.candidate_lookup(np.random.default_rng(0)),
+    }
+    return {name: recs[:4] for name, recs in records.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({name: st.none() | mutated_jsonl(recs) for name, recs in _side_records().items()}))
+def test_side_files_give_side_data_or_a_typed_error(files):
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            if text is not None:  # None leaves the file out
+                with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        try:
+            side = load_side_data(d)
+        except (TabrepError, OSError):
+            return
+    assert _texts(side.types) and all(_texts(t) for t in side.types.values())
+    assert all(_texts(k) and _texts(r) for k, r in side.relations.items())
+    assert _texts(side.kb) and all(_texts([e.name, e.description, *e.types]) for e in side.kb.values())
+    assert _texts(side.candidates) and all(_texts(c) for c in side.candidates.values())
+
+
+def _texts(xs):
+    """Every item is a str that a UTF-8 file, such as a checkpoint's labels, can hold."""
+    xs = list(xs)
+    try:
+        "".join(xs).encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        return False
+    return True
 
 
 def test_pack_tables_skips_unlinearizable(corpus):
