@@ -219,6 +219,17 @@ def _check_out_file(path) -> None:
         raise ConfigError(f"--out {path} is a directory; name a file")
 
 
+def _check_out_dir(path) -> None:
+    """Raise ConfigError unless `path` can name a directory to make or
+    reuse later: the path, or else its nearest existing ancestor, is a
+    directory."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigError(f"--out {path}: {existing} is not a directory")
+
+
 def _write_report(report: dict, out_path) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
@@ -232,6 +243,7 @@ def _write_report(report: dict, out_path) -> None:
 
 
 def cmd_preprocess(args) -> int:
+    _check_out_dir(args.out)
     cfg = _config_from_args(args)
     tables, skipped = load_raw_tables(args.corpus)
     _info(f"parsed {len(tables)} tables, skipped {len(skipped)}")
@@ -288,6 +300,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    _check_out_dir(args.out)
     cfg = _config_from_args(args)
     train, valid, index, ecfg = _pretrain_inputs(args.data, cfg)
     _info(f"pre-training on {len(train)} tables ({ecfg.n_tokens} tokens, {ecfg.n_entities} entities)")
@@ -360,6 +373,7 @@ def _run(args, cfg: Config, split: str, model: Model | None, training: bool = Fa
 def cmd_finetune(args) -> int:
     task = T.TASKS[args.task]
     _refuse_unread(args, task.reads)
+    _check_out_dir(args.out)
     model, base, _, extra = restore_model(args.checkpoint)
     cfg = _config_from_args(args, base)
     r = _run(args, cfg, "train", model, training=True)

@@ -16,8 +16,9 @@ over consecutive segments of the gathered word rows with no dense averaging
 matrix. Attention is one op, `numeric.table_attention`, that loops over the
 tables' row slices, so a row attends only within its own table, under that
 table's visibility matrix. A table's rows therefore come out as if it were
-encoded alone; the tests check that they are bitwise equal. `encode` is a
-batch of one, and also returns the input of every block. A pre-training
+encoded alone; the tests check that they are bitwise equal. `encode` packs
+the same way, one Sequence being a batch of one, and also returns the input
+of every block and each table's mask. A pre-training
 step's loss on top (`pretrain.table_loss`) adds the masked-entity head as
 one `numeric.candidate_cross_entropy_sum` node over all tables, so the
 step's tape has the same 49 op nodes (two blocks) for any batch size.
@@ -36,8 +37,8 @@ encode, as long as the BLAS computes a product's rows alike for any number
 of rows; the gradients differ from a full encode's by float rounding where
 a product sums over rows, or has few of them.
 
-`encode_substitutions` scores single-element substitutions of an encoded
-table without encoding each substituted copy. Row i of block l's output
+`encode_substitutions` scores single-element substitutions of encoded
+tables without encoding each substituted copy. Row i of block l's output
 depends only on the rows visible to i in block l's input, so a substitution
 at row c changes block l's output only at rows within l visibility hops of
 c. The last block is needed only at c, so block l (of L, counted from 1)
@@ -52,7 +53,13 @@ are recomputed together in packs sized so that no block's attention scores
 per head exceed 256 x 256, those of one full encode at the default
 max_len, or those of one full encode of a max_len table when that is more.
 With two blocks at max_len 64, the masked cells of a 30-element table then
-fit in one pack per block.
+fit in one pack per block. The substituted embeddings of all tables are one
+`embed_sequence`, and each block's intact keys and values one affine map
+each over all tables' rows; only the reach sets, the pack size and the
+recomputed blocks run table by table. Evaluation packs its no-grad encodes
+(`tasks.forward`, `pretrain.masked_cell_states`) in runs of at most
+PACK_ROWS rows (`row_packs`), which bounds the rows a graph holds at once
+whatever the number of tables.
 
 Initialization follows BERT: every embedding table and weight matrix draws
 from a normal truncated at two standard deviations with std 0.02; biases and
@@ -87,11 +94,17 @@ __all__ = [
     "encode",
     "EncodeResult",
     "encode_substitutions",
+    "PACK_ROWS",
+    "row_packs",
 ]
 
 # the per-head attention scores of one full encode at the default max_len;
 # encode_substitutions packs up to this many, or max_len**2 when larger
 _SCORE_FLOOR = 256**2
+
+# rows per packed no-grad graph: `tasks.forward` and
+# `pretrain.masked_cell_states` encode in runs of this many (`row_packs`)
+PACK_ROWS = 4096
 
 
 @dataclass
@@ -157,13 +170,14 @@ def load_tensors(tensors: dict[str, nm.Tensor], arrays: dict[str, np.ndarray]) -
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    """Normal draw renormalized to two standard deviations, then scaled."""
+    """Normal draw renormalized to two standard deviations, then scaled.
+    Each round redraws, in order, only the entries still beyond two."""
     x = rng.standard_normal(shape)
-    while True:
-        bad = np.abs(x) > 2.0
-        if not bad.any():
-            break
-        x[bad] = rng.standard_normal(int(bad.sum()))
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0)
+    while len(bad):
+        flat[bad] = rng.standard_normal(len(bad))
+        bad = bad[np.abs(flat[bad]) > 2.0]
     return (x * std).astype(dtype)
 
 
@@ -300,21 +314,42 @@ def _block_output(h: nm.Tensor, ctx: nm.Tensor, model: Model, block: int) -> nm.
 
 @dataclass
 class EncodeResult:
-    h: nm.Tensor
-    block_inputs: list[nm.Tensor]  # the (n, d) input of each block, in order
-    mask: np.ndarray | None  # the (n, n) bool visibility every block used; None for the plain reference path
+    h: nm.Tensor  # the (N, d) final states of the tables, stacked end to end
+    block_inputs: list[nm.Tensor]  # the (N, d) input of each block, in order
+    masks: list[np.ndarray] | None  # each table's (n, n) bool visibility every block used; None for the plain reference path
+    starts: np.ndarray  # each table's first row
+
+
+def row_packs(lens: list[int]) -> list[slice]:
+    """Consecutive runs of sequences of lengths `lens`, as slices of it, each
+    run at most PACK_ROWS rows in all; a longer sequence is a run of its own."""
+    packs, start, rows = [], 0, 0
+    for i, n in enumerate(lens):
+        if i > start and rows + n > PACK_ROWS:
+            packs.append(slice(start, i))
+            start, rows = i, 0
+        rows += n
+    if lens:
+        packs.append(slice(start, len(lens)))
+    return packs
+
+
+def _batch(seqs: Sequence | list[Sequence]) -> list[Sequence]:
+    return [seqs] if isinstance(seqs, Sequence) else list(seqs)
 
 
 def _pack(seqs: list[Sequence]) -> Sequence:
     """Stack sequences end to end into one sequence of all their elements."""
+    if len(seqs) == 1:
+        return seqs[0]
     fields = [np.concatenate([getattr(s, f) for s in seqs]) for f in ("kinds", "ids", "type_ids", "positions", "rows", "cols")]
     return Sequence("+".join(s.table_id for s in seqs), *fields, [m for s in seqs for m in s.mentions])
 
 
 def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool, rows=None):
     """The packed input of every block, then the output of the last one (at
-    `rows` only, when given), and each table's mask (None on the reference
-    path)."""
+    `rows` only, when given), each table's mask (None on the reference
+    path) and each table's first row."""
     lens = [len(s) for s in seqs]
     starts = np.cumsum([0] + lens[:-1])
     if rows is not None:
@@ -329,7 +364,7 @@ def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, ref
     last = model.cfg.n_blocks - 1
     for i in range(model.cfg.n_blocks):
         states.append(transformer_block(states[-1], masks, starts, model, i, rows if i == last else None))
-    return states, masks
+    return states, masks, starts
 
 
 def encode_batch(seqs: list[Sequence], model: Model, rows: np.ndarray | None = None) -> nm.Tensor:
@@ -351,28 +386,57 @@ def encode_batch(seqs: list[Sequence], model: Model, rows: np.ndarray | None = N
     return _encode_states(seqs, model, model.use_visibility, False, rows)[0][-1]
 
 
-def encode(seq: Sequence, model: Model, use_visibility: bool = True, reference: bool = False) -> EncodeResult:
-    """One table (a batch of one) under use_visibility, not the model's mode;
-    reference=True runs the plain softmax path with no mask argument at all,
-    so that tests can compare the two implementations."""
-    (*inputs, h), masks = _encode_states([seq], model, use_visibility, reference)
-    return EncodeResult(h=h, block_inputs=inputs, mask=None if masks is None else masks[0])
+def encode(
+    seqs: Sequence | list[Sequence], model: Model, use_visibility: bool = True, reference: bool = False
+) -> EncodeResult:
+    """A batch of tables as one packed graph, as `encode_batch` packs them,
+    keeping the input of every block; one Sequence is a batch of one. It
+    encodes under use_visibility, not the model's mode; reference=True runs
+    the plain softmax path with no mask argument at all, so that tests can
+    compare the two implementations."""
+    (*inputs, h), masks, starts = _encode_states(_batch(seqs), model, use_visibility, reference)
+    return EncodeResult(h=h, block_inputs=inputs, masks=masks, starts=starts)
 
 
-def encode_substitutions(enc: EncodeResult, positions: np.ndarray, subst: Sequence, model: Model) -> np.ndarray:
-    """Final states under single-element substitutions of an encoded table.
+def encode_substitutions(
+    enc: EncodeResult, positions: np.ndarray, subst: Sequence | list[Sequence], model: Model
+) -> np.ndarray:
+    """Final states under single-element substitutions of encoded tables.
 
-    `subst` is the table `enc` encoded, with every element at `positions`
-    replaced by its substitute. Row m of the (M, d) result is the final state
-    of element positions[m] when it alone is substituted, under the mask
-    `enc` was encoded with. Only the rows a substitution reaches are
-    recomputed, by the rule in the module docstring, as many substitutions
-    at a time as keep every block's attention scores per head within
-    max(max_len**2, 256**2). The result equals a full `encode` of
-    each substituted table up to float rounding, not bitwise.
+    `subst` holds the tables `enc` encoded (one Sequence for a batch of
+    one), with every element at `positions`, packed row indices, replaced by
+    its substitute. Row m of the (M, d) result is the final state of element
+    positions[m] when it alone is substituted, under the mask `enc` encoded
+    its table with. All substituted tables are embedded at once, and each
+    block's intact keys and values projected at once over every row; only
+    the rows a substitution reaches are recomputed, table by table, by the
+    rule in the module docstring, as many substitutions at a time as keep
+    every block's attention scores per head within max(max_len**2, 256**2).
+    A table's rows are the same bits whether `enc` holds it alone or with
+    others (see `encode_batch`). The result equals a full `encode` of each
+    substituted table up to float rounding, not bitwise.
     """
-    cfg, n, n_blocks = model.cfg, len(enc.h.data), model.cfg.n_blocks
-    vis = np.ones((n, n), dtype=bool) if enc.mask is None else enc.mask
+    positions = np.asarray(positions, dtype=np.int64)
+    bounds = np.append(enc.starts, len(enc.h.data))
+    owner = np.searchsorted(enc.starts, positions, side="right") - 1
+    out = np.empty((len(positions), model.cfg.d_model), dtype=model.dtype)
+    with nm.no_grad():
+        x0 = embed_sequence(_pack(_batch(subst)), model).data[positions]
+        # each block's intact input, keys and values
+        intact = [[x.data] + [_projection(x, model, i, side).data for side in "kv"] for i, x in enumerate(enc.block_inputs)]
+        for t in np.unique(owner):
+            s, e = bounds[t], bounds[t + 1]
+            at = np.flatnonzero(owner == t)
+            vis = np.ones((e - s, e - s), dtype=bool) if enc.masks is None else enc.masks[t]
+            out[at] = _table_substitutions(x0[at], positions[at] - s, vis, [[a[s:e] for a in b] for b in intact], model)
+    return out
+
+
+def _table_substitutions(x0, positions, vis, intact, model: Model) -> np.ndarray:
+    """One table's substitutions: x0 holds the substituted embedding at each
+    of `positions`, vis is the table's mask and intact[i] block i's intact
+    input, keys and values at the table's rows."""
+    n, n_blocks = len(vis), model.cfg.n_blocks
     # reach[k][m, j]: row j is within k visibility hops of positions[m]
     reach = [np.zeros((len(positions), n), dtype=bool)]
     reach[0][np.arange(len(positions)), positions] = True
@@ -382,18 +446,14 @@ def encode_substitutions(enc: EncodeResult, positions: np.ndarray, subst: Sequen
     # intact one at `changed[i]`, the rows block i - 1 recomputed
     rows = [reach[min(i + 1, n_blocks - i - 1)] for i in range(n_blocks)]
     changed = [reach[min(i, n_blocks - i)] for i in range(n_blocks)]
-    pack = _pack_size(rows, changed, n, max(cfg.max_len**2, _SCORE_FLOOR))
-    out = np.empty((len(positions), cfg.d_model), dtype=model.dtype)
-    with nm.no_grad():
-        x0 = embed_sequence(subst, model).data[positions]
-        # each block's intact input, keys and values
-        intact = [[x.data] + [_projection(x, model, i, side).data for side in "kv"] for i, x in enumerate(enc.block_inputs)]
-        for c in range(0, len(positions), pack):
-            part = slice(c, c + pack)
-            x = x0[part]
-            for i in range(n_blocks):
-                x = _substituted_block(x, changed[i][part], rows[i][part], vis, intact[i], model, i)
-            out[part] = x
+    pack = _pack_size(rows, changed, n, max(model.cfg.max_len**2, _SCORE_FLOOR))
+    out = np.empty_like(x0)
+    for c in range(0, len(positions), pack):
+        part = slice(c, c + pack)
+        x = x0[part]
+        for i in range(n_blocks):
+            x = _substituted_block(x, changed[i][part], rows[i][part], vis, intact[i], model, i)
+        out[part] = x
     return out
 
 

@@ -24,7 +24,16 @@ import numpy as np
 
 from . import numeric as nm
 from .corpus import ENTITY_RESERVED, MASK_ID, TOKEN_RESERVED, IndexedTable
-from .encoder import EncoderConfig, Model, encode, encode_batch, encode_substitutions, init_entity_embeddings, init_model
+from .encoder import (
+    EncoderConfig,
+    Model,
+    encode,
+    encode_batch,
+    encode_substitutions,
+    init_entity_embeddings,
+    init_model,
+    row_packs,
+)
 from .encoding import Sequence, linearize, mask_cell
 from .errors import ConfigError
 
@@ -374,17 +383,30 @@ def fit(
 # masked-recovery evaluation
 
 
-def masked_cell_states(model: Model, seq: Sequence, positions: np.ndarray) -> np.ndarray:
-    """(M, d) final states of the cells at `positions`, each masked alone (its
-    entity embedding and mention; the rest of the table stays intact). The
-    table is encoded once, with no tape, and `encoder.encode_substitutions`
-    recomputes only the rows each masked cell reaches, so the states match a
-    full `encode` of each masked copy within float rounding, not bitwise."""
-    masked = seq.clone()
-    for pos in positions.tolist():
-        mask_cell(masked, pos, mask_entity=True, mask_mention=True)
-    with nm.no_grad():
-        return encode_substitutions(encode(seq, model, model.use_visibility), positions, masked, model)
+def masked_cell_states(model: Model, tables: list[tuple[Sequence, np.ndarray]]) -> list[np.ndarray]:
+    """For each (sequence, positions) pair, the (M, d) final states of the
+    cells at `positions`, each masked alone (its entity embedding and
+    mention; the rest of the table stays intact).
+
+    The tables are encoded with no tape, in packed graphs of at most
+    `encoder.PACK_ROWS` rows (`encoder.row_packs`). Each pack embeds all its
+    masked copies at once and projects each block's intact keys and values
+    once, and `encoder.encode_substitutions` recomputes only the rows each
+    masked cell reaches, table by table. The states are the bits of scoring
+    each table alone, and match a full `encode` of each masked copy within
+    float rounding, not bitwise."""
+    out = []
+    for part in row_packs([len(seq) for seq, _ in tables]):
+        seqs, positions = zip(*tables[part])
+        masked = [seq.clone() for seq in seqs]
+        for seq, pos in zip(masked, positions):
+            for p in pos.tolist():
+                mask_cell(seq, p, mask_entity=True, mask_mention=True)
+        with nm.no_grad():
+            enc = encode(list(seqs), model, model.use_visibility)
+            states = encode_substitutions(enc, np.concatenate([p + s for p, s in zip(positions, enc.starts)]), masked, model)
+        out += np.split(states, np.cumsum([len(p) for p in positions])[:-1])
+    return out
 
 
 def masked_recovery_accuracy(
@@ -397,24 +419,28 @@ def masked_recovery_accuracy(
 ) -> float:
     """Fraction of cells recovered at rank one, masking one cell at a time.
 
-    Every cell of a table is scored from `masked_cell_states` over one
-    encoding of the table. With only_objects=True, subject-column cells are
-    skipped and the measure is object-cell recovery.
+    The candidates are drawn table by table, in table order; then every cell
+    of every table is scored from one `masked_cell_states` call, which
+    encodes each table once. With only_objects=True, subject-column cells
+    are skipped and the measure is object-cell recovery.
     """
     rng = np.random.default_rng(seed)
+    scored = []  # (sequence, cell positions, golds, candidates) of each table with cells to score
+    for t in tables:
+        seq = linearize(t, model.cfg.max_len)
+        cell_positions = seq.cell_indices()
+        if only_objects:
+            cell_positions = cell_positions[seq.cols[cell_positions] != t.subject_col]
+        if not len(cell_positions):
+            continue
+        golds = seq.ids[cell_positions]
+        cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
+        scored.append((seq, cell_positions, golds, cands))
+    states = masked_cell_states(model, [(seq, pos) for seq, pos, _, _ in scored])
     correct = total = 0
     with nm.no_grad():
-        for t in tables:
-            seq = linearize(t, model.cfg.max_len)
-            cell_positions = seq.cell_indices()
-            if only_objects:
-                cell_positions = cell_positions[seq.cols[cell_positions] != t.subject_col]
-            if not len(cell_positions):
-                continue
-            golds = seq.ids[cell_positions]
-            cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
-            states = masked_cell_states(model, seq, cell_positions)
-            logits = entity_logits(model, nm.Tensor(states), np.arange(len(states)), cands).data
+        for (_, _, golds, cands), x in zip(scored, states):
+            logits = entity_logits(model, nm.Tensor(x), np.arange(len(x)), cands).data
             # ties break toward the smaller entity id; argmax already does
             # that because candidates are sorted ascending
             correct += int((cands[logits.argmax(axis=1)] == golds).sum())

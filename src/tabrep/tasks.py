@@ -33,18 +33,19 @@ candidates in one node (`numeric.candidate_cross_entropy_sum`,
 builds for itself, in training and evaluation alike; row population and cell
 filling score through the masked-entity head (`pretrain.entity_head`). A
 step's tape therefore has the same nodes for any batch size, and each step
-is one backward pass. `forward` encodes each distinct key once, FORWARD_PACK
-sequences to a graph, and returns every instance's scores; the `eval_*`
-functions rank and threshold them. The scores equal those of encoding and
-scoring each instance alone within float rounding, not bitwise: a product
-over the batch's rows may round otherwise than one over an instance's single
-row (see `encoder`). Every encoding attends in the model's own mode
-(`encoder.Model.use_visibility`), the mode it was pre-trained in; no task or
-setting chooses it. A sequence builds its visibility matrix once and keeps
-it across specs and rounds, and a linking sequence shares its table's
-(`encoding.Sequence.visibility`); each spec finds each column's positions
-once. Cell filling reads no sequence of its own: it scores its cells the way
-masked-cell recovery does, from one encoding of each table
+is one backward pass. `forward` encodes each distinct key once, with no
+tape, in packed graphs of up to `encoder.PACK_ROWS` rows, and returns every
+instance's scores; the `eval_*` functions rank and threshold them. The
+scores equal those of encoding and scoring each instance alone within float
+rounding, not bitwise: a product over the batch's rows may round otherwise
+than one over an instance's single row (see `encoder`). Every encoding
+attends in the model's own mode (`encoder.Model.use_visibility`), the mode
+it was pre-trained in; no task or setting chooses it. A sequence builds its
+visibility matrix once and keeps it across specs and rounds, and a linking
+sequence shares its table's (`encoding.Sequence.visibility`); each spec
+finds each column's positions once. Cell filling reads no sequence of its
+own: it scores its cells the way masked-cell recovery does, from one
+encoding of each table, all tables in one call
 (`pretrain.masked_cell_states`).
 
 `TASKS` maps each task's name to its `Task` record: instance builder, head
@@ -78,7 +79,7 @@ from .corpus import (
     read_jsonl,
 )
 # `encode` is not called here; the benchmark's tracer tests reach it as tasks.encode
-from .encoder import Model, encode, encode_batch, trunc_normal  # noqa: F401
+from .encoder import Model, encode, encode_batch, row_packs, trunc_normal  # noqa: F401
 from .encoding import CELL, HEADER, Sequence, linearize
 from .errors import ConfigError, EmptyColumn, TableTooSmall
 from .metrics import (
@@ -601,9 +602,6 @@ class TaskSpec:
     loss: Callable
 
 
-FORWARD_PACK = 8  # sequences per packed graph in `forward`
-
-
 def _encode_distinct(spec: TaskSpec, batch: list) -> tuple[list[nm.Tensor], list[str]]:
     """Encode each distinct sequence a batch of instances reads, once, as one
     packed graph whose last block runs only at the rows the head reads (the
@@ -635,15 +633,17 @@ def finetune(instances, spec: TaskSpec, params, settings: FinetuneSettings) -> l
 
 def forward(instances, spec: TaskSpec) -> list[np.ndarray]:
     """Each instance's scores, computed with no tape. Every distinct
-    sequence is encoded once, FORWARD_PACK sequences to a packed graph."""
-    groups: dict = {}
+    sequence is encoded once, in packed graphs of at most
+    `encoder.PACK_ROWS` rows (`encoder.row_packs`)."""
+    groups: dict = {}  # key -> (its sequence's length, the instances that read it)
     for i, inst in enumerate(instances):
-        groups.setdefault(spec.read(inst)[0], []).append(i)
+        key, seq = spec.read(inst)
+        groups.setdefault(key, (len(seq), []))[1].append(i)
     keys = list(groups)
     out: list = [None] * len(instances)
     with nm.no_grad():
-        for b in range(0, len(keys), FORWARD_PACK):
-            idx = [i for key in keys[b : b + FORWARD_PACK] for i in groups[key]]
+        for part in row_packs([groups[key][0] for key in keys]):
+            idx = [i for key in keys[part] for i in groups[key][1]]
             batch = [instances[i] for i in idx]
             for i, scores in zip(idx, spec.scores(batch, _encode_distinct(spec, batch)[0])):
                 out[i] = scores
@@ -882,17 +882,19 @@ def _p_at_1_and_map(rankings, golds) -> dict:
 
 def eval_cell_filling(model, packs, instances):
     """No fine-tuning: the pre-trained masked-cell scorer ranks candidates.
-    Each table is encoded once for all of its instances' cells."""
+    One `masked_cell_states` call scores every table's cells, encoding each
+    table once for all of its instances."""
     by_pack: dict[int, list[int]] = {}
     for i, inst in enumerate(instances):
         by_pack.setdefault(inst.pack, []).append(i)
+    tables = []
+    for p, idx in by_pack.items():
+        at = cell_positions(packs[p].seq)
+        tables.append((packs[p].seq, np.array([at[instances[i].row, instances[i].col] for i in idx])))
     rankings: list = [None] * len(instances)
     with nm.no_grad():
-        for p, idx in by_pack.items():
-            seq = packs[p].seq
-            at = cell_positions(seq)
-            positions = np.array([at[instances[i].row, instances[i].col] for i in idx])
-            states = nm.Tensor(masked_cell_states(model, seq, positions))
+        for idx, states in zip(by_pack.values(), masked_cell_states(model, tables)):
+            states = nm.Tensor(states)
             for m, i in enumerate(idx):
                 cands = np.array(sorted(set(instances[i].candidates)), dtype=np.int64)
                 rankings[i] = _ranked(cands, entity_logits(model, states, np.array([m]), cands).data[0])

@@ -524,21 +524,30 @@ def test_ablate_grid(pipeline, tmp_path):
         assert set(r) >= {"use_visibility", "mer_ratio", "oep_acc", "final_loss"}
 
 
-@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
-@pytest.mark.parametrize("command", ["ablate", "evaluate", "evaluate_baseline"])
+@pytest.mark.parametrize(
+    "command,where",
+    [(c, w) for c in ("ablate", "evaluate", "evaluate_baseline") for w in ("a_directory", "missing_dir")]
+    + [(c, "a_file") for c in ("preprocess", "pretrain", "finetune")],
+)
 def test_an_unwritable_out_path_exits_one_before_any_work(pipeline, tmp_path, monkeypatch, capsys, command, where):
     def no_work(*args, **kwargs):
         raise AssertionError("the command loaded data or a model before checking --out")
 
-    for name in ("fit", "restore_model", "_load_split"):
+    for name in ("fit", "restore_model", "_load_split", "load_raw_tables"):
         monkeypatch.setattr(cli, name, no_work)
-    out = str(tmp_path / "missing" / "report.json") if where == "missing_dir" else str(tmp_path)
+    out = {"missing_dir": str(tmp_path / "missing" / "report.json"), "a_directory": str(tmp_path),
+           "a_file": str(tmp_path / "taken")}[where]
+    if where == "a_file":  # a file where the run directory of preprocess, pretrain or finetune goes
+        (tmp_path / "taken").write_text("")
     data, cfg = ["--data", str(pipeline["data"])], ["--config", str(pipeline["cfg"])]
+    ckpt = str(pipeline["runs"] / "checkpoint.bin")
     argv = {
         "ablate": ["ablate", *data, "--out", out, "--epochs", "1", *cfg],
-        "evaluate": ["evaluate", "--task", "fill", "--checkpoint", str(pipeline["runs"] / "checkpoint.bin"), *data,
-                     "--out", out, *cfg],
+        "evaluate": ["evaluate", "--task", "fill", "--checkpoint", ckpt, *data, "--out", out, *cfg],
         "evaluate_baseline": ["evaluate", "--task", "linking", "--baseline", "lookup", *data, "--out", out, *cfg],
+        "preprocess": ["preprocess", "--corpus", str(pipeline["corpus"] / "raw.jsonl"), "--out", out, *cfg],
+        "pretrain": ["pretrain", *data, "--out", out, "--epochs", "1", *cfg],
+        "finetune": ["finetune", "--task", "coltype", "--checkpoint", ckpt, *data, "--out", out, *cfg],
     }[command]
     monkeypatch.setattr(sys, "argv", ["tabrep", *argv])
     with pytest.raises(SystemExit) as exc:
@@ -546,7 +555,7 @@ def test_an_unwritable_out_path_exits_one_before_any_work(pipeline, tmp_path, mo
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --out ") and out in err
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == (["taken"] if where == "a_file" else [])
 
 
 def test_usage_errors_exit_two():

@@ -51,6 +51,26 @@ def test_config_validation_checks_heads_before_dividing_by_them():
         tiny_cfg(n_heads=0).validate()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("shape", [(0, 8), (1,), (5, 3), (64, 16), (3, 4, 5)])
+def test_trunc_normal_equals_redrawing_the_whole_array_each_round(seed, shape):
+    def by_full_rescan(rng, shape, std=0.02, dtype=np.float32):
+        # the draw as first written: rescan every entry on every round
+        x = rng.standard_normal(shape)
+        while True:
+            bad = np.abs(x) > 2.0
+            if not bad.any():
+                break
+            x[bad] = rng.standard_normal(int(bad.sum()))
+        return (x * std).astype(dtype)
+
+    for dtype in (np.float32, np.float64):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = encoder.trunc_normal(a, shape, dtype=dtype), by_full_rescan(b, shape, dtype=dtype)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert a.random() == b.random()  # the same number of draws
+
+
 def test_embedding_shape_and_dtype(model):
     rng = np.random.default_rng(1)
     seq = seq_of(rng, model, with_topic=True)
@@ -427,6 +447,14 @@ def test_pack_size_equals_growing_the_pack_one_at_a_time(seed, n, n_positions, n
     rng = np.random.default_rng(seed)
     rows, changed = ([rng.random((n_positions, n)) < rng.random() for _ in range(n_blocks)] for _ in range(2))
     assert encoder._pack_size(rows, changed, n, budget) == _pack_size_by_loop(rows, changed, n, budget)
+
+
+def test_row_packs_fill_each_pack_up_to_the_row_budget(monkeypatch):
+    monkeypatch.setattr(encoder, "PACK_ROWS", 10)
+    lens = [4, 6, 1, 12, 3, 3, 3, 2, 10]
+    packs = encoder.row_packs(lens)
+    assert [lens[p] for p in packs] == [[4, 6], [1], [12], [3, 3, 3], [2], [10]]
+    assert encoder.row_packs([]) == [] and encoder.row_packs([11]) == [slice(0, 1)]
 
 
 def test_encode_keeps_each_block_input_and_builds_no_tape_under_no_grad(model):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import tabrep.numeric as nm
-from tabrep import pretrain
+from tabrep import encoder, pretrain
 from tabrep.corpus import MASK_ID, build_vocabs, index_table, parse_raw, pretrain_ok, process_table
-from tabrep.encoder import EncoderConfig, encode, encode_batch, init_model
+from tabrep.encoder import EncoderConfig, encode, encode_batch, encode_substitutions, init_model
 from tabrep.encoding import CELL, TOPIC, linearize, mask_cell
 from tabrep.errors import ConfigError, NonFiniteLoss, UnknownId
 from tabrep.pretrain import (
@@ -591,10 +591,59 @@ def test_masked_recovery_encodes_each_table_once(monkeypatch):
     model = init_model(SMALL_CFG, np.random.default_rng(0))
     calls = []
 
-    def counting(seq, *args, **kwargs):
-        calls.append(seq.table_id)
-        return encode(seq, *args, **kwargs)
+    def counting(seqs, *args, **kwargs):
+        enc = encode(seqs, *args, **kwargs)
+        calls.extend((seq.table_id, bool(enc.h._parents)) for seq in seqs)
+        return enc
 
     monkeypatch.setattr(pretrain, "encode", counting)
     masked_recovery_accuracy(model, recovery_tables(), {}, cap=8, seed=0)
-    assert calls == ["a", "b", "c", "d"]
+    assert calls == [("a", False), ("b", False), ("c", False), ("d", False)]  # once each, no tape
+
+
+def _scored_alone(model, seq, positions):
+    # the per-table path: encode the table alone, then its substitutions
+    masked = seq.clone()
+    for pos in positions.tolist():
+        mask_cell(masked, pos, mask_entity=True, mask_mention=True)
+    with nm.no_grad():
+        return encode_substitutions(encode(seq, model, model.use_visibility), positions, masked, model)
+
+
+@pytest.mark.parametrize("use_visibility", [True, False])
+@pytest.mark.parametrize("pack_rows", [None, 1, 48])
+def test_packed_masked_cell_states_equal_scoring_each_table_alone_bitwise(use_visibility, pack_rows, monkeypatch):
+    cfg = dataclasses.replace(SMALL_CFG, n_blocks=2, d_model=16, n_heads=4, d_intermediate=32)
+    model = init_model(cfg, np.random.default_rng(3))
+    for p in model.params():  # larger weights, so that a wrong row shows
+        p.data *= 10.0
+    model.use_visibility = use_visibility
+    rng = np.random.default_rng(8)
+    kw = dict(n_tokens=30, n_entities=20)
+    seqs = [linearize(t, cfg.max_len) for t in (
+        make_indexed_table(rng, 6, 3, with_topic=True, table_id="long", **kw),
+        make_indexed_table(rng, 2, 2, caption_len=0, table_id="short", **kw),
+        make_indexed_table(rng, 4, 3, cell_density=0.7, table_id="mid", **kw),
+        make_indexed_table(rng, 3, 2, table_id="single", **kw),
+    )]
+    assert len({len(seq) for seq in seqs}) == len(seqs)  # tables of different lengths
+    tables = [(seq, seq.cell_indices()) for seq in seqs[:3]] + [(seqs[3], seqs[3].cell_indices()[[2]])]
+    want = [_scored_alone(model, seq, pos) for seq, pos in tables]
+    encoded = []
+
+    def counting(seqs, *args, **kwargs):
+        encoded.append([len(seq) for seq in seqs])
+        return encode(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(pretrain, "encode", counting)
+    if pack_rows is not None:
+        monkeypatch.setattr(encoder, "PACK_ROWS", pack_rows)
+    got = pretrain.masked_cell_states(model, tables)
+    assert [g.shape for g in got] == [w.shape for w in want] and len(got[3]) == 1
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert sum(encoded, []) == [len(seq) for seq in seqs]  # each table once, in order
+    if pack_rows is None:
+        assert len(encoded) == 1  # one packed graph for all four tables
+    else:
+        assert len(encoded) > 1 and all(len(p) == 1 or sum(p) <= pack_rows for p in encoded)
+    assert pretrain.masked_cell_states(model, []) == []

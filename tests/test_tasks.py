@@ -825,6 +825,7 @@ def test_eval_metrics_equal_a_per_instance_reference_bitwise(synth_tasks):
 
 
 def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
+    import tabrep.encoder as E
     import tabrep.tasks as T
 
     s = synth_tasks
@@ -833,7 +834,7 @@ def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
 
     def counting(seqs, *args, **kwargs):
         encoded.extend(seq.table_id for seq in seqs)
-        assert len(seqs) <= T.FORWARD_PACK
+        assert len(seqs) == 1 or sum(len(seq) for seq in seqs) <= E.PACK_ROWS
         return real(seqs, *args, **kwargs)
 
     monkeypatch.setattr(T, "encode_batch", counting)
@@ -844,6 +845,37 @@ def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
     assert sorted(encoded) == sorted(s["packs"][k].seq.table_id for k in tables)
 
 
+@pytest.mark.parametrize("task", ["coltype", "linking", "rowpop", "schema"])
+def test_forward_gives_the_same_scores_in_several_packs_as_in_one(synth_tasks, monkeypatch, task):
+    import tabrep.encoder as E
+    import tabrep.tasks as T
+
+    s = synth_tasks
+    m, p, hs = s["model"], s["packs"], s["heads"]
+    insts = s[task if task != "linking" else "linking_eval"]
+    spec = {
+        "coltype": lambda: T._column_type_spec(m, hs["coltype"], p),
+        "linking": lambda: T._linking_spec(m, hs["linking"], p, insts, s["side"], s["tv"], TOKENIZER),
+        "rowpop": lambda: T._row_population_spec(m, p, insts, 96),
+        "schema": lambda: T._schema_spec(m, hs["schema"], p, insts, s["headers"], s["tv"], 96),
+    }[task]()
+    packs = []
+    real = T.encode_batch
+
+    def counting(seqs, *args, **kwargs):
+        packs.append(len(seqs))
+        return real(seqs, *args, **kwargs)
+
+    monkeypatch.setattr(T, "encode_batch", counting)
+    one = T.forward(insts, spec)
+    assert len(packs) == 1
+    packs.clear()
+    monkeypatch.setattr(E, "PACK_ROWS", 1)  # every sequence in a pack of its own
+    several = T.forward(insts, spec)
+    assert len(packs) > 1 and set(packs) == {1}
+    assert [a.tobytes() for a in several] == [a.tobytes() for a in one]
+
+
 def test_eval_cell_filling_encodes_each_table_once(synth_tasks, monkeypatch):
     import tabrep.pretrain as P
 
@@ -851,9 +883,9 @@ def test_eval_cell_filling_encodes_each_table_once(synth_tasks, monkeypatch):
     encoded = []
     real = P.encode
 
-    def counting(seq, *args, **kwargs):
-        enc = real(seq, *args, **kwargs)
-        encoded.append((seq.table_id, bool(enc.h._parents)))
+    def counting(seqs, *args, **kwargs):
+        enc = real(seqs, *args, **kwargs)
+        encoded.extend((seq.table_id, bool(enc.h._parents)) for seq in seqs)
         return enc
 
     monkeypatch.setattr(P, "encode", counting)
