@@ -7,24 +7,24 @@ term. Blocks are post-norm residual transformer layers whose attention weights
 are hard-masked by the table visibility matrix: invisible pairs get exactly
 zero weight.
 
-A batch of tables is encoded as one graph (`encode_batch`). The sequences are
-packed end to end into (N, d) rows, with no padding: the embeddings, the
-Q/K/V/O projections, the FFN and both layer norms each run once over all
-rows. Each projection is one `numeric.affine` node (x @ W + b), and the
-mention means of all entities are one `numeric.segment_mean` node, a sum
-over consecutive segments of the gathered word rows with no dense averaging
-matrix. Attention is one op, `numeric.table_attention`, that loops over the
-tables' row slices, so a row attends only within its own table, under that
-table's visibility matrix. A table's rows therefore come out as if it were
-encoded alone; the tests check that they are bitwise equal. `encode` packs
-the same way, one Sequence being a batch of one, and also returns the input
-of every block and each table's mask. A pre-training
-step's loss on top (`pretrain.table_loss`) adds the masked-entity head as
-one `numeric.candidate_cross_entropy_sum` node over all tables, so the
-step's tape has the same 49 op nodes (two blocks) for any batch size.
+`encode` runs the encoder, for pre-training, every task and evaluation
+alike: a batch of tables is one graph. The sequences are packed end to end
+into (N, d) rows, with no padding: the embeddings, the Q/K/V/O projections,
+the FFN and both layer norms each run once over all rows. Each projection
+is one `numeric.affine` node (x @ W + b), and the mention means of all
+entities are one `numeric.segment_mean` node, a sum over consecutive
+segments of the gathered word rows with no dense averaging matrix.
+Attention is one op, `numeric.table_attention`, that loops over the tables'
+row slices, so a row attends only within its own table, under that table's
+visibility matrix. A table's rows therefore come out as if it were encoded
+alone; the tests check that they are bitwise equal. The result keeps the
+input of every block and each table's mask. A pre-training step's loss on
+top (`pretrain.table_loss`) adds the masked-entity head as one
+`numeric.candidate_cross_entropy_sum` node over all tables, so the step's
+tape has the same 49 op nodes (two blocks) for any batch size.
 
-`encode_batch` can return the final states at chosen rows only, the rows
-a loss reads, and then runs the last block only there. Row i of a block's
+`encode` can return the final states at chosen rows only, the rows a loss
+or head reads, and then runs the last block only there. Row i of a block's
 output depends on the block's input at every row only through the keys and
 values, so, as in `encode_substitutions` below, the last block is needed
 only at the rows read: it gathers its input there, projects queries there,
@@ -90,7 +90,6 @@ __all__ = [
     "trunc_normal",
     "embed_sequence",
     "transformer_block",
-    "encode_batch",
     "encode",
     "EncodeResult",
     "encode_substitutions",
@@ -314,7 +313,7 @@ def _block_output(h: nm.Tensor, ctx: nm.Tensor, model: Model, block: int) -> nm.
 
 @dataclass
 class EncodeResult:
-    h: nm.Tensor  # the (N, d) final states of the tables, stacked end to end
+    h: nm.Tensor  # the (N, d) final states of the tables, stacked end to end; only the chosen rows under `rows`
     block_inputs: list[nm.Tensor]  # the (N, d) input of each block, in order
     masks: list[np.ndarray] | None  # each table's (n, n) bool visibility every block used; None for the plain reference path
     starts: np.ndarray  # each table's first row
@@ -334,10 +333,6 @@ def row_packs(lens: list[int]) -> list[slice]:
     return packs
 
 
-def _batch(seqs: Sequence | list[Sequence]) -> list[Sequence]:
-    return [seqs] if isinstance(seqs, Sequence) else list(seqs)
-
-
 def _pack(seqs: list[Sequence]) -> Sequence:
     """Stack sequences end to end into one sequence of all their elements."""
     if len(seqs) == 1:
@@ -346,10 +341,34 @@ def _pack(seqs: list[Sequence]) -> Sequence:
     return Sequence("+".join(s.table_id for s in seqs), *fields, [m for s in seqs for m in s.mentions])
 
 
-def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, reference: bool, rows=None):
-    """The packed input of every block, then the output of the last one (at
-    `rows` only, when given), each table's mask (None on the reference
-    path) and each table's first row."""
+def encode(
+    seqs: Sequence | list[Sequence],
+    model: Model,
+    use_visibility: bool | None = None,
+    reference: bool = False,
+    rows: np.ndarray | None = None,
+) -> EncodeResult:
+    """Run the full encoder over a batch of tables as one packed graph; one
+    Sequence is a batch of one. Every layer above the encoder encodes this
+    way, in the model's attention mode (`Model.use_visibility`).
+
+    The result's h holds the (sum of lengths, d_model) final states of all
+    tables stacked end to end: table i owns the len(seqs[i]) rows after those
+    of tables 0..i-1. `rows`, when given, is a sorted array of distinct
+    packed row indices, and h then holds only those rows, in order: the last
+    block runs only there, and they are the same bits as the full result's
+    (see the module docstring). Rows unsorted, repeated or out of range
+    raise ShapeMismatch. The input of every block is kept at every row.
+    Under visibility each table attends through its sequence's
+    `visibility()`, built once per sequence and shared by its clones; with
+    it off, through an all-ones matrix per table (structure ablation) on the
+    same masked attention code path. use_visibility, when given, overrides
+    the model's mode, and reference=True runs the plain softmax path with no
+    mask argument at all, so that tests can compare the implementations.
+    """
+    seqs = [seqs] if isinstance(seqs, Sequence) else list(seqs)
+    if use_visibility is None:
+        use_visibility = model.use_visibility
     lens = [len(s) for s in seqs]
     starts = np.cumsum([0] + lens[:-1])
     if rows is not None:
@@ -364,71 +383,39 @@ def _encode_states(seqs: list[Sequence], model: Model, use_visibility: bool, ref
     last = model.cfg.n_blocks - 1
     for i in range(model.cfg.n_blocks):
         states.append(transformer_block(states[-1], masks, starts, model, i, rows if i == last else None))
-    return states, masks, starts
-
-
-def encode_batch(seqs: list[Sequence], model: Model, rows: np.ndarray | None = None) -> nm.Tensor:
-    """Run the full encoder over a batch of tables as one packed graph, in
-    the model's attention mode (`Model.use_visibility`).
-
-    Returns the (sum of lengths, d_model) states of all tables stacked end to
-    end: table i owns the len(seqs[i]) rows after those of tables 0..i-1.
-    `rows`, when given, is a sorted array of distinct packed row indices, and
-    only those rows of the states are returned, in order. The last block
-    then runs only at those rows, and they are the same bits as the full
-    result's (see the module docstring). Rows unsorted, repeated or out of
-    range raise ShapeMismatch.
-    Under visibility each table attends through its sequence's
-    `visibility()`, built once per sequence and shared by its clones; with
-    it off, through an all-ones matrix per table (structure ablation) on the
-    same masked attention code path.
-    """
-    return _encode_states(seqs, model, model.use_visibility, False, rows)[0][-1]
-
-
-def encode(
-    seqs: Sequence | list[Sequence], model: Model, use_visibility: bool = True, reference: bool = False
-) -> EncodeResult:
-    """A batch of tables as one packed graph, as `encode_batch` packs them,
-    keeping the input of every block; one Sequence is a batch of one. It
-    encodes under use_visibility, not the model's mode; reference=True runs
-    the plain softmax path with no mask argument at all, so that tests can
-    compare the two implementations."""
-    (*inputs, h), masks, starts = _encode_states(_batch(seqs), model, use_visibility, reference)
-    return EncodeResult(h=h, block_inputs=inputs, masks=masks, starts=starts)
+    return EncodeResult(h=states[-1], block_inputs=states[:-1], masks=masks, starts=starts)
 
 
 def encode_substitutions(
-    enc: EncodeResult, positions: np.ndarray, subst: Sequence | list[Sequence], model: Model
-) -> np.ndarray:
+    enc: EncodeResult, positions: list[np.ndarray], subst: list[Sequence], model: Model
+) -> list[np.ndarray]:
     """Final states under single-element substitutions of encoded tables.
 
-    `subst` holds the tables `enc` encoded (one Sequence for a batch of
-    one), with every element at `positions`, packed row indices, replaced by
-    its substitute. Row m of the (M, d) result is the final state of element
-    positions[m] when it alone is substituted, under the mask `enc` encoded
-    its table with. All substituted tables are embedded at once, and each
-    block's intact keys and values projected at once over every row; only
-    the rows a substitution reaches are recomputed, table by table, by the
-    rule in the module docstring, as many substitutions at a time as keep
-    every block's attention scores per head within max(max_len**2, 256**2).
-    A table's rows are the same bits whether `enc` holds it alone or with
-    others (see `encode_batch`). The result equals a full `encode` of each
+    `subst` holds the tables `enc` encoded, in order, table t with every
+    element at positions[t] (indices within table t) replaced by its
+    substitute. Row m of the t-th (len(positions[t]), d) result is the final
+    state of element positions[t][m] when it alone is substituted, under the
+    mask `enc` encoded table t with. All substituted tables are embedded at
+    once, and each block's intact keys and values projected at once over
+    every row; only the rows a substitution reaches are recomputed, table by
+    table, by the rule in the module docstring, as many substitutions at a
+    time as keep every block's attention scores per head within
+    max(max_len**2, 256**2). The tables' bounds come from the block inputs,
+    which cover every row even when `enc` was encoded at chosen `rows`. A
+    table's rows are the same bits whether `enc` holds it alone or with
+    others (see `encode`). The result equals a full `encode` of each
     substituted table up to float rounding, not bitwise.
     """
-    positions = np.asarray(positions, dtype=np.int64)
-    bounds = np.append(enc.starts, len(enc.h.data))
-    owner = np.searchsorted(enc.starts, positions, side="right") - 1
-    out = np.empty((len(positions), model.cfg.d_model), dtype=model.dtype)
+    bounds = np.append(enc.starts, len(enc.block_inputs[0].data))
+    out = []
     with nm.no_grad():
-        x0 = embed_sequence(_pack(_batch(subst)), model).data[positions]
+        x0 = embed_sequence(_pack(subst), model).data
         # each block's intact input, keys and values
         intact = [[x.data] + [_projection(x, model, i, side).data for side in "kv"] for i, x in enumerate(enc.block_inputs)]
-        for t in np.unique(owner):
+        for t, pos in enumerate(positions):
             s, e = bounds[t], bounds[t + 1]
-            at = np.flatnonzero(owner == t)
             vis = np.ones((e - s, e - s), dtype=bool) if enc.masks is None else enc.masks[t]
-            out[at] = _table_substitutions(x0[at], positions[at] - s, vis, [[a[s:e] for a in b] for b in intact], model)
+            out.append(_table_substitutions(x0[s + pos], pos, vis, [[a[s:e] for a in b] for b in intact], model))
     return out
 
 

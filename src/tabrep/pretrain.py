@@ -28,7 +28,6 @@ from .encoder import (
     EncoderConfig,
     Model,
     encode,
-    encode_batch,
     encode_substitutions,
     init_entity_embeddings,
     init_model,
@@ -239,7 +238,7 @@ def table_loss(model: Model, batch: list[MaskedTable]) -> tuple[nm.Tensor | None
     if not len(rows):
         return None, stats
     # the final states at the masked rows only, in packed order
-    h = encode_batch([m.seq for m in batch], model, rows=rows)
+    h = encode([m.seq for m in batch], model, rows=rows).h
     terms = []
     if len(tok_pos):
         targets = np.concatenate([m.tokens.targets for m in batch])
@@ -388,13 +387,14 @@ def masked_cell_states(model: Model, tables: list[tuple[Sequence, np.ndarray]]) 
     cells at `positions`, each masked alone (its entity embedding and
     mention; the rest of the table stays intact).
 
-    The tables are encoded with no tape, in packed graphs of at most
-    `encoder.PACK_ROWS` rows (`encoder.row_packs`). Each pack embeds all its
-    masked copies at once and projects each block's intact keys and values
-    once, and `encoder.encode_substitutions` recomputes only the rows each
-    masked cell reaches, table by table. The states are the bits of scoring
-    each table alone, and match a full `encode` of each masked copy within
-    float rounding, not bitwise."""
+    The tables are encoded with no tape, in the model's attention mode, in
+    packed graphs of at most `encoder.PACK_ROWS` rows (`encoder.row_packs`).
+    Each pack embeds all its masked copies at once and projects each block's
+    intact keys and values once, and `encoder.encode_substitutions` takes
+    each table's positions within the table, recomputes only the rows each
+    masked cell reaches, table by table, and returns each table's states.
+    The states are the bits of scoring each table alone, and match a full
+    `encode` of each masked copy within float rounding, not bitwise."""
     out = []
     for part in row_packs([len(seq) for seq, _ in tables]):
         seqs, positions = zip(*tables[part])
@@ -403,9 +403,7 @@ def masked_cell_states(model: Model, tables: list[tuple[Sequence, np.ndarray]]) 
             for p in pos.tolist():
                 mask_cell(seq, p, mask_entity=True, mask_mention=True)
         with nm.no_grad():
-            enc = encode(list(seqs), model, model.use_visibility)
-            states = encode_substitutions(enc, np.concatenate([p + s for p, s in zip(positions, enc.starts)]), masked, model)
-        out += np.split(states, np.cumsum([len(p) for p in positions])[:-1])
+            out += encode_substitutions(encode(list(seqs), model), list(positions), masked, model)
     return out
 
 

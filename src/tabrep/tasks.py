@@ -23,11 +23,11 @@ types, relations and linking key on the table pack, so instances of one
 table share its encoding; row population and schema key on the instance,
 which reads its own probe sequence. `finetune` shuffles and batches the
 instances and encodes the distinct keys of each batch as one packed graph
-(`encoder.encode_batch`), whose last block runs only at the sorted union of
-the positions the instances read. One head then serves the whole batch: one
-mean per summary part over every instance's positions (a column's header
-tokens and its cells, a linked cell, a probe's masked slot), one affine map,
-one loss. Linking and row population score each instance against its own
+(`encoder.encode`, the encoder's one entry point), whose last block runs
+only at the sorted union of the positions the instances read. One head then
+serves the whole batch: one mean per summary part over every instance's
+positions (a column's header tokens and its cells, a linked cell, a probe's
+masked slot), one affine map, one loss. Linking and row population score each instance against its own
 candidates in one node (`numeric.candidate_cross_entropy_sum`,
 `numeric.candidate_scores`), linking against entry rows that each batch
 builds for itself, in training and evaluation alike; row population and cell
@@ -40,13 +40,13 @@ scores equal those of encoding and scoring each instance alone within float
 rounding, not bitwise: a product over the batch's rows may round otherwise
 than one over an instance's single row (see `encoder`). Every encoding
 attends in the model's own mode (`encoder.Model.use_visibility`), the mode
-it was pre-trained in; no task or setting chooses it. A sequence builds its
-visibility matrix once and keeps it across specs and rounds, and a linking
-sequence shares its table's (`encoding.Sequence.visibility`); each spec
-finds each column's positions once. Cell filling reads no sequence of its
-own: it scores its cells the way masked-cell recovery does, from one
-encoding of each table, all tables in one call
-(`pretrain.masked_cell_states`).
+it was pre-trained in; no task or setting chooses it, and no call passes
+`encode` a mode. A sequence builds its visibility matrix once and keeps it
+across specs and rounds, and a linking sequence shares its table's
+(`encoding.Sequence.visibility`); each spec finds each column's positions
+once. Cell filling reads no sequence of its own: it scores its cells the way
+masked-cell recovery does, from one encoding of each table, all tables in
+one call (`pretrain.masked_cell_states`).
 
 `TASKS` maps each task's name to its `Task` record: instance builder, head
 factory, train step (none for cell filling), evaluate step, baselines by name,
@@ -78,8 +78,7 @@ from .corpus import (
     index_table,
     read_jsonl,
 )
-# `encode` is not called here; the benchmark's tracer tests reach it as tasks.encode
-from .encoder import Model, encode, encode_batch, row_packs, trunc_normal  # noqa: F401
+from .encoder import Model, encode, row_packs, trunc_normal
 from .encoding import CELL, HEADER, Sequence, linearize
 from .errors import ConfigError, EmptyColumn, TableTooSmall
 from .metrics import (
@@ -612,7 +611,7 @@ def _encode_distinct(spec: TaskSpec, batch: list) -> tuple[list[nm.Tensor], list
     starts = dict(zip(seqs, np.cumsum([0] + [len(seq) for seq in seqs.values()]).tolist()))
     located = [[starts[key] + pos for pos in spec.rows(inst)] for inst, (key, _) in zip(batch, reads)]
     rows = np.unique(np.concatenate([pos for parts in located for pos in parts]))
-    h = encode_batch(list(seqs.values()), spec.model, rows=rows)
+    h = encode(list(seqs.values()), spec.model, rows=rows).h
     parts = _part_means(h, [[np.searchsorted(rows, pos) for pos in parts] for parts in located])
     return parts, [seq.table_id for seq in seqs.values()]
 
@@ -938,11 +937,11 @@ def eval_schema(model, head, packs, instances, header_list, token_vocab, max_len
     return _report({"map": mean_average_precision(rankings, [i.golds for i in instances])}, instances)
 
 
-def eval_schema_baseline(index: CorpusIndex, packs, instances, token_vocab, k: int = 10):
+def eval_schema_baseline(index: CorpusIndex, packs, instances, token_vocab):
     rankings = []
     for inst in instances:
         query = [token_vocab.strings[int(i)] for i in packs[inst.pack].indexed.caption_ids]
-        rankings.append([h for h, _ in index.suggest_headers(query, inst.seeds, k=k)])
+        rankings.append([h for h, _ in index.suggest_headers(query, inst.seeds)])
     return _report({"map": mean_average_precision(rankings, [i.golds for i in instances])}, instances)
 
 

@@ -12,7 +12,6 @@ from tabrep.encoder import (
     EncoderConfig,
     embed_sequence,
     encode,
-    encode_batch,
     encode_substitutions,
     init_entity_embeddings,
     init_model,
@@ -197,7 +196,7 @@ def test_visibility_off_equals_reference_bitwise(model):
         assert a.tobytes() == b.tobytes()
 
 
-def test_encode_batch_rows_equal_per_table_encode_bitwise(model):
+def test_encode_rows_equal_per_table_encode_bitwise(model):
     # tables of different lengths packed into one graph: each table's rows
     # equal its own encode bit for bit, so no padding and no other table of
     # the batch can reach them
@@ -207,7 +206,7 @@ def test_encode_batch_rows_equal_per_table_encode_bitwise(model):
     assert len({len(s) for s in seqs}) == len(seqs)
     for use_visibility in (True, False):
         model.use_visibility = use_visibility
-        h = encode_batch(seqs, model).data
+        h = encode(seqs, model).h.data
         assert h.shape == (sum(len(s) for s in seqs), model.cfg.d_model)
         start = 0
         for seq in seqs:
@@ -224,18 +223,33 @@ def batch_and_rows(model, rng, shapes, n_read):
     return seqs, np.concatenate(rows)
 
 
-@pytest.mark.parametrize("use_visibility", [True, False], ids=["visibility", "all_ones"])
-def test_encode_batch_at_rows_equals_those_rows_of_a_full_encode_bitwise(model, use_visibility):
+@pytest.mark.parametrize("mode", ["visibility", "all_ones", "reference"])
+def test_encode_at_rows_equals_those_rows_of_a_full_encode_bitwise(model, mode):
     # the last block runs only at the rows read; its keys and values, and
     # every earlier block, still cover every row. The third table has no row read
-    model.use_visibility = use_visibility
+    model.use_visibility = mode == "visibility"
+    reference = mode == "reference"
     seqs, rows = batch_and_rows(model, np.random.default_rng(9), [(3, 3), (4, 2), (2, 2), (5, 3)], [5, 3, 0, 7])
-    at = encode_batch(seqs, model, rows=rows).data
+    at = encode(seqs, model, reference=reference, rows=rows).h.data
     assert at.shape == (len(rows), model.cfg.d_model)
-    assert at.tobytes() == encode_batch(seqs, model).data[rows].tobytes()
+    assert at.tobytes() == encode(seqs, model, reference=reference).h.data[rows].tobytes()
 
 
-def test_encode_batch_at_rows_gradients_match_finite_differences():
+def test_substitutions_from_an_encode_at_rows_equal_those_from_a_full_encode_bitwise(model):
+    # under `rows` the final states hold only the rows read, so the tables'
+    # bounds must come from the block inputs, which cover every row. The
+    # second table has no substitution
+    seqs, rows = batch_and_rows(model, np.random.default_rng(13), [(3, 3), (4, 2), (2, 2)], [2, 1, 3])
+    positions = [seqs[0].cell_indices()[::2], np.array([], dtype=np.int64), seqs[2].cell_indices()]
+    masked = [masked_cells(seq, pos) for seq, pos in zip(seqs, positions)]
+    with nm.no_grad():
+        full = encode_substitutions(encode(seqs, model), positions, masked, model)
+        at = encode_substitutions(encode(seqs, model, rows=rows), positions, masked, model)
+    assert [a.shape for a in at] == [(len(p), model.cfg.d_model) for p in positions]
+    assert [a.tobytes() for a in at] == [f.tobytes() for f in full]
+
+
+def test_encode_at_rows_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     cfg = tiny_cfg(d_model=8, n_heads=2, d_intermediate=16, max_len=16, n_tokens=12, n_entities=8)
     model = init_model(cfg, rng, dtype=np.float64)
@@ -248,7 +262,7 @@ def test_encode_batch_at_rows_gradients_match_finite_differences():
     w = nm.Tensor(rng.normal(size=(8, 3)))
 
     def loss():
-        h = encode_batch(seqs, model, rows=rows)
+        h = encode(seqs, model, rows=rows).h
         return nm.cross_entropy_sum(nm.matmul(h, w), np.arange(len(rows)) % 3)
 
     block = ("Wq", "Wk", "Wv", "Wo", "ln1_g", "ffn_b1", "ln2_b")
@@ -257,12 +271,12 @@ def test_encode_batch_at_rows_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("bad", ["unsorted", "repeated", "negative", "past_the_end"])
-def test_encode_batch_rejects_bad_rows(model, bad):
+def test_encode_rejects_bad_rows(model, bad):
     seqs, _ = batch_and_rows(model, np.random.default_rng(11), [(2, 2), (3, 1)], [0, 0])
     n = sum(len(s) for s in seqs)
     rows = {"unsorted": [3, 1], "repeated": [1, 1, 2], "negative": [-1, 2], "past_the_end": [2, n]}[bad]
     with pytest.raises(ShapeMismatch, match="query rows"):
-        encode_batch(seqs, model, rows=np.array(rows))
+        encode(seqs, model, rows=np.array(rows))
 
 
 def test_visibility_changes_the_output(model):
@@ -412,7 +426,7 @@ def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_vis
             for floor in floors:
                 monkeypatch.setattr(encoder, "_SCORE_FLOOR", floor)
                 packs.clear()
-                got = encode_substitutions(enc, positions, masked_cells(seq, positions), model)
+                (got,) = encode_substitutions(enc, [positions], [masked_cells(seq, positions)], model)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
                 logits = {k: x @ model["mer_W"].data @ model["ent_emb"].data[cands].T for k, x in (("got", got), ("want", want))}

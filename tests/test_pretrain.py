@@ -8,7 +8,7 @@ import pytest
 import tabrep.numeric as nm
 from tabrep import encoder, pretrain
 from tabrep.corpus import MASK_ID, build_vocabs, index_table, parse_raw, pretrain_ok, process_table
-from tabrep.encoder import EncoderConfig, encode, encode_batch, encode_substitutions, init_model
+from tabrep.encoder import EncoderConfig, encode, encode_substitutions, init_model
 from tabrep.encoding import CELL, TOPIC, linearize, mask_cell
 from tabrep.errors import ConfigError, NonFiniteLoss, UnknownId
 from tabrep.pretrain import (
@@ -226,7 +226,7 @@ def masked_batch(n_tables, seed=30, cfg=None):
 
 def reference_table_loss(model, batch):
     # the token head over the whole batch, then one entity head per table
-    h = encode_batch([m.seq for m in batch], model)
+    h = encode([m.seq for m in batch], model).h
     starts = np.cumsum([0] + [len(m.seq) for m in batch[:-1]])
     tok_pos = np.concatenate([m.tokens.indices + s for m, s in zip(batch, starts)])
     targets = np.concatenate([m.tokens.targets for m in batch])
@@ -470,9 +470,9 @@ def test_fit_builds_each_visibility_once_and_encodes_with_it(monkeypatch):
         for seq in seqs:
             assert seq.visibility().tobytes() == real(seq).tobytes()
         encoded.extend(s.table_id for s in seqs)
-        return encode_batch(seqs, model, rows)
+        return encode(seqs, model, rows=rows)
 
-    monkeypatch.setattr(pretrain, "encode_batch", recording)
+    monkeypatch.setattr(pretrain, "encode", recording)
     small_fit(epochs=3)
     assert sorted(built) == [f"t{i}" for i in range(6)]
     assert len(encoded) > len(built)
@@ -499,9 +499,9 @@ def test_a_two_block_fit_step_runs_the_attention_kernels_once_per_table_per_bloc
         ends = np.cumsum([len(s.ids) for s in seqs])
         batched.append(len(seqs))
         queried.append(len(np.unique(np.searchsorted(ends, rows, side="right"))))
-        return encode_batch(seqs, model, rows)
+        return encode(seqs, model, rows=rows)
 
-    monkeypatch.setattr(pretrain, "encode_batch", recording)
+    monkeypatch.setattr(pretrain, "encode", recording)
     rng = np.random.default_rng(101)
     tables = [make_indexed_table(rng, 3, 2, n_tokens=30, n_entities=20, table_id=f"t{i}") for i in range(6)]
     cfg = EncoderConfig(n_blocks=2, d_model=8, n_heads=2, d_intermediate=16, max_len=64, n_tokens=30, n_entities=20)
@@ -607,7 +607,7 @@ def _scored_alone(model, seq, positions):
     for pos in positions.tolist():
         mask_cell(masked, pos, mask_entity=True, mask_mention=True)
     with nm.no_grad():
-        return encode_substitutions(encode(seq, model, model.use_visibility), positions, masked, model)
+        return encode_substitutions(encode(seq, model, model.use_visibility), [positions], [masked], model)[0]
 
 
 @pytest.mark.parametrize("use_visibility", [True, False])

@@ -1,11 +1,10 @@
 """Project-wide checks: the metadata in pyproject.toml, the package's one write path, its one training loop,
-the one owner of the visibility matrix, the one carrier of the attention mode, the one read path of the
-masked-entity head, the one linking path and the one task table."""
+the one owner of the visibility matrix, the one carrier of the attention mode, the one entry point into the
+encoder, the one read path of the masked-entity head, the one linking path and the one task table."""
 
 import ast
 import dataclasses
 import importlib
-import inspect
 import pathlib
 import re
 
@@ -76,6 +75,13 @@ def takes(path, name):
                 yield node.lineno
 
 
+def encode_calls(path):
+    """(line, positional argument count, keyword names) of each call to `encode`, by name or as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "encode":
+            yield node.lineno, len(node.args), {k.arg for k in node.keywords}
+
+
 def test_the_model_alone_carries_its_attention_mode():
     # `Model.use_visibility` is set where a model gets its weights; no layer above the encoder takes its own
     from tabrep.tasks import FinetuneSettings
@@ -84,10 +90,17 @@ def test_the_model_alone_carries_its_attention_mode():
     above = {name: list(takes(PACKAGE / name, "use_visibility")) for name in ("pretrain.py", "tasks.py", "cli.py")}
     assert {name: lines for name, lines in above.items() if lines} == {}
     assert "use_visibility" not in {f.name for f in dataclasses.fields(FinetuneSettings)}
-    # a packed batch encodes in the model's mode; only `encode` keeps a mode of its own (the bench's C03 gate)
-    from tabrep.encoder import encode_batch
-
-    assert list(inspect.signature(encode_batch).parameters) == ["seqs", "model", "rows"]
+    # `encode` is the encoder's one entry point: no other module embeds a sequence or runs a block
+    assert calls_outside("encoder.py", ("embed_sequence", "transformer_block")) == {}
+    # every layer above the encoder encodes in the model's mode; only the bench's C03 gate and the tests pass
+    # `encode` a mode of its own
+    found = {name: list(encode_calls(PACKAGE / name)) for name in ("pretrain.py", "tasks.py", "cli.py")}
+    moded = {
+        name: [line for line, n_args, keywords in c if n_args > 2 or keywords & {"use_visibility", "reference"}]
+        for name, c in found.items()
+    }
+    assert {name: lines for name, lines in moded.items() if lines} == {}
+    assert found["pretrain.py"] and found["tasks.py"]
 
 
 def holders(path, names):

@@ -830,14 +830,14 @@ def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
 
     s = synth_tasks
     encoded = []
-    real = T.encode_batch
+    real = T.encode
 
     def counting(seqs, *args, **kwargs):
         encoded.extend(seq.table_id for seq in seqs)
         assert len(seqs) == 1 or sum(len(seq) for seq in seqs) <= E.PACK_ROWS
         return real(seqs, *args, **kwargs)
 
-    monkeypatch.setattr(T, "encode_batch", counting)
+    monkeypatch.setattr(T, "encode", counting)
     link = dict(side=s["side"], token_vocab=s["tv"], tokenizer=TOKENIZER)
     eval_linking(s["model"], s["heads"]["linking"], s["packs"], s["linking_eval"], **link)
     tables = {i.pack for i in s["linking_eval"]}
@@ -860,13 +860,13 @@ def test_forward_gives_the_same_scores_in_several_packs_as_in_one(synth_tasks, m
         "schema": lambda: T._schema_spec(m, hs["schema"], p, insts, s["headers"], s["tv"], 96),
     }[task]()
     packs = []
-    real = T.encode_batch
+    real = T.encode
 
     def counting(seqs, *args, **kwargs):
         packs.append(len(seqs))
         return real(seqs, *args, **kwargs)
 
-    monkeypatch.setattr(T, "encode_batch", counting)
+    monkeypatch.setattr(T, "encode", counting)
     one = T.forward(insts, spec)
     assert len(packs) == 1
     packs.clear()
@@ -924,14 +924,14 @@ def test_evaluation_builds_no_tape(synth_tasks, monkeypatch):
     s = synth_tasks
     m, p, hs = s["model"], s["packs"], s["heads"]
     taped = []
-    real = T.encode_batch
+    real = T.encode
 
     def recording(seqs, *args, **kwargs):
-        h = real(seqs, *args, **kwargs)
-        taped.append(bool(h._parents))
-        return h
+        enc = real(seqs, *args, **kwargs)
+        taped.append(bool(enc.h._parents))
+        return enc
 
-    monkeypatch.setattr(T, "encode_batch", recording)
+    monkeypatch.setattr(T, "encode", recording)
     eval_column_types(m, hs["coltype"], p, s["coltype"])
     eval_relations(m, hs["relations"], p, s["relations"])
     eval_linking(m, hs["linking"], p, s["linking_eval"], side=s["side"], token_vocab=s["tv"], tokenizer=TOKENIZER)
@@ -1059,7 +1059,7 @@ def test_encode_batch_runs_the_last_block_at_the_rows_the_heads_read(synth_tasks
     s = synth_tasks
     header_ids = {h: s["tv"].ids(h.split()) for h in s["headers"]}
     calls = []
-    real = T.encode_batch
+    real = T.encode
 
     def recording(seqs, *args, rows=None, **kwargs):
         calls.append(([seq.table_id for seq in seqs], [len(seq) for seq in seqs], rows))
@@ -1078,7 +1078,7 @@ def test_encode_batch_runs_the_last_block_at_the_rows_the_heads_read(synth_tasks
             return np.array([row_population_sequence(pack, inst.seeds, 96)[1]])
         return np.array([schema_sequence(pack, inst.seeds, header_ids, 96)[1]])
 
-    monkeypatch.setattr(T, "encode_batch", recording)
+    monkeypatch.setattr(T, "encode", recording)
     # one batch holds every instance, so each call (and each of the forward
     # calls that set the row population offset) encodes all the readers of
     # its sequences
