@@ -7,21 +7,20 @@ term. Blocks are post-norm residual transformer layers whose attention weights
 are hard-masked by the table visibility matrix: invisible pairs get exactly
 zero weight.
 
-`encode` runs the encoder, for pre-training, every task and evaluation
-alike: a batch of tables is one graph. The sequences are packed end to end
-into (N, d) rows, with no padding: the embeddings, the Q/K/V/O projections,
-the FFN and both layer norms each run once over all rows. Each projection
-is one `numeric.affine` node (x @ W + b), and the mention means of all
-entities are one `numeric.segment_mean` node, a sum over consecutive
-segments of the gathered word rows with no dense averaging matrix.
-Attention is one op, `numeric.table_attention`, that loops over the tables'
-row slices, so a row attends only within its own table, under that table's
-visibility matrix. A table's rows therefore come out as if it were encoded
-alone; the tests check that they are bitwise equal. The result keeps the
-input of every block and each table's mask. A pre-training step's loss on
-top (`pretrain.table_loss`) adds the masked-entity head as one
-`numeric.candidate_cross_entropy_sum` node over all tables, so the step's
-tape has the same 49 op nodes (two blocks) for any batch size.
+`encode` runs the encoder for pre-training and every task, training and
+evaluation alike: a batch of tables is one graph. The sequences are packed
+end to end into (N, d) rows, with no padding: the embeddings, the Q/K/V/O
+projections, the FFN and both layer norms each run once over all rows.
+Each projection is one `numeric.affine` node (x @ W + b), and the mention
+means of all entities are one `numeric.segment_mean` node, a sum over
+consecutive segments of the gathered word rows with no dense averaging
+matrix. Attention is one op, `numeric.table_attention`, that loops over the
+tables' row slices, so a row attends only within its own table, under that
+table's visibility matrix. A table's rows therefore come out as if it were
+encoded alone; the tests check that they are bitwise equal. A pre-training
+step's loss on top (`pretrain.table_loss`) adds the masked-entity head as
+one `numeric.candidate_cross_entropy_sum` node over all tables, so the
+step's tape has the same 49 op nodes (two blocks) for any batch size.
 
 `encode` can return the final states at chosen rows only, the rows a loss
 or head reads, and then runs the last block only there. Row i of a block's
@@ -37,8 +36,9 @@ encode, as long as the BLAS computes a product's rows alike for any number
 of rows; the gradients differ from a full encode's by float rounding where
 a product sums over rows, or has few of them.
 
-`encode_substitutions` scores single-element substitutions of encoded
-tables without encoding each substituted copy. Row i of block l's output
+`encode_substitutions` scores single-element substitutions of one table,
+the masked-cell scoring of recovery and cell filling, in one pass per
+block and without encoding each substituted copy. Row i of block l's output
 depends only on the rows visible to i in block l's input, so a substitution
 at row c changes block l's output only at rows within l visibility hops of
 c. The last block is needed only at c, so block l (of L, counted from 1)
@@ -48,18 +48,23 @@ previous block recomputed (the substituted embedding for l = 1). With two
 blocks, block 1 recomputes the rows that see c (its row, its column, its
 column's header, the caption and the topic) with only c's key and value
 changed, and block 2 recomputes row c alone. Without the visibility matrix
-every row sees every other, so block 1 recomputes all rows. Substitutions
-are recomputed together in packs sized so that no block's attention scores
-per head exceed 256 x 256, those of one full encode at the default
-max_len, or those of one full encode of a max_len table when that is more.
-With two blocks at max_len 64, the masked cells of a 30-element table then
-fit in one pack per block. The substituted embeddings of all tables are one
-`embed_sequence`, and each block's intact keys and values one affine map
-each over all tables' rows; only the reach sets, the pack size and the
-recomputed blocks run table by table. Evaluation packs its no-grad encodes
-(`tasks.forward`, `pretrain.masked_cell_states`) in runs of at most
-PACK_ROWS rows (`row_packs`), which bounds the rows a graph holds at once
-whatever the number of tables.
+every row sees every other, so block 1 recomputes all rows. One
+`embed_sequence` embeds the table and its substituted copy. Each block
+before the last runs the table's intact rows and the rows it recomputes
+together, through one query, key and value projection and one output half;
+attention is two calls, the intact rows under the table's mask and the
+recomputed rows over the intact keys plus the patched ones. The last block
+runs only at the substituted cells; the intact last block, which nothing
+reads, does not run. Block 0's patched keys and values and the last block
+cover the substituted cells alone and keep products of their own, as a
+one-row product rounds otherwise than a row of a larger one. Substitutions
+are recomputed in packs sized so that no block's attention scores per head
+exceed 256 x 256, those of one full encode at the default max_len, or those
+of one full encode of a max_len table when that is more; later packs reuse
+the intact inputs, keys and values of the first. With two blocks at max_len
+64, a 30-element table's masked cells fit in one pack. `tasks.forward`
+packs its no-grad encodes in runs of at most PACK_ROWS rows (`row_packs`),
+which bounds the rows a graph holds whatever the number of tables.
 
 Initialization follows BERT: every embedding table and weight matrix draws
 from a normal truncated at two standard deviations with std 0.02; biases and
@@ -101,8 +106,8 @@ __all__ = [
 # encode_substitutions packs up to this many, or max_len**2 when larger
 _SCORE_FLOOR = 256**2
 
-# rows per packed no-grad graph: `tasks.forward` and
-# `pretrain.masked_cell_states` encode in runs of this many (`row_packs`)
+# rows per packed no-grad graph: `tasks.forward` encodes in runs of this
+# many (`row_packs`)
 PACK_ROWS = 4096
 
 
@@ -314,9 +319,6 @@ def _block_output(h: nm.Tensor, ctx: nm.Tensor, model: Model, block: int) -> nm.
 @dataclass
 class EncodeResult:
     h: nm.Tensor  # the (N, d) final states of the tables, stacked end to end; only the chosen rows under `rows`
-    block_inputs: list[nm.Tensor]  # the (N, d) input of each block, in order
-    masks: list[np.ndarray] | None  # each table's (n, n) bool visibility every block used; None for the plain reference path
-    starts: np.ndarray  # each table's first row
 
 
 def row_packs(lens: list[int]) -> list[slice]:
@@ -349,8 +351,8 @@ def encode(
     rows: np.ndarray | None = None,
 ) -> EncodeResult:
     """Run the full encoder over a batch of tables as one packed graph; one
-    Sequence is a batch of one. Every layer above the encoder encodes this
-    way, in the model's attention mode (`Model.use_visibility`).
+    Sequence is a batch of one. Pre-training and every task encode this way,
+    in the model's attention mode (`Model.use_visibility`).
 
     The result's h holds the (sum of lengths, d_model) final states of all
     tables stacked end to end: table i owns the len(seqs[i]) rows after those
@@ -358,13 +360,13 @@ def encode(
     packed row indices, and h then holds only those rows, in order: the last
     block runs only there, and they are the same bits as the full result's
     (see the module docstring). Rows unsorted, repeated or out of range
-    raise ShapeMismatch. The input of every block is kept at every row.
-    Under visibility each table attends through its sequence's
-    `visibility()`, built once per sequence and shared by its clones; with
-    it off, through an all-ones matrix per table (structure ablation) on the
-    same masked attention code path. use_visibility, when given, overrides
-    the model's mode, and reference=True runs the plain softmax path with no
-    mask argument at all, so that tests can compare the implementations.
+    raise ShapeMismatch. Under visibility each table attends through its
+    sequence's `visibility()`, built once per sequence and shared by its
+    clones; with it off, through an all-ones matrix per table (structure
+    ablation) on the same masked attention code path. use_visibility, when
+    given, overrides the model's mode, and reference=True runs the plain
+    softmax path with no mask argument at all, so that tests can compare the
+    implementations.
     """
     seqs = [seqs] if isinstance(seqs, Sequence) else list(seqs)
     if use_visibility is None:
@@ -373,7 +375,7 @@ def encode(
     starts = np.cumsum([0] + lens[:-1])
     if rows is not None:
         rows = kernels.check_rows(rows, sum(lens))
-    states = [embed_sequence(_pack(seqs), model)]
+    h = embed_sequence(_pack(seqs), model)
     if reference:
         masks = None
     elif use_visibility:
@@ -382,48 +384,24 @@ def encode(
         masks = [np.ones((n, n), dtype=bool) for n in lens]
     last = model.cfg.n_blocks - 1
     for i in range(model.cfg.n_blocks):
-        states.append(transformer_block(states[-1], masks, starts, model, i, rows if i == last else None))
-    return EncodeResult(h=states[-1], block_inputs=states[:-1], masks=masks, starts=starts)
+        h = transformer_block(h, masks, starts, model, i, rows if i == last else None)
+    return EncodeResult(h=h)
 
 
-def encode_substitutions(
-    enc: EncodeResult, positions: list[np.ndarray], subst: list[Sequence], model: Model
-) -> list[np.ndarray]:
-    """Final states under single-element substitutions of encoded tables.
+def encode_substitutions(seq: Sequence, positions: np.ndarray, subst: Sequence, model: Model) -> np.ndarray:
+    """Final states of one table under single-element substitutions, in one
+    pass per block, with no tape (see the module docstring).
 
-    `subst` holds the tables `enc` encoded, in order, table t with every
-    element at positions[t] (indices within table t) replaced by its
-    substitute. Row m of the t-th (len(positions[t]), d) result is the final
-    state of element positions[t][m] when it alone is substituted, under the
-    mask `enc` encoded table t with. All substituted tables are embedded at
-    once, and each block's intact keys and values projected at once over
-    every row; only the rows a substitution reaches are recomputed, table by
-    table, by the rule in the module docstring, as many substitutions at a
-    time as keep every block's attention scores per head within
-    max(max_len**2, 256**2). The tables' bounds come from the block inputs,
-    which cover every row even when `enc` was encoded at chosen `rows`. A
-    table's rows are the same bits whether `enc` holds it alone or with
-    others (see `encode`). The result equals a full `encode` of each
+    `subst` is the table `seq` with every element at `positions` replaced by
+    its substitute. Row m of the (len(positions), d) result is the final
+    state of element positions[m] when it alone is substituted, in the
+    model's attention mode. Substitutions are recomputed as many at a time
+    as keep every block's attention scores per head within
+    max(max_len**2, 256**2). The result equals a full `encode` of each
     substituted table up to float rounding, not bitwise.
     """
-    bounds = np.append(enc.starts, len(enc.block_inputs[0].data))
-    out = []
-    with nm.no_grad():
-        x0 = embed_sequence(_pack(subst), model).data
-        # each block's intact input, keys and values
-        intact = [[x.data] + [_projection(x, model, i, side).data for side in "kv"] for i, x in enumerate(enc.block_inputs)]
-        for t, pos in enumerate(positions):
-            s, e = bounds[t], bounds[t + 1]
-            vis = np.ones((e - s, e - s), dtype=bool) if enc.masks is None else enc.masks[t]
-            out.append(_table_substitutions(x0[s + pos], pos, vis, [[a[s:e] for a in b] for b in intact], model))
-    return out
-
-
-def _table_substitutions(x0, positions, vis, intact, model: Model) -> np.ndarray:
-    """One table's substitutions: x0 holds the substituted embedding at each
-    of `positions`, vis is the table's mask and intact[i] block i's intact
-    input, keys and values at the table's rows."""
-    n, n_blocks = len(vis), model.cfg.n_blocks
+    n, n_blocks = len(seq), model.cfg.n_blocks
+    vis = seq.visibility() if model.use_visibility else np.ones((n, n), dtype=bool)
     # reach[k][m, j]: row j is within k visibility hops of positions[m]
     reach = [np.zeros((len(positions), n), dtype=bool)]
     reach[0][np.arange(len(positions)), positions] = True
@@ -434,13 +412,16 @@ def _table_substitutions(x0, positions, vis, intact, model: Model) -> np.ndarray
     rows = [reach[min(i + 1, n_blocks - i - 1)] for i in range(n_blocks)]
     changed = [reach[min(i, n_blocks - i)] for i in range(n_blocks)]
     pack = _pack_size(rows, changed, n, max(model.cfg.max_len**2, _SCORE_FLOOR))
-    out = np.empty_like(x0)
-    for c in range(0, len(positions), pack):
-        part = slice(c, c + pack)
-        x = x0[part]
-        for i in range(n_blocks):
-            x = _substituted_block(x, changed[i][part], rows[i][part], vis, intact[i], model, i)
-        out[part] = x
+    with nm.no_grad():
+        x0 = embed_sequence(_pack([seq, subst]), model).data
+        intact = [[x0[:n]]]  # each block's intact input, then its keys and values
+        out = np.empty((len(positions), x0.shape[1]), x0.dtype)
+        for c in range(0, len(positions), pack):
+            part = slice(c, c + pack)
+            x = x0[n + positions[part]]
+            for i in range(n_blocks):
+                x = _substituted_block(x, changed[i][part], rows[i][part], vis, intact, model, i)
+            out[part] = x
     return out
 
 
@@ -457,11 +438,17 @@ def _pack_size(rows: list[np.ndarray], changed: list[np.ndarray], n: int, budget
 
 
 def _substituted_block(x, changed, rows, vis, intact, model: Model, block: int) -> np.ndarray:
-    """Block `block` at the query rows `rows` (M, n) of each substitution,
-    given its input x at the rows `changed` (M, n) that differ from the
+    """Block `block` at the query rows `rows` (P, n) of each substitution,
+    given its input x at the rows `changed` (P, n) that differ from the
     intact input; both row sets are flattened in row-major order. Keys and
-    values are the intact ones with the changed rows patched in."""
-    h_in, k_in, v_in = intact
+    values are the intact ones with the changed rows patched in.
+
+    intact[block] holds the block's intact input, then its intact keys and
+    values, which the first pack projects along with its patched ones (block
+    0's patched rows keep their own product). Before the last block the
+    first pack runs the intact rows too, ahead of its query rows, and
+    appends their output, the next block's intact input, to `intact`."""
+    h_in, n = intact[block][0], len(intact[block][0])
     qm, qr = np.nonzero(rows)
     km, kr = np.nonzero(changed)
     slot = np.full(changed.shape, -1)
@@ -469,11 +456,32 @@ def _substituted_block(x, changed, rows, vis, intact, model: Model, block: int) 
     at = slot[qm, qr]
     h = h_in[qr]
     h[at >= 0] = x[at[at >= 0]]
-    q = _projection(nm.Tensor(h), model, block, "q").data
-    k, v = (_projection(nm.Tensor(x), model, block, side).data for side in "kv")
+
+    def proj(a, side):
+        return _projection(nm.Tensor(a), model, block, side).data
+
+    first = len(intact[block]) == 1
+    if first:
+        kv = [proj(np.concatenate([h_in, x]) if block else h_in, side) for side in "kv"]
+        intact[block] += [a[:n] for a in kv]
+    # the intact keys and values, then the patched ones
+    if first and block:
+        k, v = kv
+    else:
+        k, v = (np.concatenate([a, proj(x, side)]) for a, side in zip(intact[block][1:], "kv"))
+    s = n if first and block < model.cfg.n_blocks - 1 else 0  # the query rows' first row
+    if s:
+        h = np.concatenate([h_in, h])
+    q = proj(h, "q")
+    ctx = np.empty_like(q)
+    if s:
+        kernels.attention_fwd(q[:s], k[:n], v[:n], vis, model.cfg.n_heads, ctx[:s])
     # a query row sees the intact keys its substitution left unchanged and
     # the patched keys of its own substitution, both under the visibility
     vis_q = vis[qr]
     mask = np.concatenate([vis_q & ~changed[qm], vis_q[:, kr] & (qm[:, None] == km[None, :])], axis=1)
-    ctx, _ = kernels.attention_fwd(q, np.concatenate([k_in, k]), np.concatenate([v_in, v]), mask, model.cfg.n_heads)
-    return _block_output(nm.Tensor(h), nm.Tensor(ctx), model, block).data
+    kernels.attention_fwd(q[s:], k, v, mask, model.cfg.n_heads, ctx[s:])
+    y = _block_output(nm.Tensor(h), nm.Tensor(ctx), model, block).data
+    if s:
+        intact.append([y[:s]])
+    return y[s:]

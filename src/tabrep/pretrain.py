@@ -24,17 +24,9 @@ import numpy as np
 
 from . import numeric as nm
 from .corpus import ENTITY_RESERVED, MASK_ID, TOKEN_RESERVED, IndexedTable
-from .encoder import (
-    EncoderConfig,
-    Model,
-    encode,
-    encode_substitutions,
-    init_entity_embeddings,
-    init_model,
-    row_packs,
-)
+from .encoder import EncoderConfig, Model, encode, encode_substitutions, init_entity_embeddings, init_model
 from .encoding import Sequence, linearize, mask_cell
-from .errors import ConfigError
+from .errors import ConfigError, ShapeMismatch
 
 # cell masking actions
 KEEP = 0
@@ -286,9 +278,9 @@ def canonical_mentions(tables: list[IndexedTable]) -> dict[int, np.ndarray]:
     """Most frequent mention token sequence per entity id, ties broken lexically."""
     counts: dict[int, dict[tuple, int]] = {}
     for t in tables:
-        seen = [(c.entity_id, tuple(int(x) for x in c.mention_ids)) for c in t.cells]
+        seen = [(c.entity_id, tuple(c.mention_ids.tolist())) for c in t.cells]
         if t.topic is not None:
-            seen.append((t.topic[0], tuple(int(x) for x in t.topic[1])))
+            seen.append((t.topic[0], tuple(t.topic[1].tolist())))
         for eid, ment in seen:
             if ment:
                 counts.setdefault(eid, {})
@@ -387,23 +379,20 @@ def masked_cell_states(model: Model, tables: list[tuple[Sequence, np.ndarray]]) 
     cells at `positions`, each masked alone (its entity embedding and
     mention; the rest of the table stays intact).
 
-    The tables are encoded with no tape, in the model's attention mode, in
-    packed graphs of at most `encoder.PACK_ROWS` rows (`encoder.row_packs`).
-    Each pack embeds all its masked copies at once and projects each block's
-    intact keys and values once, and `encoder.encode_substitutions` takes
-    each table's positions within the table, recomputes only the rows each
-    masked cell reaches, table by table, and returns each table's states.
-    The states are the bits of scoring each table alone, and match a full
-    `encode` of each masked copy within float rounding, not bitwise."""
+    Table by table, with no tape, in the model's attention mode,
+    `encoder.encode_substitutions` embeds the table and its masked copy
+    once and runs each block once over the intact rows and the rows the
+    masked cells reach. The states match a full `encode` of each masked copy
+    within float rounding, not bitwise. A position outside the sequence, or
+    at an element that is not an entity, raises ShapeMismatch."""
     out = []
-    for part in row_packs([len(seq) for seq, _ in tables]):
-        seqs, positions = zip(*tables[part])
-        masked = [seq.clone() for seq in seqs]
-        for seq, pos in zip(masked, positions):
-            for p in pos.tolist():
-                mask_cell(seq, p, mask_entity=True, mask_mention=True)
-        with nm.no_grad():
-            out += encode_substitutions(encode(list(seqs), model), list(positions), masked, model)
+    for seq, pos in tables:
+        if ((pos < 0) | (pos >= len(seq))).any() or not seq.is_entity[pos].all():
+            raise ShapeMismatch(f"{seq.table_id}: masked positions must be entity elements in [0, {len(seq)})")
+        masked = seq.clone()
+        for p in pos.tolist():
+            mask_cell(masked, p, mask_entity=True, mask_mention=True)
+        out.append(encode_substitutions(seq, pos, masked, model))
     return out
 
 
@@ -419,7 +408,7 @@ def masked_recovery_accuracy(
 
     The candidates are drawn table by table, in table order; then every cell
     of every table is scored from one `masked_cell_states` call, which
-    encodes each table once. With only_objects=True, subject-column cells
+    embeds each table once. With only_objects=True, subject-column cells
     are skipped and the measure is object-cell recovery.
     """
     rng = np.random.default_rng(seed)

@@ -45,8 +45,8 @@ it was pre-trained in; no task or setting chooses it, and no call passes
 across specs and rounds, and a linking sequence shares its table's
 (`encoding.Sequence.visibility`); each spec finds each column's positions
 once. Cell filling reads no sequence of its own: it scores its cells the way
-masked-cell recovery does, from one encoding of each table, all tables in
-one call (`pretrain.masked_cell_states`).
+masked-cell recovery does, one pass per block over each table and its
+masked cells, all tables in one call (`pretrain.masked_cell_states`).
 
 `TASKS` maps each task's name to its `Task` record: instance builder, head
 factory, train step (none for cell filling), evaluate step, baselines by name,
@@ -881,7 +881,7 @@ def _p_at_1_and_map(rankings, golds) -> dict:
 
 def eval_cell_filling(model, packs, instances):
     """No fine-tuning: the pre-trained masked-cell scorer ranks candidates.
-    One `masked_cell_states` call scores every table's cells, encoding each
+    One `masked_cell_states` call scores every table's cells, embedding each
     table once for all of its instances."""
     by_pack: dict[int, list[int]] = {}
     for i, inst in enumerate(instances):

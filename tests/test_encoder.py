@@ -235,20 +235,6 @@ def test_encode_at_rows_equals_those_rows_of_a_full_encode_bitwise(model, mode):
     assert at.tobytes() == encode(seqs, model, reference=reference).h.data[rows].tobytes()
 
 
-def test_substitutions_from_an_encode_at_rows_equal_those_from_a_full_encode_bitwise(model):
-    # under `rows` the final states hold only the rows read, so the tables'
-    # bounds must come from the block inputs, which cover every row. The
-    # second table has no substitution
-    seqs, rows = batch_and_rows(model, np.random.default_rng(13), [(3, 3), (4, 2), (2, 2)], [2, 1, 3])
-    positions = [seqs[0].cell_indices()[::2], np.array([], dtype=np.int64), seqs[2].cell_indices()]
-    masked = [masked_cells(seq, pos) for seq, pos in zip(seqs, positions)]
-    with nm.no_grad():
-        full = encode_substitutions(encode(seqs, model), positions, masked, model)
-        at = encode_substitutions(encode(seqs, model, rows=rows), positions, masked, model)
-    assert [a.shape for a in at] == [(len(p), model.cfg.d_model) for p in positions]
-    assert [a.tobytes() for a in at] == [f.tobytes() for f in full]
-
-
 def test_encode_at_rows_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     cfg = tiny_cfg(d_model=8, n_heads=2, d_intermediate=16, max_len=16, n_tokens=12, n_entities=8)
@@ -391,6 +377,7 @@ def full_encode_of_each_masking(seq, positions, model, use_visibility):
 @pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
 def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_visibility, monkeypatch):
     model = init_model(tiny_cfg(n_blocks=n_blocks), np.random.default_rng(n_blocks))
+    model.use_visibility = use_visibility
     # at std 0.02 a masked cell moves the other rows' states by less than the
     # tolerance; at std 0.2 a block that skips a reached row is caught
     for name, w in model.weights.items():
@@ -422,11 +409,10 @@ def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_vis
             if not len(positions):
                 continue
             want = full_encode_of_each_masking(seq, positions, model, use_visibility)
-            enc = encode(seq, model, use_visibility=use_visibility)
             for floor in floors:
                 monkeypatch.setattr(encoder, "_SCORE_FLOOR", floor)
                 packs.clear()
-                (got,) = encode_substitutions(enc, [positions], [masked_cells(seq, positions)], model)
+                got = encode_substitutions(seq, positions, masked_cells(seq, positions), model)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
                 logits = {k: x @ model["mer_W"].data @ model["ent_emb"].data[cands].T for k, x in (("got", got), ("want", want))}
@@ -474,9 +460,49 @@ def test_row_packs_fill_each_pack_up_to_the_row_budget(monkeypatch):
 def test_encode_keeps_each_block_input_and_builds_no_tape_under_no_grad(model):
     seq = seq_of(np.random.default_rng(12), model, with_topic=True)
     taped = encode(seq, model)
-    assert len(taped.block_inputs) == model.cfg.n_blocks
-    assert taped.block_inputs[0].data.tobytes() == embed_sequence(seq, model).data.tobytes()
     with nm.no_grad():
         free = encode(seq, model)
     assert free.h.data.tobytes() == taped.h.data.tobytes()
-    assert free.h._parents == () and all(x._parents == () for x in free.block_inputs)
+    assert taped.h._parents != () and free.h._parents == ()
+
+
+@pytest.mark.parametrize("floor", ["package", "none"])
+def test_substitutions_project_intact_rows_once_and_run_the_last_block_at_the_positions(model, floor, monkeypatch):
+    # without the score floor the substitutions take several packs, and the
+    # later packs reuse the intact keys and values of the first
+    if floor == "none":
+        monkeypatch.setattr(encoder, "_SCORE_FLOOR", 0)
+    seq = seq_of(np.random.default_rng(15), model, n_rows=6, with_topic=True)
+    n, positions = len(seq), seq.cell_indices()[1::2]
+    reached = seq.visibility()[positions].sum()  # the rows that see a substituted cell
+    projected, outputs = [], []
+    real_projection, real_output = encoder._projection, encoder._block_output
+
+    def projection(h, model, block, side):
+        projected.append((block, side, len(h.data)))
+        return real_projection(h, model, block, side)
+
+    def block_output(h, ctx, model, block):
+        outputs.append((block, len(h.data)))
+        return real_output(h, ctx, model, block)
+
+    monkeypatch.setattr(encoder, "_projection", projection)
+    monkeypatch.setattr(encoder, "_block_output", block_output)
+    encode_substitutions(seq, positions, masked_cells(seq, positions), model)
+
+    def sizes(block, side=None):
+        # the rows of each call at `block`: of its output half, or of its `side` projections
+        if side is None:
+            return [m for b, m in outputs if b == block]
+        return [m for b, s, m in projected if b == block and s == side]
+
+    packs = sizes(1)  # the last block runs only at each pack's positions
+    assert sum(packs) == len(positions) and (floor == "package") == (len(packs) == 1)
+    assert sizes(1, "q") == packs
+    # block 0 runs the intact rows once, with the rows the substitutions reach
+    assert sum(sizes(0)) == sum(sizes(0, "q")) == n + reached and len(sizes(0)) == len(packs)
+    # block 0's patched keys and values, the substituted rows alone, keep a
+    # product of their own; the intact keys and values are projected once
+    for side in "kv":
+        assert sorted(sizes(0, side)) == sorted([n] + packs)
+        assert sum(sizes(1, side)) == n + reached

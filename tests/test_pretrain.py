@@ -9,8 +9,8 @@ import tabrep.numeric as nm
 from tabrep import encoder, pretrain
 from tabrep.corpus import MASK_ID, build_vocabs, index_table, parse_raw, pretrain_ok, process_table
 from tabrep.encoder import EncoderConfig, encode, encode_substitutions, init_model
-from tabrep.encoding import CELL, TOPIC, linearize, mask_cell
-from tabrep.errors import ConfigError, NonFiniteLoss, UnknownId
+from tabrep.encoding import CAPTION, CELL, TOPIC, linearize, mask_cell
+from tabrep.errors import ConfigError, NonFiniteLoss, ShapeMismatch, UnknownId
 from tabrep.pretrain import (
     KEEP,
     MASK_BOTH,
@@ -355,6 +355,32 @@ def test_canonical_mentions_majority_then_lexical():
     assert list(out[8]) == [5]  # tie breaks to the smaller tuple
 
 
+def canonical_mentions_by_element(tables):
+    # the per-element form: one int() per mention token
+    counts = {}
+    for t in tables:
+        seen = [(c.entity_id, tuple(int(x) for x in c.mention_ids)) for c in t.cells]
+        if t.topic is not None:
+            seen.append((t.topic[0], tuple(int(x) for x in t.topic[1])))
+        for eid, ment in seen:
+            if ment:
+                counts.setdefault(eid, {})
+                counts[eid][ment] = counts[eid].get(ment, 0) + 1
+    return {eid: np.array(min(m.items(), key=lambda kv: (-kv[1], kv[0]))[0], dtype=np.int64) for eid, m in counts.items()}
+
+
+def test_canonical_mentions_equal_the_per_element_form():
+    rng = np.random.default_rng(14)
+    # few entities and tokens, so that entities recur with rival mentions
+    tables = [make_indexed_table(rng, 4, 3, n_tokens=12, n_entities=8, with_topic=bool(i % 2)) for i in range(6)]
+    for t in tables[::2]:  # empty mentions, of cells and of a topic
+        t.cells[0].mention_ids = np.zeros(0, dtype=np.int64)
+    tables[1].topic = (tables[1].topic[0], np.zeros(0, dtype=np.int64))
+    want, got = canonical_mentions_by_element(tables), canonical_mentions(tables)
+    assert got.keys() == want.keys()
+    assert all(got[e].dtype == np.int64 and np.array_equal(got[e], want[e]) for e in want)
+
+
 # -- training loop --------------------------------------------------------------------
 
 
@@ -587,27 +613,55 @@ def test_masked_recovery_equals_the_per_cell_reference(use_visibility, only_obje
     assert masked_recovery_accuracy(model, tables, {}, **kw) == want
 
 
+def spy_embeds(monkeypatch):
+    """Record (table id, intact ids, masked ids, taped) of each embed: the
+    scorer embeds a table followed by its masked copy."""
+    embedded, real = [], encoder.embed_sequence
+
+    def counting(seq, *args):
+        out = real(seq, *args)
+        n = len(seq) // 2
+        embedded.append((seq.table_id, seq.ids[:n], seq.ids[n:], bool(out._parents)))
+        return out
+
+    monkeypatch.setattr(encoder, "embed_sequence", counting)
+    return embedded
+
+
+def masked_ids(seq, positions):
+    ids = seq.ids.copy()
+    ids[positions] = MASK_ID
+    return ids
+
+
 def test_masked_recovery_encodes_each_table_once(monkeypatch):
     model = init_model(SMALL_CFG, np.random.default_rng(0))
-    calls = []
-
-    def counting(seqs, *args, **kwargs):
-        enc = encode(seqs, *args, **kwargs)
-        calls.extend((seq.table_id, bool(enc.h._parents)) for seq in seqs)
-        return enc
-
-    monkeypatch.setattr(pretrain, "encode", counting)
+    embedded = spy_embeds(monkeypatch)
     masked_recovery_accuracy(model, recovery_tables(), {}, cap=8, seed=0)
-    assert calls == [("a", False), ("b", False), ("c", False), ("d", False)]  # once each, no tape
+    seqs = [linearize(t, model.cfg.max_len) for t in recovery_tables()]
+    # one embed per table, of the table and its copy with every cell masked, no tape
+    assert [(e[0], e[3]) for e in embedded] == [(f"{t}+{t}", False) for t in "abcd"]
+    for (_, intact, masked, _), seq in zip(embedded, seqs):
+        assert np.array_equal(intact, seq.ids)
+        assert np.array_equal(masked, masked_ids(seq, seq.cell_indices()))
+
+
+@pytest.mark.parametrize("where", ["past_the_end", "negative", "caption_token"])
+def test_masked_cell_states_refuse_a_position_that_is_not_an_entity_of_the_table(where):
+    model = init_model(SMALL_CFG, np.random.default_rng(0))
+    seq = linearize(recovery_tables()[0], model.cfg.max_len)
+    bad = {"past_the_end": len(seq), "negative": -1, "caption_token": np.flatnonzero(seq.kinds == CAPTION)[0]}[where]
+    with pytest.raises(ShapeMismatch):
+        pretrain.masked_cell_states(model, [(seq, np.array([seq.cell_indices()[0], bad]))])
 
 
 def _scored_alone(model, seq, positions):
-    # the per-table path: encode the table alone, then its substitutions
+    # the scorer on the table alone
     masked = seq.clone()
     for pos in positions.tolist():
         mask_cell(masked, pos, mask_entity=True, mask_mention=True)
     with nm.no_grad():
-        return encode_substitutions(encode(seq, model, model.use_visibility), [positions], [masked], model)[0]
+        return encode_substitutions(seq, positions, masked, model)
 
 
 @pytest.mark.parametrize("use_visibility", [True, False])
@@ -629,21 +683,14 @@ def test_packed_masked_cell_states_equal_scoring_each_table_alone_bitwise(use_vi
     assert len({len(seq) for seq in seqs}) == len(seqs)  # tables of different lengths
     tables = [(seq, seq.cell_indices()) for seq in seqs[:3]] + [(seqs[3], seqs[3].cell_indices()[[2]])]
     want = [_scored_alone(model, seq, pos) for seq, pos in tables]
-    encoded = []
-
-    def counting(seqs, *args, **kwargs):
-        encoded.append([len(seq) for seq in seqs])
-        return encode(seqs, *args, **kwargs)
-
-    monkeypatch.setattr(pretrain, "encode", counting)
-    if pack_rows is not None:
+    embedded = spy_embeds(monkeypatch)
+    if pack_rows is not None:  # the task encodes' row budget, which the scorer does not read
         monkeypatch.setattr(encoder, "PACK_ROWS", pack_rows)
     got = pretrain.masked_cell_states(model, tables)
     assert [g.shape for g in got] == [w.shape for w in want] and len(got[3]) == 1
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-    assert sum(encoded, []) == [len(seq) for seq in seqs]  # each table once, in order
-    if pack_rows is None:
-        assert len(encoded) == 1  # one packed graph for all four tables
-    else:
-        assert len(encoded) > 1 and all(len(p) == 1 or sum(p) <= pack_rows for p in encoded)
+    # each table once, in order, with its masked copy, no tape
+    assert [(e[0], e[3]) for e in embedded] == [(f"{seq.table_id}+{seq.table_id}", False) for seq in seqs]
+    for (_, intact, masked, _), (seq, pos) in zip(embedded, tables):
+        assert np.array_equal(intact, seq.ids) and np.array_equal(masked, masked_ids(seq, pos))
     assert pretrain.masked_cell_states(model, []) == []

@@ -877,22 +877,25 @@ def test_forward_gives_the_same_scores_in_several_packs_as_in_one(synth_tasks, m
 
 
 def test_eval_cell_filling_encodes_each_table_once(synth_tasks, monkeypatch):
-    import tabrep.pretrain as P
+    import tabrep.encoder as E
 
     s = synth_tasks
-    encoded = []
-    real = P.encode
+    embedded = []
+    real = E.embed_sequence
 
-    def counting(seqs, *args, **kwargs):
-        enc = real(seqs, *args, **kwargs)
-        encoded.extend((seq.table_id, bool(enc.h._parents)) for seq in seqs)
-        return enc
+    def counting(seq, *args):
+        out = real(seq, *args)
+        # the table, then its copy with the filled cells masked
+        n = len(seq) // 2
+        changed = seq.ids[:n] != seq.ids[n:]
+        embedded.append((seq.table_id, bool(out._parents), changed.any() and bool((seq.ids[n:][changed] == MASK_ID).all())))
+        return out
 
-    monkeypatch.setattr(P, "encode", counting)
+    monkeypatch.setattr(E, "embed_sequence", counting)
     eval_cell_filling(s["model"], s["packs"], s["fill"])
-    tables = {i.pack for i in s["fill"]}
+    tables = {s["packs"][i.pack].seq.table_id for i in s["fill"]}
     assert len(s["fill"]) > 2 * len(tables)
-    assert sorted(encoded) == sorted((s["packs"][k].seq.table_id, False) for k in tables)  # once each, no tape
+    assert sorted(embedded) == sorted((f"{t}+{t}", False, True) for t in tables)  # once each, no tape
 
 
 def test_eval_cell_filling_logits_match_a_full_encode_of_each_masked_copy(synth_tasks, monkeypatch):
@@ -1053,7 +1056,7 @@ def test_finetune_builds_each_visibility_matrix_once(synth_tasks, monkeypatch, t
 
 
 @pytest.mark.parametrize("task", FINETUNED)
-def test_encode_batch_runs_the_last_block_at_the_rows_the_heads_read(synth_tasks, monkeypatch, task):
+def test_encode_runs_the_last_block_at_the_rows_the_heads_read(synth_tasks, monkeypatch, task):
     import tabrep.tasks as T
 
     s = synth_tasks
