@@ -25,7 +25,7 @@ step's tape has the same 49 op nodes (two blocks) for any batch size.
 `encode` can return the final states at chosen rows only, the rows a loss
 or head reads, and then runs the last block only there. Row i of a block's
 output depends on the block's input at every row only through the keys and
-values, so, as in `encode_substitutions` below, the last block is needed
+values, so, as in `masked_cell_states` below, the last block is needed
 only at the rows read: it gathers its input there, projects queries there,
 attends from there to the keys and values of every row of the same table
 (under the table's mask cut down to the rows read), and runs its output
@@ -36,12 +36,13 @@ encode, as long as the BLAS computes a product's rows alike for any number
 of rows; the gradients differ from a full encode's by float rounding where
 a product sums over rows, or has few of them.
 
-`encode_substitutions` scores single-element substitutions of one table,
-the masked-cell scoring of recovery and cell filling, in one pass per
-block and without encoding each substituted copy. Row i of block l's output
-depends only on the rows visible to i in block l's input, so a substitution
-at row c changes block l's output only at rows within l visibility hops of
-c. The last block is needed only at c, so block l (of L, counted from 1)
+`masked_cell_states` is the masked-cell scorer of recovery and cell
+filling. It masks each chosen cell of one table alone (its entity and
+mention, in a clone; the caller's sequence stays as it was) and scores
+these single-element substitutions in one pass per block, without encoding
+each substituted copy. Row i of block l's output depends only on the rows
+visible to i in block l's input, so a substitution at row c changes block
+l's output only at rows within l visibility hops of c. The last block is needed only at c, so block l (of L, counted from 1)
 recomputes only the rows within min(l, L - l) hops of c; their keys and
 values are the intact ones except at the rows within l - 1 hops, which the
 previous block recomputed (the substituted embedding for l = 1). With two
@@ -62,9 +63,7 @@ are recomputed in packs sized so that no block's attention scores per head
 exceed 256 x 256, those of one full encode at the default max_len, or those
 of one full encode of a max_len table when that is more; later packs reuse
 the intact inputs, keys and values of the first. With two blocks at max_len
-64, a 30-element table's masked cells fit in one pack. `tasks.forward`
-packs its no-grad encodes in runs of at most PACK_ROWS rows (`row_packs`),
-which bounds the rows a graph holds whatever the number of tables.
+64, a 30-element table's masked cells fit in one pack.
 
 Initialization follows BERT: every embedding table and weight matrix draws
 from a normal truncated at two standard deviations with std 0.02; biases and
@@ -83,8 +82,8 @@ import numpy as np
 from . import kernels
 from . import numeric as nm
 from .corpus import ENTITY_RESERVED, UNK_ID
-from .encoding import N_ENTITY_TYPES, N_TOKEN_TYPES, Sequence
-from .errors import ConfigError, UnknownId
+from .encoding import N_ENTITY_TYPES, N_TOKEN_TYPES, Sequence, mask_cell
+from .errors import ConfigError, ShapeMismatch, UnknownId
 
 __all__ = [
     "EncoderConfig",
@@ -97,18 +96,12 @@ __all__ = [
     "transformer_block",
     "encode",
     "EncodeResult",
-    "encode_substitutions",
-    "PACK_ROWS",
-    "row_packs",
+    "masked_cell_states",
 ]
 
 # the per-head attention scores of one full encode at the default max_len;
-# encode_substitutions packs up to this many, or max_len**2 when larger
+# masked_cell_states packs up to this many, or max_len**2 when larger
 _SCORE_FLOOR = 256**2
-
-# rows per packed no-grad graph: `tasks.forward` encodes in runs of this
-# many (`row_packs`)
-PACK_ROWS = 4096
 
 
 @dataclass
@@ -247,7 +240,8 @@ def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
     cfg = model.cfg
     n = len(seq)
 
-    tok_idx, ent_idx = seq.token_indices, seq.entity_indices
+    is_entity = seq.is_entity
+    tok_idx, ent_idx = np.flatnonzero(~is_entity), np.flatnonzero(is_entity)
     parts = []
     if len(tok_idx):
         ids, types, pos = seq.ids[tok_idx], seq.type_ids[tok_idx], seq.positions[tok_idx]
@@ -321,20 +315,6 @@ class EncodeResult:
     h: nm.Tensor  # the (N, d) final states of the tables, stacked end to end; only the chosen rows under `rows`
 
 
-def row_packs(lens: list[int]) -> list[slice]:
-    """Consecutive runs of sequences of lengths `lens`, as slices of it, each
-    run at most PACK_ROWS rows in all; a longer sequence is a run of its own."""
-    packs, start, rows = [], 0, 0
-    for i, n in enumerate(lens):
-        if i > start and rows + n > PACK_ROWS:
-            packs.append(slice(start, i))
-            start, rows = i, 0
-        rows += n
-    if lens:
-        packs.append(slice(start, len(lens)))
-    return packs
-
-
 def _pack(seqs: list[Sequence]) -> Sequence:
     """Stack sequences end to end into one sequence of all their elements."""
     if len(seqs) == 1:
@@ -388,18 +368,24 @@ def encode(
     return EncodeResult(h=h)
 
 
-def encode_substitutions(seq: Sequence, positions: np.ndarray, subst: Sequence, model: Model) -> np.ndarray:
-    """Final states of one table under single-element substitutions, in one
-    pass per block, with no tape (see the module docstring).
+def masked_cell_states(seq: Sequence, positions: np.ndarray, model: Model) -> np.ndarray:
+    """Final states of one table's cells at `positions`, each masked alone
+    (its entity embedding and mention; the rest of the table stays intact),
+    in one pass per block, with no tape (see the module docstring).
 
-    `subst` is the table `seq` with every element at `positions` replaced by
-    its substitute. Row m of the (len(positions), d) result is the final
-    state of element positions[m] when it alone is substituted, in the
-    model's attention mode. Substitutions are recomputed as many at a time
-    as keep every block's attention scores per head within
+    Row m of the (len(positions), d) result is the final state of element
+    positions[m] when it alone is masked, in the model's attention mode.
+    `seq` itself is not written. Masked cells are recomputed as many at a
+    time as keep every block's attention scores per head within
     max(max_len**2, 256**2). The result equals a full `encode` of each
-    substituted table up to float rounding, not bitwise.
+    masked copy up to float rounding, not bitwise. A position outside the
+    sequence, or at an element that is not an entity, raises ShapeMismatch.
     """
+    if ((positions < 0) | (positions >= len(seq))).any() or not seq.is_entity[positions].all():
+        raise ShapeMismatch(f"{seq.table_id}: masked positions must be entity elements in [0, {len(seq)})")
+    subst = seq.clone()
+    for p in positions.tolist():
+        mask_cell(subst, p, mask_entity=True, mask_mention=True)
     n, n_blocks = len(seq), model.cfg.n_blocks
     vis = seq.visibility() if model.use_visibility else np.ones((n, n), dtype=bool)
     # reach[k][m, j]: row j is within k visibility hops of positions[m]

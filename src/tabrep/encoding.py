@@ -92,10 +92,6 @@ class Sequence:
     def token_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.is_entity)
 
-    @property
-    def entity_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.is_entity)
-
     def cell_indices(self) -> np.ndarray:
         return np.flatnonzero(self.kinds == CELL)
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import numeric as nm
 from .corpus import ENTITY_RESERVED, MASK_ID, TOKEN_RESERVED, IndexedTable
-from .encoder import EncoderConfig, Model, encode, encode_substitutions, init_entity_embeddings, init_model
+from .encoder import EncoderConfig, Model, encode, init_entity_embeddings, init_model, masked_cell_states
 from .encoding import Sequence, linearize, mask_cell
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError
 
 # cell masking actions
 KEEP = 0
@@ -374,28 +374,6 @@ def fit(
 # masked-recovery evaluation
 
 
-def masked_cell_states(model: Model, tables: list[tuple[Sequence, np.ndarray]]) -> list[np.ndarray]:
-    """For each (sequence, positions) pair, the (M, d) final states of the
-    cells at `positions`, each masked alone (its entity embedding and
-    mention; the rest of the table stays intact).
-
-    Table by table, with no tape, in the model's attention mode,
-    `encoder.encode_substitutions` embeds the table and its masked copy
-    once and runs each block once over the intact rows and the rows the
-    masked cells reach. The states match a full `encode` of each masked copy
-    within float rounding, not bitwise. A position outside the sequence, or
-    at an element that is not an entity, raises ShapeMismatch."""
-    out = []
-    for seq, pos in tables:
-        if ((pos < 0) | (pos >= len(seq))).any() or not seq.is_entity[pos].all():
-            raise ShapeMismatch(f"{seq.table_id}: masked positions must be entity elements in [0, {len(seq)})")
-        masked = seq.clone()
-        for p in pos.tolist():
-            mask_cell(masked, p, mask_entity=True, mask_mention=True)
-        out.append(encode_substitutions(seq, pos, masked, model))
-    return out
-
-
 def masked_recovery_accuracy(
     model: Model,
     tables: list[IndexedTable],
@@ -406,27 +384,24 @@ def masked_recovery_accuracy(
 ) -> float:
     """Fraction of cells recovered at rank one, masking one cell at a time.
 
-    The candidates are drawn table by table, in table order; then every cell
-    of every table is scored from one `masked_cell_states` call, which
-    embeds each table once. With only_objects=True, subject-column cells
-    are skipped and the measure is object-cell recovery.
+    Table by table, in table order, the candidates are drawn and every
+    cell is scored from one `encoder.masked_cell_states` call, which embeds
+    the table once. With only_objects=True, subject-column cells are skipped
+    and the measure is object-cell recovery.
     """
     rng = np.random.default_rng(seed)
-    scored = []  # (sequence, cell positions, golds, candidates) of each table with cells to score
-    for t in tables:
-        seq = linearize(t, model.cfg.max_len)
-        cell_positions = seq.cell_indices()
-        if only_objects:
-            cell_positions = cell_positions[seq.cols[cell_positions] != t.subject_col]
-        if not len(cell_positions):
-            continue
-        golds = seq.ids[cell_positions]
-        cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
-        scored.append((seq, cell_positions, golds, cands))
-    states = masked_cell_states(model, [(seq, pos) for seq, pos, _, _ in scored])
     correct = total = 0
     with nm.no_grad():
-        for (_, _, golds, cands), x in zip(scored, states):
+        for t in tables:
+            seq = linearize(t, model.cfg.max_len)
+            cell_positions = seq.cell_indices()
+            if only_objects:
+                cell_positions = cell_positions[seq.cols[cell_positions] != t.subject_col]
+            if not len(cell_positions):
+                continue
+            golds = seq.ids[cell_positions]
+            cands = build_candidates(t.entity_ids(), golds, cooccur, model.cfg.n_entities, cap, rng)
+            x = masked_cell_states(seq, cell_positions, model)
             logits = entity_logits(model, nm.Tensor(x), np.arange(len(x)), cands).data
             # ties break toward the smaller entity id; argmax already does
             # that because candidates are sorted ascending

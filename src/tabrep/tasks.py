@@ -34,7 +34,7 @@ builds for itself, in training and evaluation alike; row population and cell
 filling score through the masked-entity head (`pretrain.entity_head`). A
 step's tape therefore has the same nodes for any batch size, and each step
 is one backward pass. `forward` encodes each distinct key once, with no
-tape, in packed graphs of up to `encoder.PACK_ROWS` rows, and returns every
+tape, in packed graphs of up to `PACK_ROWS` rows, and returns every
 instance's scores; the `eval_*` functions rank and threshold them. The
 scores equal those of encoding and scoring each instance alone within float
 rounding, not bitwise: a product over the batch's rows may round otherwise
@@ -46,7 +46,7 @@ across specs and rounds, and a linking sequence shares its table's
 (`encoding.Sequence.visibility`); each spec finds each column's positions
 once. Cell filling reads no sequence of its own: it scores its cells the way
 masked-cell recovery does, one pass per block over each table and its
-masked cells, all tables in one call (`pretrain.masked_cell_states`).
+masked cells, one table at a time (`encoder.masked_cell_states`).
 
 `TASKS` maps each task's name to its `Task` record: instance builder, head
 factory, train step (none for cell filling), evaluate step, baselines by name,
@@ -78,7 +78,7 @@ from .corpus import (
     index_table,
     read_jsonl,
 )
-from .encoder import Model, encode, row_packs, trunc_normal
+from .encoder import Model, encode, masked_cell_states, trunc_normal
 from .encoding import CELL, HEADER, Sequence, linearize
 from .errors import ConfigError, EmptyColumn, TableTooSmall
 from .metrics import (
@@ -88,7 +88,7 @@ from .metrics import (
     micro_prf,
     precision_at_k,
 )
-from .pretrain import entity_head, entity_logits, masked_cell_states
+from .pretrain import entity_head, entity_logits
 
 # ---------------------------------------------------------------------------
 # side data
@@ -569,6 +569,11 @@ def schema_sequence(pack: TablePack, seeds: list[str], header_list_ids: dict[str
 # ---------------------------------------------------------------------------
 # the task engine
 
+# rows per packed no-grad graph: `forward` encodes in runs of this many
+# (`row_packs`), which bounds the rows a graph holds whatever the number of
+# tables
+PACK_ROWS = 4096
+
 
 @dataclass
 class FinetuneSettings:
@@ -630,10 +635,24 @@ def finetune(instances, spec: TaskSpec, params, settings: FinetuneSettings) -> l
     return [total / max(1, len(instances)) for total in sums]
 
 
+def row_packs(lens: list[int]) -> list[slice]:
+    """Consecutive runs of sequences of lengths `lens`, as slices of it, each
+    run at most PACK_ROWS rows in all; a longer sequence is a run of its own."""
+    packs, start, rows = [], 0, 0
+    for i, n in enumerate(lens):
+        if i > start and rows + n > PACK_ROWS:
+            packs.append(slice(start, i))
+            start, rows = i, 0
+        rows += n
+    if lens:
+        packs.append(slice(start, len(lens)))
+    return packs
+
+
 def forward(instances, spec: TaskSpec) -> list[np.ndarray]:
     """Each instance's scores, computed with no tape. Every distinct
-    sequence is encoded once, in packed graphs of at most
-    `encoder.PACK_ROWS` rows (`encoder.row_packs`)."""
+    sequence is encoded once, in packed graphs of at most PACK_ROWS rows
+    (`row_packs`)."""
     groups: dict = {}  # key -> (its sequence's length, the instances that read it)
     for i, inst in enumerate(instances):
         key, seq = spec.read(inst)
@@ -881,19 +900,17 @@ def _p_at_1_and_map(rankings, golds) -> dict:
 
 def eval_cell_filling(model, packs, instances):
     """No fine-tuning: the pre-trained masked-cell scorer ranks candidates.
-    One `masked_cell_states` call scores every table's cells, embedding each
-    table once for all of its instances."""
+    One `encoder.masked_cell_states` call per table scores the cells of all
+    of its instances, embedding the table once."""
     by_pack: dict[int, list[int]] = {}
     for i, inst in enumerate(instances):
         by_pack.setdefault(inst.pack, []).append(i)
-    tables = []
-    for p, idx in by_pack.items():
-        at = cell_positions(packs[p].seq)
-        tables.append((packs[p].seq, np.array([at[instances[i].row, instances[i].col] for i in idx])))
     rankings: list = [None] * len(instances)
     with nm.no_grad():
-        for idx, states in zip(by_pack.values(), masked_cell_states(model, tables)):
-            states = nm.Tensor(states)
+        for p, idx in by_pack.items():
+            at = cell_positions(packs[p].seq)
+            pos = np.array([at[instances[i].row, instances[i].col] for i in idx])
+            states = nm.Tensor(masked_cell_states(packs[p].seq, pos, model))
             for m, i in enumerate(idx):
                 cands = np.array(sorted(set(instances[i].candidates)), dtype=np.int64)
                 rankings[i] = _ranked(cands, entity_logits(model, states, np.array([m]), cands).data[0])

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tabrep import encoder
+from tabrep import encoder, tasks
 from tabrep import numeric as nm
 from tabrep.corpus import UNK_ID, IndexedCell, IndexedTable, MASK_ID
 from tabrep.encoder import (
     EncoderConfig,
     embed_sequence,
     encode,
-    encode_substitutions,
     init_entity_embeddings,
     init_model,
+    masked_cell_states,
 )
 from tabrep.encoding import CELL, build_visibility, linearize, mask_cell
 from tabrep.errors import ConfigError, ShapeMismatch, UnknownId
@@ -183,7 +183,7 @@ def test_encode_shapes_and_finiteness(model):
     out = encode(seq, model)
     assert out.h.data.shape == (len(seq), model.cfg.d_model)
     assert np.isfinite(out.h.data).all()
-    assert len(seq.token_indices) + len(seq.entity_indices) == len(seq)
+    assert len(seq.token_indices) + len(np.flatnonzero(seq.is_entity)) == len(seq)
 
 
 def test_visibility_off_equals_reference_bitwise(model):
@@ -356,13 +356,6 @@ def test_float64_mode_flows_through(model):
 # -- recompute of single-cell maskings ------------------------------------------
 
 
-def masked_cells(seq, positions):
-    masked = seq.clone()
-    for pos in positions.tolist():
-        mask_cell(masked, pos, mask_entity=True, mask_mention=True)
-    return masked
-
-
 def full_encode_of_each_masking(seq, positions, model, use_visibility):
     # reference: mask one cell in a copy of the table and encode the whole copy
     out = []
@@ -412,7 +405,7 @@ def test_substitutions_match_a_full_encode_of_each_masked_copy(n_blocks, use_vis
             for floor in floors:
                 monkeypatch.setattr(encoder, "_SCORE_FLOOR", floor)
                 packs.clear()
-                got = encode_substitutions(seq, positions, masked_cells(seq, positions), model)
+                got = masked_cell_states(seq, positions, model)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
                 logits = {k: x @ model["mer_W"].data @ model["ent_emb"].data[cands].T for k, x in (("got", got), ("want", want))}
@@ -450,11 +443,12 @@ def test_pack_size_equals_growing_the_pack_one_at_a_time(seed, n, n_positions, n
 
 
 def test_row_packs_fill_each_pack_up_to_the_row_budget(monkeypatch):
-    monkeypatch.setattr(encoder, "PACK_ROWS", 10)
+    # the task encodes' packing (`tasks.forward`)
+    monkeypatch.setattr(tasks, "PACK_ROWS", 10)
     lens = [4, 6, 1, 12, 3, 3, 3, 2, 10]
-    packs = encoder.row_packs(lens)
+    packs = tasks.row_packs(lens)
     assert [lens[p] for p in packs] == [[4, 6], [1], [12], [3, 3, 3], [2], [10]]
-    assert encoder.row_packs([]) == [] and encoder.row_packs([11]) == [slice(0, 1)]
+    assert tasks.row_packs([]) == [] and tasks.row_packs([11]) == [slice(0, 1)]
 
 
 def test_encode_keeps_each_block_input_and_builds_no_tape_under_no_grad(model):
@@ -464,6 +458,16 @@ def test_encode_keeps_each_block_input_and_builds_no_tape_under_no_grad(model):
         free = encode(seq, model)
     assert free.h.data.tobytes() == taped.h.data.tobytes()
     assert taped.h._parents != () and free.h._parents == ()
+
+
+def test_masked_cell_states_leave_the_callers_sequence_alone(model):
+    # cell filling scores the sequences of the task packs, which every later task reads
+    seq = seq_of(np.random.default_rng(16), model, n_rows=4, with_topic=True)
+    positions = np.flatnonzero(seq.is_entity)
+    ids, mentions = seq.ids.tobytes(), [m.tobytes() for m in seq.mentions]
+    first = masked_cell_states(seq, positions, model)
+    assert seq.ids.tobytes() == ids and [m.tobytes() for m in seq.mentions] == mentions
+    assert masked_cell_states(seq, positions, model).tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("floor", ["package", "none"])
@@ -488,7 +492,7 @@ def test_substitutions_project_intact_rows_once_and_run_the_last_block_at_the_po
 
     monkeypatch.setattr(encoder, "_projection", projection)
     monkeypatch.setattr(encoder, "_block_output", block_output)
-    encode_substitutions(seq, positions, masked_cells(seq, positions), model)
+    masked_cell_states(seq, positions, model)
 
     def sizes(block, side=None):
         # the rows of each call at `block`: of its output half, or of its `side` projections

@@ -8,7 +8,7 @@ import pytest
 import tabrep.numeric as nm
 from tabrep import encoder, pretrain
 from tabrep.corpus import MASK_ID, build_vocabs, index_table, parse_raw, pretrain_ok, process_table
-from tabrep.encoder import EncoderConfig, encode, encode_substitutions, init_model
+from tabrep.encoder import EncoderConfig, encode, init_model
 from tabrep.encoding import CAPTION, CELL, TOPIC, linearize, mask_cell
 from tabrep.errors import ConfigError, NonFiniteLoss, ShapeMismatch, UnknownId
 from tabrep.pretrain import (
@@ -142,7 +142,7 @@ def test_token_masks_leave_entities_alone():
     t = make_indexed_table(rng, 2, 2, with_topic=True)
     seq = linearize(t)
     plan = sample_token_mask(rng, seq, ratio=1.0, n_tokens=40)
-    ent = set(int(i) for i in seq.entity_indices)
+    ent = set(int(i) for i in np.flatnonzero(seq.is_entity))
     assert ent.isdisjoint(int(i) for i in plan.indices)
 
 
@@ -652,45 +652,4 @@ def test_masked_cell_states_refuse_a_position_that_is_not_an_entity_of_the_table
     seq = linearize(recovery_tables()[0], model.cfg.max_len)
     bad = {"past_the_end": len(seq), "negative": -1, "caption_token": np.flatnonzero(seq.kinds == CAPTION)[0]}[where]
     with pytest.raises(ShapeMismatch):
-        pretrain.masked_cell_states(model, [(seq, np.array([seq.cell_indices()[0], bad]))])
-
-
-def _scored_alone(model, seq, positions):
-    # the scorer on the table alone
-    masked = seq.clone()
-    for pos in positions.tolist():
-        mask_cell(masked, pos, mask_entity=True, mask_mention=True)
-    with nm.no_grad():
-        return encode_substitutions(seq, positions, masked, model)
-
-
-@pytest.mark.parametrize("use_visibility", [True, False])
-@pytest.mark.parametrize("pack_rows", [None, 1, 48])
-def test_packed_masked_cell_states_equal_scoring_each_table_alone_bitwise(use_visibility, pack_rows, monkeypatch):
-    cfg = dataclasses.replace(SMALL_CFG, n_blocks=2, d_model=16, n_heads=4, d_intermediate=32)
-    model = init_model(cfg, np.random.default_rng(3))
-    for p in model.params():  # larger weights, so that a wrong row shows
-        p.data *= 10.0
-    model.use_visibility = use_visibility
-    rng = np.random.default_rng(8)
-    kw = dict(n_tokens=30, n_entities=20)
-    seqs = [linearize(t, cfg.max_len) for t in (
-        make_indexed_table(rng, 6, 3, with_topic=True, table_id="long", **kw),
-        make_indexed_table(rng, 2, 2, caption_len=0, table_id="short", **kw),
-        make_indexed_table(rng, 4, 3, cell_density=0.7, table_id="mid", **kw),
-        make_indexed_table(rng, 3, 2, table_id="single", **kw),
-    )]
-    assert len({len(seq) for seq in seqs}) == len(seqs)  # tables of different lengths
-    tables = [(seq, seq.cell_indices()) for seq in seqs[:3]] + [(seqs[3], seqs[3].cell_indices()[[2]])]
-    want = [_scored_alone(model, seq, pos) for seq, pos in tables]
-    embedded = spy_embeds(monkeypatch)
-    if pack_rows is not None:  # the task encodes' row budget, which the scorer does not read
-        monkeypatch.setattr(encoder, "PACK_ROWS", pack_rows)
-    got = pretrain.masked_cell_states(model, tables)
-    assert [g.shape for g in got] == [w.shape for w in want] and len(got[3]) == 1
-    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-    # each table once, in order, with its masked copy, no tape
-    assert [(e[0], e[3]) for e in embedded] == [(f"{seq.table_id}+{seq.table_id}", False) for seq in seqs]
-    for (_, intact, masked, _), (seq, pos) in zip(embedded, tables):
-        assert np.array_equal(intact, seq.ids) and np.array_equal(masked, masked_ids(seq, pos))
-    assert pretrain.masked_cell_states(model, []) == []
+        encoder.masked_cell_states(seq, np.array([seq.cell_indices()[0], bad]), model)

@@ -1,6 +1,7 @@
 """Project-wide checks: the metadata in pyproject.toml, the package's one write path, its one training loop,
 the one owner of the visibility matrix, the one carrier of the attention mode, the one entry point into the
-encoder, the one read path of the masked-entity head, the one linking path and the one task table."""
+encoder, the one masked-cell scorer, the one read path of the masked-entity head, the one linking path and the
+one task table."""
 
 import ast
 import dataclasses
@@ -101,6 +102,20 @@ def test_the_model_alone_carries_its_attention_mode():
     }
     assert {name: lines for name, lines in moded.items() if lines} == {}
     assert found["pretrain.py"] and found["tasks.py"]
+
+
+def defines(path, name):
+    """Line numbers of the functions called `name` that a module defines, nested ones too."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
+            yield node.lineno
+
+
+def test_one_function_scores_masked_cells():
+    # `encoder.masked_cell_states` is the one masked-cell scorer, for masked recovery and cell filling alike
+    found = {p.name: list(defines(p, "masked_cell_states")) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines}.keys() == {"encoder.py"}
+    assert all(list(calls(PACKAGE / name, ("masked_cell_states",))) for name in ("pretrain.py", "tasks.py"))
 
 
 def holders(path, names):

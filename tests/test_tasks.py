@@ -825,7 +825,6 @@ def test_eval_metrics_equal_a_per_instance_reference_bitwise(synth_tasks):
 
 
 def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
-    import tabrep.encoder as E
     import tabrep.tasks as T
 
     s = synth_tasks
@@ -834,7 +833,7 @@ def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
 
     def counting(seqs, *args, **kwargs):
         encoded.extend(seq.table_id for seq in seqs)
-        assert len(seqs) == 1 or sum(len(seq) for seq in seqs) <= E.PACK_ROWS
+        assert len(seqs) == 1 or sum(len(seq) for seq in seqs) <= T.PACK_ROWS
         return real(seqs, *args, **kwargs)
 
     monkeypatch.setattr(T, "encode", counting)
@@ -847,7 +846,6 @@ def test_eval_linking_encodes_each_table_once(synth_tasks, monkeypatch):
 
 @pytest.mark.parametrize("task", ["coltype", "linking", "rowpop", "schema"])
 def test_forward_gives_the_same_scores_in_several_packs_as_in_one(synth_tasks, monkeypatch, task):
-    import tabrep.encoder as E
     import tabrep.tasks as T
 
     s = synth_tasks
@@ -870,7 +868,7 @@ def test_forward_gives_the_same_scores_in_several_packs_as_in_one(synth_tasks, m
     one = T.forward(insts, spec)
     assert len(packs) == 1
     packs.clear()
-    monkeypatch.setattr(E, "PACK_ROWS", 1)  # every sequence in a pack of its own
+    monkeypatch.setattr(T, "PACK_ROWS", 1)  # every sequence in a pack of its own
     several = T.forward(insts, spec)
     assert len(packs) > 1 and set(packs) == {1}
     assert [a.tobytes() for a in several] == [a.tobytes() for a in one]
