@@ -17,10 +17,20 @@ consecutive segments of the gathered word rows with no dense averaging
 matrix. Attention is one op, `numeric.table_attention`, that loops over the
 tables' row slices, so a row attends only within its own table, under that
 table's visibility matrix. A table's rows therefore come out as if it were
-encoded alone; the tests check that they are bitwise equal. A pre-training
-step's loss on top (`pretrain.table_loss`) adds the masked-entity head as
-one `numeric.candidate_cross_entropy_sum` node over all tables, so the
-step's tape has the same 49 op nodes (two blocks) for any batch size.
+encoded alone; the tests check that they are bitwise equal.
+
+What a step would otherwise rebuild from a table's constant structure is
+kept on its sequence (see `encoding`) and shared with the sequence's
+clones: the attention bias, 0 where visible and -inf where not, which each
+table's attention adds unchecked, and the mention arrays of its embed plan,
+which `encode` stacks end to end for the batch (`encoding.pack_sequences`),
+so that an embed runs no Python loop over the entities. A masked clone
+rebuilds only its own mention arrays.
+
+A pre-training step's loss on top (`pretrain.table_loss`) adds the
+masked-entity head as one `numeric.candidate_cross_entropy_sum` node over
+all tables, so the step's tape has the same 49 op nodes (two blocks) for
+any batch size.
 
 `encode` can return the final states at chosen rows only, the rows a loss
 or head reads, and then runs the last block only there. Row i of a block's
@@ -50,20 +60,21 @@ blocks, block 1 recomputes the rows that see c (its row, its column, its
 column's header, the caption and the topic) with only c's key and value
 changed, and block 2 recomputes row c alone. Without the visibility matrix
 every row sees every other, so block 1 recomputes all rows. One
-`embed_sequence` embeds the table and its substituted copy. Each block
-before the last runs the table's intact rows and the rows it recomputes
-together, through one query, key and value projection and one output half;
-attention is two calls, the intact rows under the table's mask and the
-recomputed rows over the intact keys plus the patched ones. The last block
-runs only at the substituted cells; the intact last block, which nothing
-reads, does not run. Block 0's patched keys and values and the last block
-cover the substituted cells alone and keep products of their own, as a
-one-row product rounds otherwise than a row of a larger one. Substitutions
-are recomputed in packs sized so that no block's attention scores per head
-exceed 256 x 256, those of one full encode at the default max_len, or those
-of one full encode of a max_len table when that is more; later packs reuse
-the intact inputs, keys and values of the first. With two blocks at max_len
-64, a 30-element table's masked cells fit in one pack.
+`embed_sequence` embeds the table and its substituted copy, through their
+embed plans. Each block before the last runs the table's intact rows and
+the rows it recomputes together, through one query, key and value
+projection and one output half; attention is two calls, the intact rows
+under the table's kept bias and the recomputed rows over the intact keys
+plus the patched ones, under a mask cut from the visibility matrix. The
+last block runs only at the substituted cells; the intact last block, which
+nothing reads, does not run. Block 0's patched keys and values and the
+last block cover the substituted cells alone and keep products of their
+own, as a one-row product rounds otherwise than a row of a larger one.
+Substitutions are recomputed in packs sized so that no block's attention
+scores per head exceed 256 x 256, those of one full encode at the default
+max_len, or those of one full encode of a max_len table when that is more;
+later packs reuse the intact inputs, keys and values of the first. With two
+blocks at max_len 64, a 30-element table's masked cells fit in one pack.
 
 Initialization follows BERT: every embedding table and weight matrix draws
 from a normal truncated at two standard deviations with std 0.02; biases and
@@ -81,8 +92,8 @@ import numpy as np
 
 from . import kernels
 from . import numeric as nm
-from .corpus import ENTITY_RESERVED, UNK_ID
-from .encoding import N_ENTITY_TYPES, N_TOKEN_TYPES, Sequence, mask_cell
+from .corpus import ENTITY_RESERVED
+from .encoding import N_ENTITY_TYPES, N_TOKEN_TYPES, Sequence, mask_cell, pack_sequences
 from .errors import ConfigError, ShapeMismatch, UnknownId
 
 __all__ = [
@@ -227,48 +238,44 @@ def init_entity_embeddings(model: Model, mentions: dict[int, np.ndarray]) -> Non
         ent[eid] = word[np.asarray(token_ids)].mean(axis=0)
 
 
-_UNK_MENTION = np.array([UNK_ID], dtype=np.int64)
-
-
 def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= bound):
         raise UnknownId(f"{what} id out of range [0, {bound})")
 
 
 def embed_sequence(seq: Sequence, model: Model) -> nm.Tensor:
-    """Initial (n, d_model) representation of a linearized table."""
+    """Initial (n, d_model) representation of a linearized table, read
+    through its embed plan (`Sequence.embed_plan`): the kept mention arrays
+    and the index split of the fields. Per call, the ids are gathered and
+    range-checked, and the plan's largest position and mention token id are
+    checked against the model."""
     cfg = model.cfg
     n = len(seq)
-
-    is_entity = seq.is_entity
-    tok_idx, ent_idx = np.flatnonzero(~is_entity), np.flatnonzero(is_entity)
+    plan = seq.embed_plan()
+    if plan.max_position >= cfg.max_len:
+        raise UnknownId(f"position id out of range [0, {cfg.max_len})")
+    if plan.max_mention_id >= cfg.n_tokens:
+        raise UnknownId(f"mention token id out of range [0, {cfg.n_tokens})")
     parts = []
-    if len(tok_idx):
-        ids, types, pos = seq.ids[tok_idx], seq.type_ids[tok_idx], seq.positions[tok_idx]
+    if len(plan.tokens):
+        ids = seq.ids[plan.tokens]
         _check_ids(ids, cfg.n_tokens, "token")
-        _check_ids(pos, cfg.max_len, "position")
-        _check_ids(types, N_TOKEN_TYPES, "token type")
         x = nm.add(
-            nm.add(nm.gather_rows(model["word_emb"], ids), nm.gather_rows(model["tok_type_emb"], types)),
-            nm.gather_rows(model["pos_emb"], pos),
+            nm.add(nm.gather_rows(model["word_emb"], ids), nm.gather_rows(model["tok_type_emb"], plan.token_types)),
+            nm.gather_rows(model["pos_emb"], plan.token_positions),
         )
-        parts.append(nm.put_rows(x, tok_idx, n))
-    if len(ent_idx):
-        ids, types = seq.ids[ent_idx], seq.type_ids[ent_idx]
-        # an entity with an empty mention averages the unknown token
-        ments = [seq.mentions[i] if len(seq.mentions[i]) else _UNK_MENTION for i in ent_idx]
-        flat = np.concatenate(ments)
+        parts.append(nm.put_rows(x, plan.tokens, n))
+    if len(plan.entities):
+        ids = seq.ids[plan.entities]
         _check_ids(ids, cfg.n_entities, "entity")
-        _check_ids(types, N_ENTITY_TYPES, "entity type")
-        _check_ids(flat, cfg.n_tokens, "mention token")
-        mention_mean = nm.segment_mean(model["word_emb"], flat, [len(m) for m in ments])
+        mention_mean = nm.segment_mean(model["word_emb"], plan.mention_ids, plan.mention_lens)
         fused = nm.affine(
             nm.concat([nm.gather_rows(model["ent_emb"], ids), mention_mean], axis=1),
             model["fuse_W"],
             model["fuse_b"],
         )
-        x = nm.add(fused, nm.gather_rows(model["ent_type_emb"], types))
-        parts.append(nm.put_rows(x, ent_idx, n))
+        x = nm.add(fused, nm.gather_rows(model["ent_type_emb"], plan.entity_types))
+        parts.append(nm.put_rows(x, plan.entities, n))
     if not parts:
         raise UnknownId("sequence has no elements to embed")
     return parts[0] if len(parts) == 1 else nm.add(parts[0], parts[1])
@@ -315,12 +322,12 @@ class EncodeResult:
     h: nm.Tensor  # the (N, d) final states of the tables, stacked end to end; only the chosen rows under `rows`
 
 
-def _pack(seqs: list[Sequence]) -> Sequence:
-    """Stack sequences end to end into one sequence of all their elements."""
-    if len(seqs) == 1:
-        return seqs[0]
-    fields = [np.concatenate([getattr(s, f) for s in seqs]) for f in ("kinds", "ids", "type_ids", "positions", "rows", "cols")]
-    return Sequence("+".join(s.table_id for s in seqs), *fields, [m for s in seqs for m in s.mentions])
+def _biases(seqs: list[Sequence], dtype, use_visibility: bool) -> list[np.ndarray]:
+    """Each table's additive attention bias: its sequence's kept one under
+    visibility, else zeros, so that every element sees every other."""
+    if use_visibility:
+        return [s.attention_bias(dtype) for s in seqs]
+    return [np.zeros((len(s), len(s)), dtype) for s in seqs]
 
 
 def encode(
@@ -341,12 +348,12 @@ def encode(
     block runs only there, and they are the same bits as the full result's
     (see the module docstring). Rows unsorted, repeated or out of range
     raise ShapeMismatch. Under visibility each table attends through its
-    sequence's `visibility()`, built once per sequence and shared by its
-    clones; with it off, through an all-ones matrix per table (structure
-    ablation) on the same masked attention code path. use_visibility, when
-    given, overrides the model's mode, and reference=True runs the plain
-    softmax path with no mask argument at all, so that tests can compare the
-    implementations.
+    sequence's kept attention bias (`Sequence.attention_bias`), built once
+    per sequence and shared by its clones; with it off, through a zero bias
+    per table (structure ablation) on the same masked attention code path.
+    use_visibility, when given, overrides the model's mode, and
+    reference=True runs the plain softmax path with no mask argument at
+    all, so that tests can compare the implementations.
     """
     seqs = [seqs] if isinstance(seqs, Sequence) else list(seqs)
     if use_visibility is None:
@@ -355,13 +362,8 @@ def encode(
     starts = np.cumsum([0] + lens[:-1])
     if rows is not None:
         rows = kernels.check_rows(rows, sum(lens))
-    h = embed_sequence(_pack(seqs), model)
-    if reference:
-        masks = None
-    elif use_visibility:
-        masks = [s.visibility() for s in seqs]
-    else:
-        masks = [np.ones((n, n), dtype=bool) for n in lens]
+    h = embed_sequence(pack_sequences(seqs), model)
+    masks = None if reference else _biases(seqs, model.dtype, use_visibility)
     last = model.cfg.n_blocks - 1
     for i in range(model.cfg.n_blocks):
         h = transformer_block(h, masks, starts, model, i, rows if i == last else None)
@@ -388,25 +390,29 @@ def masked_cell_states(seq: Sequence, positions: np.ndarray, model: Model) -> np
         mask_cell(subst, p, mask_entity=True, mask_mention=True)
     n, n_blocks = len(seq), model.cfg.n_blocks
     vis = seq.visibility() if model.use_visibility else np.ones((n, n), dtype=bool)
-    # reach[k][m, j]: row j is within k visibility hops of positions[m]
-    reach = [np.zeros((len(positions), n), dtype=bool)]
+    bias = _biases([seq], model.dtype, model.use_visibility)[0]
+    # reach[k][m, j]: row j is within k visibility hops of positions[m]. One
+    # hop is the rows of vis at the positions; each further hop is a float32
+    # product, which counts the paths exactly (up to 2**24 of them) and runs
+    # 2-13x faster than a bool one, which numpy computes without BLAS
+    reach = [np.zeros((len(positions), n), dtype=bool), vis[positions]]
     reach[0][np.arange(len(positions)), positions] = True
-    for _ in range(n_blocks // 2):
-        reach.append(reach[-1] @ vis)
+    for _ in range(n_blocks // 2 - 1):
+        reach.append(reach[-1] @ vis.astype(np.float32) > 0)
     # block i recomputes the rows `rows[i]`; its input differs from the
     # intact one at `changed[i]`, the rows block i - 1 recomputed
     rows = [reach[min(i + 1, n_blocks - i - 1)] for i in range(n_blocks)]
     changed = [reach[min(i, n_blocks - i)] for i in range(n_blocks)]
     pack = _pack_size(rows, changed, n, max(model.cfg.max_len**2, _SCORE_FLOOR))
     with nm.no_grad():
-        x0 = embed_sequence(_pack([seq, subst]), model).data
+        x0 = embed_sequence(pack_sequences([seq, subst]), model).data
         intact = [[x0[:n]]]  # each block's intact input, then its keys and values
         out = np.empty((len(positions), x0.shape[1]), x0.dtype)
         for c in range(0, len(positions), pack):
             part = slice(c, c + pack)
             x = x0[n + positions[part]]
             for i in range(n_blocks):
-                x = _substituted_block(x, changed[i][part], rows[i][part], vis, intact, model, i)
+                x = _substituted_block(x, changed[i][part], rows[i][part], vis, bias, intact, model, i)
             out[part] = x
     return out
 
@@ -423,11 +429,13 @@ def _pack_size(rows: list[np.ndarray], changed: list[np.ndarray], n: int, budget
     return max(1, int(((p * q * (n + p * k)).max(axis=1) <= budget).sum()))
 
 
-def _substituted_block(x, changed, rows, vis, intact, model: Model, block: int) -> np.ndarray:
+def _substituted_block(x, changed, rows, vis, bias, intact, model: Model, block: int) -> np.ndarray:
     """Block `block` at the query rows `rows` (P, n) of each substitution,
     given its input x at the rows `changed` (P, n) that differ from the
     intact input; both row sets are flattened in row-major order. Keys and
-    values are the intact ones with the changed rows patched in.
+    values are the intact ones with the changed rows patched in. The intact
+    rows attend under `bias`, the table's kept attention bias; the query
+    rows under a mask cut from `vis`.
 
     intact[block] holds the block's intact input, then its intact keys and
     values, which the first pack projects along with its patched ones (block
@@ -440,8 +448,9 @@ def _substituted_block(x, changed, rows, vis, intact, model: Model, block: int) 
     slot = np.full(changed.shape, -1)
     slot[km, kr] = np.arange(len(km))
     at = slot[qm, qr]
+    patched = at >= 0
     h = h_in[qr]
-    h[at >= 0] = x[at[at >= 0]]
+    h[patched] = x[at[patched]]
 
     def proj(a, side):
         return _projection(nm.Tensor(a), model, block, side).data
@@ -461,7 +470,7 @@ def _substituted_block(x, changed, rows, vis, intact, model: Model, block: int) 
     q = proj(h, "q")
     ctx = np.empty_like(q)
     if s:
-        kernels.attention_fwd(q[:s], k[:n], v[:n], vis, model.cfg.n_heads, ctx[:s])
+        kernels.attention_fwd(q[:s], k[:n], v[:n], bias, model.cfg.n_heads, ctx[:s])
     # a query row sees the intact keys its substitution left unchanged and
     # the patched keys of its own substitution, both under the visibility
     vis_q = vis[qr]

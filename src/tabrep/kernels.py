@@ -5,14 +5,21 @@ norm, GELU and Adam. Each kernel follows plain IEEE evaluation order in numpy,
 which the determinism tests rely on.
 
 Masking convention: `mask` is a (n, n) bool array; mask[i, j] False means
-position i must ignore position j (a 0/1 array reads the same way).
+position i must ignore position j (a 0/1 integer array reads the same way).
 `attention_fwd` also takes a (m, n) mask of m query rows over n key rows.
-The mask becomes a 2-D additive bias, 0 where visible and -inf where not,
-in the scores' dtype, broadcast over the heads. Masked attention weights
-come out exactly 0.0, not merely small. Adding 0 leaves every visible score
-as it was, except that -0.0 becomes +0.0, which no exp can tell apart; so for
-finite scores the weights have the bits of the `np.where(mask, scores, -inf)`
-form, and an all-ones mask gives the bits of the plain softmax.
+The mask becomes a 2-D additive bias (`mask_bias`), 0 where visible and -inf
+where not, in the scores' dtype, broadcast over the heads. A sequence builds
+its bias once (`encoding.Sequence.attention_bias`) and every later
+attention adds that one: a float array in place of a mask is taken as the
+bias itself, in the scores' dtype, and is not checked, since
+`build_visibility` sets the diagonal of every matrix a bias is built from.
+`attention_heads` runs one table's attention on per-head views, which
+`numeric.table_attention` makes once per batch and `attention_fwd` per
+call. Masked attention weights come out
+exactly 0.0, not merely small. Adding 0 leaves every visible score as it
+was, except that -0.0 becomes +0.0, which no exp can tell apart; so for
+finite scores the weights have the bits of the `np.where(mask, scores,
+-inf)` form, and an all-ones mask gives the bits of the plain softmax.
 
 Each softmax makes one new array and works in place on it: subtract the row
 max, exp, divide by the row sum. In-place ufuncs give the same bits as their
@@ -94,11 +101,33 @@ def softmax_fwd(scores):
     return _softmax(scores, np.empty_like(scores))
 
 
+def mask_bias(mask, dtype):
+    # The additive bias of a mask in `dtype`: 0 where visible, -inf where not.
+    dtype = np.dtype(dtype)
+    return np.where(mask, dtype.type(0), dtype.type(-np.inf))
+
+
 def masked_softmax_fwd(scores, mask):
-    # Additive 2-D -inf bias before the softmax; masked weights are exactly 0.
-    bias = np.where(mask, scores.dtype.type(0), scores.dtype.type(-np.inf))
-    out = scores + bias
+    # Additive 2-D bias before the softmax; masked weights are exactly 0. A
+    # float `mask` is the bias itself, in the scores' dtype.
+    if mask.dtype.kind != "f":
+        mask = mask_bias(mask, scores.dtype)
+    elif mask.dtype != scores.dtype:
+        raise ShapeMismatch(f"a {mask.dtype} attention bias for {scores.dtype} scores")
+    out = scores + mask
     return _softmax(out, out)
+
+
+def attention_heads(q3, k3t, v3, mask, out3):
+    # One table's attention on per-head views: q3 (h, m, dh) query rows,
+    # k3t (h, dh, n) and v3 (h, n, dh) key and value rows, mask (m, n), a
+    # bias or None. Scores scale by 1/sqrt(dh). Writes the context into out3
+    # (h, m, dh) and returns the weights (h, m, n).
+    scores = q3 @ k3t
+    scores *= 1.0 / math.sqrt(q3.shape[-1])
+    probs = softmax_fwd(scores) if mask is None else masked_softmax_fwd(scores, mask)
+    np.matmul(probs, v3, out=out3)
+    return probs
 
 
 def attention_fwd(q, k, v, mask, n_heads, out=None):
@@ -114,14 +143,11 @@ def attention_fwd(q, k, v, mask, n_heads, out=None):
     q3 = q.reshape(m, n_heads, dh).transpose(1, 0, 2)
     k3t = k.reshape(len(k), n_heads, dh).transpose(1, 2, 0)
     v3 = v.reshape(len(v), n_heads, dh).transpose(1, 0, 2)
-    scores = q3 @ k3t
-    scores *= 1.0 / math.sqrt(dh)
-    probs = softmax_fwd(scores) if mask is None else masked_softmax_fwd(scores, mask)
     if out is None:
-        out = np.empty((m, d), dtype=probs.dtype)
+        out = np.empty((m, d), dtype=np.result_type(q, k, v))
     elif out.shape != (m, d) or not out.flags.c_contiguous:
         raise ShapeMismatch(f"attention output must be a C-contiguous {(m, d)} array, got {out.shape}")
-    np.matmul(probs, v3, out=out.reshape(m, n_heads, dh).transpose(1, 0, 2))
+    probs = attention_heads(q3, k3t, v3, mask, out.reshape(m, n_heads, dh).transpose(1, 0, 2))
     return out, (q3, k3t, v3, probs)
 
 

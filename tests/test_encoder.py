@@ -168,6 +168,31 @@ def test_out_of_range_ids_rejected(model):
         embed_sequence(seq2, model)
 
 
+def test_a_kept_embed_plan_is_checked_against_each_model(model):
+    # the plan carries the largest position and mention token id; each embed
+    # checks them against the model at hand
+    seq = seq_of(np.random.default_rng(3), model)
+    embed_sequence(seq, model)
+    plan = seq.embed_plan()
+    for cfg in (tiny_cfg(n_tokens=plan.max_mention_id), tiny_cfg(max_len=plan.max_position)):
+        with pytest.raises(UnknownId):
+            embed_sequence(seq, init_model(cfg, np.random.default_rng(0)))
+    assert seq.embed_plan().mention_ids is plan.mention_ids
+
+
+def test_masking_a_clone_leaves_its_originals_encoding_alone(model):
+    seq = seq_of(np.random.default_rng(4), model, with_topic=True)
+    before = encode(seq, model).h.data.tobytes()
+    dup = seq.clone()
+    pos = int(seq.cell_indices()[1])
+    mask_cell(dup, pos, mask_entity=True, mask_mention=True)
+    fresh = seq_of(np.random.default_rng(4), model, with_topic=True)
+    mask_cell(fresh, pos, mask_entity=True, mask_mention=True)
+    assert encode(dup, model).h.data.tobytes() == encode(fresh, model).h.data.tobytes()
+    assert encode(seq, model).h.data.tobytes() == before
+    assert encode([seq, dup], model).h.data.tobytes() == before + encode(fresh, model).h.data.tobytes()
+
+
 def test_init_entity_embeddings_mean_of_mention(model):
     mentions = {5: np.array([7, 9]), 1: np.array([7])}
     init_entity_embeddings(model, mentions)

@@ -150,6 +150,51 @@ def test_clone_shares_the_visibility_matrix_and_structure(built_first):
             arr[0] = 1
 
 
+PLAN_MENTIONS = ("mention_ids", "mention_lens")
+
+
+def plans_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("built_first", [True, False])
+def test_clone_shares_the_attention_bias_and_embed_plan(built_first):
+    seq = linearize(small_table())
+    if built_first:
+        seq.attention_bias(np.float32)
+        seq.embed_plan()
+    dup = seq.clone()
+    for dtype in (np.float32, np.float64):
+        bias = dup.attention_bias(dtype)
+        assert bias is seq.attention_bias(dtype) and bias.dtype == dtype
+        assert bias.tobytes() == np.where(build_visibility(seq), dtype(0), dtype(-np.inf)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            bias[0, 0] = 1
+    plan, mine = dup.embed_plan(), seq.embed_plan()
+    assert plans_equal(plan, mine)
+    # a clone made after the mention arrays were built starts with them
+    assert all(getattr(plan, f) is getattr(mine, f) for f in PLAN_MENTIONS) == built_first
+
+
+def test_masking_a_clone_rebuilds_only_its_mention_arrays():
+    seq = linearize(small_table())
+    plan = seq.embed_plan()
+    pos = int(seq.cell_indices()[0])
+    dup = seq.clone()
+    mask_cell(dup, pos, mask_entity=True, mask_mention=True)
+    masked = dup.embed_plan()
+    assert all(getattr(seq.embed_plan(), f) is getattr(plan, f) for f in PLAN_MENTIONS)
+    # the clone's plan is that of a copy masked before any plan was built
+    fresh = linearize(small_table())
+    mask_cell(fresh, pos, mask_entity=True, mask_mention=True)
+    assert plans_equal(masked, fresh.embed_plan()) and not plans_equal(masked, plan)
+    assert all(getattr(masked, f) is not getattr(plan, f) for f in PLAN_MENTIONS)
+    # an entity-only mask keeps the clone's mention arrays
+    ent_only = seq.clone()
+    mask_cell(ent_only, pos, mask_entity=True, mask_mention=False)
+    assert ent_only.embed_plan().mention_ids is plan.mention_ids
+
+
 def test_mask_cell_actions():
     seq = linearize(small_table())
     pos = int(seq.cell_indices()[1])

@@ -1,5 +1,6 @@
 """Autodiff engine: gradients against finite differences, exact loss algebra."""
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 from tabrep import kernels
 from tabrep import numeric as nm
 from tabrep.encoder import load_tensors
-from tabrep.errors import ConfigError, NonFiniteLoss, ShapeMismatch, UnknownId
+from tabrep.errors import AllMaskedRow, ConfigError, NonFiniteLoss, ShapeMismatch, UnknownId
 
 
 def t(arr, grad=True, name=None):
@@ -193,6 +194,21 @@ def test_row_scatter_is_a_2d_add_at_bitwise(dtype):
         assert a.grad.dtype == dtype and a.grad.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_row_scatter_at_increasing_rows_has_the_bits_of_add_at(dtype):
+    # strictly increasing rows (a packed state's chosen rows) are written by
+    # one assignment, which must still turn a -0.0 into 0 + -0.0 = +0.0
+    rng = np.random.default_rng(19)
+    idx = np.sort(rng.permutation(40)[:25])
+    a = nm.Tensor(np.zeros((40, 8), dtype=dtype), requires_grad=True)
+    dout = rng.normal(size=(25, 8)).astype(dtype)
+    dout[::4] = -0.0
+    ref = np.zeros_like(a.data)
+    np.add.at(ref, idx, dout)
+    nm.gather_rows(a, idx)._backward(dout)
+    assert a.grad.tobytes() == ref.tobytes() and not np.signbit(a.grad[idx[::4]]).any()
+
+
 def test_put_rows_requires_unique_targets():
     a = t(np.ones((2, 3)))
     with pytest.raises(ShapeMismatch):
@@ -300,6 +316,29 @@ def test_table_attention_reads_a_bool_mask_and_its_uint8_copy_alike():
         nm.cross_entropy_sum(out, np.arange(7) % 4).backward()
         bits.append([out.data.tobytes()] + [p.grad.tobytes() for p in (q, k, v)])
     assert bits[0] == bits[1]
+
+
+def test_table_attention_checks_a_mask_but_reads_a_kept_bias_as_it_is():
+    # a hand-made mask is checked on every call; the bias a sequence keeps
+    # (made by the same kernel) gives the bits of its mask, bool or uint8
+    rng = np.random.default_rng(20)
+    q, k, v = _float32_qkv(rng, 7, 4)
+    masks = [rng.random((n, n)) < 0.5 for n in (3, 4)]
+    for mask in masks:
+        np.fill_diagonal(mask, True)
+    dout = rng.normal(size=(7, 4)).astype(np.float32)
+    starts = np.array([0, 3])
+    want = _attention_bits(q, k, v, masks, starts, dout)
+    biases = [kernels.mask_bias(m, np.float32) for m in masks]
+    assert _attention_bits(q, k, v, biases, starts, dout) == want
+    assert _attention_bits(q, k, v, [m.astype(np.uint8) for m in masks], starts, dout) == want
+    empty = masks[1].copy()
+    empty[2] = False
+    for bad in (empty, empty.astype(np.uint8)):
+        with pytest.raises(AllMaskedRow, match="row 2"):
+            nm.table_attention(q, k, v, [masks[0], bad], starts, n_heads=2)
+    with pytest.raises(ShapeMismatch, match="float64 attention bias"):
+        nm.table_attention(q, k, v, [b.astype(np.float64) for b in biases], starts, n_heads=2)
 
 
 @pytest.mark.parametrize(
@@ -719,6 +758,49 @@ def test_adam_step_hooks_that_the_bench_wraps(monkeypatch):
         params[i].grad = np.ones(sizes[i])
     opt.step()
     assert calls == [5, 5, 5, 5, 2]
+
+
+def test_adam_step_after_grad_norm_reads_the_gradients_it_holds_then():
+    # `descend` takes the norm on the gathered runs, then steps on them; a
+    # step after the gradients changed gathers again
+    params = [t(np.zeros(3)), t(np.zeros(2)), t(np.zeros(4))]
+    ref = [t(np.zeros(n)) for n in (3, 2, 4)]
+    opt, ref_opt = nm.Adam(params, lr0=0.1, total_steps=4), nm.Adam(ref, lr0=0.1, total_steps=4)
+    grads = [np.array([3.0, 0.0, 0.0]), None, np.array([0.0, 4.0, 0.0, 0.0])]
+    for p, r, g in zip(params, ref, grads):
+        p.grad = r.grad = g
+    assert opt.grad_norm() == 5.0
+    opt.step()
+    ref_opt.step()
+    params[1].grad = ref[1].grad = np.ones(2)
+    assert opt.grad_norm() == math.sqrt(27.0)
+    params[0].grad = ref[0].grad = np.full(3, 2.0)  # after the norm: the step must see it
+    opt.step()
+    ref_opt.step()
+    assert opt.flat.tobytes() == ref_opt.flat.tobytes()
+    params[2].grad = np.array([np.nan, 0.0, 0.0, 0.0])
+    assert math.isnan(opt.grad_norm())
+
+
+def test_train_runs_under_a_one_argument_step_wrapper(monkeypatch):
+    # bench/workloads.StepClock times steps by replacing `Adam.step` with a
+    # function of the optimizer alone; every step of `train` must go through
+    # it, with the same result as the plain step
+    runs = []
+    for wrapped in (False, True):
+        calls = []
+        if wrapped:
+            real = vars(nm.Adam)["step"]
+
+            def step(opt):
+                real(opt)
+                calls.append(opt.steps_done)
+
+            monkeypatch.setattr(nm.Adam, "step", step)
+        w, settings, batch_loss = _toy()
+        losses, _ = nm.train([w], settings, 5, np.random.default_rng(1), batch_loss)
+        runs.append((losses, w.data.tobytes()))
+    assert runs[0] == runs[1] and calls == list(range(1, len(runs[1][0]) + 1))
 
 
 def test_grad_check_flags_wrong_gradient():

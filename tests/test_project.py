@@ -1,7 +1,7 @@
 """Project-wide checks: the metadata in pyproject.toml, the package's one write path, its one training loop,
-the one owner of the visibility matrix, the one carrier of the attention mode, the one entry point into the
-encoder, the one masked-cell scorer, the one read path of the masked-entity head, the one linking path and the
-one task table."""
+the one owner of the visibility matrix and of the attention bias, the one carrier of the attention mode, the
+one entry point into the encoder, the one masked-cell scorer, the one read path of the masked-entity head, the
+one linking path and the one task table."""
 
 import ast
 import dataclasses
@@ -65,6 +65,14 @@ def test_only_numeric_builds_an_optimizer_or_steps_it():
 def test_only_encoding_builds_a_visibility_matrix():
     # `Sequence.visibility` is the one cache; a second would call build_visibility itself
     assert calls_outside("encoding.py", ("build_visibility",)) == {}
+
+
+def test_only_encoding_builds_an_attention_bias_to_keep():
+    # `Sequence.attention_bias` is the one cache, kept on the sequence and gone with it; a module-level
+    # cache would build biases itself. The kernel that defines the bias also makes one per call from a
+    # hand-made mask, and keeps none.
+    others = calls_outside("encoding.py", ("mask_bias",))
+    assert set(others) == {"kernels.py"} and len(others["kernels.py"]) == 1
 
 
 def takes(path, name):
